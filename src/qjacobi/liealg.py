@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hseries import HSeries
-from .matrices import SparseMatrix, kron, minimal_polynomial
+from .matrices import MatrixError, SparseMatrix, kron, minimal_polynomial
 from .ncalg import NCPoly, Scalar
 from .psiengine import PSI_ALPHABET
 
@@ -442,8 +442,8 @@ def eval_series(series: HSeries, ops: TensorOps) -> HSeries:
             raise ValueError("eval_series expects coefficients over the letters O12, O23")
         acc = SparseMatrix.zeros(d3, d3)
         for word, scal in coeff.sorted_terms():
-            prod = eye
-            for letter in word:
+            prod = letters[word[0]] if word else eye
+            for letter in word[1:]:
                 prod = prod * letters[letter]
             acc = acc + prod.scale(scal)
         out.append(acc)
@@ -499,7 +499,8 @@ def _poly_divide_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction
     for k in range(len(coeffs) - 1, 0, -1):
         carry = coeffs[k] + carry * root
         out[k - 1] = carry
-    assert coeffs[0] + carry * root == 0
+    if coeffs[0] + carry * root != 0:
+        raise MatrixError(f"{root} is not a root of the polynomial")
     return out
 
 

@@ -205,6 +205,9 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self):
+        # A rational scalar hashes as the number it equals.
+        if self.is_rational:
+            return hash(self.as_fraction())
         return hash(tuple(self.sorted_terms()))
 
     def __bool__(self):

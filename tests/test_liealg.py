@@ -18,7 +18,8 @@ from qjacobi.liealg import (
     verify_classical,
     verify_sigma_rmatrix,
 )
-from qjacobi.matrices import SparseMatrix, kron
+from qjacobi.liealg import _poly_divide_linear
+from qjacobi.matrices import MatrixError, SparseMatrix, kron
 from qjacobi.ncalg import NCPoly, Scalar
 from qjacobi.psiengine import PSI_ALPHABET, compute_psi
 from qjacobi.deformation import builtin_table
@@ -169,6 +170,14 @@ def test_sl2_spectral_report(sl2_ops):
     assert report.residual_degree == 0
     assert report.annihilates
     assert report.factored_text() == "(x + 1)*(x + 1/2)*(x - 1/2)"
+
+
+def test_dividing_by_a_non_root_raises():
+    # x^2 - 1 = (x - 1)(x + 1); 2 is not a root.
+    coeffs = [Fraction(-1), Fraction(0), Fraction(1)]
+    assert _poly_divide_linear(coeffs, Fraction(1)) == [Fraction(1), Fraction(1)]
+    with pytest.raises(MatrixError, match="not a root"):
+        _poly_divide_linear(coeffs, Fraction(2))
 
 
 def test_sigma_is_involution(sl2_ops, sl3_ops):

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qjacobi.matrices import MatrixError, SparseMatrix, kron, minimal_polynomial
 from qjacobi.ncalg import Scalar
@@ -94,3 +96,165 @@ def test_json_round_trip_shape():
     doc = m.to_json()
     assert doc["data"][0][0] == "1/2"
     assert doc["rows"] == doc["cols"] == 2
+
+
+def test_equal_matrices_hash_equal_across_entry_types():
+    from_ints = SparseMatrix.from_rows([[1, 0], [2, 3]])
+    from_fractions = SparseMatrix.from_rows([[Fraction(2, 2), Fraction(0)], [Fraction(4, 2), Fraction(3)]])
+    from_scalars = SparseMatrix(
+        2, 2, [(0, 0, Scalar.one()), (1, 0, Scalar.rational(2)), (1, 1, Scalar.rational(3))]
+    )
+    # Duplicate cells add up and explicit zeros are dropped.
+    merged = SparseMatrix(
+        2, 2, [(0, 0, Fraction(1, 2)), (1, 0, 2), (0, 0, Scalar.rational(1, 2)), (1, 1, 3), (0, 1, 0)]
+    )
+    assert from_ints == from_fractions == from_scalars == merged
+    assert len({from_ints, from_fractions, from_scalars, merged}) == 1
+
+
+def test_equal_products_hash_equal_across_product_orders():
+    a = SparseMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])
+    b = SparseMatrix.from_rows([[3, Fraction(1, 4)], [Fraction(-1, 6), 1]]).scale(Scalar.constant("ipi"))
+    c = SparseMatrix.from_rows([[1, 1], [Fraction(1, 5), 0]])
+    left, right = (a * b) * c, a * (b * c)
+    assert left == right and hash(left) == hash(right)
+    assert (a * b).scale(2) == a * b.scale(2) == (a.scale(2) * b)
+    assert hash((a * b).scale(2)) == hash(a * b.scale(2))
+
+
+# -- the integer kernel against a naive dense Scalar reference -----------------
+
+
+def dense(m: SparseMatrix) -> list[list[Scalar]]:
+    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def ref_add(a, b, sign=1):
+    return [[x + y * sign for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_mul(a, b):
+    inner = range(len(b))
+    return [
+        [sum((a[i][k] * b[k][j] for k in inner), Scalar.zero()) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def ref_scale(a, s):
+    return [[x * s for x in row] for row in a]
+
+
+def ref_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def ref_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def ref_trace(a):
+    return sum((a[i][i] for i in range(len(a))), Scalar.zero())
+
+
+_fracs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_monos = st.sampled_from([(), (("ipi", 1),), (("ipi", 2),)])
+_scalars = st.lists(st.tuples(_monos, _fracs), min_size=1, max_size=2).map(lambda ts: Scalar(dict(ts)))
+_values = st.one_of(st.integers(-3, 3), _fracs, _scalars)
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None, values=_values):
+    rows = rows or draw(st.integers(1, 4))
+    cols = cols or draw(st.integers(1, 4))
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), values)
+    return SparseMatrix(rows, cols, draw(st.lists(cells, max_size=rows * cols + 2)))
+
+
+@st.composite
+def _pairs(draw, same_shape):
+    a = draw(_matrices())
+    rows, cols = (a.rows, a.cols) if same_shape else (a.cols, draw(st.integers(1, 4)))
+    return a, draw(_matrices(rows, cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pairs(same_shape=True), _scalars)
+def test_kernel_linear_ops_match_reference(pair, s):
+    a, b = pair
+    da, db = dense(a), dense(b)
+    assert dense(a + b) == ref_add(da, db)
+    assert dense(a - b) == ref_add(da, db, -1)
+    assert dense(-a) == ref_scale(da, Scalar.rational(-1))
+    assert dense(a.scale(s)) == ref_scale(da, s)
+    assert dense(a.transpose()) == ref_transpose(da)
+    assert (a == b) == (da == db)
+    assert a + b - b == a
+    assert hash(a + b - b) == hash(a)
+    assert (a - a).is_zero
+    if a.rows == a.cols:
+        assert a.trace() == ref_trace(da)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pairs(same_shape=False), _matrices())
+def test_kernel_products_match_reference(pair, c):
+    a, b = pair
+    da, db = dense(a), dense(b)
+    product = a * b
+    assert dense(product) == ref_mul(da, db)
+    assert product.nnz() == sum(1 for row in ref_mul(da, db) for x in row if not x.is_zero)
+    assert dense(kron(a, c)) == ref_kron(da, dense(c))
+    assert {(i, j): v for i, j, v in product.items()} == {
+        (i, j): v for i, row in enumerate(ref_mul(da, db)) for j, v in enumerate(row) if not v.is_zero
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: _matrices(n, n)), st.data())
+def test_elimination_refuses_formal_constants(m, data):
+    i = data.draw(st.integers(0, m.rows - 1))
+    j = data.draw(st.integers(0, m.cols - 1))
+    with_constant = m + SparseMatrix(m.rows, m.cols, [(i, j, Scalar.constant("ipi") - m.entry(i, j))])
+    for call in (SparseMatrix.rank, SparseMatrix.inverse, minimal_polynomial):
+        with pytest.raises(MatrixError):
+            call(with_constant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: _matrices(n, n, values=st.one_of(st.integers(-3, 3), _fracs))))
+def test_rational_elimination_is_consistent(m):
+    n = m.rows
+    eye = SparseMatrix.identity(n)
+    coeffs = minimal_polynomial(m)
+    assert coeffs[-1] == 1
+    acc, power = SparseMatrix.zeros(n, n), eye
+    for c in coeffs:
+        acc, power = acc + power.scale(c), power * m
+    assert acc.is_zero
+    if m.rank() == n:
+        assert m * m.inverse() == eye == m.inverse() * m
+    else:
+        with pytest.raises(MatrixError):
+            m.inverse()
+
+
+def test_eval_series_matches_word_by_word_dense_evaluation():
+    from qjacobi.deformation import builtin_table
+    from qjacobi.liealg import build_algebra, build_tensor_ops, eval_series
+    from qjacobi.psiengine import compute_psi
+
+    ops = build_tensor_ops(build_algebra("sl2"))
+    letters = {"O12": dense(ops.Omega12), "O23": dense(ops.Omega23)}
+    n = ops.Omega12.rows
+    eye = [[Scalar.rational(int(i == j)) for j in range(n)] for i in range(n)]
+    psi = compute_psi(builtin_table(), 6).psi
+    evaluated = eval_series(psi, ops)
+    for coeff, got in zip(psi.coeffs, evaluated.coeffs):
+        acc = [[Scalar.zero()] * n for _ in range(n)]
+        for word, scal in coeff.sorted_terms():
+            prod = eye
+            for letter in word:
+                prod = ref_mul(prod, letters[letter])
+            acc = ref_add(acc, ref_scale(prod, scal))
+        assert dense(got) == acc

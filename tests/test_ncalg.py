@@ -67,6 +67,16 @@ def test_scalar_no_zero_terms_stored():
     assert s.is_zero and s == Scalar.zero()
 
 
+def test_equal_scalars_and_numbers_hash_equal():
+    assert Scalar.one() == 1 and hash(Scalar.one()) == hash(1)
+    assert Scalar.zero() == 0 and hash(Scalar.zero()) == hash(0)
+    half = Scalar.rational(3, 6)
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert len({Scalar.rational(2), 2, Fraction(4, 2)}) == 1
+    ipi = Scalar.constant("ipi") + 1
+    assert hash(ipi) == hash(Scalar.one() + Scalar.constant("ipi"))
+
+
 def test_floats_are_rejected_at_the_boundary():
     with pytest.raises(ScalarError):
         Scalar({(): 0.5})
