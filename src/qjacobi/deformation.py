@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .hseries import HSeries, SeriesError
-from .ncalg import Alphabet, NCPoly, Scalar, parse_poly, substitute
+from .ncalg import _NAME_RE, Alphabet, NCPoly, Scalar, parse_poly, substitute
 
 __all__ = [
     "AB_ALPHABET",
@@ -145,9 +145,18 @@ def parse_table(text: str, source: str = "custom") -> EkTable:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TableError(f"cannot parse table: {exc}") from exc
-    if not isinstance(doc, dict) or "entries" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
         raise TableError("table document needs an 'entries' object")
-    constants = tuple(doc.get("constants", ())) + ("ipi",)
+    notes = doc.get("provenance", {})
+    if not isinstance(notes, dict):
+        raise TableError("'provenance' must be an object")
+    extra = doc.get("constants", [])
+    if not isinstance(extra, list) or not all(isinstance(c, str) and _NAME_RE.match(c) for c in extra):
+        raise TableError("'constants' must be a list of constant names")
+    shadowed = sorted(set(extra) & set(AB_ALPHABET.letters))
+    if shadowed:
+        raise TableError(f"constant name(s) {', '.join(shadowed)} shadow letters of the table")
+    constants = tuple(extra) + ("ipi",)
     entries: dict[int, NCPoly] = {}
     provenance: dict[int, str] = {}
     for key, value in doc["entries"].items():
@@ -161,7 +170,7 @@ def parse_table(text: str, source: str = "custom") -> EkTable:
             entries[degree] = parse_poly(value, AB_ALPHABET, constants)
         except ValueError as exc:
             raise TableError(f"degree {degree}: {exc}") from exc
-        provenance[degree] = str(doc.get("provenance", {}).get(key, f"{source} entry"))
+        provenance[degree] = str(notes.get(key, f"{source} entry"))
     table = EkTable(entries, provenance, constants, source)
     diagnostics = validate_table(table)
     if not diagnostics.ok:

@@ -7,7 +7,7 @@ any exact ring elements implementing the small protocol used here:
 ``+``, unary ``-``, ``*`` (ring product), ``scale(Scalar)``,
 ``ring_one()``, ``ring_zero()``, ``is_zero``, ``==`` and ``to_text()``.
 Noncommutative polynomials, exact sparse matrices and the transport
-normal forms all qualify.
+normal forms all qualify, and so do series themselves.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .ncalg import Alphabet, Scalar, ScalarLike, parse_poly
 
-__all__ = ["HSeries", "SeriesError", "parse_series", "series_arith"]
+__all__ = ["HSeries", "SeriesError", "parse_series"]
 
 
 class SeriesError(ValueError):
@@ -48,6 +48,13 @@ class HSeries:
         """The multiplicative identity, built from any coefficient of the
         intended ring."""
         return cls.constant(exemplar.ring_one(), order)
+
+    # Ring protocol, so that series can be substitution images.
+    def ring_one(self) -> "HSeries":
+        return HSeries.unit(self.coeffs[0], self.order)
+
+    def ring_zero(self) -> "HSeries":
+        return HSeries.constant(self.coeffs[0].ring_zero(), self.order)
 
     def coeff(self, k: int):
         if not 0 <= k < self.order:
@@ -171,13 +178,3 @@ def parse_series(text: str, alphabet: Alphabet, constants: tuple[str, ...] = ("i
         raise SeriesError("no coefficient lines")
     return HSeries(coeffs)
 
-
-def series_arith(a: HSeries, b: HSeries, op: str) -> HSeries:
-    """Dispatch series arithmetic by operation name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown series operation {op!r}")

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .hseries import HSeries
 from .matrices import MatrixError, SparseMatrix, kron, minimal_polynomial
-from .ncalg import NCPoly, Scalar
+from .ncalg import NCPoly, Scalar, substitute
 from .psiengine import PSI_ALPHABET
 
 __all__ = [
@@ -433,20 +433,12 @@ def verify_sigma_rmatrix(ops: TensorOps, order: int) -> Report:
 def eval_series(series: HSeries, ops: TensorOps) -> HSeries:
     """Evaluate a series over the letters O12, O23 on the triple tensor
     space of an algebra."""
-    d3 = ops.alg.dim ** 3
     letters = {"O12": ops.Omega12, "O23": ops.Omega23}
-    eye = SparseMatrix.identity(d3)
     out = []
     for coeff in series.coeffs:
         if not isinstance(coeff, NCPoly) or coeff.alphabet != PSI_ALPHABET:
             raise ValueError("eval_series expects coefficients over the letters O12, O23")
-        acc = SparseMatrix.zeros(d3, d3)
-        for word, scal in coeff.sorted_terms():
-            prod = letters[word[0]] if word else eye
-            for letter in word[1:]:
-                prod = prod * letters[letter]
-            acc = acc + prod.scale(scal)
-        out.append(acc)
+        out.append(substitute(coeff, letters))
     return HSeries(out)
 
 

@@ -361,11 +361,11 @@ class SparseMatrix:
                 for j, v in row.items():
                     text = texts.get(v)
                     if text is None:
-                        text = texts[v] = _join_signed([(v < 0, _term_body(Fraction(v, den), mono, ()))])
+                        text = texts[v] = _join_signed([(v < 0, _term_body(Fraction(v, den), mono, ""))])
                     line[j] = text
             return dense
         for (i, j), terms in self._cells().items():
-            dense[i][j] = _join_signed([(c < 0, _term_body(c, mono, ())) for mono, c in terms])
+            dense[i][j] = _join_signed([(c < 0, _term_body(c, mono, "")) for mono, c in terms])
         return dense
 
     def to_json(self) -> dict:

@@ -1,4 +1,5 @@
-"""Exact scalars and the free algebra of noncommutative words.
+"""Exact scalars, the free algebra of noncommutative words, and the one
+linear-combination core that every word-based ring of the package uses.
 
 Coefficients are rational numbers, optionally multiplied by monomials in
 named formal constants (``ipi`` stands for the product of the imaginary
@@ -6,12 +7,25 @@ unit and pi).  Keeping such constants symbolic makes every identity in
 the package an equality of exact rational data; nothing is evaluated in
 floating point anywhere.
 
+:class:`LinearCombination` stores a combination of words flat, as a dict
+from ``(word, constant monomial)`` to a nonzero ``Fraction``.  One merge,
+one scale, one product loop and one renderer serve :class:`NCPoly` here
+and the classical polynomials and transport normal forms of
+``transport``; the subclasses differ only in how two words join, how
+words sort and how a word prints.  A :class:`Scalar` is built only where
+a caller reads a coefficient (``coeff``, ``sorted_terms``), never inside
+``+``, ``*`` or ``scale``.
+
 Words live in the free monoid over a declared :class:`Alphabet`.  Letter
 pairs declared mutually inverse cancel eagerly, so every stored word is
 reduced and the textual form of a polynomial is canonical: terms are
 ordered length-first, then by letter index, and serialize as
 ``coeff*letter.letter`` chains, e.g. ``1/24*O12.O23 - 1/24*O23.O12``.
 That text form is the interchange format used by every other module.
+
+:func:`substitute` is the one word evaluator: it maps each word to the
+product of its letters' images in any ring of the package (polynomials,
+exact matrices or truncated series).
 """
 
 from __future__ import annotations
@@ -30,7 +44,6 @@ __all__ = [
     "commutator",
     "parse_poly",
     "parse_scalar",
-    "scalar_arith",
     "substitute",
     "word_reduce",
 ]
@@ -219,25 +232,21 @@ class Scalar:
     def to_text(self) -> str:
         if not self._terms:
             return "0"
-        parts = [(coeff < 0, _term_body(coeff, mono, ())) for mono, coeff in self.sorted_terms()]
+        parts = [(coeff < 0, _term_body(coeff, mono, "")) for mono, coeff in self.sorted_terms()]
         return _join_signed(parts)
 
 
 ScalarLike = Union[Scalar, int, Fraction]
 
 
-def scalar_arith(a: ScalarLike, b: ScalarLike, op: str) -> Scalar:
-    """Dispatch exact scalar arithmetic by operation name."""
-    a, b = Scalar.coerce(a), Scalar.coerce(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown scalar operation {op!r}")
+def _scalar_terms(value: ScalarLike) -> Mapping[Monomial, Fraction]:
+    """The monomial -> Fraction terms of a scalar-like value; a plain
+    number builds no :class:`Scalar`."""
+    if isinstance(value, Scalar):
+        return value._terms
+    if isinstance(value, (int, Fraction)):
+        return {(): Fraction(value)} if value else {}
+    raise ScalarError(f"cannot coerce {type(value).__name__} to Scalar")
 
 
 @dataclass(frozen=True)
@@ -307,132 +316,102 @@ def _concat_reduced(w1: tuple[str, ...], w2: tuple[str, ...], alphabet: Alphabet
     return w1[:i] + w2[j:]
 
 
-class NCPoly:
-    """Finite linear combination of reduced words with :class:`Scalar`
-    coefficients, over a fixed alphabet."""
+def _collect(pairs: Iterable[tuple[tuple, Fraction]]) -> dict:
+    """Sum (key, Fraction) pairs into a store without zero coefficients."""
+    data: dict = {}
+    for key, frac in pairs:
+        prev = data.get(key)
+        data[key] = frac if prev is None else prev + frac
+    return {key: frac for key, frac in data.items() if frac}
 
-    __slots__ = ("alphabet", "_terms")
 
-    def __init__(self, alphabet: Alphabet, terms=None):
-        self.alphabet = alphabet
-        data: dict[tuple[str, ...], Scalar] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for word, coeff in items:
-                scal = Scalar.coerce(coeff)
-                if scal.is_zero:
-                    continue
-                red = word_reduce(word, alphabet)
-                prev = data.get(red)
-                merged = scal if prev is None else prev + scal
-                if merged.is_zero:
-                    data.pop(red, None)
-                else:
-                    data[red] = merged
-        self._terms = data
+class LinearCombination:
+    """A finite exact linear combination of words.
 
-    @classmethod
-    def zero(cls, alphabet: Alphabet) -> "NCPoly":
-        return cls(alphabet)
+    ``_terms`` maps ``(word, constant monomial)`` to a nonzero
+    ``Fraction``, so equality and hashing are structural.  Subclasses
+    fix what a word is through a few hooks: ``ring_zero`` (the empty
+    combination of the same type), ``_space`` (what two operands of
+    ``+`` must share), ``_error`` (the exception for a mismatch),
+    ``_compose`` (the empty product and how two words join),
+    ``_word_key`` (the canonical word order) and ``_word_text``.
+    """
 
-    @classmethod
-    def one(cls, alphabet: Alphabet) -> "NCPoly":
-        return cls(alphabet, {(): Scalar.one()})
+    __slots__ = ("_terms",)
 
-    @classmethod
-    def letter(cls, alphabet: Alphabet, name: str) -> "NCPoly":
-        return cls(alphabet, {(name,): Scalar.one()})
+    def _store(self, terms, stored_word) -> None:
+        """Set the store from (word, coefficient) pairs or a mapping;
+        ``stored_word`` checks a word and returns the form it is kept in."""
+        pairs = []
+        for word, coeff in terms.items() if isinstance(terms, Mapping) else terms or ():
+            scalar = _scalar_terms(coeff)
+            if scalar:
+                word = stored_word(word)
+                pairs.extend(((word, mono), frac) for mono, frac in scalar.items())
+        self._terms = _collect(pairs)
 
-    @classmethod
-    def word(cls, alphabet: Alphabet, letters: Iterable[str], coeff: ScalarLike = 1) -> "NCPoly":
-        return cls(alphabet, {tuple(letters): Scalar.coerce(coeff)})
+    def _with(self, terms: dict) -> "LinearCombination":
+        out = self.ring_zero()
+        out._terms = terms
+        return out
+
+    def _check_same(self, other: "LinearCombination") -> None:
+        if self._space() != other._space():
+            raise self._error(f"cannot combine {type(self).__name__} operands of different types")
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coeff(self, word: Iterable[str]) -> Scalar:
-        return self._terms.get(tuple(word), Scalar.zero())
+    def coeff(self, word: Iterable) -> Scalar:
+        word = tuple(word)
+        return Scalar({mono: frac for (w, mono), frac in self._terms.items() if w == word})
 
-    def support(self) -> set[str]:
-        return {letter for word in self._terms for letter in word}
+    def support(self) -> set:
+        return {letter for word, _ in self._terms for letter in word}
 
-    def sorted_terms(self) -> list[tuple[tuple[str, ...], Scalar]]:
-        return sorted(self._terms.items(), key=lambda kv: self.alphabet.word_key(kv[0]))
-
-    def degree(self) -> int | None:
-        """Maximal word length, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(len(w) for w in self._terms)
-
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        if not self._terms:
-            return True
-        lengths = {len(w) for w in self._terms}
-        if len(lengths) != 1:
-            return False
-        return degree is None or lengths == {degree}
-
-    def _require_same_alphabet(self, other: "NCPoly"):
-        if self.alphabet != other.alphabet:
-            raise WordError("alphabet mismatch")
+    def sorted_terms(self) -> list[tuple[tuple, Scalar]]:
+        """(word, coefficient) pairs in canonical word order."""
+        by_word: dict = {}
+        for (word, mono), frac in self._terms.items():
+            by_word.setdefault(word, {})[mono] = frac
+        return [(word, Scalar(by_word[word])) for word in sorted(by_word, key=self._word_key)]
 
     def __add__(self, other):
-        if not isinstance(other, NCPoly):
+        if type(other) is not type(self):
             return NotImplemented
-        self._require_same_alphabet(other)
-        data = dict(self._terms)
-        for word, coeff in other._terms.items():
-            merged = data.get(word, Scalar.zero()) + coeff
-            if merged.is_zero:
-                data.pop(word, None)
-            else:
-                data[word] = merged
-        out = NCPoly(self.alphabet)
-        out._terms = data
-        return out
+        self._check_same(other)
+        return self._with(_collect([*self._terms.items(), *other._terms.items()]))
 
     def __sub__(self, other):
-        if not isinstance(other, NCPoly):
+        if type(other) is not type(self):
             return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        out = NCPoly(self.alphabet)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
+        return self._with({key: -frac for key, frac in self._terms.items()})
 
-    def scale(self, factor: ScalarLike) -> "NCPoly":
-        factor = Scalar.coerce(factor)
-        out = NCPoly(self.alphabet)
-        if factor.is_zero:
-            return out
-        data = {}
-        for word, coeff in self._terms.items():
-            merged = coeff * factor
-            if not merged.is_zero:
-                data[word] = merged
-        out._terms = data
-        return out
+    def scale(self, factor: ScalarLike):
+        factor = _scalar_terms(factor).items()
+        return self._with(
+            _collect(
+                ((word, _mono_mul(mono, fmono)), frac * ffrac)
+                for (word, mono), frac in self._terms.items()
+                for fmono, ffrac in factor
+            )
+        )
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
             return self.scale(other)
-        if not isinstance(other, NCPoly):
+        if type(other) is not type(self):
             return NotImplemented
-        self._require_same_alphabet(other)
-        data: dict[tuple[str, ...], Scalar] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                word = _concat_reduced(w1, w2, self.alphabet)
-                merged = data.get(word, Scalar.zero()) + c1 * c2
-                if merged.is_zero:
-                    data.pop(word, None)
-                else:
-                    data[word] = merged
-        out = NCPoly(self.alphabet)
-        out._terms = data
+        out, join = self._compose(other)
+        out._terms = _collect(
+            ((join(w1, w2), _mono_mul(m1, m2)), c1 * c2)
+            for (w1, m1), c1 in self._terms.items()
+            for (w2, m2), c2 in other._terms.items()
+        )
         return out
 
     def __rmul__(self, other):
@@ -441,31 +420,84 @@ class NCPoly:
         return NotImplemented
 
     def __eq__(self, other):
-        if not isinstance(other, NCPoly):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.alphabet == other.alphabet and self._terms == other._terms
+        return self._space() == other._space() and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.alphabet, tuple(sorted(self._terms.items()))))
+        return hash((self._space(), frozenset(self._terms.items())))
 
     def __repr__(self):
-        return f"NCPoly({self.to_text()})"
+        return f"{type(self).__name__}({self.to_text()})"
+
+    def to_text(self) -> str:
+        if not self._terms:
+            return "0"
+        word_key, word_text = self._word_key, self._word_text
+        terms = sorted(self._terms.items(), key=lambda kv: (word_key(kv[0][0]), kv[0][1]))
+        return _join_signed([(frac < 0, _term_body(frac, mono, word_text(word))) for (word, mono), frac in terms])
+
+
+class NCPoly(LinearCombination):
+    """Finite linear combination of reduced words with exact coefficients,
+    over a fixed alphabet."""
+
+    __slots__ = ("alphabet",)
+    _error = WordError
+
+    def __init__(self, alphabet: Alphabet, terms=None):
+        self.alphabet = alphabet
+        self._store(terms, lambda word: word_reduce(word, alphabet))
+
+    @classmethod
+    def zero(cls, alphabet: Alphabet) -> "NCPoly":
+        return cls(alphabet)
+
+    @classmethod
+    def one(cls, alphabet: Alphabet) -> "NCPoly":
+        return cls(alphabet, {(): 1})
+
+    @classmethod
+    def letter(cls, alphabet: Alphabet, name: str) -> "NCPoly":
+        return cls(alphabet, {(name,): 1})
+
+    @classmethod
+    def word(cls, alphabet: Alphabet, letters: Iterable[str], coeff: ScalarLike = 1) -> "NCPoly":
+        return cls(alphabet, {tuple(letters): coeff})
+
+    def degree(self) -> int | None:
+        """Maximal word length, or None for the zero polynomial."""
+        if not self._terms:
+            return None
+        return max(len(w) for w, _ in self._terms)
+
+    def is_homogeneous(self, degree: int | None = None) -> bool:
+        lengths = {len(w) for w, _ in self._terms}
+        if len(lengths) > 1:
+            return False
+        return degree is None or not lengths or lengths == {degree}
+
+    def _space(self):
+        return self.alphabet
+
+    def _compose(self, other: "NCPoly"):
+        self._check_same(other)
+        alphabet = self.alphabet
+        return self.ring_zero(), lambda w1, w2: _concat_reduced(w1, w2, alphabet)
+
+    def _word_key(self, word: tuple[str, ...]):
+        return self.alphabet.word_key(word)
+
+    @staticmethod
+    def _word_text(word: tuple[str, ...]) -> str:
+        return ".".join(word)
 
     # Ring protocol used by hseries coefficients.
     def ring_one(self) -> "NCPoly":
         return NCPoly.one(self.alphabet)
 
     def ring_zero(self) -> "NCPoly":
-        return NCPoly.zero(self.alphabet)
-
-    def to_text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for word, scal in self.sorted_terms():
-            for mono, frac in scal.sorted_terms():
-                parts.append((frac < 0, _term_body(frac, mono, word)))
-        return _join_signed(parts)
+        return NCPoly(self.alphabet)
 
 
 def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -473,58 +505,50 @@ def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
     return p * q - q * p
 
 
-def substitute(p: NCPoly, images: Mapping[str, object]):
+def substitute(p: LinearCombination, images: Mapping[str, object], zero=None):
     """Apply the algebra homomorphism sending each letter to its image.
 
-    Images may be :class:`NCPoly` over a common target alphabet, or
-    truncated series; mixing the two coerces polynomials to constant
-    series and truncates everything to the weakest order.
+    Images are elements of one ring: linear combinations over a common
+    target, exact matrices, or truncated series; a series among them
+    turns the others into constant series and truncates everything to
+    the weakest order.  Each word maps to the product of its letters'
+    images, starting at its first letter; the empty word maps to the
+    ring one.  ``zero`` is the zero of the target ring, by default that
+    of the images; typed words over rectangular matrices need it, since
+    their images do not fix the shape of the result.
     """
     from .hseries import HSeries
+    from .matrices import SparseMatrix
 
     missing = sorted(p.support() - set(images))
     if missing:
         raise WordError(f"missing image for letter(s) {', '.join(missing)}")
-    used = dict(images)
-
-    series = {k: v for k, v in used.items() if isinstance(v, HSeries)}
+    imgs = dict(images)
+    for name, img in imgs.items():
+        if not isinstance(img, (LinearCombination, SparseMatrix, HSeries)):
+            raise WordError(f"image for {name!r} is not a ring element")
+    series = [img.order for img in imgs.values() if isinstance(img, HSeries)]
     if series:
-        order = min(s.order for s in series.values())
-        exemplar = next(iter(series.values())).coeffs[0]
-        unit = HSeries.constant(exemplar.ring_one(), order)
-        imgs = {}
-        for name, img in used.items():
-            if isinstance(img, HSeries):
-                imgs[name] = img.truncate(order)
-            elif isinstance(img, NCPoly):
-                imgs[name] = HSeries.constant(img, order)
-            else:
-                raise WordError(f"image for {name!r} is neither NCPoly nor HSeries")
-        acc = unit.scale(Scalar.zero())
-        for word, coeff in p._terms.items():
-            prod = unit
-            for letter in word:
+        order = min(series)
+        imgs = {
+            name: img.truncate(order) if isinstance(img, HSeries) else HSeries.constant(img, order)
+            for name, img in imgs.items()
+        }
+    if len({type(img) for img in imgs.values()}) > 1:
+        raise WordError("substitution images live in different rings")
+    if zero is None:
+        if not imgs:
+            # Constant polynomial: nothing to substitute.
+            return p
+        zero = next(iter(imgs.values())).ring_zero()
+    acc = zero
+    for word, coeff in p.sorted_terms():
+        if word:
+            prod = imgs[word[0]]
+            for letter in word[1:]:
                 prod = prod * imgs[letter]
-            acc = acc + prod.scale(coeff)
-        return acc
-
-    target = None
-    for name, img in used.items():
-        if not isinstance(img, NCPoly):
-            raise WordError(f"image for {name!r} is neither NCPoly nor HSeries")
-        if target is None:
-            target = img.alphabet
-        elif img.alphabet != target:
-            raise WordError("substitution images live over different alphabets")
-    if target is None:
-        # Constant polynomial: nothing to substitute.
-        return p
-    acc = NCPoly.zero(target)
-    unit = NCPoly.one(target)
-    for word, coeff in p._terms.items():
-        prod = unit
-        for letter in word:
-            prod = prod * used[letter]
+        else:
+            prod = zero.ring_one()
         acc = acc + prod.scale(coeff)
     return acc
 
@@ -537,14 +561,14 @@ def _frac_text(frac: Fraction) -> str:
     return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
 
 
-def _term_body(frac: Fraction, mono: Monomial, word: tuple[str, ...]) -> str:
+def _term_body(frac: Fraction, mono: Monomial, word_text: str) -> str:
     parts = []
-    if abs(frac) != 1 or (not mono and not word):
+    if abs(frac) != 1 or (not mono and not word_text):
         parts.append(_frac_text(frac))
     for name, exp in mono:
         parts.append(name if exp == 1 else f"{name}^{exp}")
-    if word:
-        parts.append(".".join(word))
+    if word_text:
+        parts.append(word_text)
     return "*".join(parts)
 
 

@@ -34,11 +34,12 @@ identity consumes it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .hseries import HSeries
-from .ncalg import Scalar, ScalarLike, _join_signed, _term_body
+from .ncalg import LinearCombination, Scalar, ScalarLike, substitute
 
 __all__ = [
     "ClassicalPoly",
@@ -124,36 +125,28 @@ def _word_type(word: tuple[str, ...]) -> tuple[int, int]:
     return dom, cod
 
 
-class ClassicalPoly:
+class ClassicalPoly(LinearCombination):
     """A polynomial of typed classical composition words."""
 
-    __slots__ = ("dom", "cod", "_terms")
+    __slots__ = ("dom", "cod")
+    _error = TransportError
 
     def __init__(self, dom: int, cod: int, terms=None):
         self.dom = dom
         self.cod = cod
-        data: dict[tuple[str, ...], Scalar] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for word, coeff in items:
-                word = tuple(word)
-                scal = Scalar.coerce(coeff)
-                if scal.is_zero:
-                    continue
-                if word:
-                    w_dom, w_cod = _word_type(word)
-                    if (w_dom, w_cod) != (dom, cod):
-                        raise TransportError(
-                            f"word {'.'.join(word)} has type {w_dom}->{w_cod}, expected {dom}->{cod}"
-                        )
-                elif dom != cod:
-                    raise TransportError("the empty word needs equal domain and codomain")
-                merged = data.get(word, Scalar.zero()) + scal
-                if merged.is_zero:
-                    data.pop(word, None)
-                else:
-                    data[word] = merged
-        self._terms = data
+        self._store(terms, self._typed)
+
+    def _typed(self, word: Sequence[str]) -> tuple[str, ...]:
+        word = tuple(word)
+        if word:
+            w_dom, w_cod = _word_type(word)
+            if (w_dom, w_cod) != (self.dom, self.cod):
+                raise TransportError(
+                    f"word {'.'.join(word)} has type {w_dom}->{w_cod}, expected {self.dom}->{self.cod}"
+                )
+        elif self.dom != self.cod:
+            raise TransportError("the empty word needs equal domain and codomain")
+        return word
 
     @classmethod
     def atom(cls, name: str, coeff: ScalarLike = 1) -> "ClassicalPoly":
@@ -167,92 +160,33 @@ class ClassicalPoly:
 
     @classmethod
     def one(cls, k: int) -> "ClassicalPoly":
-        return cls(k, k, {(): Scalar.one()})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
+        return cls(k, k, {(): 1})
 
     def scalar_part(self) -> Scalar | None:
         """The scalar c if the polynomial is c times the identity word."""
-        if self.dom != self.cod:
+        if self.dom != self.cod or any(word for word, _ in self._terms):
             return None
-        if not self._terms:
-            return Scalar.zero()
-        if set(self._terms) == {()}:
-            return self._terms[()]
-        return None
+        return self.coeff(())
 
-    def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    def ring_zero(self) -> "ClassicalPoly":
+        return ClassicalPoly(self.dom, self.cod)
 
-    def key(self):
-        return (self.dom, self.cod, tuple(sorted(self._terms.items())))
+    def _space(self):
+        return (self.dom, self.cod)
 
-    def __eq__(self, other):
-        if not isinstance(other, ClassicalPoly):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __add__(self, other):
-        if (self.dom, self.cod) != (other.dom, other.cod):
-            raise TransportError("cannot add classical polynomials of different types")
-        data = dict(self._terms)
-        for word, coeff in other._terms.items():
-            merged = data.get(word, Scalar.zero()) + coeff
-            if merged.is_zero:
-                data.pop(word, None)
-            else:
-                data[word] = merged
-        out = ClassicalPoly(self.dom, self.cod)
-        out._terms = data
-        return out
-
-    def __neg__(self):
-        out = ClassicalPoly(self.dom, self.cod)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
-
-    def scale(self, factor: ScalarLike) -> "ClassicalPoly":
-        factor = Scalar.coerce(factor)
-        out = ClassicalPoly(self.dom, self.cod)
-        if not factor.is_zero:
-            out._terms = {w: c * factor for w, c in self._terms.items()}
-        return out
-
-    def __mul__(self, other):
+    def _compose(self, other: "ClassicalPoly"):
         """Composition: self after other."""
-        if not isinstance(other, ClassicalPoly):
-            return NotImplemented
         if self.dom != other.cod:
             raise TransportError("classical composition type mismatch")
-        out = ClassicalPoly(other.dom, self.cod)
-        data: dict[tuple[str, ...], Scalar] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                word = w1 + w2
-                merged = data.get(word, Scalar.zero()) + c1 * c2
-                if merged.is_zero:
-                    data.pop(word, None)
-                else:
-                    data[word] = merged
-        out._terms = data
-        return out
+        return ClassicalPoly(other.dom, self.cod), operator.add
 
-    def to_text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for word, scal in self.sorted_terms():
-            for mono, frac in scal.sorted_terms():
-                parts.append((frac < 0, _term_body(frac, mono, word)))
-        return _join_signed(parts)
+    @staticmethod
+    def _word_key(word: tuple[str, ...]):
+        return (len(word), word)
 
-    def __repr__(self):
-        return f"ClassicalPoly({self.to_text()})"
+    @staticmethod
+    def _word_text(word: tuple[str, ...]) -> str:
+        return ".".join(word)
 
 
 # Directed classical rules: name, pattern, replacement terms (sign, word).
@@ -371,117 +305,61 @@ def _factor_text(factor) -> str:
     raise TransportError(f"unknown factor kind {kind!r}")
 
 
-def _factors_key(factors):
-    out = []
-    for factor in factors:
-        if factor[0] == "X":
-            out.append(("X", factor[1].key()))
-        else:
-            out.append(factor)
-    return tuple(out)
+class TransportElement(LinearCombination):
+    """A sum of conjugated image terms; the normal-form algebra.
 
+    Its words are factor tuples; a product concatenates them and then
+    rewrites the result to normal form.
+    """
 
-class TransportElement:
-    """A sum of conjugated image terms; the normal-form algebra."""
+    __slots__ = ("dom", "cod")
+    _error = TransportError
 
-    __slots__ = ("dom", "cod", "terms")
-
-    def __init__(self, dom, cod, terms: Iterable[tuple[Scalar, tuple]] = ()):
+    def __init__(self, dom, cod, terms: Iterable[tuple[ScalarLike, tuple]] = ()):
         self.dom = dom
         self.cod = cod
-        merged: dict[tuple, tuple[Scalar, tuple]] = {}
-        for coeff, factors in terms:
-            coeff = Scalar.coerce(coeff)
-            if coeff.is_zero:
-                continue
-            key = _factors_key(factors)
-            if key in merged:
-                prev, _ = merged[key]
-                total = prev + coeff
-                if total.is_zero:
-                    del merged[key]
-                else:
-                    merged[key] = (total, factors)
-            else:
-                merged[key] = (coeff, factors)
-        ordered = sorted(merged.values(), key=lambda cf: (len(cf[1]), [_factor_text(f) for f in cf[1]]))
-        self.terms = tuple(ordered)
+        self._store([(factors, coeff) for coeff, factors in terms], tuple)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def terms(self) -> list[tuple[Scalar, tuple]]:
+        """(coefficient, factors) pairs in canonical order."""
+        return [(coeff, factors) for factors, coeff in self.sorted_terms()]
 
     def is_identity(self) -> bool:
-        return (
-            len(self.terms) == 1
-            and self.terms[0][0] == Scalar.one()
-            and not self.terms[0][1]
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, TransportElement):
-            return NotImplemented
-        if (self.dom, self.cod) != (other.dom, other.cod):
-            raise TransportError("cannot add transport elements of different types")
-        return TransportElement(self.dom, self.cod, self.terms + other.terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TransportElement(self.dom, self.cod, [(-c, f) for c, f in self.terms])
-
-    def scale(self, factor: ScalarLike) -> "TransportElement":
-        factor = Scalar.coerce(factor)
-        return TransportElement(self.dom, self.cod, [(c * factor, f) for c, f in self.terms])
+        return self._terms == {((), ()): 1}
 
     def __mul__(self, other):
-        """Composition: self after other (word concatenation)."""
+        """Composition: self after other, concatenated and rewritten."""
+        product = super().__mul__(other)
         if not isinstance(other, TransportElement):
-            return NotImplemented
-        if self.dom != other.cod:
-            raise TransportError("transport composition type mismatch")
-        raw = []
-        for c1, f1 in self.terms:
-            for c2, f2 in other.terms:
-                raw.append((c1 * c2, f1 + f2))
-        element, _ = _normalize_raw_terms(raw, other.dom, self.cod)
-        return element
-
-    def __eq__(self, other):
-        if not isinstance(other, TransportElement):
-            return NotImplemented
-        return (self.dom, self.cod) == (other.dom, other.cod) and [
-            (c, _factors_key(f)) for c, f in self.terms
-        ] == [(c, _factors_key(f)) for c, f in other.terms]
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, tuple((c, _factors_key(f)) for c, f in self.terms)))
+            return product
+        return _normalize_raw_terms(product.terms, product.dom, product.cod)[0]
 
     # Ring protocol for series coefficients.
     def ring_one(self) -> "TransportElement":
         if self.dom != self.cod:
             raise TransportError("identity exists only for endomorphism elements")
-        return TransportElement(self.dom, self.cod, [(Scalar.one(), ())])
+        return TransportElement(self.dom, self.cod, [(1, ())])
 
     def ring_zero(self) -> "TransportElement":
         return TransportElement(self.dom, self.cod)
 
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for coeff, factors in self.terms:
-            chain = ".".join(_factor_text(f) for f in factors)
-            for mono, frac in coeff.sorted_terms():
-                body = _term_body(frac, mono, ())
-                if chain:
-                    body = chain if body == "1" else f"{body}*{chain}"
-                parts.append((frac < 0, body))
-        return _join_signed(parts)
+    def _space(self):
+        return (self.dom, self.cod)
 
-    def __repr__(self):
-        return f"TransportElement({self.to_text()})"
+    def _compose(self, other: "TransportElement"):
+        """Composition: self after other."""
+        if self.dom != other.cod:
+            raise TransportError("transport composition type mismatch")
+        return TransportElement(other.dom, self.cod), operator.add
+
+    @staticmethod
+    def _word_key(factors: tuple):
+        return (len(factors), [_factor_text(f) for f in factors])
+
+    @staticmethod
+    def _word_text(factors: tuple) -> str:
+        return ".".join(_factor_text(f) for f in factors)
 
 
 # -- expression trees ----------------------------------------------------------
@@ -597,107 +475,86 @@ def _flatten(expr: MorphTerm) -> list[tuple[Scalar, tuple]]:
 
 # -- the rewrite engine ---------------------------------------------------------
 
-def _match_rule(rule: str, factors: tuple, pos: int):
-    """Return (consumed, replacement, coeff multiplier) or None."""
-    if pos >= len(factors):
-        return None
-    f = factors[pos]
-    nxt = factors[pos + 1] if pos + 1 < len(factors) else None
+def _conj(name: str, sign: int = 1):
+    return ("c", name, sign)
+
+
+def _x(*atoms: str):
+    return ("X", ClassicalPoly.word(atoms))
+
+
+_ONE = Scalar.one()
+
+# Expansion rules, each replacing one fixed run of factors: rule name,
+# matched run, replacement.
+EXPANSION_RULES = (
     # Bracket composites: naturality of the two-site conjugator in the
     # slot the inner bracket lands in fuses the pair into a single image
     # block over the three-site conjugator.
-    if rule == "lift:T_h_1":
-        if f == ("g", "T_h") and nxt == ("l", "T_h", "left"):
-            return 2, (("X", ClassicalPoly.word(("T", "T1"))), ("c", "N", 1)), Scalar.one()
-        return None
-    if rule == "lift:T_h_2":
-        if f == ("g", "T_h") and nxt == ("l", "T_h", "right"):
-            return 2, (("X", ClassicalPoly.word(("T", "T2"))), ("c", "M", 1)), Scalar.one()
-        return None
-    if rule == "def:T_h":
-        if f == ("g", "T_h"):
-            return 1, (("X", ClassicalPoly.atom("T")), ("c", "Mvv", 1)), Scalar.one()
-        return None
-    if rule == "def:sigma_h":
-        if f == ("g", "sigma_h"):
-            return 1, (("c", "Mvv", -1), ("X", ClassicalPoly.atom("sig")), ("c", "Mvv", 1)), Scalar.one()
-        return None
-    if rule == "def:Omega_h":
-        if f == ("g", "Omega_h"):
-            return 1, (("c", "Mvv", -1), ("X", ClassicalPoly.atom("Om")), ("c", "Mvv", 1)), Scalar.one()
-        return None
-    if rule == "def:t_h":
-        if f == ("g", "t_h"):
-            return 1, (("c", "Mvv", -1), ("X", ClassicalPoly.atom("tcas"))), Scalar.one()
-        return None
-    if rule == "def:psi":
-        if f == ("g", "psi"):
-            return 1, (("c", "M", -1), ("c", "N", 1)), Scalar.one()
-        return None
-    if rule == "def:psi_inv":
-        if f == ("g", "psi_inv"):
-            return 1, (("c", "N", -1), ("c", "M", 1)), Scalar.one()
-        return None
+    ("lift:T_h_1", (("g", "T_h"), ("l", "T_h", "left")), (_x("T", "T1"), _conj("N"))),
+    ("lift:T_h_2", (("g", "T_h"), ("l", "T_h", "right")), (_x("T", "T2"), _conj("M"))),
+    ("def:T_h", (("g", "T_h"),), (_x("T"), _conj("Mvv"))),
+    ("def:sigma_h", (("g", "sigma_h"),), (_conj("Mvv", -1), _x("sig"), _conj("Mvv"))),
+    ("def:Omega_h", (("g", "Omega_h"),), (_conj("Mvv", -1), _x("Om"), _conj("Mvv"))),
+    ("def:t_h", (("g", "t_h"),), (_conj("Mvv", -1), _x("tcas"))),
+    ("def:psi", (("g", "psi"),), (_conj("M", -1), _conj("N"))),
+    ("def:psi_inv", (("g", "psi_inv"),), (_conj("N", -1), _conj("M"))),
     # Lifting instances: naturality of the tensor structure in the slot
     # being tensored pushes the two-site conjugators of f through the
     # outer conjugator, leaving f (x) 1 = N^-1 X(f (x) 1) N and
     # 1 (x) f = M^-1 X(1 (x) f) M.
-    if rule == "lift:sigma_h_12":
-        if f == ("l", "sigma_h", "left"):
-            return 1, (("c", "N", -1), ("X", ClassicalPoly.atom("sig12")), ("c", "N", 1)), Scalar.one()
+    ("lift:sigma_h_12", (("l", "sigma_h", "left"),), (_conj("N", -1), _x("sig12"), _conj("N"))),
+    ("lift:sigma_h_23", (("l", "sigma_h", "right"),), (_conj("M", -1), _x("sig23"), _conj("M"))),
+    ("lift:Omega_h_12", (("l", "Omega_h", "left"),), (_conj("N", -1), _x("Om12"), _conj("N"))),
+    ("lift:Omega_h_23", (("l", "Omega_h", "right"),), (_conj("M", -1), _x("Om23"), _conj("M"))),
+)
+
+
+def _run_matcher(run: tuple, replacement: tuple):
+    def match(factors: tuple, pos: int):
+        if factors[pos : pos + len(run)] == run:
+            return len(run), replacement, _ONE
         return None
-    if rule == "lift:sigma_h_23":
-        if f == ("l", "sigma_h", "right"):
-            return 1, (("c", "M", -1), ("X", ClassicalPoly.atom("sig23")), ("c", "M", 1)), Scalar.one()
-        return None
-    if rule == "lift:Omega_h_12":
-        if f == ("l", "Omega_h", "left"):
-            return 1, (("c", "N", -1), ("X", ClassicalPoly.atom("Om12")), ("c", "N", 1)), Scalar.one()
-        return None
-    if rule == "lift:Omega_h_23":
-        if f == ("l", "Omega_h", "right"):
-            return 1, (("c", "M", -1), ("X", ClassicalPoly.atom("Om23")), ("c", "M", 1)), Scalar.one()
-        return None
-    if rule == "group:cancel":
-        if (
-            f[0] == "c"
-            and nxt is not None
-            and nxt[0] == "c"
-            and f[1] == nxt[1]
-            and f[2] == -nxt[2]
-        ):
-            return 2, (), Scalar.one()
-        return None
-    if rule == "merge:X":
-        if f[0] == "X" and nxt is not None and nxt[0] == "X":
-            return 2, (("X", f[1] * nxt[1]),), Scalar.one()
-        return None
-    if rule == "drop:X_unit":
-        if f[0] == "X":
-            scalar = f[1].scalar_part()
-            if scalar is not None:
-                return 1, (), scalar
-        return None
+
+    return match
+
+
+def _group_cancel(factors: tuple, pos: int):
+    pair = factors[pos : pos + 2]
+    if len(pair) == 2 and pair[0][0] == pair[1][0] == "c" and pair[0][1] == pair[1][1] and pair[0][2] == -pair[1][2]:
+        return 2, (), _ONE
     return None
 
 
-RULE_ORDER = (
-    "lift:T_h_1",
-    "lift:T_h_2",
-    "def:T_h",
-    "def:sigma_h",
-    "def:Omega_h",
-    "def:t_h",
-    "def:psi",
-    "def:psi_inv",
-    "lift:sigma_h_12",
-    "lift:sigma_h_23",
-    "lift:Omega_h_12",
-    "lift:Omega_h_23",
-    "group:cancel",
-    "merge:X",
-    "drop:X_unit",
-)
+def _merge_x(factors: tuple, pos: int):
+    pair = factors[pos : pos + 2]
+    if len(pair) == 2 and pair[0][0] == pair[1][0] == "X":
+        return 2, (("X", pair[0][1] * pair[1][1]),), _ONE
+    return None
+
+
+def _drop_x_unit(factors: tuple, pos: int):
+    if factors[pos][0] == "X":
+        scalar = factors[pos][1].scalar_part()
+        if scalar is not None:
+            return 1, (), scalar
+    return None
+
+
+# Rule name -> matcher returning (consumed, replacement, coeff multiplier)
+# or None, in the order the rewriter tries them at each position.
+_MATCHERS = {name: _run_matcher(run, replacement) for name, run, replacement in EXPANSION_RULES}
+_MATCHERS.update({"group:cancel": _group_cancel, "merge:X": _merge_x, "drop:X_unit": _drop_x_unit})
+
+RULE_ORDER = tuple(_MATCHERS)
+
+
+def _match_rule(rule: str, factors: tuple, pos: int):
+    """Return (consumed, replacement, coeff multiplier) or None."""
+    match = _MATCHERS.get(rule)
+    if match is None or pos >= len(factors):
+        return None
+    return match(factors, pos)
 
 
 def _apply_step(coeff: Scalar, factors: tuple, rule: str, pos: int):
@@ -867,7 +724,8 @@ _BRACKETING_NOTE = (
 )
 
 
-def _identity_expressions(identity: str):
+def identity_expressions(identity: str):
+    """The two sides of an h-free identity, for replay and audit."""
     if identity == "4.3a":
         return compose(gen("T_h"), gen("sigma_h")), scale(-1, gen("T_h"))
     if identity == "4.3b":
@@ -1052,7 +910,7 @@ def verify_identity(identity: str, table=None, degrees=None, order: int = 4) -> 
     if identity == "sigma_h_def":
         return _verify_braiding_series(order)
 
-    lhs_expr, rhs_expr = _identity_expressions(identity)
+    lhs_expr, rhs_expr = identity_expressions(identity)
     lhs_el, lhs_trace = normalize_traced(lhs_expr)
     rhs_el, rhs_trace = normalize_traced(rhs_expr)
     reduced, steps, used = reduce_modulo_classical(lhs_el - rhs_el)
@@ -1068,11 +926,6 @@ def verify_identity(identity: str, table=None, degrees=None, order: int = 4) -> 
         discharge_steps=steps,
         notes=notes,
     )
-
-
-def identity_expressions(identity: str):
-    """The two sides of an h-free identity, for replay and audit."""
-    return _identity_expressions(identity)
 
 
 # -- evaluation into matrix series ---------------------------------------------
@@ -1152,15 +1005,9 @@ class TransportModel:
     def _xpoly_series(self, poly: ClassicalPoly) -> HSeries:
         from .matrices import SparseMatrix
 
-        rows = self._dim_of(x_obj(poly.cod))
-        cols = self._dim_of(x_obj(poly.dom))
-        acc = SparseMatrix.zeros(rows, cols)
-        for word, coeff in poly.sorted_terms():
-            prod = SparseMatrix.identity(cols)
-            for atom in reversed(word):
-                prod = self.atom_matrix(atom) * prod
-            acc = acc + prod.scale(coeff)
-        return HSeries.constant(acc, self.order)
+        zero = SparseMatrix.zeros(self._dim_of(x_obj(poly.cod)), self._dim_of(x_obj(poly.dom)))
+        images = {atom: self.atom_matrix(atom) for atom in poly.support()}
+        return HSeries.constant(substitute(poly, images, zero), self.order)
 
     def _factor_series(self, factor) -> HSeries:
         if factor[0] == "c":

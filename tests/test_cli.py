@@ -163,6 +163,26 @@ def test_table_validate_rejects_bad_file(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"entries": []},
+        {"entries": {"2": "1/24*A.B - 1/24*B.A"}, "provenance": []},
+        {"entries": {"2": "1/24*A.B - 1/24*B.A"}, "constants": [3]},
+        {"entries": {"2": "1/24*A.B - 1/24*B.A"}, "constants": ["A"]},
+    ],
+    ids=["entries-list", "provenance-list", "constant-number", "constant-shadows-letter"],
+)
+def test_table_validate_rejects_malformed_document(tmp_path, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    cmd = [sys.executable, "-m", "qjacobi", "table", "validate", str(path)]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ")
+
+
 def test_omega_report(capsys):
     code, out = run_cli(capsys, "omega", "--algebra", "sl2")
     assert code == 0

@@ -15,7 +15,6 @@ from qjacobi.ncalg import (
     commutator,
     parse_poly,
     parse_scalar,
-    scalar_arith,
     substitute,
     word_reduce,
 )
@@ -31,7 +30,7 @@ def poly(text, alphabet=AB, constants=("ipi",)):
 # -- scalars ----------------------------------------------------------------
 
 def test_rational_addition():
-    assert scalar_arith(Scalar.rational(1, 2), Scalar.rational(1, 3), "add") == Scalar.rational(5, 6)
+    assert Scalar.rational(1, 2) + Scalar.rational(1, 3) == Scalar.rational(5, 6)
 
 
 def test_monomial_product():
@@ -42,7 +41,7 @@ def test_monomial_product():
 
 def test_division_by_zero_fails():
     with pytest.raises(ScalarError):
-        scalar_arith(Scalar.one(), Scalar.zero(), "div")
+        Scalar.one() / Scalar.zero()
 
 
 def test_division_by_formal_constant_fails():
@@ -228,3 +227,96 @@ def test_substitute_is_multiplicative(p, q):
         "B": NCPoly.word(CDZ, ("Z", "D")) + NCPoly.one(CDZ),
     }
     assert substitute(p * q, images) == substitute(p, images) * substitute(q, images)
+
+
+# -- the flat core against a naive reference ----------------------------------
+#
+# A reference polynomial is a raw list of (letters, Scalar) terms: words
+# are neither reduced nor merged until `ref_normal`, which reduces each
+# word by rescanning and sums coefficients as Scalars.
+
+
+def ref_normal(raw, alphabet=CDZ):
+    merged = {}
+    for letters, coeff in raw:
+        word = _rescan_reduce(letters, alphabet)
+        merged[word] = merged.get(word, Scalar.zero()) + coeff
+    words = [w for w, c in merged.items() if not c.is_zero]
+    words.sort(key=lambda w: [len(w)] + [alphabet.letters.index(x) for x in w])
+    return [(w, merged[w]) for w in words]
+
+
+def ref_mul(a, b):
+    return [(wa + wb, ca * cb) for wa, ca in a for wb, cb in b]
+
+
+def ref_scale(a, s):
+    return [(w, c * s) for w, c in a]
+
+
+_ref_scalars = st.builds(
+    lambda p, q, e: Scalar.rational(p, q) * (Scalar.constant("ipi", e) if e else Scalar.one()),
+    st.integers(-4, 4),
+    st.integers(1, 4),
+    st.integers(0, 2),
+)
+# Runs of Z and Zinv make products cancel more than one pair at the seam.
+_raw_words = st.lists(
+    st.sampled_from([("C",), ("D",), ("Z",), ("Zinv",), ("Z", "Z"), ("Zinv", "Zinv")]), max_size=3
+).map(lambda runs: sum(runs, ()))
+_raw_polys = st.lists(st.tuples(_raw_words, _ref_scalars), max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_polys, _raw_polys, st.builds(lambda x, y: x + y, _ref_scalars, _ref_scalars))
+def test_ncpoly_matches_naive_reference(ra, rb, s):
+    a, b = NCPoly(CDZ, ra), NCPoly(CDZ, rb)
+    assert a.sorted_terms() == ref_normal(ra)
+    assert (a + b).sorted_terms() == ref_normal(ra + rb)
+    assert (a - b).sorted_terms() == ref_normal(ra + ref_scale(rb, Scalar.rational(-1)))
+    assert (a * b).sorted_terms() == ref_normal(ref_mul(ra, rb))
+    assert a.scale(s).sorted_terms() == ref_normal(ref_scale(ra, s))
+    assert (a * s) == (s * a) == a.scale(s)
+    assert (a == b) == (ref_normal(ra) == ref_normal(rb))
+    assert all(a.coeff(w) == c for w, c in ref_normal(ra))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_raw_polys, st.randoms(use_true_random=False))
+def test_ncpoly_hash_agrees_with_equality_across_insertion_orders(raw, rng):
+    shuffled = list(raw)
+    rng.shuffle(shuffled)
+    forward, backward = NCPoly(CDZ, raw), NCPoly(CDZ, shuffled)
+    assert forward == backward and hash(forward) == hash(backward)
+    summed = NCPoly.zero(CDZ)
+    for term in reversed(raw):
+        summed = NCPoly(CDZ, [term]) + summed
+    assert summed == forward and hash(summed) == hash(forward)
+    assert len({forward, backward, summed}) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.lists(st.sampled_from(AB.letters), max_size=3).map(tuple), _ref_scalars), max_size=4),
+    st.lists(
+        st.lists(st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))), min_size=3, max_size=3),
+        min_size=6,
+        max_size=6,
+    ),
+    st.integers(0, 1),
+)
+def test_substitute_into_matrices_matches_word_products(raw, cells, with_ipi):
+    from qjacobi.matrices import SparseMatrix
+
+    a = SparseMatrix.from_rows(cells[:3])
+    b = SparseMatrix.from_rows(cells[3:])
+    if with_ipi:
+        b = b.scale(Scalar.constant("ipi"))
+    p = NCPoly(AB, raw)
+    expected = SparseMatrix.zeros(3, 3)
+    for word, coeff in p.sorted_terms():
+        prod = SparseMatrix.identity(3)
+        for letter in word:
+            prod = prod * {"A": a, "B": b}[letter]
+        expected = expected + prod.scale(coeff)
+    assert substitute(p, {"A": a, "B": b}) == expected

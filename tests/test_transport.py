@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qjacobi.deformation import builtin_table
 from qjacobi.liealg import build_algebra, build_tensor_ops, eval_series
@@ -196,6 +198,67 @@ def test_classical_jacobi_expansion():
     expected = ClassicalPoly.word(("T", "T2")) + ClassicalPoly.word(("T", "T2", "sig12"), Scalar.rational(-1))
     assert reduced == expected
     assert used == {"3.2"}
+
+
+# Typed classical words by (domain, codomain), built from atom runs.
+_ENDO3 = st.lists(st.sampled_from(["sig12", "sig23", "Om12", "Om23"]), max_size=2).map(tuple)
+_ENDO2 = st.lists(st.sampled_from(["sig", "Om"]), max_size=2).map(tuple)
+_BRACKET3 = st.sampled_from([("T1",), ("T2",)])
+_TYPED_WORDS = {
+    (3, 3): _ENDO3,
+    (2, 2): _ENDO2,
+    (3, 2): st.tuples(_ENDO2, _BRACKET3, _ENDO3).map(lambda parts: sum(parts, ())),
+    (2, 1): _ENDO2.map(lambda w: ("T",) + w),
+    (3, 1): st.tuples(_ENDO2, _BRACKET3, _ENDO3).map(lambda parts: ("T",) + sum(parts, ())),
+}
+_classical_scalars = st.builds(
+    lambda p, q, e: Scalar.rational(p, q) * (Scalar.constant("ipi", e) if e else Scalar.one()),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+    st.integers(0, 2),
+)
+
+
+@st.composite
+def _raw_classical(draw, dom, cod):
+    return draw(st.lists(st.tuples(_TYPED_WORDS[(dom, cod)], _classical_scalars), max_size=4))
+
+
+def _ref_classical(raw):
+    merged = {}
+    for word, coeff in raw:
+        merged[word] = merged.get(word, Scalar.zero()) + coeff
+    return {w: c for w, c in merged.items() if not c.is_zero}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_TYPED_WORDS)), st.sampled_from(sorted(_TYPED_WORDS)), st.data())
+def test_classical_composition_matches_concatenation(left_type, right_type, data):
+    (ldom, lcod), (rdom, rcod) = left_type, right_type
+    raw_left = data.draw(_raw_classical(ldom, lcod))
+    raw_right = data.draw(_raw_classical(rdom, rcod))
+    left = ClassicalPoly(ldom, lcod, raw_left)
+    right = ClassicalPoly(rdom, rcod, raw_right)
+    assert dict(left.sorted_terms()) == _ref_classical(raw_left)
+    if ldom != rcod:
+        with pytest.raises(TransportError):
+            left * right
+        return
+    product = left * right
+    assert (product.dom, product.cod) == (rdom, lcod)
+    concatenated = [(wl + wr, cl * cr) for wl, cl in raw_left for wr, cr in raw_right]
+    assert dict(product.sorted_terms()) == _ref_classical(concatenated)
+    reordered = ClassicalPoly(ldom, lcod, list(reversed(raw_left)))
+    assert reordered == left and hash(reordered) == hash(left)
+
+
+def test_classical_word_type_is_checked():
+    with pytest.raises(TransportError):
+        ClassicalPoly(3, 3, {("T1",): 1})
+    with pytest.raises(TransportError):
+        ClassicalPoly(3, 2, {(): 1})
+    with pytest.raises(TransportError):
+        ClassicalPoly.atom("sig") + ClassicalPoly.atom("sig12")
 
 
 # -- the shipped identities -------------------------------------------------------
