@@ -7,7 +7,9 @@ canonical interchange grammar shared with the library, so identical
 invocations are byte-identical and golden files can be diffed.
 
 Exit codes: 0 success, 1 a verified identity failed, 2 bad arguments,
-3 unreadable or invalid table/algebra input.
+3 unreadable or invalid table/algebra input, 4 an internal invariant
+failed (an ``EngineError``, ``ScalarError`` or ``MatrixError``: a defect
+of the program, not of the input).
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .liealg import (
     verify_classical,
     verify_sigma_rmatrix,
 )
-from .ncalg import WordError
-from .psiengine import compute_psi
+from .matrices import MatrixError
+from .ncalg import ScalarError, WordError
+from .psiengine import EngineError, compute_psi
 from .transport import TransportError, verify_identity
 
 __all__ = ["main"]
@@ -231,6 +234,10 @@ def main(argv=None) -> int:
     except (TableError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (EngineError, ScalarError, MatrixError) as exc:
+        # Before ValueError: MatrixError is one.
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 4
     except (TransportError, SeriesError, WordError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

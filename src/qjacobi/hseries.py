@@ -4,10 +4,14 @@ A series of order N trusts the coefficients of h^0 .. h^(N-1) and knows
 nothing beyond; every arithmetic operation returns the weakest order of
 its inputs so precision is never silently inflated.  Coefficients may be
 any exact ring elements implementing the small protocol used here:
-``+``, unary ``-``, ``*`` (ring product), ``scale(Scalar)``,
-``ring_one()``, ``ring_zero()``, ``is_zero``, ``==`` and ``to_text()``.
-Noncommutative polynomials, exact sparse matrices and the transport
-normal forms all qualify, and so do series themselves.
+``+``, unary ``-``, ``*`` (ring product), ``dot(pairs)`` (the sum of the
+products ``a * b`` over (a, b) pairs of the ring, merged once),
+``scale(Scalar)``, ``ring_one()``, ``ring_zero()``, ``is_zero``, ``==``
+and ``to_text()``.  Noncommutative polynomials, exact sparse matrices,
+the classical polynomials and transport normal forms all qualify, and so
+do series themselves.  A product of series builds each output
+coefficient with one ``dot`` call, so the growing sum is merged once
+rather than once per added term.
 """
 
 from __future__ import annotations
@@ -84,20 +88,26 @@ class HSeries:
         return HSeries([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if not isinstance(other, HSeries):
-            raise SeriesError("operand is not a series")
-        n = min(self.order, other.order)
-        out = []
+        return self.dot(((self, other),))
+
+    def dot(self, pairs) -> "HSeries":
+        """The sum of ``a * b`` over the (a, b) pairs, known to the weakest
+        order among them; each coefficient is one ``dot`` of its ring."""
+        pairs = list(pairs)
+        if not pairs:
+            return self.ring_zero()
+        for a, b in pairs:
+            if not isinstance(a, HSeries) or not isinstance(b, HSeries):
+                raise SeriesError("operand is not a series")
+        n = min(min(a.order, b.order) for a, b in pairs)
+        ring = pairs[0][0].coeffs[0]
         try:
-            for k in range(n):
-                acc = None
-                for i in range(k + 1):
-                    term = self.coeffs[i] * other.coeffs[k - i]
-                    acc = term if acc is None else acc + term
-                out.append(acc)
+            return HSeries([
+                ring.dot([(a.coeffs[i], b.coeffs[k - i]) for a, b in pairs for i in range(k + 1)])
+                for k in range(n)
+            ])
         except (TypeError, ValueError) as exc:
             raise SeriesError(f"incompatible series coefficients: {exc}") from exc
-        return HSeries(out)
 
     def scale(self, factor: ScalarLike) -> "HSeries":
         factor = Scalar.coerce(factor)
@@ -125,11 +135,7 @@ class HSeries:
             raise SeriesError("series is not invertible: constant term is not the identity")
         inv = [one]
         for k in range(1, self.order):
-            acc = None
-            for j in range(1, k + 1):
-                term = self.coeffs[j] * inv[k - j]
-                acc = term if acc is None else acc + term
-            inv.append(-acc)
+            inv.append(-one.dot([(self.coeffs[j], inv[k - j]) for j in range(1, k + 1)]))
         return HSeries(inv)
 
     def exp(self) -> "HSeries":

@@ -278,13 +278,28 @@ class SparseMatrix:
             return self.scale(other)
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise MatrixError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
+        return self.dot(((self, other),))
+
+    def dot(self, pairs) -> "SparseMatrix":
+        """The sum of ``a * b`` over the (a, b) pairs, brought to lowest
+        terms once; the zero matrix of this shape when there are none."""
+        shape = None
         parts: dict = {}
-        for ma, (da, a) in self._parts.items():
-            for mb, (db, b) in other._parts.items():
-                _accumulate(parts, _mono_mul(ma, mb), da * db, _rows_mul(a, b))
-        return SparseMatrix._of(self.rows, other.cols, _reduced(parts))
+        for a, b in pairs:
+            if not isinstance(a, SparseMatrix) or not isinstance(b, SparseMatrix):
+                raise TypeError("SparseMatrix.dot needs SparseMatrix operands")
+            if a.cols != b.rows:
+                raise MatrixError(f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+            if shape is None:
+                shape = (a.rows, b.cols)
+            elif shape != (a.rows, b.cols):
+                raise MatrixError(f"cannot add a {a.rows}x{b.cols} product to {shape[0]}x{shape[1]}")
+            for ma, (da, ra) in a._parts.items():
+                for mb, (db, rb) in b._parts.items():
+                    _accumulate(parts, _mono_mul(ma, mb), da * db, _rows_mul(ra, rb))
+        if shape is None:
+            return self.ring_zero()
+        return SparseMatrix._of(*shape, _reduced(parts))
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):

@@ -335,6 +335,7 @@ class LinearCombination:
     ``+`` must share), ``_error`` (the exception for a mismatch),
     ``_compose`` (the empty product and how two words join),
     ``_word_key`` (the canonical word order) and ``_word_text``.
+    ``dot`` is the one product loop; ``*`` is its one-pair case.
     """
 
     __slots__ = ("_terms",)
@@ -406,11 +407,30 @@ class LinearCombination:
             return self.scale(other)
         if type(other) is not type(self):
             return NotImplemented
-        out, join = self._compose(other)
+        return self.dot(((self, other),))
+
+    def dot(self, pairs):
+        """The sum of ``a * b`` over the (a, b) pairs, merged once; the
+        ring zero when there are none.  Each pair joins its words through
+        its own ``_compose``, and all products must share one space."""
+        out = None
+        joins = []
+        for a, b in pairs:
+            if type(a) is not type(self) or type(b) is not type(self):
+                raise TypeError(f"{type(self).__name__}.dot needs {type(self).__name__} operands")
+            prod, join = a._compose(b)
+            if out is None:
+                out = prod
+            else:
+                out._check_same(prod)
+            joins.append((join, a._terms.items(), b._terms.items()))
+        if out is None:
+            return self.ring_zero()
         out._terms = _collect(
             ((join(w1, w2), _mono_mul(m1, m2)), c1 * c2)
-            for (w1, m1), c1 in self._terms.items()
-            for (w2, m2), c2 in other._terms.items()
+            for join, left, right in joins
+            for (w1, m1), c1 in left
+            for (w2, m2), c2 in right
         )
         return out
 

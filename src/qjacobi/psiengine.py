@@ -1,12 +1,24 @@
 """Inductive computation of the associator correction series.
 
 The series and its inverse live over the two-letter alphabet O12, O23.
-Both start at 1 with no linear term.  One forward pass n = 3..N carries
-the pair along: at step n every degree-k table entry is conjugated
-through the pair truncated two orders back, and the results are summed
-into the new pair truncated to h^n.  Reading the pair only two orders
-back is what makes the single pass exact, so no fixed-point iteration is
-needed.
+Both start at 1 with no linear term.  Every degree-k table entry enters
+the pair shifted by h^k, conjugated through the pair itself, so the
+pair modulo h^n follows exactly from the pair modulo h^(n-2); reading
+the pair only two orders back is what makes a single forward pass
+exact, with no fixed-point iteration.  :func:`compute_psi` therefore
+starts from the unit pair modulo h^1 or h^2, whichever has the parity
+of the requested order N, and steps n -> n + 2 up to N.  At each step
+``alpha(E_k)``, computed once per degree, is substituted with the pair
+truncated to h^(n-k), the only part of it the shifted block can see,
+and the blocks are summed into the new pair modulo h^n.
+
+The conjugator pair is not checked to be mutually inverse at each step
+(the public :func:`~qjacobi.deformation.make_Gk` still checks it for
+outside callers).  The one two-sided check in :meth:`PsiPair.validate`
+covers every dropped one: by induction each intermediate pair is the
+truncation of the final pair, and (a mod h^m)(b mod h^m) = ab mod h^m,
+so psi * psi_inv = psi_inv * psi = 1 modulo h^N implies the same modulo
+every h^m with m <= N.
 
 The inverse is assembled from the same blocks with the opposite sign
 convention and is cross-checked against ring inversion by
@@ -19,9 +31,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .deformation import EkTable, TableError, make_Fk, make_Gk, validate_table
+from .deformation import EkTable, TableError, alpha, make_Fk, validate_table
 from .hseries import HSeries
-from .ncalg import Alphabet, NCPoly
+from .ncalg import Alphabet, NCPoly, substitute
 
 __all__ = ["EngineError", "InverseReport", "PSI_ALPHABET", "PsiPair", "check_inverse_consistency", "compute_psi"]
 
@@ -82,20 +94,21 @@ def compute_psi(table: EkTable, order: int) -> PsiPair:
     one = NCPoly.one(PSI_ALPHABET)
     o12 = NCPoly.letter(PSI_ALPHABET, "O12")
     o23 = NCPoly.letter(PSI_ALPHABET, "O23")
+    blocks = [(k, alpha(table.entry(k))) for k in degrees if k < order]
 
-    psi = HSeries.unit(one, 2)
-    psi_inv = HSeries.unit(one, 2)
-    for n in range(3, order + 1):
-        back = psi.truncate(n - 2)
-        back_inv = psi_inv.truncate(n - 2)
-        acc = HSeries.unit(one, n)
-        acc_inv = HSeries.unit(one, n)
-        for k in degrees:
+    # The pair modulo h^1 or h^2, whichever has the parity of the order.
+    start = 2 - order % 2
+    psi = psi_inv = HSeries.unit(one, start)
+    for n in range(start + 2, order + 1, 2):
+        # psi, psi_inv are the pair modulo h^(n-2).  The degree-k block
+        # enters shifted by h^k, so it is needed only modulo h^(n-k).
+        acc = acc_inv = HSeries.unit(one, n)
+        for k, block in blocks:
             if k > n - 1:
                 break
-            gk = make_Gk(table, k, back, back_inv, o12, o23)
-            fk = make_Fk(back, gk)
-            acc = acc + fk.shift(k).truncate(n)
+            back, back_inv = psi.truncate(n - k), psi_inv.truncate(n - k)
+            gk = substitute(block, {"Z": back, "Zinv": back_inv, "C": o12, "D": o23})
+            acc = acc + make_Fk(back, gk).shift(k).truncate(n)
             acc_inv = acc_inv + gk.shift(k).truncate(n)
         psi, psi_inv = acc, acc_inv
 

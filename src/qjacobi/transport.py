@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .hseries import HSeries
-from .ncalg import LinearCombination, Scalar, ScalarLike, substitute
+from .ncalg import LinearCombination, Scalar, ScalarLike, _collect, substitute
 
 __all__ = [
     "ClassicalPoly",
@@ -167,6 +167,11 @@ class ClassicalPoly(LinearCombination):
         if self.dom != self.cod or any(word for word, _ in self._terms):
             return None
         return self.coeff(())
+
+    def ring_one(self) -> "ClassicalPoly":
+        if self.dom != self.cod:
+            raise TransportError("identity exists only for endomorphism polynomials")
+        return ClassicalPoly.one(self.dom)
 
     def ring_zero(self) -> "ClassicalPoly":
         return ClassicalPoly(self.dom, self.cod)
@@ -328,12 +333,23 @@ class TransportElement(LinearCombination):
     def is_identity(self) -> bool:
         return self._terms == {((), ()): 1}
 
-    def __mul__(self, other):
-        """Composition: self after other, concatenated and rewritten."""
-        product = super().__mul__(other)
-        if not isinstance(other, TransportElement):
-            return product
-        return _normalize_raw_terms(product.terms, product.dom, product.cod)[0]
+    def dot(self, pairs):
+        """The sum of the compositions ``a`` after ``b``.  Each product is
+        concatenated and rewritten to normal form on its own, as ``*``
+        does; the normal forms are then merged once."""
+        out = None
+        terms = []
+        for pair in pairs:
+            raw = super().dot((pair,))
+            normal = _normalize_raw_terms(raw.terms, raw.dom, raw.cod)[0]
+            if out is None:
+                out = normal
+            else:
+                out._check_same(normal)
+            terms.extend(normal._terms.items())
+        if out is None:
+            return self.ring_zero()
+        return out._with(_collect(terms))
 
     # Ring protocol for series coefficients.
     def ring_one(self) -> "TransportElement":
@@ -557,12 +573,17 @@ def _match_rule(rule: str, factors: tuple, pos: int):
     return match(factors, pos)
 
 
+def _rewrite(coeff: Scalar, factors: tuple, pos: int, match):
+    """Apply a match of ``_match_rule`` found at ``pos``."""
+    consumed, replacement, multiplier = match
+    return coeff * multiplier, factors[:pos] + replacement + factors[pos + consumed :]
+
+
 def _apply_step(coeff: Scalar, factors: tuple, rule: str, pos: int):
     match = _match_rule(rule, factors, pos)
     if match is None:
         raise TransportError(f"rule {rule!r} does not apply at position {pos}")
-    consumed, replacement, multiplier = match
-    return coeff * multiplier, factors[:pos] + replacement + factors[pos + consumed :]
+    return _rewrite(coeff, factors, pos, match)
 
 
 def _normalize_raw_terms(raw, dom, cod, budget: int = STEP_BUDGET, trace=None):
@@ -573,8 +594,9 @@ def _normalize_raw_terms(raw, dom, cod, budget: int = STEP_BUDGET, trace=None):
             applied = False
             for pos in range(len(factors)):
                 for rule in RULE_ORDER:
-                    if _match_rule(rule, factors, pos) is not None:
-                        coeff, factors = _apply_step(coeff, factors, rule, pos)
+                    match = _match_rule(rule, factors, pos)
+                    if match is not None:
+                        coeff, factors = _rewrite(coeff, factors, pos, match)
                         if trace is not None:
                             trace.append({"term": index, "rule": rule, "pos": pos})
                         steps += 1
@@ -948,6 +970,7 @@ class TransportModel:
         self.M_inv = self.M.invert()
         self.N_inv = self.N.invert()
         self.Mvv_inv = self.Mvv.invert()
+        self._atoms = None
 
     @classmethod
     def trivial(cls, ops, order: int) -> "TransportModel":
@@ -968,24 +991,26 @@ class TransportModel:
         return cls(ops, order, eye3, psi_series.truncate(order), eye2)
 
     def atom_matrix(self, name: str):
-        from .matrices import SparseMatrix, kron
+        """The matrix of a classical atom; the table is built on first use
+        and kept for the life of the model."""
+        if self._atoms is None:
+            from .matrices import SparseMatrix, kron
 
-        ops = self.ops
-        d = ops.alg.dim
-        eye = SparseMatrix.identity(d)
-        table = {
-            "T": ops.T,
-            "sig": ops.sigma,
-            "Om": ops.Omega,
-            "tcas": ops.t_vec,
-            "T1": kron(ops.T, eye),
-            "T2": kron(eye, ops.T),
-            "sig12": ops.sigma12,
-            "sig23": ops.sigma23,
-            "Om12": ops.Omega12,
-            "Om23": ops.Omega23,
-        }
-        return table[name]
+            ops = self.ops
+            eye = SparseMatrix.identity(ops.alg.dim)
+            self._atoms = {
+                "T": ops.T,
+                "sig": ops.sigma,
+                "Om": ops.Omega,
+                "tcas": ops.t_vec,
+                "T1": kron(ops.T, eye),
+                "T2": kron(eye, ops.T),
+                "sig12": ops.sigma12,
+                "sig23": ops.sigma23,
+                "Om12": ops.Omega12,
+                "Om23": ops.Omega23,
+            }
+        return self._atoms[name]
 
     def _conj_series(self, name: str, sign: int) -> HSeries:
         return {

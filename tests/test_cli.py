@@ -109,6 +109,30 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert out.rstrip().endswith("FAILED")
 
 
+@pytest.mark.parametrize("command", [("psi", "--order", "4"), ("eval", "--algebra", "sl2", "--order", "3")])
+@pytest.mark.parametrize(
+    "error",
+    ["qjacobi.psiengine.EngineError", "qjacobi.ncalg.ScalarError", "qjacobi.matrices.MatrixError"],
+)
+def test_internal_invariant_failure_exits_4(capsys, monkeypatch, command, error):
+    import importlib
+
+    module, _, name = error.rpartition(".")
+    exc_type = getattr(importlib.import_module(module), name)
+
+    def broken(table, order):
+        raise exc_type("pair is not mutually inverse at the stated order")
+
+    monkeypatch.setattr(cli, "compute_psi", broken)
+    code = cli.main(list(command))
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "mutually inverse" in lines[0]
+
+
 def test_eval_identity_at_order_two(capsys):
     code, out = run_cli(capsys, "eval", "--algebra", "sl2", "--order", "2", "--format", "json")
     assert code == 0

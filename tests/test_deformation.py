@@ -192,6 +192,12 @@ def test_make_Gk_rejects_non_inverse_pair():
     z = HSeries((NCPoly.one(PSI_AB), A))
     with pytest.raises(SeriesError):
         make_Gk(builtin_table(), 2, z, z, A, B)
+    # Inverse modulo h^2 but not modulo h^3.
+    z = HSeries((NCPoly.one(PSI_AB), A, NCPoly.zero(PSI_AB)))
+    zinv = HSeries((NCPoly.one(PSI_AB), -A, NCPoly.zero(PSI_AB)))
+    make_Gk(builtin_table(), 2, z.truncate(2), zinv.truncate(2), A, B)
+    with pytest.raises(SeriesError):
+        make_Gk(builtin_table(), 2, z, zinv, A, B)
 
 
 def test_make_Fk():

@@ -1,5 +1,7 @@
 """Tests for truncated series arithmetic over polynomial coefficients."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,3 +141,125 @@ def test_exp_inverse_matches_ring_inverse(x):
     x0 = HSeries((ZERO,) + x.coeffs[1:])
     assert x0.exp() * (-x0).exp() == HSeries.unit(ONE, x0.order)
     assert (-x0).exp() == x0.exp().invert()
+
+
+# -- products and inverses against a naive pairwise-sum reference ----------------
+#
+# The reference builds each output coefficient by adding one ring product
+# at a time, the way a series product reads on paper; the series under
+# test merge all products of a coefficient in one `dot` call.
+
+
+def naive_mul(a, b):
+    out = []
+    for k in range(min(a.order, b.order)):
+        acc = a.coeffs[0] * b.coeffs[k]
+        for i in range(1, k + 1):
+            acc = acc + a.coeffs[i] * b.coeffs[k - i]
+        out.append(acc)
+    return out
+
+
+def naive_invert(a):
+    one = a.coeffs[0].ring_one()
+    inv = [one]
+    for k in range(1, a.order):
+        acc = a.coeffs[1] * inv[k - 1]
+        for j in range(2, k + 1):
+            acc = acc + a.coeffs[j] * inv[k - j]
+        inv.append(-acc)
+    return inv
+
+
+def _assert_same_coeffs(got, expected):
+    assert got.order == len(expected)
+    for mine, theirs in zip(got.coeffs, expected):
+        assert type(mine) is type(theirs)
+        assert mine == theirs
+        assert mine.to_text() == theirs.to_text()
+
+
+_ring_scalars = st.builds(
+    lambda p, q, e: Scalar.rational(p, q) * (Scalar.constant("ipi", e) if e else Scalar.one()),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+    st.integers(0, 2),
+)
+
+
+def _combinations(units, max_size=3):
+    """Strategy for sums of scalar multiples of products of up to two units."""
+    products = st.lists(st.sampled_from(units), min_size=1, max_size=2).map(
+        lambda fs: fs[0] if len(fs) == 1 else fs[0] * fs[1]
+    )
+    return st.lists(st.tuples(products, _ring_scalars), max_size=max_size).map(
+        lambda ts: sum((u.scale(c) for u, c in ts), units[0].ring_zero())
+    )
+
+
+def _cdz_units():
+    cdz = Alphabet(("C", "D", "Z", "Zinv"), (("Z", "Zinv"),))
+    return [NCPoly.one(cdz)] + [NCPoly.letter(cdz, x) for x in cdz.letters]
+
+
+def _classical_units():
+    from qjacobi.transport import ClassicalPoly
+
+    return [ClassicalPoly.one(2), ClassicalPoly.atom("sig"), ClassicalPoly.atom("Om")]
+
+
+def _transport_units():
+    from qjacobi.transport import gen, normalize
+
+    sigma, omega = normalize(gen("sigma_h")), normalize(gen("Omega_h"))
+    return [sigma.ring_one(), sigma, omega]
+
+
+def _matrix_units():
+    from qjacobi.matrices import SparseMatrix
+
+    return [
+        SparseMatrix.identity(2),
+        SparseMatrix.from_rows([[0, 1], [0, 0]]),
+        SparseMatrix.from_rows([[1, 0], [Fraction(1, 2), -1]]),
+        SparseMatrix.from_rows([[0, 0], [Scalar.constant("ipi"), 3]]),
+    ]
+
+
+_RINGS = {
+    "ncpoly": _cdz_units,
+    "classical": _classical_units,
+    "transport": _transport_units,
+    "matrix": _matrix_units,
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_RINGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mul_and_invert_match_naive_reference(ring, data):
+    units = _RINGS[ring]()
+    coeffs = _combinations(units)
+    a = HSeries(data.draw(st.lists(coeffs, min_size=1, max_size=5)))
+    b = HSeries(data.draw(st.lists(coeffs, min_size=1, max_size=5)))
+    _assert_same_coeffs(a * b, naive_mul(a, b))
+    _assert_same_coeffs(a.dot([(a, b), (b, a)]), [x + y for x, y in zip(naive_mul(a, b), naive_mul(b, a))])
+    u = HSeries((units[0].ring_one(),) + a.coeffs[1:])
+    inv = u.invert()
+    _assert_same_coeffs(inv, naive_invert(u))
+    assert u * inv == HSeries.unit(units[0], u.order)
+    assert inv * u == HSeries.unit(units[0], u.order)
+
+
+def test_dot_of_no_pairs_is_zero_and_rings_do_not_mix():
+    from qjacobi.matrices import SparseMatrix
+
+    s = series(ONE, A)
+    assert s.dot([]) == s.ring_zero()
+    assert A.dot([]) == ZERO
+    assert A.dot([(A, B), (B, A)]) == A * B + B * A
+    m = HSeries.constant(SparseMatrix.identity(2), 2)
+    with pytest.raises(SeriesError):
+        s * m
+    with pytest.raises(SeriesError):
+        s.dot([(s, s), (m, m)])

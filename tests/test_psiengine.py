@@ -58,6 +58,22 @@ def test_oracle_agrees_on_random_tables():
         assert pair.psi_inv == oracle_inv
 
 
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+def test_engine_matches_oracle_at_every_order(seed):
+    # Odd orders start the two-orders-per-step loop from the pair modulo
+    # h^1, even orders from the pair modulo h^2.
+    if seed is None:
+        table = builtin_table()
+    else:
+        table = random_homogeneous_table(random.Random(seed), max_degree=5, max_terms=3)
+    for order in range(2, 10):
+        pair = compute_psi(table, order)
+        oracle, oracle_inv = oracle_psi(table, order)
+        assert pair.psi.order == pair.psi_inv.order == order
+        assert pair.psi == oracle
+        assert pair.psi_inv == oracle_inv
+
+
 def test_inverse_identity_builtin():
     pair = compute_psi(builtin_table(), 10)
     unit = HSeries.unit(ONE, 10)

@@ -115,6 +115,24 @@ def test_traces_replay_to_the_same_normal_form():
         assert replay_trace(expr, trace) == element
 
 
+def test_each_rewrite_step_matches_its_rule_once(monkeypatch):
+    # Every merge:X step multiplies its two image blocks exactly once.
+    products = []
+    original = ClassicalPoly.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(ClassicalPoly, "__mul__", counted)
+    expr = compose(gen("sigma_h"), gen("Omega_h"), gen("sigma_h"))
+    element, trace = normalize_traced(expr)
+    merges = [step for step in trace if step["rule"] == "merge:X"]
+    assert len(merges) == 2
+    assert len(products) == len(merges)
+    assert replay_trace(expr, trace) == element
+
+
 def test_termination_on_random_well_typed_terms():
     rng = random.Random(20240813)
     pool = ["psi", "psi_inv", "sigma_h_12", "sigma_h_23", "Omega_h_12", "Omega_h_23"]
@@ -375,6 +393,27 @@ def test_evaluation_of_braid_identity_sides(models):
     rhs = compose(s23, gen("psi"), s12, gen("psi_inv"), s23, gen("psi"))
     for model in models:
         assert model.evaluate_expr(lhs) == model.evaluate_expr(rhs)
+
+
+def test_atom_table_is_built_once_per_model(sl2_ops, monkeypatch):
+    import qjacobi.matrices
+
+    calls = []
+    original = qjacobi.matrices.kron
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(qjacobi.matrices, "kron", counted)
+    model = TransportModel.trivial(sl2_ops, 3)
+    small = compose(gen("T_h"), lift("T_h", "left"))
+    large = compose(small, *[gen(name) for name in ("psi", "Omega_h_12", "psi_inv", "Omega_h_23")])
+    for expr in (small, large, large):
+        model.evaluate_element(normalize(expr))
+        assert len(calls) == 2
+    TransportModel.trivial(sl2_ops, 3).atom_matrix("T1")
+    assert len(calls) == 4
 
 
 def test_scaled_sums_evaluate_linearly(models):
