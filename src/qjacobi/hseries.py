@@ -150,12 +150,12 @@ class HSeries:
         return result
 
     def __eq__(self, other):
-        """Equality modulo h^min(orders), exact coefficient-wise."""
+        """Equal orders and equal coefficients, so equal series hash
+        equal; to compare modulo h^n, truncate both sides to n."""
         if not isinstance(other, HSeries):
             return NotImplemented
-        n = min(self.order, other.order)
         try:
-            return all(self.coeffs[k] == other.coeffs[k] for k in range(n))
+            return self.coeffs == other.coeffs
         except (TypeError, ValueError):
             return False
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .hseries import HSeries
 from .matrices import MatrixError, SparseMatrix, kron, minimal_polynomial
@@ -77,6 +78,13 @@ class LieAlgebraData:
 
 
 def _validate_algebra(alg: LieAlgebraData) -> None:
+    """Range checks, then antisymmetry and Jacobi as the 3.1 and 3.2
+    equalities, then Killing nondegeneracy.
+
+    Given antisymmetry, the 3.2 column of x_i (x) x_j (x) x_k is exactly
+    the cyclic Jacobi sum of that triple, so the first differing column
+    of each side names a failing bracket or triple.
+    """
     d = alg.dim
     for (i, j), row in alg.structure.items():
         if not (0 <= i < d and 0 <= j < d):
@@ -84,29 +92,13 @@ def _validate_algebra(alg: LieAlgebraData) -> None:
         for k in row:
             if not 0 <= k < d:
                 raise AlgebraError(f"bracket ({i}, {j}) targets unknown basis index {k}")
-    for i in range(d):
-        for j in range(d):
-            left = alg.bracket(i, j)
-            right = alg.bracket(j, i)
-            keys = set(left) | set(right)
-            for k in keys:
-                if left.get(k, Fraction(0)) != -right.get(k, Fraction(0)):
-                    raise AlgebraError(
-                        f"antisymmetry fails at [{alg.basis_names[i]}, {alg.basis_names[j]}]"
-                    )
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                acc: dict[int, Fraction] = {}
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, cab in alg.bracket(a, b).items():
-                        for l, cmk in alg.bracket(m, c).items():
-                            acc[l] = acc.get(l, Fraction(0)) + cab * cmk
-                if any(acc.values()):
-                    raise AlgebraError(
-                        "Jacobi identity fails at "
-                        f"({alg.basis_names[i]}, {alg.basis_names[j]}, {alg.basis_names[k]})"
-                    )
+    messages = ("antisymmetry fails at [{}, {}]", "Jacobi identity fails at ({}, {}, {})")
+    # zip stops at the messages, so the 3.3 sides are never built here.
+    for message, (_, lhs, rhs) in zip(messages, _classical_sides(**_bracket_maps(alg))):
+        diff = lhs.first_difference(rhs)
+        if diff is not None:
+            col, places = diff[1], reversed(range(message.count("{}")))
+            raise AlgebraError(message.format(*(alg.basis_names[col // d ** p % d] for p in places)))
     if alg.killing().rank() != d:
         raise AlgebraError("Killing form is degenerate: the algebra is not semisimple")
 
@@ -130,54 +122,26 @@ def _sl_n(n: int) -> LieAlgebraData:
     differences of consecutive diagonal units."""
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     names = tuple(f"E{a + 1}{b + 1}" for a, b in pairs) + tuple(f"h{i + 1}" for i in range(n - 1))
+    basis = [SparseMatrix(n, n, [(a, b, 1)]) for a, b in pairs]
+    basis += [SparseMatrix(n, n, [(i, i, 1), (i + 1, i + 1, -1)]) for i in range(n - 1)]
 
-    def unit(a, b):
-        return {(a, b): Fraction(1)}
-
-    basis_mats = [unit(a, b) for a, b in pairs]
-    for i in range(n - 1):
-        basis_mats.append({(i, i): Fraction(1), (i + 1, i + 1): Fraction(-1)})
-
-    def matmul(x, y):
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a, b), va in x.items():
-            for (c, e), vb in y.items():
-                if b == c:
-                    out[(a, e)] = out.get((a, e), Fraction(0)) + va * vb
-        return {k: v for k, v in out.items() if v}
-
-    def decompose(mat) -> dict[int, Fraction]:
-        coeffs: dict[int, Fraction] = {}
-        for idx, (a, b) in enumerate(pairs):
-            v = mat.get((a, b))
-            if v:
-                coeffs[idx] = v
+    def decompose(mat: SparseMatrix) -> dict[int, Fraction]:
+        cells = {(a, b): v.as_fraction() for a, b, v in mat.items()}
+        coeffs = {idx: cells[ab] for idx, ab in enumerate(pairs) if ab in cells}
         partial = Fraction(0)
         for i in range(n - 1):
-            partial += mat.get((i, i), Fraction(0))
+            partial += cells.get((i, i), 0)
             if partial:
                 coeffs[len(pairs) + i] = partial
         return coeffs
 
     structure: dict[tuple[int, int], dict[int, Fraction]] = {}
-    dim = len(basis_mats)
-    for i in range(dim):
-        for j in range(dim):
-            if i == j:
-                continue
-            lhs = matmul(basis_mats[i], basis_mats[j])
-            rhs = matmul(basis_mats[j], basis_mats[i])
-            comm = dict(lhs)
-            for key, v in rhs.items():
-                nv = comm.get(key, Fraction(0)) - v
-                if nv:
-                    comm[key] = nv
-                else:
-                    comm.pop(key, None)
-            coeffs = decompose(comm)
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            coeffs = decompose(x * y - y * x) if i != j else {}
             if coeffs:
                 structure[(i, j)] = coeffs
-    return LieAlgebraData(dim, names, structure, name=f"sl{n}")
+    return LieAlgebraData(len(basis), names, structure, name=f"sl{n}")
 
 
 _PRESETS = {"sl2": _sl2, "sl3": lambda: _sl_n(3)}
@@ -199,6 +163,10 @@ def algebra_from_data(doc: dict, name: str = "custom") -> LieAlgebraData:
         brackets = doc["brackets"]
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraError(f"malformed algebra document: {exc}") from exc
+    if dim < 1:
+        raise AlgebraError("dim must be positive")
+    if not isinstance(brackets, list):
+        raise AlgebraError(f"brackets must be a list, got {type(brackets).__name__}")
     if len(basis) != dim:
         raise AlgebraError("basis label count does not match dim")
     structure: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -256,6 +224,8 @@ class TensorOps:
     ad: tuple[SparseMatrix, ...]
     T: SparseMatrix          # bracket, double space -> algebra
     sigma: SparseMatrix      # flip on the double space
+    T1: SparseMatrix         # T (x) 1, triple space -> double space
+    T2: SparseMatrix         # 1 (x) T
     t_vec: SparseMatrix      # dual Casimir tensor as a column vector
     t_action: SparseMatrix   # Casimir tensor acting through the adjoint
     Omega: SparseMatrix      # -(T (x) T) o (1 (x) t (x) 1)
@@ -265,18 +235,38 @@ class TensorOps:
     Omega23: SparseMatrix
 
 
+def _bracket_maps(alg: LieAlgebraData) -> dict[str, SparseMatrix]:
+    """T, the flip and their triple-space lifts, by TensorOps field name."""
+    d = alg.dim
+    T = SparseMatrix(d, d * d, [
+        (k, i * d + j, c) for (i, j), row in alg.structure.items() for k, c in row.items()
+    ])
+    sigma = SparseMatrix(d * d, d * d, [(j * d + i, i * d + j, 1) for i in range(d) for j in range(d)])
+    eye = SparseMatrix.identity(d)
+    return {
+        "T": T,
+        "sigma": sigma,
+        "T1": kron(T, eye),
+        "T2": kron(eye, T),
+        "sigma12": kron(sigma, eye),
+        "sigma23": kron(eye, sigma),
+    }
+
+
+def _classical_sides(T, sigma, T1, T2, sigma12, sigma23):
+    """The two sides of each classical identity, named and in order:
+    3.1 antisymmetry, 3.2 Jacobi, 3.3 the braid relation of the flips.
+    Each pair is built only when the caller asks for it."""
+    yield "3.1", T * sigma, -T
+    inner = T * T2
+    yield "3.2", T * T1, inner - inner * sigma12
+    yield "3.3", sigma12 * sigma23 * sigma12, sigma23 * sigma12 * sigma23
+
+
 def build_tensor_ops(alg: LieAlgebraData) -> TensorOps:
     d = alg.dim
     ads = tuple(alg.ad(i) for i in range(d))
-
-    t_entries = []
-    for i in range(d):
-        for j in range(d):
-            for k, c in alg.bracket(i, j).items():
-                t_entries.append((k, i * d + j, c))
-    T = SparseMatrix(d, d * d, t_entries)
-
-    sigma = SparseMatrix(d * d, d * d, [(j * d + i, i * d + j, 1) for i in range(d) for j in range(d)])
+    maps = _bracket_maps(alg)
 
     kinv = alg.killing().inverse()
     t_vec = SparseMatrix(d * d, 1, [(i * d + j, 0, kinv.entry(i, j)) for i in range(d) for j in range(d)])
@@ -300,21 +290,18 @@ def build_tensor_ops(alg: LieAlgebraData) -> TensorOps:
                     row = ((v * d + i) * d + j) * d + w
                     mid_entries.append((row, v * d + w, coeff))
     mid = SparseMatrix(d ** 4, d * d, mid_entries)
-    Omega = -(kron(T, T) * mid)
+    Omega = -(kron(maps["T"], maps["T"]) * mid)
 
     eye = SparseMatrix.identity(d)
     return TensorOps(
         alg=alg,
         ad=ads,
-        T=T,
-        sigma=sigma,
         t_vec=t_vec,
         t_action=t_action,
         Omega=Omega,
-        sigma12=kron(sigma, eye),
-        sigma23=kron(eye, sigma),
         Omega12=kron(Omega, eye),
         Omega23=kron(eye, Omega),
+        **maps,
     )
 
 
@@ -357,21 +344,9 @@ def _matrix_check(name: str, lhs: SparseMatrix, rhs: SparseMatrix) -> CheckResul
 
 def verify_classical(ops: TensorOps) -> Report:
     """Antisymmetry, Jacobi and braid identities as matrix equalities."""
-    d = ops.alg.dim
-    eye = SparseMatrix.identity(d)
-    eye3 = SparseMatrix.identity(d ** 3)
     report = Report(ops.alg.name)
-    report.checks.append(_matrix_check("3.1", ops.T * ops.sigma, -ops.T))
-    lhs = ops.T * kron(ops.T, eye)
-    rhs = ops.T * kron(eye, ops.T) * (eye3 - ops.sigma12)
-    report.checks.append(_matrix_check("3.2", lhs, rhs))
-    report.checks.append(
-        _matrix_check(
-            "3.3",
-            ops.sigma12 * ops.sigma23 * ops.sigma12,
-            ops.sigma23 * ops.sigma12 * ops.sigma23,
-        )
-    )
+    sides = _classical_sides(ops.T, ops.sigma, ops.T1, ops.T2, ops.sigma12, ops.sigma23)
+    report.checks.extend(_matrix_check(name, lhs, rhs) for name, lhs, rhs in sides)
     return report
 
 
@@ -497,15 +472,12 @@ def _poly_divide_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction
 
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
+    common = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * common) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()
     roots = []
-    work = list(coeffs)
-    if work[0] == 0:
+    if coeffs[0] == 0:
         roots.append(Fraction(0))
     lead = abs(ints[-1])
     const = next((abs(v) for v in ints if v), 0)
@@ -518,12 +490,6 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         if _poly_eval(coeffs, cand) == 0 and cand != 0:
             roots.append(cand)
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int) -> list[int]:

@@ -286,15 +286,6 @@ def _factor_type(factor):
     raise TransportError(f"unknown factor kind {kind!r}")
 
 
-def _compose_ok(left, right) -> bool:
-    """May ``left`` be applied after ``right``?"""
-    ldom = _factor_type(left)[0]
-    rcod = _factor_type(right)[1]
-    if isinstance(rcod, tuple) and rcod[0] == "mix":
-        return left == ("g", "T_h")
-    return ldom == rcod
-
-
 def _factor_text(factor) -> str:
     kind = factor[0]
     if kind == "c":
@@ -952,6 +943,21 @@ def verify_identity(identity: str, table=None, degrees=None, order: int = 4) -> 
 
 # -- evaluation into matrix series ---------------------------------------------
 
+# Classical atom -> the TensorOps field holding its matrix.
+_ATOM_FIELDS = {
+    "T": "T",
+    "sig": "sigma",
+    "Om": "Omega",
+    "tcas": "t_vec",
+    "T1": "T1",
+    "T2": "T2",
+    "sig12": "sigma12",
+    "sig23": "sigma23",
+    "Om12": "Omega12",
+    "Om23": "Omega23",
+}
+
+
 @dataclass
 class TransportModel:
     """Matrix interpretations for the conjugators of one algebra.
@@ -970,7 +976,6 @@ class TransportModel:
         self.M_inv = self.M.invert()
         self.N_inv = self.N.invert()
         self.Mvv_inv = self.Mvv.invert()
-        self._atoms = None
 
     @classmethod
     def trivial(cls, ops, order: int) -> "TransportModel":
@@ -991,26 +996,8 @@ class TransportModel:
         return cls(ops, order, eye3, psi_series.truncate(order), eye2)
 
     def atom_matrix(self, name: str):
-        """The matrix of a classical atom; the table is built on first use
-        and kept for the life of the model."""
-        if self._atoms is None:
-            from .matrices import SparseMatrix, kron
-
-            ops = self.ops
-            eye = SparseMatrix.identity(ops.alg.dim)
-            self._atoms = {
-                "T": ops.T,
-                "sig": ops.sigma,
-                "Om": ops.Omega,
-                "tcas": ops.t_vec,
-                "T1": kron(ops.T, eye),
-                "T2": kron(eye, ops.T),
-                "sig12": ops.sigma12,
-                "sig23": ops.sigma23,
-                "Om12": ops.Omega12,
-                "Om23": ops.Omega23,
-            }
-        return self._atoms[name]
+        """The matrix of a classical atom: a field of the tensor operators."""
+        return getattr(self.ops, _ATOM_FIELDS[name])
 
     def _conj_series(self, name: str, sign: int) -> HSeries:
         return {

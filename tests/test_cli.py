@@ -207,6 +207,27 @@ def test_table_validate_rejects_malformed_document(tmp_path, doc):
     assert result.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [["omega"], ["eval", "--order", "3"]], ids=["omega", "eval"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": 2, "basis": ["x", "y"], "brackets": 5},
+        {"dim": 2, "basis": ["x", "y"], "brackets": None},
+        {"dim": 2, "basis": ["x", "y"], "brackets": True},
+        {"dim": 0, "basis": [], "brackets": []},
+    ],
+    ids=["brackets-number", "brackets-null", "brackets-bool", "dim-zero"],
+)
+def test_malformed_algebra_file_exits_3(tmp_path, command, doc):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    cmd = [sys.executable, "-m", "qjacobi", *command, "--algebra", str(path)]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ")
+
+
 def test_omega_report(capsys):
     code, out = run_cli(capsys, "omega", "--algebra", "sl2")
     assert code == 0

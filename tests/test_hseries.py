@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qjacobi.deformation import builtin_table
 from qjacobi.hseries import HSeries, SeriesError, parse_series
 from qjacobi.ncalg import Alphabet, NCPoly, Scalar, parse_poly
+from qjacobi.psiengine import compute_psi
 
 AB = Alphabet(("A", "B"))
 ONE = NCPoly.one(AB)
@@ -91,9 +93,19 @@ def test_shift_raises_order():
     assert shifted.coeffs == (ZERO, ZERO, A, B)
 
 
-def test_equality_modulo_min_order():
-    assert series(ONE, A) == series(ONE, A, B)
+def test_equality_is_strict_and_agrees_with_hash():
+    # Orders and coefficients must both agree; comparing modulo h^n
+    # means truncating both sides first.
+    long = series(ONE, A, B)
+    assert series(ONE, A) != long
     assert series(ONE, A) != series(ONE, B, B)
+    assert series(ONE, A) == long.truncate(2)
+    assert hash(series(ONE, A)) == hash(long.truncate(2))
+    assert len({long, long.truncate(2), series(ONE, A)}) == 2
+    psi = compute_psi(builtin_table(), 6).psi
+    assert psi != psi.truncate(4)
+    assert psi.truncate(4) == compute_psi(builtin_table(), 4).psi
+    assert len({psi, psi.truncate(4)}) == 2
 
 
 def test_text_round_trip():

@@ -1,9 +1,12 @@
 """Tests for the exact Lie algebra models, with independent oracles."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qjacobi.hseries import HSeries
 from qjacobi.liealg import (
@@ -18,7 +21,7 @@ from qjacobi.liealg import (
     verify_classical,
     verify_sigma_rmatrix,
 )
-from qjacobi.liealg import _poly_divide_linear
+from qjacobi.liealg import _poly_divide_linear, _sl_n
 from qjacobi.matrices import MatrixError, SparseMatrix, kron
 from qjacobi.ncalg import NCPoly, Scalar
 from qjacobi.psiengine import PSI_ALPHABET, compute_psi
@@ -104,10 +107,150 @@ def test_malformed_algebra_documents_rejected():
         {"dim": 2, "basis": ["x", "y"], "brackets": [[0, 1, [[0, "1/0"]]]]},
         {"dim": 2, "basis": ["x", "y"], "brackets": [[0, 1, [[0, 0.5]]]]},
         {"dim": 2, "basis": ["x", "y"], "brackets": [[0, 5, [[0, "1"]]]]},
+        {"dim": 2, "basis": ["x", "y"], "brackets": 5},
+        {"dim": 2, "basis": ["x", "y"], "brackets": None},
+        {"dim": 2, "basis": ["x", "y"], "brackets": True},
+        {"dim": 0, "basis": [], "brackets": []},
     ]
     for doc in bad_docs:
         with pytest.raises(AlgebraError):
             build_algebra(doc)
+
+
+def _naive_sl_n(n):
+    """sl(n) structure constants from nested-list Fraction matrices."""
+
+    def unit(entries):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for a, b, v in entries:
+            m[a][b] = Fraction(v)
+        return m
+
+    def product(x, y):
+        return [[sum((x[a][c] * y[c][b] for c in range(n)), Fraction(0)) for b in range(n)] for a in range(n)]
+
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    basis = [unit([(a, b, 1)]) for a, b in pairs]
+    basis += [unit([(i, i, 1), (i + 1, i + 1, -1)]) for i in range(n - 1)]
+    structure = {}
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            xy, yx = product(x, y), product(y, x)
+            comm = [[xy[a][b] - yx[a][b] for b in range(n)] for a in range(n)]
+            # Off-diagonal entries are the E_ab coordinates; the diagonal
+            # diag(c_1, ..., c_n), trace zero, is sum_i (c_1 + ... + c_i) h_i.
+            coeffs = {idx: comm[a][b] for idx, (a, b) in enumerate(pairs) if comm[a][b]}
+            for i_h in range(n - 1):
+                partial = sum((comm[m][m] for m in range(i_h + 1)), Fraction(0))
+                if partial:
+                    coeffs[len(pairs) + i_h] = partial
+            if coeffs:
+                structure[(i, j)] = coeffs
+    return structure
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sl_n_matches_naive_matrix_reference(n):
+    alg = _sl_n(n)
+    assert alg.dim == n * n - 1
+    assert alg.structure == _naive_sl_n(n)
+    for row in alg.structure.values():
+        assert all(type(v) is Fraction for v in row.values())
+
+
+def _oracle_violations(dim, structure):
+    """The first failing check of the loops, antisymmetry of every
+    bracket and then the cyclic Jacobi sum of every triple, with every
+    bracket or triple that fails it; (None, []) when both hold."""
+
+    def bracket(i, j):
+        return structure.get((i, j), {})
+
+    failing = []
+    for i in range(dim):
+        for j in range(dim):
+            left, right = bracket(i, j), bracket(j, i)
+            for k in set(left) | set(right):
+                if left.get(k, Fraction(0)) != -right.get(k, Fraction(0)):
+                    failing.append((i, j))
+                    break
+    if failing:
+        return "antisymmetry", failing
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                acc = {}
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, cab in bracket(a, b).items():
+                        for l, cmk in bracket(m, c).items():
+                            acc[l] = acc.get(l, Fraction(0)) + cab * cmk
+                if any(acc.values()):
+                    failing.append((i, j, k))
+    return ("Jacobi" if failing else None), failing
+
+
+_SL2_BRACKETS = {(1, 0): {0: 2}, (1, 2): {2: -2}, (0, 2): {1: 1}}
+
+
+@st.composite
+def _structure_documents(draw):
+    """Small random structure constants; each stated bracket has its
+    mirror filled by the loader, stated correctly, or now and then
+    stated wrongly.  Some documents start from sl2 so that valid
+    algebras occur too."""
+    dim = draw(st.integers(1, 4))
+    coeff = st.integers(-2, 2)
+    if dim == 3 and draw(st.booleans()):
+        stated = {key: {k: Fraction(v) for k, v in row.items()} for key, row in _SL2_BRACKETS.items()}
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(stated)))
+            stated[key][draw(st.integers(0, 2))] = Fraction(draw(coeff))
+    else:
+        stated = {}
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                row = draw(st.dictionaries(st.integers(0, dim - 1), coeff, max_size=2))
+                stated[(i, j)] = {k: Fraction(v) for k, v in row.items()}
+        if draw(st.integers(0, 9)) == 0:
+            i = draw(st.integers(0, dim - 1))
+            stated[(i, i)] = {draw(st.integers(0, dim - 1)): Fraction(1)}
+    structure = {key: {k: v for k, v in row.items() if v} for key, row in stated.items()}
+    keys = sorted(structure)
+    wrong = draw(st.sampled_from(keys)) if keys and draw(st.integers(0, 3)) == 0 else None
+    for (i, j) in keys:
+        if (j, i) in structure or (wrong != (i, j) and draw(st.booleans())):
+            continue
+        flipped = {k: -v for k, v in structure[(i, j)].items()}
+        if wrong == (i, j):
+            k = draw(st.integers(0, dim - 1))
+            flipped[k] = flipped.get(k, Fraction(0)) + draw(st.sampled_from([-1, 1]))
+        structure[(j, i)] = {k: v for k, v in flipped.items() if v}
+    doc = {
+        "dim": dim,
+        "basis": [f"x{i}" for i in range(dim)],
+        "brackets": [[i, j, [[k, str(v)] for k, v in row.items()]] for (i, j), row in structure.items()],
+    }
+    for (i, j), row in list(structure.items()):
+        structure.setdefault((j, i), {k: -v for k, v in row.items()})
+    return doc, structure
+
+
+@settings(max_examples=200, deadline=None)
+@given(_structure_documents())
+def test_validation_matches_loop_oracle(case):
+    doc, structure = case
+    expected, failing = _oracle_violations(doc["dim"], structure)
+    if expected is None:
+        try:
+            build_algebra(doc)
+        except AlgebraError as exc:
+            assert "Killing" in str(exc)
+        return
+    with pytest.raises(AlgebraError, match=expected) as caught:
+        build_algebra(doc)
+    # The reported bracket or triple is one that fails.
+    named = tuple(int(label) for label in re.findall(r"x(\d+)", str(caught.value)))
+    assert named in failing
 
 
 def test_algebra_json_round_trip(sl2):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qjacobi.deformation import builtin_table
 from qjacobi.liealg import build_algebra, build_tensor_ops, eval_series
+from qjacobi.matrices import SparseMatrix
 from qjacobi.ncalg import Scalar
 from qjacobi.psiengine import compute_psi
 from qjacobi.transport import (
@@ -395,7 +396,10 @@ def test_evaluation_of_braid_identity_sides(models):
         assert model.evaluate_expr(lhs) == model.evaluate_expr(rhs)
 
 
-def test_atom_table_is_built_once_per_model(sl2_ops, monkeypatch):
+def test_model_evaluation_makes_no_kron_calls(sl2_ops, monkeypatch):
+    # Every atom matrix is a field of the tensor operators, so neither a
+    # model nor its evaluations build a Kronecker product.
+    import qjacobi.liealg
     import qjacobi.matrices
 
     calls = []
@@ -406,14 +410,17 @@ def test_atom_table_is_built_once_per_model(sl2_ops, monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(qjacobi.matrices, "kron", counted)
+    monkeypatch.setattr(qjacobi.liealg, "kron", counted)
     model = TransportModel.trivial(sl2_ops, 3)
     small = compose(gen("T_h"), lift("T_h", "left"))
     large = compose(small, *[gen(name) for name in ("psi", "Omega_h_12", "psi_inv", "Omega_h_23")])
     for expr in (small, large, large):
         model.evaluate_element(normalize(expr))
-        assert len(calls) == 2
-    TransportModel.trivial(sl2_ops, 3).atom_matrix("T1")
-    assert len(calls) == 4
+    d = sl2_ops.alg.dim
+    eye = SparseMatrix.identity(d)
+    assert TransportModel.trivial(sl2_ops, 3).atom_matrix("T1") == original(sl2_ops.T, eye)
+    assert model.atom_matrix("T2") == original(eye, sl2_ops.T)
+    assert calls == []
 
 
 def test_scaled_sums_evaluate_linearly(models):
