@@ -22,8 +22,7 @@ from .deformation import TableError, load_table, validate_table
 from .hseries import SeriesError
 from .liealg import (
     AlgebraError,
-    build_algebra,
-    build_tensor_ops,
+    algebra_ops,
     eval_series,
     spectral_report,
     structure_report,
@@ -74,7 +73,7 @@ def cmd_psi(args) -> int:
 def cmd_eval(args) -> int:
     table = load_table(args.table)
     pair = compute_psi(table, args.order)
-    ops = build_tensor_ops(build_algebra(args.algebra))
+    ops = algebra_ops(args.algebra)
     series = eval_series(pair.psi, ops)
     if args.format == "json":
         doc = {
@@ -91,7 +90,7 @@ def cmd_eval(args) -> int:
 def _collect_verify_reports(args):
     reports = []
     if args.suite in ("classical", "rmatrix", "all"):
-        ops = build_tensor_ops(build_algebra(args.algebra))
+        ops = algebra_ops(args.algebra)
         if args.suite in ("classical", "all"):
             classical = verify_classical(ops)
             structure = structure_report(ops)
@@ -144,7 +143,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    ops = build_tensor_ops(build_algebra(args.algebra))
+    ops = algebra_ops(args.algebra)
     report = spectral_report(ops.Omega)
     if args.format == "json":
         doc = report.to_json()

@@ -29,6 +29,7 @@ __all__ = [
     "LieAlgebraData",
     "TensorOps",
     "algebra_from_data",
+    "algebra_ops",
     "algebra_to_json",
     "build_algebra",
     "build_tensor_ops",
@@ -77,9 +78,10 @@ class LieAlgebraData:
         return SparseMatrix(self.dim, self.dim, entries)
 
 
-def _validate_algebra(alg: LieAlgebraData) -> None:
+def _validate_algebra(alg: LieAlgebraData) -> dict[str, SparseMatrix]:
     """Range checks, then antisymmetry and Jacobi as the 3.1 and 3.2
-    equalities, then Killing nondegeneracy.
+    equalities, then Killing nondegeneracy; returns the bracket maps the
+    checks built, for :func:`build_tensor_ops`.
 
     Given antisymmetry, the 3.2 column of x_i (x) x_j (x) x_k is exactly
     the cyclic Jacobi sum of that triple, so the first differing column
@@ -92,15 +94,17 @@ def _validate_algebra(alg: LieAlgebraData) -> None:
         for k in row:
             if not 0 <= k < d:
                 raise AlgebraError(f"bracket ({i}, {j}) targets unknown basis index {k}")
+    maps = _bracket_maps(alg)
     messages = ("antisymmetry fails at [{}, {}]", "Jacobi identity fails at ({}, {}, {})")
     # zip stops at the messages, so the 3.3 sides are never built here.
-    for message, (_, lhs, rhs) in zip(messages, _classical_sides(**_bracket_maps(alg))):
+    for message, (_, lhs, rhs) in zip(messages, _classical_sides(**maps)):
         diff = lhs.first_difference(rhs)
         if diff is not None:
             col, places = diff[1], reversed(range(message.count("{}")))
             raise AlgebraError(message.format(*(alg.basis_names[col // d ** p % d] for p in places)))
     if alg.killing().rank() != d:
         raise AlgebraError("Killing form is degenerate: the algebra is not semisimple")
+    return maps
 
 
 def _sl2() -> LieAlgebraData:
@@ -156,15 +160,19 @@ def _frac(value) -> Fraction:
     raise AlgebraError(f"structure coefficients must be exact, got {type(value).__name__}")
 
 
-def algebra_from_data(doc: dict, name: str = "custom") -> LieAlgebraData:
+def _parse_algebra(doc: dict, name: str) -> LieAlgebraData:
+    """The algebra a document states, checked for types but not yet
+    validated as a Lie algebra."""
     try:
-        dim = int(doc["dim"])
-        basis = tuple(str(x) for x in doc["basis"])
-        brackets = doc["brackets"]
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, basis, brackets = doc["dim"], doc["basis"], doc["brackets"]
+    except (KeyError, TypeError) as exc:
         raise AlgebraError(f"malformed algebra document: {exc}") from exc
+    if type(dim) is not int:
+        raise AlgebraError(f"dim must be an integer, got {type(dim).__name__}")
     if dim < 1:
         raise AlgebraError("dim must be positive")
+    if not isinstance(basis, list) or not all(isinstance(x, str) for x in basis):
+        raise AlgebraError("basis must be a list of label strings")
     if not isinstance(brackets, list):
         raise AlgebraError(f"brackets must be a list, got {type(brackets).__name__}")
     if len(basis) != dim:
@@ -182,7 +190,11 @@ def algebra_from_data(doc: dict, name: str = "custom") -> LieAlgebraData:
     for (i, j), row in list(structure.items()):
         if (j, i) not in structure:
             structure[(j, i)] = {k: -v for k, v in row.items()}
-    alg = LieAlgebraData(dim, basis, structure, name=name)
+    return LieAlgebraData(dim, tuple(basis), structure, name=name)
+
+
+def algebra_from_data(doc: dict, name: str = "custom") -> LieAlgebraData:
+    alg = _parse_algebra(doc, name)
     _validate_algebra(alg)
     return alg
 
@@ -197,23 +209,35 @@ def algebra_to_json(alg: LieAlgebraData) -> dict:
     return {"dim": alg.dim, "basis": list(alg.basis_names), "brackets": brackets}
 
 
+def _load_algebra(spec) -> tuple[LieAlgebraData, dict[str, SparseMatrix]]:
+    """A validated algebra and the bracket maps its validation built."""
+    if isinstance(spec, dict):
+        alg = _parse_algebra(spec, "custom")
+    elif spec in _PRESETS:
+        alg = _PRESETS[spec]()
+    else:
+        try:
+            with open(spec, "r", encoding="utf-8") as handle:
+                doc = json.load(handle)
+        except OSError as exc:
+            raise AlgebraError(f"cannot read algebra file: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise AlgebraError(f"cannot parse algebra file: {exc}") from exc
+        alg = _parse_algebra(doc, str(spec))
+    return alg, _validate_algebra(alg)
+
+
 def build_algebra(spec) -> LieAlgebraData:
     """Build a validated algebra from a preset name, a JSON file path, or
     an already-parsed document."""
-    if isinstance(spec, dict):
-        return algebra_from_data(spec)
-    if spec in _PRESETS:
-        alg = _PRESETS[spec]()
-        _validate_algebra(alg)
-        return alg
-    try:
-        with open(spec, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise AlgebraError(f"cannot read algebra file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise AlgebraError(f"cannot parse algebra file: {exc}") from exc
-    return algebra_from_data(doc, name=str(spec))
+    return _load_algebra(spec)[0]
+
+
+def algebra_ops(spec) -> TensorOps:
+    """The tensor operators of the algebra :func:`build_algebra` builds
+    from ``spec``; the bracket maps are built once, for the validation,
+    and reused."""
+    return build_tensor_ops(*_load_algebra(spec))
 
 
 @dataclass
@@ -263,10 +287,13 @@ def _classical_sides(T, sigma, T1, T2, sigma12, sigma23):
     yield "3.3", sigma12 * sigma23 * sigma12, sigma23 * sigma12 * sigma23
 
 
-def build_tensor_ops(alg: LieAlgebraData) -> TensorOps:
+def build_tensor_ops(alg: LieAlgebraData, maps: dict[str, SparseMatrix] | None = None) -> TensorOps:
+    """The derived operators of ``alg``; ``maps`` are its bracket maps,
+    when the caller already holds them from validation."""
     d = alg.dim
     ads = tuple(alg.ad(i) for i in range(d))
-    maps = _bracket_maps(alg)
+    if maps is None:
+        maps = _bracket_maps(alg)
 
     kinv = alg.killing().inverse()
     t_vec = SparseMatrix(d * d, 1, [(i * d + j, 0, kinv.entry(i, j)) for i in range(d) for j in range(d)])

@@ -7,14 +7,20 @@ unit and pi).  Keeping such constants symbolic makes every identity in
 the package an equality of exact rational data; nothing is evaluated in
 floating point anywhere.
 
-:class:`LinearCombination` stores a combination of words flat, as a dict
-from ``(word, constant monomial)`` to a nonzero ``Fraction``.  One merge,
-one scale, one product loop and one renderer serve :class:`NCPoly` here
-and the classical polynomials and transport normal forms of
-``transport``; the subclasses differ only in how two words join, how
-words sort and how a word prints.  A :class:`Scalar` is built only where
-a caller reads a coefficient (``coeff``, ``sorted_terms``), never inside
-``+``, ``*`` or ``scale``.
+:class:`LinearCombination` stores a combination of words flat, as
+integer numerators over one shared positive denominator: a dict from
+``(word, constant monomial)`` to a nonzero ``int``, and ``_den``.  The
+pair is kept in lowest terms (the gcd of the denominator and all
+numerators is 1), the same representation as the parts of
+:class:`~qjacobi.matrices.SparseMatrix`.  One merge, one scale, one
+product loop and one renderer serve :class:`NCPoly` here and the
+classical polynomials and transport normal forms of ``transport``; the
+subclasses differ only in how two words join, how words sort and how a
+word prints.  Those loops multiply and add integers only; a ``Fraction``
+or :class:`Scalar` is built only where a caller reads a coefficient
+(``coeff``, ``sorted_terms``, ``to_text``), never inside ``+``, ``*``,
+``scale`` or ``dot``.  :class:`Scalar` itself keeps plain ``Fraction``
+arithmetic: it is the public coefficient type.
 
 Words live in the free monoid over a declared :class:`Alphabet`.  Letter
 pairs declared mutually inverse cancel eagerly, so every stored word is
@@ -30,9 +36,11 @@ exact matrices or truncated series).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -316,48 +324,86 @@ def _concat_reduced(w1: tuple[str, ...], w2: tuple[str, ...], alphabet: Alphabet
     return w1[:i] + w2[j:]
 
 
-def _collect(pairs: Iterable[tuple[tuple, Fraction]]) -> dict:
-    """Sum (key, Fraction) pairs into a store without zero coefficients."""
-    data: dict = {}
-    for key, frac in pairs:
-        prev = data.get(key)
-        data[key] = frac if prev is None else prev + frac
-    return {key: frac for key, frac in data.items() if frac}
+def _integral(fracs: Mapping) -> tuple[dict, int]:
+    """Rational coefficients as (integer numerators, one positive
+    denominator) in lowest terms, zeros dropped.  The lcm of reduced
+    denominators leaves no common factor with the numerators."""
+    fracs = {key: frac for key, frac in fracs.items() if frac}
+    den = lcm(*(frac.denominator for frac in fracs.values()))
+    return {key: frac.numerator * (den // frac.denominator) for key, frac in fracs.items()}, den
+
+
+def _lowest(acc: dict, den: int) -> tuple[dict, int]:
+    """Drop zero numerators and divide the pair by its common gcd."""
+    nums = {key: v for key, v in acc.items() if v}
+    if not nums:
+        return nums, 1
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {key: v // g for key, v in nums.items()}
+    return nums, den
+
+
+def _sum(stores: list[tuple[dict, int]]) -> tuple[dict, int]:
+    """The sum of (numerators, denominator) stores, in lowest terms."""
+    common = lcm(*(den for _, den in stores))
+    acc: dict = {}
+    get = acc.get
+    for nums, den in stores:
+        f = common // den
+        for key, v in nums.items():
+            acc[key] = get(key, 0) + v * f
+    return _lowest(acc, common)
 
 
 class LinearCombination:
     """A finite exact linear combination of words.
 
-    ``_terms`` maps ``(word, constant monomial)`` to a nonzero
-    ``Fraction``, so equality and hashing are structural.  Subclasses
-    fix what a word is through a few hooks: ``ring_zero`` (the empty
-    combination of the same type), ``_space`` (what two operands of
-    ``+`` must share), ``_error`` (the exception for a mismatch),
-    ``_compose`` (the empty product and how two words join),
-    ``_word_key`` (the canonical word order) and ``_word_text``.
-    ``dot`` is the one product loop; ``*`` is its one-pair case.
+    The store is integer numerators over one positive denominator:
+    ``_terms`` maps ``(word, constant monomial)`` to a nonzero ``int``
+    and ``_den`` is the shared denominator, so the coefficient of a key
+    is ``_terms[key] / _den``.  The pair is kept in lowest terms (the
+    gcd of ``_den`` and every numerator is 1; the zero combination has
+    ``_den == 1``), so equality and hashing are structural.  ``+``,
+    ``-``, ``scale`` and ``dot`` run on the integers only and reduce
+    each result once; ``Fraction`` and :class:`Scalar` values are built
+    only where a caller reads coefficients.  Subclasses fix what a word
+    is through a few hooks: ``ring_zero`` (the empty combination of the
+    same type), ``_space`` (what two operands of ``+`` must share),
+    ``_error`` (the exception for a mismatch), ``_compose`` (the empty
+    product and how two words join), ``_word_key`` (the canonical word
+    order) and ``_word_text``.  ``dot`` is the one product loop; ``*``
+    is its one-pair case.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def _store(self, terms, stored_word) -> None:
         """Set the store from (word, coefficient) pairs or a mapping;
         ``stored_word`` checks a word and returns the form it is kept in."""
-        pairs = []
-        for word, coeff in terms.items() if isinstance(terms, Mapping) else terms or ():
+        if not terms:
+            self._terms, self._den = {}, 1
+            return
+        fracs: dict = {}
+        for word, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             scalar = _scalar_terms(coeff)
             if scalar:
                 word = stored_word(word)
-                pairs.extend(((word, mono), frac) for mono, frac in scalar.items())
-        self._terms = _collect(pairs)
+                for mono, frac in scalar.items():
+                    key = (word, mono)
+                    fracs[key] = fracs.get(key, 0) + frac
+        self._terms, self._den = _integral(fracs)
 
-    def _with(self, terms: dict) -> "LinearCombination":
+    def _with(self, store: tuple[dict, int]) -> "LinearCombination":
         out = self.ring_zero()
-        out._terms = terms
+        out._terms, out._den = store
         return out
 
     def _check_same(self, other: "LinearCombination") -> None:
-        if self._space() != other._space():
+        mine, theirs = self._space(), other._space()
+        if mine is not theirs and mine != theirs:
             raise self._error(f"cannot combine {type(self).__name__} operands of different types")
 
     @property
@@ -365,24 +411,25 @@ class LinearCombination:
         return not self._terms
 
     def coeff(self, word: Iterable) -> Scalar:
-        word = tuple(word)
-        return Scalar({mono: frac for (w, mono), frac in self._terms.items() if w == word})
+        word, den = tuple(word), self._den
+        return Scalar({mono: Fraction(v, den) for (w, mono), v in self._terms.items() if w == word})
 
     def support(self) -> set:
         return {letter for word, _ in self._terms for letter in word}
 
     def sorted_terms(self) -> list[tuple[tuple, Scalar]]:
         """(word, coefficient) pairs in canonical word order."""
+        den = self._den
         by_word: dict = {}
-        for (word, mono), frac in self._terms.items():
-            by_word.setdefault(word, {})[mono] = frac
+        for (word, mono), v in self._terms.items():
+            by_word.setdefault(word, {})[mono] = Fraction(v, den)
         return [(word, Scalar(by_word[word])) for word in sorted(by_word, key=self._word_key)]
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         self._check_same(other)
-        return self._with(_collect([*self._terms.items(), *other._terms.items()]))
+        return self._with(_sum([(self._terms, self._den), (other._terms, other._den)]))
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -390,17 +437,17 @@ class LinearCombination:
         return self + (-other)
 
     def __neg__(self):
-        return self._with({key: -frac for key, frac in self._terms.items()})
+        return self._with(({key: -v for key, v in self._terms.items()}, self._den))
 
     def scale(self, factor: ScalarLike):
-        factor = _scalar_terms(factor).items()
-        return self._with(
-            _collect(
-                ((word, _mono_mul(mono, fmono)), frac * ffrac)
-                for (word, mono), frac in self._terms.items()
-                for fmono, ffrac in factor
-            )
-        )
+        fnums, fden = _integral(_scalar_terms(factor))
+        acc: dict = {}
+        get = acc.get
+        for fmono, fv in fnums.items():
+            for (word, mono), v in self._terms.items():
+                key = (word, _mono_mul(mono, fmono))
+                acc[key] = get(key, 0) + v * fv
+        return self._with(_lowest(acc, self._den * fden))
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -410,28 +457,40 @@ class LinearCombination:
         return self.dot(((self, other),))
 
     def dot(self, pairs):
-        """The sum of ``a * b`` over the (a, b) pairs, merged once; the
-        ring zero when there are none.  Each pair joins its words through
-        its own ``_compose``, and all products must share one space."""
-        out = None
+        """The sum of ``a * b`` over the (a, b) pairs, merged once over
+        the lcm of the pair denominators; the ring zero when there are
+        none.  Each pair joins its words through its own ``_compose``,
+        and all products must share one space."""
+        out = spaces = None
         joins = []
         for a, b in pairs:
             if type(a) is not type(self) or type(b) is not type(self):
                 raise TypeError(f"{type(self).__name__}.dot needs {type(self).__name__} operands")
-            prod, join = a._compose(b)
-            if out is None:
-                out = prod
-            else:
-                out._check_same(prod)
-            joins.append((join, a._terms.items(), b._terms.items()))
+            # A pair over the same spaces as the one before composes
+            # alike, so only a change of spaces is composed and checked.
+            if (a._space(), b._space()) != spaces:
+                spaces = (a._space(), b._space())
+                prod, join = a._compose(b)
+                if out is None:
+                    out = prod
+                else:
+                    out._check_same(prod)
+            if a._terms and b._terms:
+                joins.append((join, a._terms.items(), b._terms.items(), a._den * b._den))
         if out is None:
             return self.ring_zero()
-        out._terms = _collect(
-            ((join(w1, w2), _mono_mul(m1, m2)), c1 * c2)
-            for join, left, right in joins
-            for (w1, m1), c1 in left
-            for (w2, m2), c2 in right
-        )
+        common = lcm(*(den for *_, den in joins))
+        acc: dict = {}
+        get = acc.get
+        for join, left, right, den in joins:
+            f = common // den
+            for (w1, m1), c1 in left:
+                c1 *= f
+                for (w2, m2), c2 in right:
+                    # _mono_mul, with its empty-monomial cases inline.
+                    key = (join(w1, w2), m2 if not m1 else m1 if not m2 else _mono_mul(m1, m2))
+                    acc[key] = get(key, 0) + c1 * c2
+        out._terms, out._den = _lowest(acc, common)
         return out
 
     def __rmul__(self, other):
@@ -442,10 +501,10 @@ class LinearCombination:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._space() == other._space() and self._terms == other._terms
+        return self._space() == other._space() and self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self._space(), frozenset(self._terms.items())))
+        return hash((self._space(), self._den, frozenset(self._terms.items())))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_text()})"
@@ -453,9 +512,11 @@ class LinearCombination:
     def to_text(self) -> str:
         if not self._terms:
             return "0"
-        word_key, word_text = self._word_key, self._word_text
+        word_key, word_text, den = self._word_key, self._word_text, self._den
         terms = sorted(self._terms.items(), key=lambda kv: (word_key(kv[0][0]), kv[0][1]))
-        return _join_signed([(frac < 0, _term_body(frac, mono, word_text(word))) for (word, mono), frac in terms])
+        return _join_signed(
+            [(v < 0, _term_body(Fraction(v, den), mono, word_text(word))) for (word, mono), v in terms]
+        )
 
 
 class NCPoly(LinearCombination):
@@ -503,6 +564,9 @@ class NCPoly(LinearCombination):
     def _compose(self, other: "NCPoly"):
         self._check_same(other)
         alphabet = self.alphabet
+        if not alphabet.inverse_pairs:
+            # Nothing cancels, so words just concatenate.
+            return self.ring_zero(), operator.add
         return self.ring_zero(), lambda w1, w2: _concat_reduced(w1, w2, alphabet)
 
     def _word_key(self, word: tuple[str, ...]):
@@ -577,13 +641,13 @@ def substitute(p: LinearCombination, images: Mapping[str, object], zero=None):
 # Canonical text form: shared rendering and parsing helpers.
 
 def _frac_text(frac: Fraction) -> str:
-    frac = abs(frac)
-    return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
+    num, den = abs(frac.numerator), frac.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _term_body(frac: Fraction, mono: Monomial, word_text: str) -> str:
     parts = []
-    if abs(frac) != 1 or (not mono and not word_text):
+    if frac.denominator != 1 or abs(frac.numerator) != 1 or (not mono and not word_text):
         parts.append(_frac_text(frac))
     for name, exp in mono:
         parts.append(name if exp == 1 else f"{name}^{exp}")

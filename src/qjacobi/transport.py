@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .hseries import HSeries
-from .ncalg import LinearCombination, Scalar, ScalarLike, _collect, substitute
+from .ncalg import LinearCombination, Scalar, ScalarLike, _sum, substitute
 
 __all__ = [
     "ClassicalPoly",
@@ -322,14 +322,14 @@ class TransportElement(LinearCombination):
         return [(coeff, factors) for factors, coeff in self.sorted_terms()]
 
     def is_identity(self) -> bool:
-        return self._terms == {((), ()): 1}
+        return self._den == 1 and self._terms == {((), ()): 1}
 
     def dot(self, pairs):
         """The sum of the compositions ``a`` after ``b``.  Each product is
         concatenated and rewritten to normal form on its own, as ``*``
         does; the normal forms are then merged once."""
         out = None
-        terms = []
+        stores = []
         for pair in pairs:
             raw = super().dot((pair,))
             normal = _normalize_raw_terms(raw.terms, raw.dom, raw.cod)[0]
@@ -337,10 +337,10 @@ class TransportElement(LinearCombination):
                 out = normal
             else:
                 out._check_same(normal)
-            terms.extend(normal._terms.items())
+            stores.append((normal._terms, normal._den))
         if out is None:
             return self.ring_zero()
-        return out._with(_collect(terms))
+        return out._with(_sum(stores))
 
     # Ring protocol for series coefficients.
     def ring_one(self) -> "TransportElement":

@@ -207,18 +207,36 @@ def test_table_validate_rejects_malformed_document(tmp_path, doc):
     assert result.stderr.startswith("error: ")
 
 
+_SL2_BRACKETS = [[1, 0, [[0, "2"]]], [1, 2, [[2, "-2"]]], [0, 2, [[1, "1"]]]]
+
+
 @pytest.mark.parametrize("command", [["omega"], ["eval", "--order", "3"]], ids=["omega", "eval"])
 @pytest.mark.parametrize(
-    "doc",
+    "doc, field_name",
     [
-        {"dim": 2, "basis": ["x", "y"], "brackets": 5},
-        {"dim": 2, "basis": ["x", "y"], "brackets": None},
-        {"dim": 2, "basis": ["x", "y"], "brackets": True},
-        {"dim": 0, "basis": [], "brackets": []},
+        ({"dim": 2, "basis": ["x", "y"], "brackets": 5}, "brackets"),
+        ({"dim": 2, "basis": ["x", "y"], "brackets": None}, "brackets"),
+        ({"dim": 2, "basis": ["x", "y"], "brackets": True}, "brackets"),
+        ({"dim": 0, "basis": [], "brackets": []}, "dim"),
+        ({"dim": 3.9, "basis": "ehf", "brackets": _SL2_BRACKETS}, "dim"),
+        ({"dim": "3", "basis": ["e", "h", "f"], "brackets": _SL2_BRACKETS}, "dim"),
+        ({"dim": True, "basis": ["e"], "brackets": _SL2_BRACKETS}, "dim"),
+        ({"dim": 3, "basis": "ehf", "brackets": _SL2_BRACKETS}, "basis"),
+        ({"dim": 3, "basis": ["e", "h", 3], "brackets": _SL2_BRACKETS}, "basis"),
     ],
-    ids=["brackets-number", "brackets-null", "brackets-bool", "dim-zero"],
+    ids=[
+        "brackets-number",
+        "brackets-null",
+        "brackets-bool",
+        "dim-zero",
+        "dim-float",
+        "dim-string",
+        "dim-bool",
+        "basis-string",
+        "basis-number-label",
+    ],
 )
-def test_malformed_algebra_file_exits_3(tmp_path, command, doc):
+def test_malformed_algebra_file_exits_3(tmp_path, command, doc, field_name):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(doc))
     cmd = [sys.executable, "-m", "qjacobi", *command, "--algebra", str(path)]
@@ -226,6 +244,33 @@ def test_malformed_algebra_file_exits_3(tmp_path, command, doc):
     assert result.returncode == 3
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
+    assert field_name in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["omega", "--algebra", "sl2"],
+        ["eval", "--algebra", "sl3", "--order", "2"],
+        ["verify", "classical"],
+        ["verify", "rmatrix", "--order", "2"],
+    ],
+    ids=["omega-sl2", "eval-sl3", "verify-classical", "verify-rmatrix"],
+)
+def test_bracket_maps_built_once_per_algebra_command(capsys, monkeypatch, argv):
+    from qjacobi import liealg
+
+    calls = []
+    original = liealg._bracket_maps
+
+    def counted(alg):
+        calls.append(alg.name)
+        return original(alg)
+
+    monkeypatch.setattr(liealg, "_bracket_maps", counted)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_omega_report(capsys):

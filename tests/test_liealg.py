@@ -101,6 +101,7 @@ def test_jacobi_violation_rejected():
 
 
 def test_malformed_algebra_documents_rejected():
+    sl2_brackets = algebra_to_json(build_algebra("sl2"))["brackets"]
     bad_docs = [
         {"dim": 2, "basis": ["x"], "brackets": []},
         {"dim": 2, "basis": ["x", "y"], "brackets": [[0]]},
@@ -115,6 +116,20 @@ def test_malformed_algebra_documents_rejected():
     for doc in bad_docs:
         with pytest.raises(AlgebraError):
             build_algebra(doc)
+    # Types are checked, not coerced; the error names the field.
+    mistyped = [
+        ("dim", {"dim": 3.9, "basis": "ehf", "brackets": sl2_brackets}),
+        ("dim", {"dim": 3.9, "basis": ["e", "h", "f"], "brackets": sl2_brackets}),
+        ("dim", {"dim": "3", "basis": ["e", "h", "f"], "brackets": sl2_brackets}),
+        ("dim", {"dim": True, "basis": ["e"], "brackets": sl2_brackets}),
+        ("basis", {"dim": 3, "basis": "ehf", "brackets": sl2_brackets}),
+        ("basis", {"dim": 3, "basis": ("e", "h", "f"), "brackets": sl2_brackets}),
+        ("basis", {"dim": 3, "basis": ["e", "h", 3], "brackets": sl2_brackets}),
+    ]
+    for field_name, doc in mistyped:
+        for load in (build_algebra, algebra_from_data):
+            with pytest.raises(AlgebraError, match=field_name):
+                load(doc)
 
 
 def _naive_sl_n(n):

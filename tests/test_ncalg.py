@@ -1,6 +1,7 @@
 """Tests for exact scalars, word reduction and noncommutative polynomials."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +280,98 @@ def test_ncpoly_matches_naive_reference(ra, rb, s):
     assert (a * s) == (s * a) == a.scale(s)
     assert (a == b) == (ref_normal(ra) == ref_normal(rb))
     assert all(a.coeff(w) == c for w, c in ref_normal(ra))
+
+
+# -- the integer store: lowest terms after every operation ----------------------
+#
+# Every linear combination keeps integer numerators over one positive
+# denominator with no common factor.  The invariant is what makes
+# equality and hashing structural, so it is checked on NCPoly and on the
+# two word rings of transport after each ring operation, and values built
+# along different paths must compare and hash equal.
+
+
+def _assert_lowest(x):
+    nums = list(x._terms.values())
+    assert type(x._den) is int and x._den > 0
+    assert all(type(v) is int and v != 0 for v in nums)
+    assert gcd(x._den, *nums) == 1
+
+
+def _kernel_cdz_units():
+    return [NCPoly.one(CDZ)] + [NCPoly.letter(CDZ, x) for x in CDZ.letters]
+
+
+def _kernel_classical_units():
+    from qjacobi.transport import ClassicalPoly
+
+    return [ClassicalPoly.one(2), ClassicalPoly.atom("sig"), ClassicalPoly.atom("Om")]
+
+
+def _kernel_transport_units():
+    from qjacobi.transport import gen, normalize
+
+    sigma, omega = normalize(gen("sigma_h")), normalize(gen("Omega_h"))
+    return [sigma.ring_one(), sigma, omega]
+
+
+_KERNEL_RINGS = {
+    "ncpoly": _kernel_cdz_units,
+    "classical": _kernel_classical_units,
+    "transport": _kernel_transport_units,
+}
+
+# Denominators up to 6 make sums cancel common factors and products
+# build denominators that share factors with each other.
+_kernel_scalars = st.builds(
+    lambda p, q, e: Scalar.rational(p, q) * (Scalar.constant("ipi", e) if e else Scalar.one()),
+    st.integers(-6, 6),
+    st.integers(1, 6),
+    st.integers(0, 2),
+)
+
+
+@pytest.mark.parametrize("ring", sorted(_KERNEL_RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_store_stays_in_lowest_terms(ring, data):
+    units = _KERNEL_RINGS[ring]()
+    terms = st.lists(st.tuples(st.lists(st.sampled_from(units), min_size=1, max_size=2), _kernel_scalars), max_size=4)
+
+    def build(ts):
+        out = units[0].ring_zero()
+        for factors, c in ts:
+            word = factors[0] if len(factors) == 1 else factors[0] * factors[1]
+            out = out + word.scale(c)
+        return out
+
+    p, q = build(data.draw(terms)), build(data.draw(terms))
+    s = data.draw(_kernel_scalars)
+    results = [p, q, p + q, p - q, -p, p * q, p.scale(s), s * p, p.dot([(p, q), (q, p)]), p.dot([])]
+    for x in results:
+        _assert_lowest(x)
+    one_third = Scalar.rational(1, 3)
+    assert p.scale(one_third).scale(3) == p
+    assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+    assert p - p == p.ring_zero() and hash(p - p) == hash(p.ring_zero())
+    assert p.scale(2) == p + p and hash(p.scale(2)) == hash(p + p)
+    assert p.dot([(p, q), (q, p)]) == p * q + q * p
+    half = Scalar.rational(1, 2)
+    for u in units:
+        assert u.scale(half) + u.scale(half) == u
+        assert hash(u.scale(half) + u.scale(half)) == hash(u)
+        assert u.scale(half)._den == 2 and (u.scale(half) + u.scale(half))._den == 1
+
+
+def test_store_is_integer_numerators_over_one_denominator():
+    x = poly("1/6*A + 1/4*B")
+    assert x._den == 12 and x._terms == {(("A",), ()): 2, (("B",), ()): 3}
+    y = x.scale(Fraction(6))
+    assert y._den == 2 and y._terms == {(("A",), ()): 2, (("B",), ()): 3}
+    assert (x - x)._den == 1 and (x - x)._terms == {}
+    assert x.to_text() == "1/6*A + 1/4*B"
+    assert (x * x).to_text() == "1/36*A.A + 1/24*A.B + 1/24*B.A + 1/16*B.B"
+    assert x.coeff(("B",)) == Scalar.rational(1, 4)
 
 
 @settings(max_examples=60, deadline=None)

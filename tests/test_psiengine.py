@@ -1,6 +1,9 @@
 """Tests for the inductive series engine, checked against a brute-force oracle."""
 
+import json
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from helpers import oracle_psi, random_homogeneous_table
@@ -145,3 +148,93 @@ def test_malformed_table_rejected():
 
 def test_pair_provenance():
     assert compute_psi(builtin_table(), 3).table_id == "builtin"
+
+
+# -- the pair from its printed text, against a product written here -------------
+#
+# The oracle above runs on the same NCPoly kernel as the engine, so it
+# cannot see a defect in that kernel.  This check reads the CLI's text
+# with its own parser into plain dicts from factor tuples to Fractions
+# (a term's key lists its ipi factors first, then its letters; ipi is
+# central) and multiplies with its own loops.
+
+
+def _plain_poly(text):
+    out = {}
+    if text == "0":
+        return out
+    sign, rest = (-1, text[2:]) if text.startswith("- ") else (1, text)
+    for piece in re.split(r" ([+-]) ", rest):
+        if piece in ("+", "-"):
+            sign = 1 if piece == "+" else -1
+            continue
+        coeff, key = Fraction(sign), []
+        for factor in piece.split("*"):
+            if re.fullmatch(r"\d+(/\d+)?", factor):
+                coeff *= Fraction(factor)
+            elif re.fullmatch(r"ipi(\^\d+)?", factor):
+                key = ["ipi"] * int(factor.partition("^")[2] or 1) + key
+            else:
+                key += factor.split(".")
+        key = tuple(key)
+        assert key not in out
+        out[key] = coeff
+    return out
+
+
+def _plain_pair(text):
+    series = {}
+    for line in text.splitlines():
+        if line.endswith(":"):
+            current = series.setdefault(line[:-1], [])
+        else:
+            head, _, body = line.partition(": ")
+            assert head == f"h^{len(current)}"
+            current.append(_plain_poly(body))
+    return series["psi"], series["psi_inv"]
+
+
+def _plain_series_mul(a, b, order):
+    out = []
+    for k in range(order):
+        acc = {}
+        for i in range(k + 1):
+            for ka, ca in a[i].items():
+                for kb, cb in b[k - i].items():
+                    joined = ka + kb
+                    key = tuple(x for x in joined if x == "ipi") + tuple(x for x in joined if x != "ipi")
+                    acc[key] = acc.get(key, 0) + ca * cb
+        out.append({key: c for key, c in acc.items() if c})
+    return out
+
+
+def _table_with_ipi(rng):
+    """Two random terms in each degree 2..5; the degree-3 ones carry ipi."""
+    entries = {}
+    for k in range(2, 6):
+        terms = []
+        for _ in range(2):
+            word = ".".join(rng.choice("AB") for _ in range(k))
+            size = f"{rng.choice([1, 2, 3, 5])}/{rng.randint(1, 6)}"
+            terms.append(rng.choice(["+ ", "- "]) + size + ("*ipi*" if k == 3 else "*") + word)
+        entries[str(k)] = " ".join(terms).removeprefix("+ ")
+    return {"constants": [], "entries": entries}
+
+
+@pytest.mark.parametrize("table", ["builtin", "random-ipi"])
+def test_printed_pair_is_inverse_under_a_plain_product(tmp_path, capsys, table):
+    from qjacobi import cli
+
+    argv = ["psi", "--order", "10"]
+    if table != "builtin":
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(_table_with_ipi(random.Random(31))))
+        argv += ["--table", str(path)]
+    assert cli.main(argv) == 0
+    psi, psi_inv = _plain_pair(capsys.readouterr().out)
+    assert len(psi) == len(psi_inv) == 10
+    if table != "builtin":
+        assert any("ipi" in key for c in psi for key in c)
+    unit = [{(): Fraction(1)}] + [{}] * 9
+    assert _plain_series_mul(psi, psi_inv, 10) == unit
+    assert _plain_series_mul(psi_inv, psi, 10) == unit
