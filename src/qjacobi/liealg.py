@@ -78,10 +78,10 @@ class LieAlgebraData:
         return SparseMatrix(self.dim, self.dim, entries)
 
 
-def _validate_algebra(alg: LieAlgebraData) -> dict[str, SparseMatrix]:
+def _validate_algebra(alg: LieAlgebraData) -> tuple[dict[str, SparseMatrix], SparseMatrix]:
     """Range checks, then antisymmetry and Jacobi as the 3.1 and 3.2
-    equalities, then Killing nondegeneracy; returns the bracket maps the
-    checks built, for :func:`build_tensor_ops`.
+    equalities, then Killing nondegeneracy; returns the bracket maps and
+    the inverse Killing form the checks built, for :func:`build_tensor_ops`.
 
     Given antisymmetry, the 3.2 column of x_i (x) x_j (x) x_k is exactly
     the cyclic Jacobi sum of that triple, so the first differing column
@@ -102,9 +102,12 @@ def _validate_algebra(alg: LieAlgebraData) -> dict[str, SparseMatrix]:
         if diff is not None:
             col, places = diff[1], reversed(range(message.count("{}")))
             raise AlgebraError(message.format(*(alg.basis_names[col // d ** p % d] for p in places)))
-    if alg.killing().rank() != d:
-        raise AlgebraError("Killing form is degenerate: the algebra is not semisimple")
-    return maps
+    killing = alg.killing()
+    try:
+        kinv = killing.inverse()
+    except MatrixError:
+        raise AlgebraError("Killing form is degenerate: the algebra is not semisimple") from None
+    return maps, kinv
 
 
 def _sl2() -> LieAlgebraData:
@@ -153,11 +156,17 @@ _PRESETS = {"sl2": _sl2, "sl3": lambda: _sl_n(3)}
 
 def _frac(value) -> Fraction:
     try:
-        if isinstance(value, (str, int)):
+        if isinstance(value, (str, int)) and not isinstance(value, bool):
             return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise AlgebraError(f"bad structure coefficient {value!r}: {exc}") from exc
     raise AlgebraError(f"structure coefficients must be exact, got {type(value).__name__}")
+
+
+def _index(value) -> int:
+    if type(value) is not int:
+        raise AlgebraError(f"basis index {value!r} is not an integer")
+    return value
 
 
 def _parse_algebra(doc: dict, name: str) -> LieAlgebraData:
@@ -180,8 +189,8 @@ def _parse_algebra(doc: dict, name: str) -> LieAlgebraData:
     structure: dict[tuple[int, int], dict[int, Fraction]] = {}
     for item in brackets:
         try:
-            i, j, targets = int(item[0]), int(item[1]), item[2]
-            row = {int(k): _frac(v) for k, v in targets}
+            i, j, targets = _index(item[0]), _index(item[1]), item[2]
+            row = {_index(k): _frac(v) for k, v in targets}
         except (IndexError, TypeError, ValueError) as exc:
             raise AlgebraError(f"malformed bracket entry {item!r}: {exc}") from exc
         structure[(i, j)] = {k: v for k, v in row.items() if v}
@@ -209,8 +218,8 @@ def algebra_to_json(alg: LieAlgebraData) -> dict:
     return {"dim": alg.dim, "basis": list(alg.basis_names), "brackets": brackets}
 
 
-def _load_algebra(spec) -> tuple[LieAlgebraData, dict[str, SparseMatrix]]:
-    """A validated algebra and the bracket maps its validation built."""
+def _load_algebra(spec) -> LieAlgebraData:
+    """The algebra ``spec`` names, checked for types but not yet validated."""
     if isinstance(spec, dict):
         alg = _parse_algebra(spec, "custom")
     elif spec in _PRESETS:
@@ -224,20 +233,21 @@ def _load_algebra(spec) -> tuple[LieAlgebraData, dict[str, SparseMatrix]]:
         except json.JSONDecodeError as exc:
             raise AlgebraError(f"cannot parse algebra file: {exc}") from exc
         alg = _parse_algebra(doc, str(spec))
-    return alg, _validate_algebra(alg)
+    return alg
 
 
 def build_algebra(spec) -> LieAlgebraData:
     """Build a validated algebra from a preset name, a JSON file path, or
     an already-parsed document."""
-    return _load_algebra(spec)[0]
+    alg = _load_algebra(spec)
+    _validate_algebra(alg)
+    return alg
 
 
 def algebra_ops(spec) -> TensorOps:
     """The tensor operators of the algebra :func:`build_algebra` builds
-    from ``spec``; the bracket maps are built once, for the validation,
-    and reused."""
-    return build_tensor_ops(*_load_algebra(spec))
+    from ``spec``, validated once, inside :func:`build_tensor_ops`."""
+    return build_tensor_ops(_load_algebra(spec))
 
 
 @dataclass
@@ -287,15 +297,12 @@ def _classical_sides(T, sigma, T1, T2, sigma12, sigma23):
     yield "3.3", sigma12 * sigma23 * sigma12, sigma23 * sigma12 * sigma23
 
 
-def build_tensor_ops(alg: LieAlgebraData, maps: dict[str, SparseMatrix] | None = None) -> TensorOps:
-    """The derived operators of ``alg``; ``maps`` are its bracket maps,
-    when the caller already holds them from validation."""
+def build_tensor_ops(alg: LieAlgebraData) -> TensorOps:
+    """The derived operators of ``alg``, after validating it; the bracket
+    maps and the inverse Killing form the validation built are reused."""
+    maps, kinv = _validate_algebra(alg)
     d = alg.dim
     ads = tuple(alg.ad(i) for i in range(d))
-    if maps is None:
-        maps = _bracket_maps(alg)
-
-    kinv = alg.killing().inverse()
     t_vec = SparseMatrix(d * d, 1, [(i * d + j, 0, kinv.entry(i, j)) for i in range(d) for j in range(d)])
 
     t_action = SparseMatrix.zeros(d * d, d * d)

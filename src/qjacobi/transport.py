@@ -22,9 +22,14 @@ h-series object, so its defining relation is checked at the series layer
 (:func:`verify_identity` with ``sigma_h_def``) rather than in the h-free
 fragment.
 
+An expression (:class:`MorphTerm`) is a typed, flat list of
+``(coefficient, factors)`` terms: ``compose`` multiplies its parts' term
+lists left to right and ``morph_sum`` concatenates them, so terms keep
+their construction order.
+
 Every normalization records a replayable trace of (term, rule, position)
-steps, capped by a step budget so failure is observable instead of
-divergent.
+steps, where term is an index into that list, capped by a step budget so
+failure is observable instead of divergent.
 
 The unit object and the single tensor site are identified with their
 images outright, which is how the deformed Casimir tensor ``t_h`` types
@@ -38,8 +43,10 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .deformation import AB_ALPHABET, alpha, builtin_table
 from .hseries import HSeries
-from .ncalg import LinearCombination, Scalar, ScalarLike, _sum, substitute
+from .matrices import SparseMatrix
+from .ncalg import LinearCombination, NCPoly, Scalar, ScalarLike, _sum, substitute
 
 __all__ = [
     "ClassicalPoly",
@@ -369,21 +376,29 @@ class TransportElement(LinearCombination):
         return ".".join(_factor_text(f) for f in factors)
 
 
-# -- expression trees ----------------------------------------------------------
+# -- expressions ----------------------------------------------------------------
+
+_ONE = Scalar.one()
+
 
 class MorphTerm:
-    """Immutable morphism expression with explicit typing."""
+    """Immutable, typed morphism expression: its (coefficient, factors)
+    terms in construction order."""
 
-    __slots__ = ("kind", "payload", "dom", "cod")
+    __slots__ = ("terms", "dom", "cod")
 
-    def __init__(self, kind, payload, dom, cod):
-        self.kind = kind
-        self.payload = payload
+    def __init__(self, terms, dom, cod):
+        self.terms = tuple(terms)
         self.dom = dom
         self.cod = cod
 
     def __repr__(self):
-        return f"MorphTerm({self.kind}, {_obj_text(self.dom)} -> {_obj_text(self.cod)})"
+        return f"MorphTerm({len(self.terms)} terms, {_obj_text(self.dom)} -> {_obj_text(self.cod)})"
+
+
+def _factor_term(factor) -> MorphTerm:
+    dom, cod = _factor_type(factor)
+    return MorphTerm([(_ONE, (factor,))], dom, cod)
 
 
 def gen(name: str) -> MorphTerm:
@@ -391,15 +406,11 @@ def gen(name: str) -> MorphTerm:
         base, side = LIFT_SUGAR[name]
         return lift(base, side)
     if name in QUANTUM_GENS:
-        dom, cod = QUANTUM_GENS[name]
-        return MorphTerm("gen", name, dom, cod)
+        return _factor_term(("g", name))
     if name in CONJUGATORS:
-        k = CONJUGATORS[name]
-        return MorphTerm("conj", (name, 1), q_obj(k), x_obj(k))
+        return _factor_term(("c", name, 1))
     if name.endswith("_inv") and name[:-4] in CONJUGATORS:
-        base = name[:-4]
-        k = CONJUGATORS[base]
-        return MorphTerm("conj", (base, -1), x_obj(k), q_obj(k))
+        return _factor_term(("c", name[:-4], -1))
     raise TransportError(f"unsupported generator {name!r}")
 
 
@@ -408,76 +419,54 @@ def lift(name: str, side: str) -> MorphTerm:
         raise TransportError("lift side must be 'left' or 'right'")
     if name not in _LIFTABLE:
         raise TransportError(f"generator {name!r} cannot be tensored with the identity here")
-    dom, cod = _factor_type(("l", name, side))
-    return MorphTerm("lift", (name, side), dom, cod)
+    return _factor_term(("l", name, side))
 
 
 def identity_on(k: int) -> MorphTerm:
-    return MorphTerm("identity", None, q_obj(k), q_obj(k))
+    return MorphTerm([(_ONE, ())], q_obj(k), q_obj(k))
 
 
 def xblock(poly: ClassicalPoly) -> MorphTerm:
-    return MorphTerm("xblock", poly, x_obj(poly.dom), x_obj(poly.cod))
+    return _factor_term(("X", poly))
+
+
+_T_H_TERMS = ((_ONE, (("g", "T_h"),)),)
 
 
 def compose(*parts: MorphTerm) -> MorphTerm:
+    """``parts[0]`` after ``parts[1]`` after ...; the terms are the
+    products of the parts' terms, taken left to right."""
     if not parts:
         raise TransportError("compose needs at least one factor")
-    if len(parts) == 1:
-        return parts[0]
     for left, right in zip(parts, parts[1:]):
         if left.dom != right.cod and not (
-            isinstance(right.cod, tuple)
-            and right.cod[0] == "mix"
-            and left.kind == "gen"
-            and left.payload == "T_h"
+            isinstance(right.cod, tuple) and right.cod[0] == "mix" and left.terms == _T_H_TERMS
         ):
             raise TransportError(
                 f"cannot compose {_obj_text(left.dom)} after {_obj_text(right.cod)}"
             )
-    return MorphTerm("compose", tuple(parts), parts[-1].dom, parts[0].cod)
+    terms = parts[0].terms
+    for part in parts[1:]:
+        terms = [(c1 * c2, f1 + f2) for c1, f1 in terms for c2, f2 in part.terms]
+    return MorphTerm(terms, parts[-1].dom, parts[0].cod)
 
 
 def morph_sum(*weighted: tuple[ScalarLike, MorphTerm]) -> MorphTerm:
+    """The weighted terms of each summand, concatenated in order."""
     if not weighted:
         raise TransportError("sum needs at least one term")
-    items = [(Scalar.coerce(c), t) for c, t in weighted]
-    dom, cod = items[0][1].dom, items[0][1].cod
-    for _, t in items:
-        if (t.dom, t.cod) != (dom, cod):
+    dom, cod = weighted[0][1].dom, weighted[0][1].cod
+    terms = []
+    for weight, expr in weighted:
+        if (expr.dom, expr.cod) != (dom, cod):
             raise TransportError("sum of differently typed morphisms")
-    return MorphTerm("sum", tuple(items), dom, cod)
+        weight = Scalar.coerce(weight)
+        terms.extend((weight * c, f) for c, f in expr.terms)
+    return MorphTerm(terms, dom, cod)
 
 
 def scale(factor: ScalarLike, term: MorphTerm) -> MorphTerm:
     return morph_sum((factor, term))
-
-
-def _flatten(expr: MorphTerm) -> list[tuple[Scalar, tuple]]:
-    if expr.kind == "gen":
-        return [(Scalar.one(), (("g", expr.payload),))]
-    if expr.kind == "conj":
-        name, sign = expr.payload
-        return [(Scalar.one(), (("c", name, sign),))]
-    if expr.kind == "lift":
-        name, side = expr.payload
-        return [(Scalar.one(), (("l", name, side),))]
-    if expr.kind == "identity":
-        return [(Scalar.one(), ())]
-    if expr.kind == "xblock":
-        return [(Scalar.one(), (("X", expr.payload),))]
-    if expr.kind == "compose":
-        acc = [(Scalar.one(), ())]
-        for part in expr.payload:
-            part_terms = _flatten(part)
-            acc = [(c1 * c2, f1 + f2) for c1, f1 in acc for c2, f2 in part_terms]
-        return acc
-    if expr.kind == "sum":
-        out = []
-        for coeff, term in expr.payload:
-            out.extend((coeff * c, f) for c, f in _flatten(term))
-        return out
-    raise TransportError(f"unknown expression kind {expr.kind!r}")
 
 
 # -- the rewrite engine ---------------------------------------------------------
@@ -489,8 +478,6 @@ def _conj(name: str, sign: int = 1):
 def _x(*atoms: str):
     return ("X", ClassicalPoly.word(atoms))
 
-
-_ONE = Scalar.one()
 
 # Expansion rules, each replacing one fixed run of factors: rule name,
 # matched run, replacement.
@@ -611,10 +598,8 @@ def _normalize_raw_terms(raw, dom, cod, budget: int = STEP_BUDGET, trace=None):
 
 def normalize_traced(expr: MorphTerm, budget: int = STEP_BUDGET):
     """Normalize and return (element, replayable trace)."""
-    if isinstance(expr.dom, tuple) and expr.dom[0] == "mix":
-        raise TransportError("expression has a mixed type; compose it under the bracket first")
     trace: list[dict] = []
-    element, _ = _normalize_raw_terms(_flatten(expr), expr.dom, expr.cod, budget, trace)
+    element, _ = _normalize_raw_terms(expr.terms, expr.dom, expr.cod, budget, trace)
     return element, trace
 
 
@@ -624,7 +609,7 @@ def normalize(expr: MorphTerm, budget: int = STEP_BUDGET) -> TransportElement:
 
 def replay_trace(expr: MorphTerm, trace) -> TransportElement:
     """Re-apply a recorded trace step by step, without searching."""
-    raw = [[coeff, factors] for coeff, factors in _flatten(expr)]
+    raw = [[coeff, factors] for coeff, factors in expr.terms]
     for step in trace:
         index, rule, pos = step["term"], step["rule"], step["pos"]
         coeff, factors = raw[index]
@@ -761,28 +746,24 @@ def identity_expressions(identity: str):
     raise TransportError(f"unknown identity {identity!r}")
 
 
-def _alpha_chain(word: tuple[str, ...]) -> MorphTerm:
-    """The conjugated composition chain for a word over the letters A, B."""
-    from .deformation import alpha
-    from .ncalg import NCPoly
-    from .deformation import AB_ALPHABET
-
-    image = alpha(NCPoly.word(AB_ALPHABET, word))
-    ((img_word, _),) = image.sorted_terms()
-    letter_map = {
-        "C": gen("Omega_h_12"),
-        "D": gen("Omega_h_23"),
-        "Z": gen("psi"),
-        "Zinv": gen("psi_inv"),
-    }
-    if not img_word:
-        return identity_on(3)
-    return compose(*[letter_map[letter] for letter in img_word])
+# Letters of a table word -> classical atoms of its image block, and
+# letters of its alpha image -> generators of its conjugated chain.
+_BLOCK_ATOMS = {"A": "Om12", "B": "Om23"}
+_CHAIN_GENS = {"C": "Omega_h_12", "D": "Omega_h_23", "Z": "psi", "Zinv": "psi_inv"}
 
 
-def _classical_word_for(word: tuple[str, ...]) -> ClassicalPoly:
-    atom_map = {"A": "Om12", "B": "Om23"}
-    return ClassicalPoly.word(tuple(atom_map[l] for l in word))
+def _series_claim(identity: str, weighted_words) -> tuple[MorphTerm, MorphTerm]:
+    """Both sides of the 5.1a/5.1b claim for a weighted sum of words over
+    A, B: the image blocks, and the conjugated sum of the chains their
+    alpha images spell."""
+    blocks, chains = [], []
+    for word, weight in weighted_words:
+        blocks.append((weight, xblock(ClassicalPoly.word([_BLOCK_ATOMS[l] for l in word]))))
+        ((image, _),) = alpha(NCPoly.word(AB_ALPHABET, word)).sorted_terms()
+        chain = compose(*[gen(_CHAIN_GENS[l]) for l in image]) if image else identity_on(3)
+        chains.append((weight, chain))
+    outer = (gen("N"),) if identity == "5.1b" else (gen("M"), gen("psi"))
+    return morph_sum(*blocks), compose(*outer, morph_sum(*chains), gen("N_inv"))
 
 
 def series_degree_expressions(identity: str, table, degree: int):
@@ -794,69 +775,49 @@ def series_degree_expressions(identity: str, table, degree: int):
     """
     if identity not in ("5.1a", "5.1b"):
         raise TransportError(f"{identity!r} has no per-degree series form")
-    entry = table.entry(degree)
-    blocks = [(coeff, xblock(_classical_word_for(word))) for word, coeff in entry.sorted_terms()]
-    chains = [(coeff, _alpha_chain(word)) for word, coeff in entry.sorted_terms()]
-    lhs_expr = morph_sum(*blocks)
-    if identity == "5.1b":
-        rhs_expr = compose(gen("N"), morph_sum(*chains), gen("N_inv"))
-    else:
-        rhs_expr = compose(gen("M"), gen("psi"), morph_sum(*chains), gen("N_inv"))
-    return lhs_expr, rhs_expr
+    return _series_claim(identity, table.entry(degree).sorted_terms())
 
 
-def _verify_series_coefficients(identity: str, table, degrees):
-    from .deformation import builtin_table
-
+def _verify_series_coefficients(identity: str, table, degrees) -> IdentityReport:
+    """Each monomial's claim, then the assembled entry's, degree by
+    degree; the report carries the last assembled claim's normal forms
+    and traces."""
     table = table if table is not None else builtin_table()
     degrees = list(degrees) if degrees is not None else table.degrees()
     if not degrees:
         raise TransportError("no degrees to check: the table has no nonzero entries")
     details = []
-    passed = True
-    n_plus, n_minus = gen("N"), gen("N_inv")
-    m_plus = gen("M")
     for k in degrees:
-        entry = table.entry(k)
-        for word, _coeff in entry.sorted_terms():
-            lhs = xblock(_classical_word_for(word))
-            chain = _alpha_chain(word)
-            if identity == "5.1b":
-                rhs = compose(n_plus, chain, n_minus)
-            else:
-                rhs = compose(m_plus, gen("psi"), chain, n_minus)
-            lhs_el, _ = normalize_traced(lhs)
-            rhs_el, _ = normalize_traced(rhs)
-            ok = lhs_el == rhs_el
-            passed = passed and ok
+        entry = table.entry(k).sorted_terms()
+        claims = [(".".join(word) if word else "1", [(word, 1)]) for word, _ in entry]
+        claims.append(("<assembled>", entry))
+        for monomial, weighted_words in claims:
+            lhs_expr, rhs_expr = _series_claim(identity, weighted_words)
+            lhs_el, lhs_trace = normalize_traced(lhs_expr)
+            rhs_el, rhs_trace = normalize_traced(rhs_expr)
             details.append(
                 {
                     "degree": k,
-                    "monomial": ".".join(word) if word else "1",
-                    "passed": ok,
+                    "monomial": monomial,
+                    "passed": lhs_el == rhs_el,
                     "lhs": lhs_el.to_text(),
                     "rhs": rhs_el.to_text(),
                 }
             )
-        lhs_expr, rhs_expr = series_degree_expressions(identity, table, k)
-        lhs_el, lhs_trace = normalize_traced(lhs_expr)
-        rhs_el, rhs_trace = normalize_traced(rhs_expr)
-        ok = lhs_el == rhs_el
-        passed = passed and ok
-        details.append(
-            {
-                "degree": k,
-                "monomial": "<assembled>",
-                "passed": ok,
-                "lhs": lhs_el.to_text(),
-                "rhs": rhs_el.to_text(),
-            }
-        )
     note = (
         "per-monomial conjugation identities assemble the degree-k series claim "
         "through the two exact conjugator identities for the associator pair"
     )
-    return passed, details, (note,), (lhs_el.to_text(), rhs_el.to_text()), (lhs_trace, rhs_trace)
+    return IdentityReport(
+        identity=identity,
+        passed=all(item["passed"] for item in details),
+        lhs_text=lhs_el.to_text(),
+        rhs_text=rhs_el.to_text(),
+        lhs_trace=lhs_trace,
+        rhs_trace=rhs_trace,
+        notes=(note,),
+        details=details,
+    )
 
 
 def _verify_braiding_series(order: int) -> IdentityReport:
@@ -907,19 +868,7 @@ def verify_identity(identity: str, table=None, degrees=None, order: int = 4) -> 
     checks; ``order`` sets the truncation for the braiding relation.
     """
     if identity in ("5.1a", "5.1b"):
-        passed, details, notes, (lhs_text, rhs_text), (lhs_trace, rhs_trace) = (
-            _verify_series_coefficients(identity, table, degrees)
-        )
-        return IdentityReport(
-            identity=identity,
-            passed=passed,
-            lhs_text=lhs_text,
-            rhs_text=rhs_text,
-            lhs_trace=lhs_trace,
-            rhs_trace=rhs_trace,
-            notes=notes,
-            details=details,
-        )
+        return _verify_series_coefficients(identity, table, degrees)
     if identity == "sigma_h_def":
         return _verify_braiding_series(order)
 
@@ -979,8 +928,6 @@ class TransportModel:
 
     @classmethod
     def trivial(cls, ops, order: int) -> "TransportModel":
-        from .matrices import SparseMatrix
-
         d = ops.alg.dim
         eye3 = HSeries.constant(SparseMatrix.identity(d ** 3), order)
         eye2 = HSeries.constant(SparseMatrix.identity(d ** 2), order)
@@ -988,8 +935,6 @@ class TransportModel:
 
     @classmethod
     def conjugated(cls, ops, order: int, psi_series: HSeries) -> "TransportModel":
-        from .matrices import SparseMatrix
-
         d = ops.alg.dim
         eye3 = HSeries.constant(SparseMatrix.identity(d ** 3), order)
         eye2 = HSeries.constant(SparseMatrix.identity(d ** 2), order)
@@ -1015,76 +960,61 @@ class TransportModel:
         return self.ops.alg.dim ** obj[1]
 
     def _xpoly_series(self, poly: ClassicalPoly) -> HSeries:
-        from .matrices import SparseMatrix
-
         zero = SparseMatrix.zeros(self._dim_of(x_obj(poly.cod)), self._dim_of(x_obj(poly.dom)))
         images = {atom: self.atom_matrix(atom) for atom in poly.support()}
         return HSeries.constant(substitute(poly, images, zero), self.order)
 
     def _factor_series(self, factor) -> HSeries:
-        if factor[0] == "c":
+        """The model meaning of one factor; deformed generators and lifts
+        are read by their definitions here, independently of the rewrite
+        rules, so evaluating an expression checks its normal form."""
+        kind = factor[0]
+        if kind == "c":
             return self._conj_series(factor[1], factor[2])
-        if factor[0] == "X":
+        if kind == "X":
             return self._xpoly_series(factor[1])
-        raise TransportError(f"cannot evaluate unexpanded factor {_factor_text(factor)}")
 
-    def evaluate_element(self, element: TransportElement) -> HSeries:
-        from .matrices import SparseMatrix
+        def atom(name: str) -> HSeries:
+            return self._xpoly_series(ClassicalPoly.atom(name))
 
-        rows = self._dim_of(element.cod)
-        cols = self._dim_of(element.dom)
-        acc = HSeries.constant(SparseMatrix.zeros(rows, cols), self.order)
-        for coeff, factors in element.terms:
+        if kind == "l":
+            _, name, side = factor
+            if name == "T_h":
+                raise TransportError("a bare bracket lift has no standalone evaluation")
+            base = {"sigma_h": "sig", "Omega_h": "Om"}[name]
+            if side == "left":
+                return self.N_inv * atom(base + "12") * self.N
+            return self.M_inv * atom(base + "23") * self.M
+        name = factor[1]
+        if name == "T_h":
+            return atom("T") * self.Mvv
+        if name == "sigma_h":
+            return self.Mvv_inv * atom("sig") * self.Mvv
+        if name == "Omega_h":
+            return self.Mvv_inv * atom("Om") * self.Mvv
+        if name == "t_h":
+            return self.Mvv_inv * atom("tcas")
+        if name == "psi":
+            return self.M_inv * self.N
+        # psi_inv, the last of QUANTUM_GENS
+        return self.N_inv * self.M
+
+    def _evaluate_terms(self, terms, dom, cod) -> HSeries:
+        cols = self._dim_of(dom)
+        acc = None
+        for coeff, factors in terms:
             prod = HSeries.constant(SparseMatrix.identity(cols), self.order)
             for factor in reversed(factors):
                 prod = self._factor_series(factor) * prod
-            acc = acc + prod.scale(coeff)
+            acc = prod.scale(coeff) if acc is None else acc + prod.scale(coeff)
+        if acc is None:
+            return HSeries.constant(SparseMatrix.zeros(self._dim_of(cod), cols), self.order)
         return acc
 
-    def evaluate_expr(self, expr: MorphTerm) -> HSeries:
-        from .matrices import SparseMatrix
+    def evaluate_element(self, element: TransportElement) -> HSeries:
+        return self._evaluate_terms(element.terms, element.dom, element.cod)
 
-        if expr.kind == "compose":
-            parts = [self.evaluate_expr(p) for p in expr.payload]
-            acc = parts[0]
-            for p in parts[1:]:
-                acc = acc * p
-            return acc
-        if expr.kind == "sum":
-            acc = None
-            for coeff, term in expr.payload:
-                piece = self.evaluate_expr(term).scale(coeff)
-                acc = piece if acc is None else acc + piece
-            return acc
-        if expr.kind == "identity":
-            return HSeries.constant(SparseMatrix.identity(self._dim_of(expr.dom)), self.order)
-        if expr.kind == "xblock":
-            return self._xpoly_series(expr.payload)
-        if expr.kind == "conj":
-            name, sign = expr.payload
-            return self._conj_series(name, sign)
-        if expr.kind == "lift":
-            name, side = expr.payload
-            if name == "T_h":
-                raise TransportError("a bare bracket lift has no standalone evaluation")
-            atom = {"sigma_h": ("sig12", "sig23"), "Omega_h": ("Om12", "Om23")}[name]
-            inner = self._xpoly_series(ClassicalPoly.atom(atom[0] if side == "left" else atom[1]))
-            conj = self.N if side == "left" else self.M
-            conj_inv = self.N_inv if side == "left" else self.M_inv
-            return conj_inv * inner * conj
-        if expr.kind == "gen":
-            name = expr.payload
-            if name == "T_h":
-                return self._xpoly_series(ClassicalPoly.atom("T")) * self.Mvv
-            if name == "sigma_h":
-                return self.Mvv_inv * self._xpoly_series(ClassicalPoly.atom("sig")) * self.Mvv
-            if name == "Omega_h":
-                return self.Mvv_inv * self._xpoly_series(ClassicalPoly.atom("Om")) * self.Mvv
-            if name == "t_h":
-                return self.Mvv_inv * self._xpoly_series(ClassicalPoly.atom("tcas"))
-            if name == "psi":
-                return self.M_inv * self.N
-            if name == "psi_inv":
-                return self.N_inv * self.M
-            raise TransportError(f"no evaluation for generator {name!r}")
-        raise TransportError(f"unknown expression kind {expr.kind!r}")
+    def evaluate_expr(self, expr: MorphTerm) -> HSeries:
+        """The expression read factor by factor in the model, without
+        normalizing it."""
+        return self._evaluate_terms(expr.terms, expr.dom, expr.cod)

@@ -57,6 +57,15 @@ def test_psi_golden_file(capsys):
     assert out == (GOLDEN / "psi_order6.txt").read_text()
 
 
+def test_verify_transport_json_golden(capsys):
+    # Every identity's normal forms and replayable traces, so a change in
+    # the term order of an expression (4.4 and the 5.1 claims compose
+    # sums) changes the trace indices and fails here.
+    code, out = run_cli(capsys, "verify", "transport", "--format", "json")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "verify_transport.json").read_bytes()
+
+
 def test_psi_matches_spec_base_case(capsys):
     code, out = run_cli(capsys, "psi", "--order", "2", "--golden")
     assert code == 0
@@ -210,6 +219,10 @@ def test_table_validate_rejects_malformed_document(tmp_path, doc):
 _SL2_BRACKETS = [[1, 0, [[0, "2"]]], [1, 2, [[2, "-2"]]], [0, 2, [[1, "1"]]]]
 
 
+def _sl2_doc(*brackets):
+    return {"dim": 3, "basis": ["e", "h", "f"], "brackets": list(brackets)}
+
+
 @pytest.mark.parametrize("command", [["omega"], ["eval", "--order", "3"]], ids=["omega", "eval"])
 @pytest.mark.parametrize(
     "doc, field_name",
@@ -223,6 +236,11 @@ _SL2_BRACKETS = [[1, 0, [[0, "2"]]], [1, 2, [[2, "-2"]]], [0, 2, [[1, "1"]]]]
         ({"dim": True, "basis": ["e"], "brackets": _SL2_BRACKETS}, "dim"),
         ({"dim": 3, "basis": "ehf", "brackets": _SL2_BRACKETS}, "basis"),
         ({"dim": 3, "basis": ["e", "h", 3], "brackets": _SL2_BRACKETS}, "basis"),
+        (_sl2_doc(["1", 0, [[0, "2"]]], *_SL2_BRACKETS[1:]), "bracket"),
+        (_sl2_doc([1.5, 0, [[0, "2"]]], *_SL2_BRACKETS[1:]), "bracket"),
+        (_sl2_doc([1, 0, [[0.5, "2"]]], *_SL2_BRACKETS[1:]), "bracket"),
+        (_sl2_doc(*_SL2_BRACKETS[:2], [0, 2, [[True, "1"]]]), "bracket"),
+        (_sl2_doc(*_SL2_BRACKETS[:2], [0, 2, [[1, True]]]), "bracket"),
     ],
     ids=[
         "brackets-number",
@@ -234,6 +252,11 @@ _SL2_BRACKETS = [[1, 0, [[0, "2"]]], [1, 2, [[2, "-2"]]], [0, 2, [[1, "1"]]]]
         "dim-bool",
         "basis-string",
         "basis-number-label",
+        "bracket-index-string",
+        "bracket-index-float",
+        "bracket-target-float",
+        "bracket-target-bool",
+        "bracket-coefficient-bool",
     ],
 )
 def test_malformed_algebra_file_exits_3(tmp_path, command, doc, field_name):
@@ -258,19 +281,27 @@ def test_malformed_algebra_file_exits_3(tmp_path, command, doc, field_name):
     ids=["omega-sl2", "eval-sl3", "verify-classical", "verify-rmatrix"],
 )
 def test_bracket_maps_built_once_per_algebra_command(capsys, monkeypatch, argv):
+    # Validation builds the bracket maps and the Killing form, and the
+    # tensor operators reuse both.
     from qjacobi import liealg
 
     calls = []
-    original = liealg._bracket_maps
+    original_maps = liealg._bracket_maps
+    original_killing = liealg.LieAlgebraData.killing
 
-    def counted(alg):
-        calls.append(alg.name)
-        return original(alg)
+    def counted_maps(alg):
+        calls.append("maps")
+        return original_maps(alg)
 
-    monkeypatch.setattr(liealg, "_bracket_maps", counted)
+    def counted_killing(alg):
+        calls.append("killing")
+        return original_killing(alg)
+
+    monkeypatch.setattr(liealg, "_bracket_maps", counted_maps)
+    monkeypatch.setattr(liealg.LieAlgebraData, "killing", counted_killing)
     code, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert len(calls) == 1
+    assert sorted(calls) == ["killing", "maps"]
 
 
 def test_omega_report(capsys):

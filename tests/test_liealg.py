@@ -126,10 +126,37 @@ def test_malformed_algebra_documents_rejected():
         ("basis", {"dim": 3, "basis": ("e", "h", "f"), "brackets": sl2_brackets}),
         ("basis", {"dim": 3, "basis": ["e", "h", 3], "brackets": sl2_brackets}),
     ]
+
+    def sl2_with(index=lambda i: i, coeff=lambda c: c):
+        brackets = [
+            [index(i), index(j), [[index(k), coeff(c)] for k, c in row]] for i, j, row in sl2_brackets
+        ]
+        return {"dim": 3, "basis": ["e", "h", "f"], "brackets": brackets}
+
+    # Bracket indices must be integers and coefficients strings or
+    # integers; each of these once loaded as sl2.
+    mistyped += [("bracket", sl2_with(index=str))]
+    mistyped += [("bracket", sl2_with(index=lambda i: i + offset)) for offset in (0.25, 0.5, 0.75)]
+    mistyped += [
+        ("bracket", sl2_with(index=lambda i: True if i == 1 else i)),
+        ("bracket", sl2_with(coeff=lambda c: True if c == "1" else c)),
+    ]
+    half_target = sl2_with()
+    half_target["brackets"][0][2][0][0] = 0.5
+    mistyped.append(("bracket", half_target))
     for field_name, doc in mistyped:
         for load in (build_algebra, algebra_from_data):
             with pytest.raises(AlgebraError, match=field_name):
                 load(doc)
+
+
+def test_degenerate_killing_form_rejected():
+    # [x, y] = y passes antisymmetry and Jacobi, but the algebra is
+    # solvable: its Killing form has rank 1.
+    doc = {"dim": 2, "basis": ["x", "y"], "brackets": [[0, 1, [[1, "1"]]]]}
+    for load in (build_algebra, algebra_from_data):
+        with pytest.raises(AlgebraError, match="Killing form is degenerate"):
+            load(doc)
 
 
 def _naive_sl_n(n):

@@ -1,12 +1,13 @@
 """Tests for the typed conjugation rewriter."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qjacobi.deformation import builtin_table
+from qjacobi.deformation import builtin_table, parse_table
 from qjacobi.liealg import build_algebra, build_tensor_ops, eval_series
 from qjacobi.matrices import SparseMatrix
 from qjacobi.ncalg import Scalar
@@ -19,6 +20,7 @@ from qjacobi.transport import (
     classical_normalize,
     compose,
     gen,
+    identity_expressions,
     identity_on,
     lift,
     morph_sum,
@@ -27,6 +29,7 @@ from qjacobi.transport import (
     q_obj,
     replay_trace,
     scale,
+    series_degree_expressions,
     verify_identity,
     xblock,
 )
@@ -104,6 +107,20 @@ def test_budget_exhaustion_is_an_error():
         normalize(expr, budget=3)
 
 
+def _mixed_table():
+    """Multi-term entries with an ipi term and a user constant."""
+    entries = {"2": "1/24*A.B - 1/24*B.A", "3": "c*A.A.B - 2*ipi*A.B.A + 1/3*B.B.A"}
+    return parse_table(json.dumps({"constants": ["c"], "entries": entries}))
+
+
+def _series_sides():
+    """Both sides of every 5.1 claim, for the built-in and the mixed table."""
+    for table in (builtin_table(), _mixed_table()):
+        for identity in ("5.1a", "5.1b"):
+            for k in table.degrees():
+                yield series_degree_expressions(identity, table, k)
+
+
 def test_traces_replay_to_the_same_normal_form():
     s12 = lift("sigma_h", "left")
     exprs = [
@@ -111,6 +128,10 @@ def test_traces_replay_to_the_same_normal_form():
         compose(gen("T_h"), lift("T_h", "left")),
         compose(gen("psi"), s12, gen("psi_inv")),
     ]
+    for identity in ("4.3a", "4.3b", "4.4", "4.5"):
+        exprs.extend(identity_expressions(identity))
+    for sides in _series_sides():
+        exprs.extend(sides)
     for expr in exprs:
         element, trace = normalize_traced(expr)
         assert replay_trace(expr, trace) == element
@@ -432,3 +453,13 @@ def test_scaled_sums_evaluate_linearly(models):
         ).scale(Scalar.rational(-1, 3))
         assert direct == combo
         assert model.evaluate_element(normalize(expr)) == direct
+
+
+def test_series_claims_evaluate_equally_in_both_models(models):
+    # Sums of image blocks and sums inside compositions, read directly in
+    # the model, against the normal form of the conjugated side.
+    for lhs, rhs in _series_sides():
+        for model in models:
+            direct = model.evaluate_expr(lhs)
+            assert model.evaluate_expr(rhs) == direct
+            assert model.evaluate_element(normalize(rhs)) == direct
