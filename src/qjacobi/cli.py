@@ -5,6 +5,9 @@ braiding and transport suites), ``eval`` (matrix evaluation on an
 algebra), ``table validate`` and ``omega``.  Text output uses the
 canonical interchange grammar shared with the library, so identical
 invocations are byte-identical and golden files can be diffed.
+``--format json`` and ``table validate`` write through
+:func:`qjacobi.jsontext.dumps`, whose text is exactly that of
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 
 Exit codes: 0 success, 1 a verified identity failed, 2 bad arguments,
 3 unreadable or invalid table/algebra input, 4 an internal invariant
@@ -18,6 +21,7 @@ import argparse
 import json
 import sys
 
+from . import jsontext
 from .deformation import TableError, load_table, validate_table
 from .hseries import SeriesError
 from .liealg import (
@@ -48,7 +52,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return jsontext.dumps(doc)
 
 
 def cmd_psi(args) -> int:

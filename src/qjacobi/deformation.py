@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
+from . import jsontext
 from .hseries import HSeries, SeriesError
 from .ncalg import _NAME_RE, Alphabet, NCPoly, Scalar, parse_poly, substitute
 
@@ -140,9 +141,20 @@ def validate_table(table: EkTable) -> TableDiagnostics:
     return TableDiagnostics(table.source, degrees, missing, problems)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads keeps the last of two equal keys; a table must not
+    # depend on which one that is.
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise TableError(f"duplicate key {key!r} in table document")
+        doc[key] = value
+    return doc
+
+
 def parse_table(text: str, source: str = "custom") -> EkTable:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise TableError(f"cannot parse table: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
@@ -162,8 +174,10 @@ def parse_table(text: str, source: str = "custom") -> EkTable:
     for key, value in doc["entries"].items():
         try:
             degree = int(key)
-        except ValueError as exc:
-            raise TableError(f"bad degree key {key!r}") from exc
+        except ValueError:
+            degree = None
+        if degree is None or str(degree) != key:
+            raise TableError(f"bad degree key {key!r}: degrees are written as plain decimal integers")
         if not isinstance(value, str):
             raise TableError(f"degree {degree}: entry must be canonical polynomial text")
         try:
@@ -197,7 +211,7 @@ def dump_table(table: EkTable) -> str:
         "entries": {str(k): table.entries[k].to_text() for k in sorted(table.entries)},
         "provenance": {str(k): table.provenance.get(k, "") for k in sorted(table.entries)},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return jsontext.dumps(doc)
 
 
 def builtin_table_text() -> str:

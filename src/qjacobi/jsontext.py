@@ -1,0 +1,83 @@
+"""The package's JSON writer.
+
+:func:`dumps` returns exactly ``json.dumps(doc, indent=2, sort_keys=True)
++ "\\n"`` for the values the package emits: ``dict`` with ``str`` keys,
+``list``, ``str``, ``int``, ``bool`` and ``None``.  Anything else raises
+``TypeError``.
+
+With ``indent`` set, ``json.dumps`` leaves the C encoder for a chain of
+Python generators that yields every cell of a dense matrix separately.
+Here a list whose items are all ``str`` (a matrix row, a series
+coefficient list) is written by one ``str.join``.  One encoder call on
+the concatenated cells tells whether any cell needs escaping; when none
+does, the raw cells are joined between quotes, and otherwise the
+encoded cells are joined.
+"""
+
+from __future__ import annotations
+
+from json.encoder import encode_basestring_ascii as _quote
+
+__all__ = ["dumps"]
+
+_INDENT = "  "
+
+
+def dumps(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``."""
+    parts: list[str] = []
+    _write(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value, newline: str, parts: list[str]) -> None:
+    """Append the text of ``value`` at the indent that ``newline`` (a
+    line break followed by the current indent) carries."""
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        inner = newline + _INDENT
+        opener = "{"
+        for key in sorted(value):
+            parts.append(opener + inner + _quote(key) + ": ")
+            _write(value[key], inner, parts)
+            opener = ","
+        parts.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + _INDENT
+        try:
+            cells = "".join(value)  # raises TypeError unless every item is a str
+        except TypeError:
+            cells = None
+        if cells is not None:
+            if _quote(cells) == '"' + cells + '"':
+                # Escaping is per character, so no cell needs it.
+                parts.append("[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + newline + "]")
+            else:
+                parts.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+            return
+        opener = "["
+        for item in value:
+            parts.append(opener + inner)
+            _write(item, inner, parts)
+            opener = ","
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -15,6 +15,7 @@ at position i*d + j (row-major), and likewise for triple spaces.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -154,13 +155,20 @@ def _sl_n(n: int) -> LieAlgebraData:
 _PRESETS = {"sl2": _sl2, "sl3": lambda: _sl_n(3)}
 
 
+_COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _frac(value) -> Fraction:
+    if type(value) is int:
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise AlgebraError(f"structure coefficients must be exact, got {type(value).__name__}")
+    if not _COEFF_RE.fullmatch(value):
+        raise AlgebraError(f"bad structure coefficient {value!r}: write an integer or p/q")
     try:
-        if isinstance(value, (str, int)) and not isinstance(value, bool):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
         raise AlgebraError(f"bad structure coefficient {value!r}: {exc}") from exc
-    raise AlgebraError(f"structure coefficients must be exact, got {type(value).__name__}")
 
 
 def _index(value) -> int:

@@ -57,6 +57,13 @@ def test_psi_golden_file(capsys):
     assert out == (GOLDEN / "psi_order6.txt").read_text()
 
 
+def test_eval_json_golden(capsys):
+    # Dense matrix rows are the bulk of every eval and omega JSON document.
+    code, out = run_cli(capsys, "eval", "--algebra", "sl2", "--order", "4", "--format", "json")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "eval_sl2_o4.json").read_bytes()
+
+
 def test_verify_transport_json_golden(capsys):
     # Every identity's normal forms and replayable traces, so a change in
     # the term order of an expression (4.4 and the 5.1 claims compose
@@ -216,6 +223,33 @@ def test_table_validate_rejects_malformed_document(tmp_path, doc):
     assert result.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "command", [["psi", "--order", "3", "--table"], ["table", "validate"]], ids=["psi", "table-validate"]
+)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"entries": {"2": "1/24*A.B - 1/24*B.A", "02": "A.B"}}', "bad degree key '02'"),
+        ('{"entries": {" 2": "1/24*A.B - 1/24*B.A"}}', "bad degree key ' 2'"),
+        ('{"entries": {"+2": "1/24*A.B - 1/24*B.A"}}', "bad degree key '+2'"),
+        ('{"entries": {"2": "1/24*A.B - 1/24*B.A", "2": "A.B"}}', "duplicate key '2'"),
+    ],
+    ids=["leading-zero", "space", "plus-sign", "duplicate"],
+)
+def test_table_degree_key_must_be_canonical(tmp_path, command, text, message):
+    # Each of these once loaded: int() reads " 2" and "+2" as degree 2,
+    # and of two keys naming degree 2 the later replaced the earlier.
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    cmd = [sys.executable, "-m", "qjacobi", *command, str(path)]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
 _SL2_BRACKETS = [[1, 0, [[0, "2"]]], [1, 2, [[2, "-2"]]], [0, 2, [[1, "1"]]]]
 
 
@@ -241,6 +275,9 @@ def _sl2_doc(*brackets):
         (_sl2_doc([1, 0, [[0.5, "2"]]], *_SL2_BRACKETS[1:]), "bracket"),
         (_sl2_doc(*_SL2_BRACKETS[:2], [0, 2, [[True, "1"]]]), "bracket"),
         (_sl2_doc(*_SL2_BRACKETS[:2], [0, 2, [[1, True]]]), "bracket"),
+        (_sl2_doc([1, 0, [[0, " 2.0 "]]], *_SL2_BRACKETS[1:]), "coefficient ' 2.0 '"),
+        (_sl2_doc([1, 0, [[0, "2e0"]]], *_SL2_BRACKETS[1:]), "coefficient '2e0'"),
+        (_sl2_doc(*_SL2_BRACKETS[:2], [0, 2, [[1, "1_0"]]]), "coefficient '1_0'"),
     ],
     ids=[
         "brackets-number",
@@ -257,6 +294,9 @@ def _sl2_doc(*brackets):
         "bracket-target-float",
         "bracket-target-bool",
         "bracket-coefficient-bool",
+        "coefficient-decimal-point",
+        "coefficient-exponent",
+        "coefficient-underscore",
     ],
 )
 def test_malformed_algebra_file_exits_3(tmp_path, command, doc, field_name):

@@ -1,6 +1,7 @@
 """Tests for the run-substitution map and coefficient tables."""
 
 import itertools
+import re
 
 import pytest
 
@@ -156,6 +157,22 @@ def test_malformed_table_payloads_rejected():
     ):
         with pytest.raises(TableError):
             parse_table(text)
+
+
+def test_degree_keys_must_be_canonical():
+    # int() accepts every one of these keys, so "02" once replaced the
+    # earlier "2": the first document loaded with degree-2 entry A.B.
+    for text, message in (
+        ('{"entries": {"2": "1/24*A.B - 1/24*B.A", "02": "A.B"}}', "bad degree key '02'"),
+        ('{"entries": {" 2": "1/24*A.B - 1/24*B.A"}}', "bad degree key ' 2'"),
+        ('{"entries": {"+2": "1/24*A.B - 1/24*B.A"}}', "bad degree key '+2'"),
+        ('{"entries": {"2_0": "A.B"}}', "bad degree key '2_0'"),
+        ('{"entries": {"2": "1/24*A.B - 1/24*B.A", "2": "A.B"}}', "duplicate key '2'"),
+        ('{"entries": {"2": "1/24*A.B - 1/24*B.A"}, "provenance": {"2": "a", "2": "b"}}', "duplicate key"),
+    ):
+        with pytest.raises(TableError, match=re.escape(message)):
+            parse_table(text)
+    assert parse_table('{"entries": {"2": "1/24*A.B - 1/24*B.A"}}').entries == builtin_table().entries
 
 
 # -- Gk / Fk ----------------------------------------------------------------------

@@ -148,6 +148,14 @@ def test_malformed_algebra_documents_rejected():
         for load in (build_algebra, algebra_from_data):
             with pytest.raises(AlgebraError, match=field_name):
                 load(doc)
+    # Coefficient strings are integers or p/q.  Each of these once loaded
+    # through Fraction's wider grammar (the last as sl2 scaled by 10);
+    # the error names the value.
+    for spell in (lambda c: f" {c}.0 ", lambda c: f"{c}e0", lambda c: f"{c}_0"):
+        doc = sl2_with(coeff=spell)
+        for load in (build_algebra, algebra_from_data):
+            with pytest.raises(AlgebraError, match=re.escape(repr(spell("-2")))):
+                load(doc)
 
 
 def test_degenerate_killing_form_rejected():
