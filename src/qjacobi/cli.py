@@ -9,10 +9,11 @@ invocations are byte-identical and golden files can be diffed.
 :func:`qjacobi.jsontext.dumps`, whose text is exactly that of
 ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 
-Exit codes: 0 success, 1 a verified identity failed, 2 bad arguments,
-3 unreadable or invalid table/algebra input, 4 an internal invariant
-failed (an ``EngineError``, ``ScalarError`` or ``MatrixError``: a defect
-of the program, not of the input).
+Exit codes: 0 success, 1 a verified identity failed, 2 bad arguments
+(an ``--out`` path that cannot be written is one), 3 unreadable or
+invalid table/algebra input, 4 an internal invariant failed (an
+``EngineError``, ``ScalarError`` or ``MatrixError``: a defect of the
+program, not of the input).
 """
 
 from __future__ import annotations
@@ -45,8 +46,11 @@ TRANSPORT_IDENTITIES = ("4.3a", "4.3b", "4.4", "4.5", "5.1a", "5.1b", "sigma_h_d
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 

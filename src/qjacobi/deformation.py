@@ -141,20 +141,11 @@ def validate_table(table: EkTable) -> TableDiagnostics:
     return TableDiagnostics(table.source, degrees, missing, problems)
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    # json.loads keeps the last of two equal keys; a table must not
-    # depend on which one that is.
-    doc: dict = {}
-    for key, value in pairs:
-        if key in doc:
-            raise TableError(f"duplicate key {key!r} in table document")
-        doc[key] = value
-    return doc
-
-
 def parse_table(text: str, source: str = "custom") -> EkTable:
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text, object_pairs_hook=jsontext.unique_keys)
+    except jsontext.DuplicateKeyError as exc:
+        raise TableError(f"{exc} in table document") from None
     except json.JSONDecodeError as exc:
         raise TableError(f"cannot parse table: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):

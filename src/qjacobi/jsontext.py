@@ -12,15 +12,35 @@ coefficient list) is written by one ``str.join``.  One encoder call on
 the concatenated cells tells whether any cell needs escaping; when none
 does, the raw cells are joined between quotes, and otherwise the
 encoded cells are joined.
+
+:func:`unique_keys` is the package's one ``object_pairs_hook`` for
+reading JSON documents (coefficient tables, algebra files): it refuses
+an object that names a key twice.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
 
-__all__ = ["dumps"]
+__all__ = ["DuplicateKeyError", "dumps", "unique_keys"]
 
 _INDENT = "  "
+
+
+class DuplicateKeyError(ValueError):
+    """A JSON object that names one key twice."""
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object of ``pairs``, refusing a repeated key: ``json.loads``
+    alone keeps the last of two equal keys, and a document must not
+    depend on which one that is."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DuplicateKeyError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def dumps(doc) -> str:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
+from . import jsontext
 from .hseries import HSeries
 from .matrices import MatrixError, SparseMatrix, kron, minimal_polynomial
 from .ncalg import NCPoly, Scalar, substitute
@@ -235,9 +236,11 @@ def _load_algebra(spec) -> LieAlgebraData:
     else:
         try:
             with open(spec, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
+                doc = json.load(handle, object_pairs_hook=jsontext.unique_keys)
         except OSError as exc:
             raise AlgebraError(f"cannot read algebra file: {exc}") from exc
+        except jsontext.DuplicateKeyError as exc:
+            raise AlgebraError(f"{exc} in algebra file") from None
         except json.JSONDecodeError as exc:
             raise AlgebraError(f"cannot parse algebra file: {exc}") from exc
         alg = _parse_algebra(doc, str(spec))
@@ -423,27 +426,25 @@ def verify_sigma_rmatrix(ops: TensorOps, order: int) -> Report:
     through the adjoint representation, while the correcting exponential
     uses the operator assembled from the bracket map, so the equality
     also certifies that the two constructions agree.
+
+    The check at h^k compares sigma (k = 0) or 0 (k >= 1) with sigma E_k,
+    where E_k is the h^k coefficient of E(h) = exp(ipi h t_action)
+    exp(-ipi h Omega).  With A = ipi t_action and B = -ipi Omega,
+    E' = A E + E B holds whether or not A and B commute, so E_0 = 1 and
+    k E_k = ipi (t_action E_(k-1) - E_(k-1) Omega).  This recurrence
+    yields exactly the coefficients of the product of the two exponential
+    series, with two matrix products per order.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    d2 = ops.alg.dim ** 2
-    ipi = Scalar.constant("ipi")
-    zero = SparseMatrix.zeros(d2, d2)
-
-    def one_step(matrix: SparseMatrix, coeff: Scalar) -> HSeries:
-        coeffs = [zero] * order
-        if order > 1:
-            coeffs[1] = matrix.scale(coeff)
-        return HSeries(coeffs)
-
-    sigma_series = HSeries.constant(ops.sigma, order)
-    braiding = sigma_series * one_step(ops.t_action, ipi).exp()
-    rhs = braiding * one_step(ops.Omega, -ipi).exp()
-
+    zero = ops.sigma.ring_zero()
     report = Report(ops.alg.name)
+    E = ops.sigma.ring_one()
     for k in range(order):
-        check = _matrix_check(f"h^{k}", sigma_series.coeffs[k], rhs.coeffs[k])
-        report.checks.append(check)
+        if k:
+            step = Scalar.constant("ipi", coeff=Fraction(1, k))
+            E = (ops.t_action * E - E * ops.Omega).scale(step)
+        report.checks.append(_matrix_check(f"h^{k}", zero if k else ops.sigma, ops.sigma * E))
     return report
 
 

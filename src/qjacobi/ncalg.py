@@ -596,10 +596,16 @@ def substitute(p: LinearCombination, images: Mapping[str, object], zero=None):
     target, exact matrices, or truncated series; a series among them
     turns the others into constant series and truncates everything to
     the weakest order.  Each word maps to the product of its letters'
-    images, starting at its first letter; the empty word maps to the
-    ring one.  ``zero`` is the zero of the target ring, by default that
-    of the images; typed words over rectangular matrices need it, since
-    their images do not fix the shape of the result.
+    images, multiplied from its first letter on; the empty word maps to
+    the ring one.  ``zero`` is the zero of the target ring, by default
+    that of the images; typed words over rectangular matrices need it,
+    since their images do not fix the shape of the result.
+
+    The words are taken in lexicographic order, which walks their prefix
+    trie depth first, left to right: the words that share a prefix come
+    together, so the image of each distinct nonempty prefix is one
+    product (the prefix before it times its last letter's image) and is
+    kept only while words below it remain.
     """
     from .hseries import HSeries
     from .matrices import SparseMatrix
@@ -626,14 +632,20 @@ def substitute(p: LinearCombination, images: Mapping[str, object], zero=None):
             return p
         zero = next(iter(imgs.values())).ring_zero()
     acc = zero
-    for word, coeff in p.sorted_terms():
-        if word:
-            prod = imgs[word[0]]
-            for letter in word[1:]:
-                prod = prod * imgs[letter]
-        else:
-            prod = zero.ring_one()
-        acc = acc + prod.scale(coeff)
+    # prefix[i] is the image of the first i + 1 letters of the last word.
+    prefix: list = []
+    last: tuple = ()
+    for word, coeff in sorted(p.sorted_terms(), key=lambda term: term[0]):
+        shared = 0
+        for x, y in zip(word, last):
+            if x != y:
+                break
+            shared += 1
+        del prefix[shared:]
+        for letter in word[shared:]:
+            prefix.append(prefix[-1] * imgs[letter] if prefix else imgs[letter])
+        acc = acc + (prefix[-1] if word else zero.ring_one()).scale(coeff)
+        last = word
     return acc
 
 

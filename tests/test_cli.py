@@ -64,6 +64,14 @@ def test_eval_json_golden(capsys):
     assert out.encode("utf-8") == (GOLDEN / "eval_sl2_o4.json").read_bytes()
 
 
+def test_eval_text_golden(capsys):
+    # The dense text form of every coefficient, from the prefix walk of
+    # the word evaluator over Psi's words up to length 7.
+    code, out = run_cli(capsys, "eval", "--algebra", "sl2", "--order", "8")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "eval_sl2_o8.txt").read_bytes()
+
+
 def test_verify_transport_json_golden(capsys):
     # Every identity's normal forms and replayable traces, so a change in
     # the term order of an expression (4.4 and the 5.1 claims compose
@@ -310,6 +318,21 @@ def test_malformed_algebra_file_exits_3(tmp_path, command, doc, field_name):
     assert field_name in result.stderr
 
 
+@pytest.mark.parametrize("command", [["omega"], ["eval", "--order", "3"]], ids=["omega", "eval"])
+def test_algebra_file_with_a_repeated_key_exits_3(tmp_path, command):
+    # json.load alone keeps the later "dim", and this file once loaded as sl2.
+    path = tmp_path / "algebra.json"
+    brackets = json.dumps(_SL2_BRACKETS)
+    path.write_text(f'{{"dim": 2, "dim": 3, "basis": ["e", "h", "f"], "brackets": {brackets}}}')
+    cmd = [sys.executable, "-m", "qjacobi", *command, "--algebra", str(path)]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "duplicate key 'dim'" in lines[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -377,3 +400,32 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert "1/24*O12.O23" in target.read_text()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["psi", "--order", "4"],
+        ["eval", "--algebra", "sl2", "--order", "2"],
+        ["verify", "rmatrix", "--order", "2"],
+        ["omega", "--algebra", "sl2"],
+        ["table", "validate", "TABLE"],
+    ],
+    ids=["psi", "eval", "verify", "omega", "table-validate"],
+)
+def test_out_to_an_unwritable_path_exits_2(tmp_path, command):
+    # Exit 1 means a verified identity failed; a failed write is not that.
+    from qjacobi.deformation import builtin_table_text
+
+    table = tmp_path / "table.json"
+    table.write_text(builtin_table_text())
+    command = [str(table) if arg == "TABLE" else arg for arg in command]
+    target = tmp_path / "missing" / "out.txt"
+    cmd = [sys.executable, "-m", "qjacobi", *command, "--out", str(target)]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
+    assert not target.parent.exists()

@@ -442,6 +442,62 @@ def test_sigma_rmatrix_fails_for_perturbed_omega(sl2_ops):
     assert not verify_sigma_rmatrix(bad, 3).ok
 
 
+def rmatrix_oracle(ops, order):
+    """The braiding report from sigma exp(ipi h t_action) exp(-ipi h Omega)
+    built as generic series exponentials and series products, with the
+    h^k coefficients of the right-hand side."""
+    d2 = ops.alg.dim ** 2
+    zero = SparseMatrix.zeros(d2, d2)
+    ipi = Scalar.constant("ipi")
+
+    def one_step(matrix, coeff):
+        coeffs = [zero] * order
+        if order > 1:
+            coeffs[1] = matrix.scale(coeff)
+        return HSeries(coeffs)
+
+    sigma = HSeries.constant(ops.sigma, order)
+    rhs = sigma * one_step(ops.t_action, ipi).exp() * one_step(ops.Omega, -ipi).exp()
+    checks = []
+    for k in range(order):
+        diff = sigma.coeffs[k].first_difference(rhs.coeffs[k])
+        detail = "" if diff is None else (
+            f"first difference at ({diff[0]}, {diff[1]}): {diff[2].to_text()} vs {diff[3].to_text()}"
+        )
+        checks.append({"name": f"h^{k}", "passed": diff is None, "detail": detail})
+    doc = {"algebra": ops.alg.name, "passed": all(c["passed"] for c in checks), "checks": checks}
+    return doc, rhs.coeffs
+
+
+@pytest.mark.parametrize(
+    "name, order", [("sl2", n) for n in range(1, 11)] + [("sl3", n) for n in range(1, 6)]
+)
+def test_sigma_rmatrix_matches_series_product_oracle(sl2_ops, sl3_ops, name, order):
+    ops = {"sl2": sl2_ops, "sl3": sl3_ops}[name]
+    expected, _ = rmatrix_oracle(ops, order)
+    assert expected["passed"]
+    assert verify_sigma_rmatrix(ops, order).to_json() == expected
+
+
+@pytest.mark.parametrize("field_names", [("Omega",), ("t_action",), ("Omega", "t_action")])
+@pytest.mark.parametrize("name, order", [("sl2", n) for n in (1, 2, 3, 4, 6)] + [("sl3", n) for n in (2, 5)])
+def test_sigma_rmatrix_matches_oracle_off_the_identity(sl2_ops, sl3_ops, name, order, field_names):
+    # Perturbed operators leave every E_k nonzero, so each step of the
+    # recurrence multiplies real matrices; one perturbation carries ipi.
+    import dataclasses
+
+    ops = {"sl2": sl2_ops, "sl3": sl3_ops}[name]
+    d2 = ops.alg.dim ** 2
+    noise = {
+        "Omega": SparseMatrix(d2, d2, [(0, 1, 1), (d2 - 1, 2, Fraction(-1, 3))]),
+        "t_action": SparseMatrix(d2, d2, [(1, 0, 2), (3, 3, 1)]).scale(Scalar.constant("ipi")),
+    }
+    bad = dataclasses.replace(ops, **{f: getattr(ops, f) + noise[f] for f in field_names})
+    expected, rhs = rmatrix_oracle(bad, order)
+    assert all(not c.is_zero for c in rhs[1:])
+    assert verify_sigma_rmatrix(bad, order).to_json() == expected
+
+
 # -- evaluation ---------------------------------------------------------------------
 
 def test_eval_series_identity(sl2_ops):
@@ -480,6 +536,28 @@ def test_eval_series_is_multiplicative(sl2_ops):
     for _ in range(5):
         a, b = random_series(), random_series()
         assert eval_series(a * b, sl2_ops) == eval_series(a, sl2_ops) * eval_series(b, sl2_ops)
+
+
+def test_eval_series_makes_one_product_per_new_prefix(sl2_ops, monkeypatch):
+    # Each distinct nonempty prefix of a coefficient's words costs one
+    # matrix product, except a one-letter prefix, which is an image.
+    psi = compute_psi(builtin_table(), 10).psi
+    expected = 0
+    for coeff in psi.coeffs:
+        words = [word for word, _ in coeff.sorted_terms() if word]
+        prefixes = {word[:n] for word in words for n in range(1, len(word) + 1)}
+        expected += len(prefixes) - len({word[0] for word in words})
+    calls = []
+    product = SparseMatrix.__mul__
+
+    def counted(self, other):
+        if isinstance(other, SparseMatrix):
+            calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "__mul__", counted)
+    eval_series(psi, sl2_ops)
+    assert len(calls) == expected == 332
 
 
 def test_eval_series_alphabet_mismatch(sl2_ops):

@@ -388,28 +388,106 @@ def test_ncpoly_hash_agrees_with_equality_across_insertion_orders(raw, rng):
     assert len({forward, backward, summed}) == 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(st.lists(st.sampled_from(AB.letters), max_size=3).map(tuple), _ref_scalars), max_size=4),
-    st.lists(
-        st.lists(st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))), min_size=3, max_size=3),
-        min_size=6,
-        max_size=6,
-    ),
-    st.integers(0, 1),
-)
-def test_substitute_into_matrices_matches_word_products(raw, cells, with_ipi):
+# -- the prefix walk of substitute against word-by-word products --------------
+
+ABC = Alphabet(("A", "B", "C"))
+
+
+def naive_substitute(p, images, zero):
+    """Each word's image multiplied out on its own, from its first letter."""
+    acc = zero
+    for word, coeff in p.sorted_terms():
+        prod = images[word[0]] if word else zero.ring_one()
+        for letter in word[1:]:
+            prod = prod * images[letter]
+        acc = acc + prod.scale(coeff)
+    return acc
+
+
+@st.composite
+def _prefix_terms(draw, letters):
+    """Up to 12 (word, coefficient) terms with words of length at most 6,
+    the first a constant term; every other word is a cut of one drawn
+    stem plus a short tail, so that prefixes repeat across the words."""
+    stem = draw(st.lists(st.sampled_from(letters), min_size=6, max_size=6))
+    terms = [((), draw(_ref_scalars))]
+    for _ in range(draw(st.integers(0, 11))):
+        cut = draw(st.integers(0, 6))
+        tail = draw(st.lists(st.sampled_from(letters), max_size=min(2, 6 - cut)))
+        terms.append((tuple(stem[:cut] + tail), draw(_ref_scalars)))
+    return terms
+
+
+def _random_matrix(rng, rows, cols):
+    """A sparse small-integer matrix, with an ipi part in about half the draws."""
     from qjacobi.matrices import SparseMatrix
 
-    a = SparseMatrix.from_rows(cells[:3])
-    b = SparseMatrix.from_rows(cells[3:])
-    if with_ipi:
-        b = b.scale(Scalar.constant("ipi"))
+    cells = [(i, j, Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for i in range(rows) for j in range(cols)]
+    out = SparseMatrix(rows, cols, [cell for cell in cells if rng.random() < 0.6])
+    if rng.random() < 0.5:
+        out = out + SparseMatrix(rows, cols, [(rng.randrange(rows), rng.randrange(cols), 1)]).scale(
+            Scalar.constant("ipi")
+        )
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_prefix_terms(AB.letters), st.integers(0, 2**32))
+def test_substitute_into_matrices_matches_word_products(raw, seed):
+    import random
+
+    from qjacobi.matrices import SparseMatrix
+
+    rng = random.Random(seed)
+    images = {"A": _random_matrix(rng, 3, 3), "B": _random_matrix(rng, 3, 3)}
     p = NCPoly(AB, raw)
-    expected = SparseMatrix.zeros(3, 3)
-    for word, coeff in p.sorted_terms():
-        prod = SparseMatrix.identity(3)
-        for letter in word:
-            prod = prod * {"A": a, "B": b}[letter]
-        expected = expected + prod.scale(coeff)
-    assert substitute(p, {"A": a, "B": b}) == expected
+    assert substitute(p, images) == naive_substitute(p, images, SparseMatrix.zeros(3, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_prefix_terms(ABC.letters), st.integers(0, 2**32))
+def test_substitute_into_series_matches_word_products(raw, seed):
+    # A series image turns a matrix image into a constant series, and
+    # everything is truncated to the weakest order.
+    import random
+
+    from qjacobi.hseries import HSeries
+    from qjacobi.matrices import SparseMatrix
+
+    rng = random.Random(seed)
+    a = HSeries([_random_matrix(rng, 2, 2) for _ in range(3)])
+    b = _random_matrix(rng, 2, 2)
+    c = HSeries([_random_matrix(rng, 2, 2) for _ in range(4)])
+    p = NCPoly(ABC, raw)
+    out = substitute(p, {"A": a, "B": b, "C": c})
+    lifted = {"A": a, "B": HSeries.constant(b, 3), "C": c.truncate(3)}
+    assert out == naive_substitute(p, lifted, HSeries.constant(SparseMatrix.zeros(2, 2), 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(["sig", "Om"]), max_size=2),
+            st.sampled_from(["T1", "T2"]),
+            st.lists(st.sampled_from(["sig12", "sig23", "Om12", "Om23"]), max_size=2),
+            _ref_scalars,
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(0, 2**32),
+)
+def test_substitute_typed_words_into_rectangular_matrices(raw, seed):
+    # Words of type 3 -> 1 over a 2-dimensional space: every image and
+    # every prefix product is rectangular, so the zero fixes the shape.
+    import random
+
+    from qjacobi.matrices import SparseMatrix
+    from qjacobi.transport import CLASSICAL_ATOMS, ClassicalPoly
+
+    rng = random.Random(seed)
+    images = {atom: _random_matrix(rng, 2**cod, 2**dom) for atom, (dom, cod) in CLASSICAL_ATOMS.items()}
+    p = ClassicalPoly(3, 1, [(("T", *two, lift, *three), coeff) for two, lift, three, coeff in raw])
+    zero = SparseMatrix.zeros(2, 8)
+    assert substitute(p, images, zero) == naive_substitute(p, images, zero)
