@@ -6,12 +6,16 @@ its inputs so precision is never silently inflated.  Coefficients may be
 any exact ring elements implementing the small protocol used here:
 ``+``, unary ``-``, ``*`` (ring product), ``dot(pairs)`` (the sum of the
 products ``a * b`` over (a, b) pairs of the ring, merged once),
-``scale(Scalar)``, ``ring_one()``, ``ring_zero()``, ``is_zero``, ``==``
-and ``to_text()``.  Noncommutative polynomials, exact sparse matrices,
-the classical polynomials and transport normal forms all qualify, and so
-do series themselves.  A product of series builds each output
-coefficient with one ``dot`` call, so the growing sum is merged once
-rather than once per added term.
+``lincomb(pairs)`` (the sum of ``c * x`` over (scalar, element) pairs, in
+the receiver's shape, merged once: its cost is the stored terms of the
+pairs, not one copy of the growing sum per pair), ``scale(Scalar)``,
+``ring_one()``, ``ring_zero()``, ``is_zero``, ``==`` and ``to_text()``.
+Noncommutative polynomials, exact sparse matrices, the classical
+polynomials and transport normal forms all qualify, and so do series
+themselves.  A product of series builds each output coefficient with one
+``dot`` call, and a linear combination of series each coefficient with
+one ``lincomb`` call, so a growing sum is merged once rather than once
+per added term.
 """
 
 from __future__ import annotations
@@ -105,6 +109,22 @@ class HSeries:
             return HSeries([
                 ring.dot([(a.coeffs[i], b.coeffs[k - i]) for a, b in pairs for i in range(k + 1)])
                 for k in range(n)
+            ])
+        except (TypeError, ValueError) as exc:
+            raise SeriesError(f"incompatible series coefficients: {exc}") from exc
+
+    def lincomb(self, pairs) -> "HSeries":
+        """The sum of ``c * x`` over the (scalar, series) pairs, known to
+        the weakest order among this series and the pairs; each
+        coefficient is one ``lincomb`` of its ring."""
+        pairs = list(pairs)
+        for _, x in pairs:
+            if not isinstance(x, HSeries):
+                raise SeriesError("operand is not a series")
+        n = min([self.order] + [x.order for _, x in pairs])
+        try:
+            return HSeries([
+                self.coeffs[k].lincomb([(c, x.coeffs[k]) for c, x in pairs]) for k in range(n)
             ])
         except (TypeError, ValueError) as exc:
             raise SeriesError(f"incompatible series coefficients: {exc}") from exc

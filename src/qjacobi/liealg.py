@@ -69,15 +69,25 @@ class LieAlgebraData:
         return SparseMatrix(self.dim, self.dim, entries)
 
     def killing(self) -> SparseMatrix:
-        ads = [self.ad(i) for i in range(self.dim)]
-        entries = []
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                value = (ads[i] * ads[j]).trace()
-                entries.append((i, j, value))
-                if i != j:
-                    entries.append((j, i, value))
-        return SparseMatrix(self.dim, self.dim, entries)
+        """K_ij = trace(ad x_i ad x_j) = sum over k, l of c_il^k c_jk^l,
+        summed over the structure constants on integer numerators over
+        the square of their common denominator; no matrix product."""
+        den = lcm(*(c.denominator for row in self.structure.values() for c in row.values()))
+        # partners[(k, l)][j] is the numerator of c_jk^l.
+        partners: dict[tuple[int, int], dict[int, int]] = {}
+        for (j, k), row in self.structure.items():
+            for l, c in row.items():
+                partners.setdefault((k, l), {})[j] = c.numerator * (den // c.denominator)
+        rows: dict[int, dict[int, int]] = {}
+        for (i, l), row in self.structure.items():
+            for k, c in row.items():
+                found = partners.get((k, l))
+                if found:
+                    x = c.numerator * (den // c.denominator)
+                    out = rows.setdefault(i, {})
+                    for j, y in found.items():
+                        out[j] = out.get(j, 0) + x * y
+        return SparseMatrix.from_numerators(self.dim, self.dim, rows, den * den)
 
 
 def _validate_algebra(alg: LieAlgebraData) -> tuple[dict[str, SparseMatrix], SparseMatrix]:
@@ -128,15 +138,26 @@ def _sl2() -> LieAlgebraData:
 
 def _sl_n(n: int) -> LieAlgebraData:
     """sl(n) from its defining matrices: E_ab off the diagonal, then the
-    differences of consecutive diagonal units."""
+    differences of consecutive diagonal units.  Each basis element is a
+    dict of elementary-matrix coefficients, and brackets follow
+    [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb."""
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     names = tuple(f"E{a + 1}{b + 1}" for a, b in pairs) + tuple(f"h{i + 1}" for i in range(n - 1))
-    basis = [SparseMatrix(n, n, [(a, b, 1)]) for a, b in pairs]
-    basis += [SparseMatrix(n, n, [(i, i, 1), (i + 1, i + 1, -1)]) for i in range(n - 1)]
+    basis = [{(a, b): 1} for a, b in pairs]
+    basis += [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
 
-    def decompose(mat: SparseMatrix) -> dict[int, Fraction]:
-        cells = {(a, b): v.as_fraction() for a, b, v in mat.items()}
-        coeffs = {idx: cells[ab] for idx, ab in enumerate(pairs) if ab in cells}
+    def commutator(x: dict, y: dict) -> dict[tuple[int, int], int]:
+        out: dict[tuple[int, int], int] = {}
+        for (a, b), u in x.items():
+            for (c, d), v in y.items():
+                if b == c:
+                    out[(a, d)] = out.get((a, d), 0) + u * v
+                if d == a:
+                    out[(c, b)] = out.get((c, b), 0) - u * v
+        return {ab: v for ab, v in out.items() if v}
+
+    def decompose(cells: dict[tuple[int, int], int]) -> dict[int, Fraction]:
+        coeffs = {idx: Fraction(cells[ab]) for idx, ab in enumerate(pairs) if ab in cells}
         partial = Fraction(0)
         for i in range(n - 1):
             partial += cells.get((i, i), 0)
@@ -147,7 +168,7 @@ def _sl_n(n: int) -> LieAlgebraData:
     structure: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
-            coeffs = decompose(x * y - y * x) if i != j else {}
+            coeffs = decompose(commutator(x, y)) if i != j else {}
             if coeffs:
                 structure[(i, j)] = coeffs
     return LieAlgebraData(len(basis), names, structure, name=f"sl{n}")
@@ -310,32 +331,34 @@ def _classical_sides(T, sigma, T1, T2, sigma12, sigma23):
 
 def build_tensor_ops(alg: LieAlgebraData) -> TensorOps:
     """The derived operators of ``alg``, after validating it; the bracket
-    maps and the inverse Killing form the validation built are reused."""
+    maps and the inverse Killing form the validation built are reused.
+
+    The inverse Killing form is read once, as integer numerators over
+    its denominator: ``t_vec`` and the 1 (x) t (x) 1 map are assembled
+    from those numerators directly, in time proportional to their
+    entries, and ``t_action`` is one ``lincomb`` of the kron(ad_i, ad_j)
+    over the nonzero entries.  No Scalar is built.  ``Omega`` (from the
+    bracket map) and ``t_action`` (from the adjoint) stay independent
+    constructions, so that ``verify rmatrix`` certifies they agree.
+    """
     maps, kinv = _validate_algebra(alg)
     d = alg.dim
+    den, kinv_rows = kinv.numerators()
+    entries = [(i, j, v) for i, row in kinv_rows.items() for j, v in row.items()]
     ads = tuple(alg.ad(i) for i in range(d))
-    t_vec = SparseMatrix(d * d, 1, [(i * d + j, 0, kinv.entry(i, j)) for i in range(d) for j in range(d)])
-
-    t_action = SparseMatrix.zeros(d * d, d * d)
-    for i in range(d):
-        for j in range(d):
-            coeff = kinv.entry(i, j)
-            if not coeff.is_zero:
-                t_action = t_action + kron(ads[i], ads[j]).scale(coeff)
+    t_vec = SparseMatrix.from_numerators(d * d, 1, {i * d + j: {0: v} for i, j, v in entries}, den)
+    t_action = SparseMatrix.zeros(d * d, d * d).lincomb(
+        [(Fraction(v, den), kron(ads[i], ads[j])) for i, j, v in entries]
+    )
 
     # 1 (x) t (x) 1 sends v (x) w to sum t_ij v (x) e_i (x) e_j (x) w.
-    mid_entries = []
-    for i in range(d):
-        for j in range(d):
-            coeff = kinv.entry(i, j)
-            if coeff.is_zero:
-                continue
-            for v in range(d):
-                for w in range(d):
-                    row = ((v * d + i) * d + j) * d + w
-                    mid_entries.append((row, v * d + w, coeff))
-    mid = SparseMatrix(d ** 4, d * d, mid_entries)
-    Omega = -(kron(maps["T"], maps["T"]) * mid)
+    mid = {
+        ((a * d + i) * d + j) * d + w: {a * d + w: v}
+        for i, j, v in entries
+        for a in range(d)
+        for w in range(d)
+    }
+    Omega = -(kron(maps["T"], maps["T"]) * SparseMatrix.from_numerators(d ** 4, d * d, mid, den))
 
     eye = SparseMatrix.identity(d)
     return TensorOps(
@@ -560,15 +583,13 @@ def spectral_report(matrix: SparseMatrix) -> SpectralReport:
         while len(work) > 1 and _poly_eval(work, root) == 0:
             work = _poly_divide_linear(work, root)
             mult += 1
-        shifted = matrix - SparseMatrix.identity(n).scale(Scalar.rational(root))
+        shifted = matrix - SparseMatrix.identity(n).scale(root)
         kernel = n - shifted.rank()
         factors.append((root, mult, kernel))
-    eye = SparseMatrix.identity(n)
-    acc = SparseMatrix.zeros(n, n)
-    power = eye
-    for c in coeffs:
-        acc = acc + power.scale(Scalar.rational(c))
-        power = power * matrix
+    powers = [SparseMatrix.identity(n)]
+    for _ in coeffs[1:]:
+        powers.append(powers[-1] * matrix)
+    acc = matrix.lincomb(zip(coeffs, powers))
     return SpectralReport(
         trace=matrix.trace().as_fraction(),
         min_poly=coeffs,

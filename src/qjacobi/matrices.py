@@ -13,7 +13,9 @@ structural.
 All arithmetic (sums, products, scaling, Kronecker products, rank,
 inverse and the minimal polynomial) runs on the integer numerators;
 :class:`~qjacobi.ncalg.Scalar` values are built only where a caller
-reads single entries.  The tensor operators built from Lie structure
+reads single entries.  A sum of any number of terms (``lincomb``,
+``dot``, ``kron``) is merged once, in place, over one lcm per monomial,
+and the renderers visit only the stored cells.  The tensor operators built from Lie structure
 constants are extremely sparse, which keeps products on the
 512-dimensional triple tensor spaces cheap.
 
@@ -27,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .ncalg import Monomial, Scalar, ScalarLike, _join_signed, _mono_mul, _term_body
+from .ncalg import Monomial, Scalar, ScalarLike, _integral_scalar, _join_signed, _mono_mul, _term_body
 
 __all__ = ["MatrixError", "SparseMatrix", "kron", "minimal_polynomial"]
 
@@ -59,26 +61,6 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g <= 1 else {j: v // g for j, v in row.items()}
 
 
-def _scaled(rows: Rows, f: int) -> Rows:
-    return rows if f == 1 else {i: {j: v * f for j, v in row.items()} for i, row in rows.items()}
-
-
-def _rows_comb(a: Rows, fa: int, b: Rows, fb: int) -> Rows:
-    """fa*a + fb*b with zeros and empty rows dropped."""
-    out = dict(_scaled(a, fa))
-    for i, row in _scaled(b, fb).items():
-        mine = out.get(i)
-        if mine is None:
-            out[i] = row
-            continue
-        merged = _row_comb(mine, 1, row, 1)
-        if merged:
-            out[i] = merged
-        else:
-            del out[i]
-    return out
-
-
 def _rows_mul(a: Rows, b: Rows) -> Rows:
     out: Rows = {}
     for i, row in a.items():
@@ -95,34 +77,77 @@ def _rows_mul(a: Rows, b: Rows) -> Rows:
     return out
 
 
-def _accumulate(parts: dict, mono: Monomial, den: int, rows: Rows) -> None:
-    """Add rows/den into the (not yet reduced) part of ``mono``."""
-    if not rows:
-        return
-    have = parts.get(mono)
-    if have is None:
-        parts[mono] = (den, rows)
-        return
-    hden, hrows = have
-    common = lcm(hden, den)
-    parts[mono] = (common, _rows_comb(hrows, common // hden, rows, common // den))
+class _PartSum:
+    """A sum of ``f * rows / den`` terms, merged once.
 
+    The denominators are known before any numerator is added, so each
+    monomial gets one lcm and one integer accumulator, every term is
+    added into it in place, and :meth:`parts` makes one lowest-terms
+    pass.  A term's row is taken as it is (shared with its source,
+    which never changes) until a second term reaches that row; the
+    first merge copies it, and only merged rows can gain zeros.
+    """
 
-def _reduced(parts: dict) -> Parts:
-    """Bring every part to lowest terms and drop the empty ones."""
-    out: Parts = {}
-    for mono, (den, rows) in parts.items():
-        if not rows:
-            continue
-        g = den
-        for row in rows.values():
-            g = gcd(g, *row.values())
-            if g == 1:
-                break
-        if g > 1:
-            den, rows = den // g, {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
-        out[mono] = (den, rows)
-    return out
+    __slots__ = ("commons", "sums")
+
+    def __init__(self, dens: Iterable[tuple[Monomial, int]]):
+        commons: dict[Monomial, int] = {}
+        for mono, den in dens:
+            have = commons.get(mono)
+            commons[mono] = den if have is None else lcm(have, den)
+        self.commons = commons
+        self.sums: dict[Monomial, tuple[Rows, set[int]]] = {}
+
+    def add(self, mono: Monomial, den: int, f: int, rows: Rows) -> None:
+        """Add ``f * rows / den``; ``den`` divides the lcm of ``mono``."""
+        f *= self.commons[mono] // den
+        have = self.sums.get(mono)
+        if have is None:
+            if f == 1:
+                self.sums[mono] = (dict(rows), set())
+            else:
+                self.sums[mono] = ({i: {j: v * f for j, v in row.items()} for i, row in rows.items()}, set())
+            return
+        acc, merged = have
+        for i, row in rows.items():
+            mine = acc.get(i)
+            if mine is None:
+                acc[i] = row if f == 1 else {j: v * f for j, v in row.items()}
+                continue
+            if i not in merged:
+                merged.add(i)
+                mine = acc[i] = dict(mine)
+            get = mine.get
+            if f == 1:
+                for j, v in row.items():
+                    mine[j] = get(j, 0) + v
+            else:
+                for j, v in row.items():
+                    mine[j] = get(j, 0) + v * f
+
+    def parts(self) -> Parts:
+        """The sum, every part in lowest terms, empty parts dropped."""
+        out: Parts = {}
+        for mono, (rows, merged) in self.sums.items():
+            for i in merged:
+                row = rows[i]
+                if 0 in row.values():
+                    row = {j: v for j, v in row.items() if v}
+                    if row:
+                        rows[i] = row
+                    else:
+                        del rows[i]
+            if not rows:
+                continue
+            den = g = self.commons[mono]
+            for row in rows.values():
+                if g == 1:
+                    break
+                g = gcd(g, *row.values())
+            if g > 1:
+                den, rows = den // g, {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
+            out[mono] = (den, rows)
+        return out
 
 
 def _rank(rows: list[dict[int, int]]) -> int:
@@ -166,7 +191,8 @@ class SparseMatrix:
                 terms = Scalar.coerce(value).sorted_terms()
             for mono, coeff in terms:
                 cell = cells.setdefault(mono, {})
-                cell[(i, j)] = cell.get((i, j), 0) + coeff
+                have = cell.get((i, j))
+                cell[(i, j)] = coeff if have is None else have + coeff
         parts: Parts = {}
         for mono, cell in cells.items():
             values = {ij: v for ij, v in cell.items() if v}
@@ -187,6 +213,26 @@ class SparseMatrix:
         out.cols = cols
         out._parts = parts
         return out
+
+    @classmethod
+    def from_numerators(cls, rows: int, cols: int, numerators: Rows, den: int = 1) -> "SparseMatrix":
+        """The rational matrix ``numerators / den``, the numerators given
+        as row -> column -> int; no Fraction or Scalar is built."""
+        if rows < 1 or cols < 1:
+            raise MatrixError("matrix dimensions must be positive")
+        if den < 1:
+            raise MatrixError("the denominator must be positive")
+        data: Rows = {}
+        for i, row in numerators.items():
+            row = {j: v for j, v in row.items() if v}
+            if not row:
+                continue
+            if not 0 <= i < rows or min(row) < 0 or max(row) >= cols:
+                raise MatrixError(f"row {i} has an entry outside {rows}x{cols}")
+            data[i] = row
+        acc = _PartSum((((), den),))
+        acc.add((), den, 1, data)
+        return cls._of(rows, cols, acc.parts())
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
@@ -243,35 +289,53 @@ class SparseMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise MatrixError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
-    def _combine(self, other: "SparseMatrix", sign: int) -> "SparseMatrix":
-        self._same_shape(other)
-        parts = dict(self._parts)
-        for mono, (den, rows) in other._parts.items():
-            _accumulate(parts, mono, den, _scaled(rows, sign))
-        return SparseMatrix._of(self.rows, self.cols, _reduced(parts))
-
     def __add__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return self._combine(other, 1)
+        return self.lincomb(((1, self), (1, other)))
 
     def __sub__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return self._combine(other, -1)
+        return self.lincomb(((1, self), (-1, other)))
 
     def __neg__(self):
-        parts = {mono: (den, _scaled(rows, -1)) for mono, (den, rows) in self._parts.items()}
+        parts = {
+            mono: (den, {i: {j: -v for j, v in row.items()} for i, row in rows.items()})
+            for mono, (den, rows) in self._parts.items()
+        }
         return SparseMatrix._of(self.rows, self.cols, parts)
 
     def scale(self, factor: ScalarLike) -> "SparseMatrix":
-        factor = Scalar.coerce(factor)
-        parts: dict = {}
-        for fmono, frac in factor.sorted_terms():
-            for mono, (den, rows) in self._parts.items():
-                scaled = _scaled(rows, frac.numerator)
-                _accumulate(parts, _mono_mul(mono, fmono), den * frac.denominator, scaled)
-        return SparseMatrix._of(self.rows, self.cols, _reduced(parts))
+        return self.lincomb(((factor, self),))
+
+    def lincomb(self, pairs) -> "SparseMatrix":
+        """The sum of ``c * x`` over the (scalar, matrix) pairs, in this
+        matrix's shape; the zero matrix when there are none.
+
+        One lcm of the denominators per monomial, one integer accumulator
+        per monomial and one lowest-terms pass serve all the pairs, so the
+        cost is the stored entries of the terms, not one copy and merge
+        of the growing sum per term.  ``+``, ``-`` and ``scale`` are its
+        two- and one-term cases.
+        """
+        terms = []
+        for c, x in pairs:
+            if not isinstance(x, SparseMatrix):
+                raise TypeError("SparseMatrix.lincomb needs SparseMatrix terms")
+            self._same_shape(x)
+            if not x._parts:
+                continue
+            fnums, fden = _integral_scalar(c)
+            for fmono, fv in fnums.items():
+                for mono, (den, rows) in x._parts.items():
+                    terms.append((_mono_mul(mono, fmono), den * fden, fv, rows))
+        if not terms:
+            return SparseMatrix._of(self.rows, self.cols, {})
+        acc = _PartSum((mono, den) for mono, den, _, _ in terms)
+        for mono, den, f, rows in terms:
+            acc.add(mono, den, f, rows)
+        return SparseMatrix._of(self.rows, self.cols, acc.parts())
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -284,7 +348,7 @@ class SparseMatrix:
         """The sum of ``a * b`` over the (a, b) pairs, brought to lowest
         terms once; the zero matrix of this shape when there are none."""
         shape = None
-        parts: dict = {}
+        products = []
         for a, b in pairs:
             if not isinstance(a, SparseMatrix) or not isinstance(b, SparseMatrix):
                 raise TypeError("SparseMatrix.dot needs SparseMatrix operands")
@@ -296,10 +360,15 @@ class SparseMatrix:
                 raise MatrixError(f"cannot add a {a.rows}x{b.cols} product to {shape[0]}x{shape[1]}")
             for ma, (da, ra) in a._parts.items():
                 for mb, (db, rb) in b._parts.items():
-                    _accumulate(parts, _mono_mul(ma, mb), da * db, _rows_mul(ra, rb))
+                    products.append((_mono_mul(ma, mb), da * db, ra, rb))
         if shape is None:
             return self.ring_zero()
-        return SparseMatrix._of(*shape, _reduced(parts))
+        if not products:
+            return SparseMatrix._of(*shape, {})
+        acc = _PartSum((mono, den) for mono, den, _, _ in products)
+        for mono, den, ra, rb in products:
+            acc.add(mono, den, 1, _rows_mul(ra, rb))
+        return SparseMatrix._of(*shape, acc.parts())
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -364,50 +433,78 @@ class SparseMatrix:
     def ring_zero(self) -> "SparseMatrix":
         return SparseMatrix.zeros(self.rows, self.cols)
 
-    def _dense_text(self) -> list[list[str]]:
-        """The canonical scalar text of every cell; absent cells read "0"."""
-        dense = [["0"] * self.cols for _ in range(self.rows)]
+    def _cell_texts(self) -> dict[int, dict[int, str]]:
+        """The canonical scalar text of every stored cell, row -> column
+        -> text."""
         if len(self._parts) == 1:
             # Every cell holds one term; equal numerators share one text.
             ((mono, (den, rows)),) = self._parts.items()
-            texts: dict[int, str] = {}
-            for i, row in rows.items():
-                line = dense[i]
-                for j, v in row.items():
-                    text = texts.get(v)
-                    if text is None:
-                        text = texts[v] = _join_signed([(v < 0, _term_body(Fraction(v, den), mono, ""))])
-                    line[j] = text
-            return dense
+            texts = {
+                v: _join_signed([(v < 0, _term_body(Fraction(v, den), mono, ""))])
+                for v in {v for row in rows.values() for v in row.values()}
+            }
+            return {i: {j: texts[v] for j, v in row.items()} for i, row in rows.items()}
+        out: dict[int, dict[int, str]] = {}
         for (i, j), terms in self._cells().items():
-            dense[i][j] = _join_signed([(c < 0, _term_body(c, mono, "")) for mono, c in terms])
-        return dense
+            out.setdefault(i, {})[j] = _join_signed([(c < 0, _term_body(c, mono, "")) for mono, c in terms])
+        return out
 
     def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "data": self._dense_text()}
+        data = [["0"] * self.cols for _ in range(self.rows)]
+        for i, row in self._cell_texts().items():
+            line = data[i]
+            for j, text in row.items():
+                line[j] = text
+        return {"rows": self.rows, "cols": self.cols, "data": data}
 
     def to_text(self) -> str:
-        return "[" + "; ".join("[" + ", ".join(row) + "]" for row in self._dense_text()) + "]"
+        """``[[a, b]; [c, d]]``, absent cells reading ``0``.
+
+        The cost is in proportion to the stored cells: each row joins its
+        cell texts with runs of ``0, `` between them, and every empty row
+        is one shared string.
+        """
+        cols = self.cols
+        runs: dict[int, str] = {}
+        lines = ["[" + "0, " * (cols - 1) + "0]"] * self.rows
+        for i, row in self._cell_texts().items():
+            pieces = ["["]
+            at = 0
+            for j in sorted(row):
+                gap = j - at
+                if gap:
+                    run = runs.get(gap)
+                    if run is None:
+                        run = runs[gap] = "0, " * gap
+                    pieces.append(run)
+                pieces.append(row[j])
+                pieces.append(", ")
+                at = j + 1
+            pieces[-1] = "]" if at == cols else ", " + "0, " * (cols - at - 1) + "0]"
+            lines[i] = "".join(pieces)
+        return "[" + "; ".join(lines) + "]"
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
-    def _rational_part(self) -> tuple[int, Rows]:
-        """(den, numerators) of a constant-free matrix."""
+    def numerators(self) -> tuple[int, Rows]:
+        """``(den, rows)`` of a constant-free matrix: integer numerators,
+        row -> column -> int, over one positive denominator, in lowest
+        terms.  The rows are the matrix's own store; do not modify them."""
         if any(mono != () for mono in self._parts):
             raise MatrixError("exact elimination needs plain rational entries")
         return self._parts.get((), (1, {}))
 
     def rank(self) -> int:
         """Exact rank over the rationals (entries must be constant-free)."""
-        return _rank(list(self._rational_part()[1].values()))
+        return _rank(list(self.numerators()[1].values()))
 
     def inverse(self) -> "SparseMatrix":
         """Exact inverse of a square rational matrix."""
         if self.rows != self.cols:
             raise MatrixError("inverse of a non-square matrix")
         n = self.rows
-        den, rows = self._rational_part()
+        den, rows = self.numerators()
         # Fraction-free Gauss-Jordan on [N | I]; M^-1 = den * N^-1.
         aug = [{**rows.get(i, {}), n + i: 1} for i in range(n)]
         for col in range(n):
@@ -428,7 +525,7 @@ class SparseMatrix:
 
 def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Kronecker product with row-major index convention."""
-    parts: dict = {}
+    blocks = []
     for ma, (da, arows) in a._parts.items():
         for mb, (db, brows) in b._parts.items():
             rows: Rows = {}
@@ -437,8 +534,11 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
                     rows[i * b.rows + j] = {
                         k * b.cols + l: x * y for k, x in arow.items() for l, y in brow.items()
                     }
-            _accumulate(parts, _mono_mul(ma, mb), da * db, rows)
-    return SparseMatrix._of(a.rows * b.rows, a.cols * b.cols, _reduced(parts))
+            blocks.append((_mono_mul(ma, mb), da * db, rows))
+    acc = _PartSum((mono, den) for mono, den, _ in blocks)
+    for mono, den, rows in blocks:
+        acc.add(mono, den, 1, rows)
+    return SparseMatrix._of(a.rows * b.rows, a.cols * b.cols, acc.parts())
 
 
 def minimal_polynomial(matrix: SparseMatrix) -> list[Fraction]:
@@ -451,13 +551,13 @@ def minimal_polynomial(matrix: SparseMatrix) -> list[Fraction]:
     """
     if matrix.rows != matrix.cols:
         raise MatrixError("minimal polynomial of a non-square matrix")
-    matrix._rational_part()  # refuses formal constants before any work
+    matrix.numerators()  # refuses formal constants before any work
     n = matrix.rows
     basis: list[tuple[int, dict[int, int], dict[int, int]]] = []
     power = SparseMatrix.identity(n)
     k = 0
     while True:
-        den, rows = power._rational_part()
+        den, rows = power.numerators()
         vec = {i * n + j: v for i, row in rows.items() for j, v in row.items()}
         comb = {k: den}
         for lead, bvec, bcomb in basis:

@@ -19,8 +19,8 @@ subclasses differ only in how two words join, how words sort and how a
 word prints.  Those loops multiply and add integers only; a ``Fraction``
 or :class:`Scalar` is built only where a caller reads a coefficient
 (``coeff``, ``sorted_terms``, ``to_text``), never inside ``+``, ``*``,
-``scale`` or ``dot``.  :class:`Scalar` itself keeps plain ``Fraction``
-arithmetic: it is the public coefficient type.
+``scale``, ``lincomb`` or ``dot``.  :class:`Scalar` itself keeps plain
+``Fraction`` arithmetic: it is the public coefficient type.
 
 Words live in the free monoid over a declared :class:`Alphabet`.  Letter
 pairs declared mutually inverse cancel eagerly, so every stored word is
@@ -333,6 +333,14 @@ def _integral(fracs: Mapping) -> tuple[dict, int]:
     return {key: frac.numerator * (den // frac.denominator) for key, frac in fracs.items()}, den
 
 
+def _integral_scalar(value: ScalarLike) -> tuple[dict[Monomial, int], int]:
+    """A scalar-like value as (monomial -> integer numerator, one
+    positive denominator) in lowest terms; an ``int`` builds no Fraction."""
+    if type(value) is int:
+        return ({(): value} if value else {}), 1
+    return _integral(_scalar_terms(value))
+
+
 def _lowest(acc: dict, den: int) -> tuple[dict, int]:
     """Drop zero numerators and divide the pair by its common gcd."""
     nums = {key: v for key, v in acc.items() if v}
@@ -346,15 +354,21 @@ def _lowest(acc: dict, den: int) -> tuple[dict, int]:
     return nums, den
 
 
-def _sum(stores: list[tuple[dict, int]]) -> tuple[dict, int]:
-    """The sum of (numerators, denominator) stores, in lowest terms."""
-    common = lcm(*(den for _, den in stores))
+def _sum(stores: list[tuple[dict, int, int]]) -> tuple[dict, int]:
+    """The sum of ``f * numerators / den`` over (numerators, den, f)
+    stores, merged once over the lcm of the denominators, in lowest
+    terms."""
+    common = lcm(*(den for _, den, _ in stores))
     acc: dict = {}
     get = acc.get
-    for nums, den in stores:
-        f = common // den
-        for key, v in nums.items():
-            acc[key] = get(key, 0) + v * f
+    for nums, den, f in stores:
+        f *= common // den
+        if f == 1:
+            for key, v in nums.items():
+                acc[key] = get(key, 0) + v
+        else:
+            for key, v in nums.items():
+                acc[key] = get(key, 0) + v * f
     return _lowest(acc, common)
 
 
@@ -366,9 +380,10 @@ class LinearCombination:
     and ``_den`` is the shared denominator, so the coefficient of a key
     is ``_terms[key] / _den``.  The pair is kept in lowest terms (the
     gcd of ``_den`` and every numerator is 1; the zero combination has
-    ``_den == 1``), so equality and hashing are structural.  ``+``,
-    ``-``, ``scale`` and ``dot`` run on the integers only and reduce
-    each result once; ``Fraction`` and :class:`Scalar` values are built
+    ``_den == 1``), so equality and hashing are structural.
+    ``lincomb`` and ``dot`` run on the integers only and reduce each
+    result once; ``+``, ``-`` and ``scale`` are ``lincomb``'s two- and
+    one-term cases.  ``Fraction`` and :class:`Scalar` values are built
     only where a caller reads coefficients.  Subclasses fix what a word
     is through a few hooks: ``ring_zero`` (the empty combination of the
     same type), ``_space`` (what two operands of ``+`` must share),
@@ -428,26 +443,40 @@ class LinearCombination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        self._check_same(other)
-        return self._with(_sum([(self._terms, self._den), (other._terms, other._den)]))
+        return self.lincomb(((1, self), (1, other)))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        return self.lincomb(((1, self), (-1, other)))
 
     def __neg__(self):
         return self._with(({key: -v for key, v in self._terms.items()}, self._den))
 
     def scale(self, factor: ScalarLike):
-        fnums, fden = _integral(_scalar_terms(factor))
-        acc: dict = {}
-        get = acc.get
-        for fmono, fv in fnums.items():
-            for (word, mono), v in self._terms.items():
-                key = (word, _mono_mul(mono, fmono))
-                acc[key] = get(key, 0) + v * fv
-        return self._with(_lowest(acc, self._den * fden))
+        return self.lincomb(((factor, self),))
+
+    def lincomb(self, pairs):
+        """The sum of ``c * x`` over the (scalar, element) pairs, in this
+        element's space, merged once over the lcm of the denominators;
+        the ring zero when there are none."""
+        stores = []
+        for c, x in pairs:
+            if type(x) is not type(self):
+                raise TypeError(f"{type(self).__name__}.lincomb needs {type(self).__name__} terms")
+            if x is not self:
+                self._check_same(x)
+            if type(c) is int:
+                if c:
+                    stores.append((x._terms, x._den, c))
+                continue
+            fnums, fden = _integral(_scalar_terms(c))
+            for fmono, fv in fnums.items():
+                nums = x._terms
+                if fmono:
+                    nums = {(word, _mono_mul(mono, fmono)): v for (word, mono), v in nums.items()}
+                stores.append((nums, x._den * fden, fv))
+        return self._with(_sum(stores))
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -604,8 +633,10 @@ def substitute(p: LinearCombination, images: Mapping[str, object], zero=None):
     The words are taken in lexicographic order, which walks their prefix
     trie depth first, left to right: the words that share a prefix come
     together, so the image of each distinct nonempty prefix is one
-    product (the prefix before it times its last letter's image) and is
-    kept only while words below it remain.
+    product (the prefix before it times its last letter's image).  Each
+    word's (coefficient, image) pair is collected and the sum is one
+    ``lincomb`` of the target ring, merged once however many words there
+    are.
     """
     from .hseries import HSeries
     from .matrices import SparseMatrix
@@ -631,7 +662,7 @@ def substitute(p: LinearCombination, images: Mapping[str, object], zero=None):
             # Constant polynomial: nothing to substitute.
             return p
         zero = next(iter(imgs.values())).ring_zero()
-    acc = zero
+    pairs = []
     # prefix[i] is the image of the first i + 1 letters of the last word.
     prefix: list = []
     last: tuple = ()
@@ -644,9 +675,9 @@ def substitute(p: LinearCombination, images: Mapping[str, object], zero=None):
         del prefix[shared:]
         for letter in word[shared:]:
             prefix.append(prefix[-1] * imgs[letter] if prefix else imgs[letter])
-        acc = acc + (prefix[-1] if word else zero.ring_one()).scale(coeff)
+        pairs.append((coeff, prefix[-1] if word else zero.ring_one()))
         last = word
-    return acc
+    return zero.lincomb(pairs)
 
 
 # ---------------------------------------------------------------------------

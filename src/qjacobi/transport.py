@@ -344,7 +344,7 @@ class TransportElement(LinearCombination):
                 out = normal
             else:
                 out._check_same(normal)
-            stores.append((normal._terms, normal._den))
+            stores.append((normal._terms, normal._den, 1))
         if out is None:
             return self.ring_zero()
         return out._with(_sum(stores))
@@ -824,7 +824,6 @@ def _verify_braiding_series(order: int) -> IdentityReport:
     ipi = Scalar.constant("ipi")
     sigma_h_nf = normalize(gen("sigma_h"))
     omega_h_nf = normalize(gen("Omega_h"))
-    zero = sigma_h_nf.ring_zero()
     lhs = HSeries.constant(sigma_h_nf, order)
 
     braiding_coeffs = []
@@ -843,10 +842,13 @@ def _verify_braiding_series(order: int) -> IdentityReport:
         braiding_coeffs.append(term)
     braiding = HSeries(braiding_coeffs)
 
-    exponent_coeffs = [zero] * order
-    if order > 1:
-        exponent_coeffs[1] = omega_h_nf.scale(-ipi)
-    rhs = braiding * HSeries(exponent_coeffs).exp()
+    # exp(-ipi h Omega_h) has h^m coefficient E_m = E_(m-1) (-ipi Omega_h) / m,
+    # one product per order.
+    step = omega_h_nf.scale(-ipi)
+    exponential = [sigma_h_nf.ring_one()]
+    for m in range(1, order):
+        exponential.append((exponential[-1] * step).scale(Scalar.rational(1, m)))
+    rhs = braiding * HSeries(exponential)
 
     passed = lhs == rhs
     return IdentityReport(

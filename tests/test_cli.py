@@ -72,6 +72,15 @@ def test_eval_text_golden(capsys):
     assert out.encode("utf-8") == (GOLDEN / "eval_sl2_o8.txt").read_bytes()
 
 
+def test_eval_constants_text_golden(capsys):
+    # A table with ipi and a user constant zeta, so that matrix cells
+    # carry several formal-constant terms, e.g. "- 1/8*ipi + 1/8*zeta".
+    table = str(GOLDEN / "table_constants.json")
+    code, out = run_cli(capsys, "eval", "--algebra", "sl2", "--order", "4", "--table", table)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "eval_sl2_o4_constants.txt").read_bytes()
+
+
 def test_verify_transport_json_golden(capsys):
     # Every identity's normal forms and replayable traces, so a change in
     # the term order of an expression (4.4 and the 5.1 claims compose

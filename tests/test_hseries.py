@@ -275,3 +275,33 @@ def test_dot_of_no_pairs_is_zero_and_rings_do_not_mix():
         s * m
     with pytest.raises(SeriesError):
         s.dot([(s, s), (m, m)])
+
+
+_coeff_scalars = st.builds(
+    lambda p, q, e: Scalar.rational(p, q) * (Scalar.constant("ipi", e) if e else Scalar.one()),
+    st.integers(-4, 4),
+    st.integers(1, 4),
+    st.integers(0, 2),
+)
+_ab_polys = st.lists(
+    st.tuples(st.lists(st.sampled_from(AB.letters), max_size=3).map(tuple), _coeff_scalars), max_size=3
+).map(lambda ts: NCPoly(AB, ts))
+_ab_series = st.integers(1, 4).flatmap(lambda n: st.lists(_ab_polys, min_size=n, max_size=n).map(HSeries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ab_series, st.lists(st.tuples(_coeff_scalars | st.integers(-3, 3), _ab_series), max_size=4))
+def test_lincomb_matches_repeated_scale_and_add(receiver, pairs):
+    got = receiver.lincomb(pairs)
+    loop = receiver.ring_zero()
+    for c, x in pairs:
+        loop = loop + x.scale(c)
+    assert got.order == min([receiver.order] + [x.order for _, x in pairs])
+    assert got == loop and hash(got) == hash(loop)
+    assert receiver.lincomb([]) == receiver.ring_zero()
+
+
+def test_lincomb_rejects_non_series_terms():
+    s = HSeries.unit(ONE, 2)
+    with pytest.raises(SeriesError):
+        s.lincomb([(1, A)])

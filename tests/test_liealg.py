@@ -74,6 +74,32 @@ def test_sl2_killing_matches_trace_oracle(sl2):
     assert killing.entry(0, 0).is_zero and killing.entry(0, 1).is_zero
 
 
+# sl2 with e -> e/2 and h -> h/3: [h, e] = 2/3 e, [h, f] = -2/3 f, [e, f] = 3/2 h.
+_SCALED_SL2 = {
+    "dim": 3,
+    "basis": ["e", "h", "f"],
+    "brackets": [[1, 0, [[0, "2/3"]]], [1, 2, [[2, "-2/3"]]], [0, 2, [[1, "3/2"]]]],
+}
+
+
+@pytest.mark.parametrize("alg", [
+    pytest.param(lambda: build_algebra("sl2"), id="sl2"),
+    pytest.param(lambda: build_algebra("sl3"), id="sl3"),
+    pytest.param(lambda: _sl_n(4), id="sl4"),
+    pytest.param(lambda: build_algebra(_SCALED_SL2), id="scaled-sl2"),
+])
+def test_killing_matches_trace_of_adjoint_products(alg):
+    alg = alg()
+    ads = [alg.ad(i) for i in range(alg.dim)]
+    expected = SparseMatrix(alg.dim, alg.dim, [
+        (i, j, (ads[i] * ads[j]).trace()) for i in range(alg.dim) for j in range(alg.dim)
+    ])
+    assert alg.killing() == expected
+    if alg.name == "custom":
+        assert any(v.denominator > 1 for row in alg.structure.values() for v in row.values())
+        assert expected.entry(1, 1) == Scalar.rational(8, 9)
+
+
 def test_abelian_algebra_rejected():
     doc = {"dim": 2, "basis": ["x", "y"], "brackets": []}
     with pytest.raises(AlgebraError, match="Killing"):
@@ -538,10 +564,12 @@ def test_eval_series_is_multiplicative(sl2_ops):
         assert eval_series(a * b, sl2_ops) == eval_series(a, sl2_ops) * eval_series(b, sl2_ops)
 
 
-def test_eval_series_makes_one_product_per_new_prefix(sl2_ops, monkeypatch):
+def _eval_products(ops, order, monkeypatch):
+    """(matrix products eval_series makes on the built-in Psi mod
+    h^order, the count the prefix walk predicts)."""
     # Each distinct nonempty prefix of a coefficient's words costs one
     # matrix product, except a one-letter prefix, which is an image.
-    psi = compute_psi(builtin_table(), 10).psi
+    psi = compute_psi(builtin_table(), order).psi
     expected = 0
     for coeff in psi.coeffs:
         words = [word for word, _ in coeff.sorted_terms() if word]
@@ -556,8 +584,18 @@ def test_eval_series_makes_one_product_per_new_prefix(sl2_ops, monkeypatch):
         return product(self, other)
 
     monkeypatch.setattr(SparseMatrix, "__mul__", counted)
-    eval_series(psi, sl2_ops)
-    assert len(calls) == expected == 332
+    eval_series(psi, ops)
+    return len(calls), expected
+
+
+def test_eval_series_makes_one_product_per_new_prefix(sl2_ops, monkeypatch):
+    assert _eval_products(sl2_ops, 10, monkeypatch) == (332, 332)
+
+
+def test_eval_series_products_on_sl3(sl3_ops, monkeypatch):
+    # Summing the evaluated words (one lincomb per coefficient) makes no
+    # product of its own.
+    assert _eval_products(sl3_ops, 6, monkeypatch) == (18, 18)
 
 
 def test_eval_series_alphabet_mismatch(sl2_ops):

@@ -1,6 +1,7 @@
 """Tests for exact sparse matrices."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,9 @@ def test_kernel_products_match_reference(pair, c):
     assert {(i, j): v for i, j, v in product.items()} == {
         (i, j): v for i, row in enumerate(ref_mul(da, db)) for j, v in enumerate(row) if not v.is_zero
     }
+    # Pairs over different denominators merge into one sum.
+    third = a.scale(Fraction(1, 3))
+    assert dense(a.dot([(a, b), (third, b)])) == ref_add(ref_mul(da, db), ref_mul(dense(third), db))
 
 
 @settings(max_examples=40, deadline=None)
@@ -258,3 +262,109 @@ def test_eval_series_matches_word_by_word_dense_evaluation():
                 prod = ref_mul(prod, letters[letter])
             acc = ref_add(acc, ref_scale(prod, scal))
         assert dense(got) == acc
+
+
+# -- lincomb: one merge for a whole linear combination -------------------------
+
+
+def _assert_canonical(m: SparseMatrix):
+    """Every part in lowest terms, with no zero numerator or empty row."""
+    for den, rows in m._parts.values():
+        assert rows and den > 0
+        nums = [v for row in rows.values() for v in row.values()]
+        assert all(row for row in rows.values()) and all(type(v) is int and v for v in nums)
+        assert gcd(den, *nums) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_lincomb_matches_reference_and_repeated_scale_and_add(rows, cols, data):
+    terms = data.draw(st.lists(st.tuples(_values, _matrices(rows, cols)), max_size=5))
+    receiver = data.draw(_matrices(rows, cols))
+    got = receiver.lincomb(terms)
+    ref = dense(SparseMatrix.zeros(rows, cols))
+    loop = SparseMatrix.zeros(rows, cols)
+    for c, x in terms:
+        ref = ref_add(ref, ref_scale(dense(x), Scalar.coerce(c)))
+        loop = loop + x.scale(c)
+    assert dense(got) == ref
+    assert got == loop and hash(got) == hash(loop)
+    _assert_canonical(got)
+    assert receiver.lincomb([]) == receiver.ring_zero()
+    assert receiver.lincomb(iter(terms)) == got
+
+
+def test_integer_numerators_round_trip():
+    m = SparseMatrix.from_numerators(2, 3, {0: {0: 2, 2: 0}, 1: {1: -6}, 5: {}}, den=4)
+    assert m == SparseMatrix(2, 3, [(0, 0, Fraction(1, 2)), (1, 1, Fraction(-3, 2))])
+    assert m.numerators() == (2, {0: {0: 1}, 1: {1: -3}})
+    assert SparseMatrix.from_numerators(2, 2, {0: {1: 0}}).is_zero
+    for rows, den in (({2: {0: 1}}, 1), ({0: {3: 1}}, 1), ({0: {-1: 1}}, 1), ({0: {0: 1}}, 0)):
+        with pytest.raises(MatrixError):
+            SparseMatrix.from_numerators(2, 3, rows, den)
+    with pytest.raises(MatrixError):
+        SparseMatrix.identity(2).scale(Scalar.constant("ipi")).numerators()
+
+
+def test_lincomb_checks_its_terms():
+    m = SparseMatrix.identity(2)
+    with pytest.raises(MatrixError, match="shape mismatch"):
+        m.lincomb([(1, m), (1, SparseMatrix.identity(3))])
+    with pytest.raises(TypeError):
+        m.lincomb([(1, 1)])
+
+
+# -- the renderers against the dense reference ---------------------------------
+
+
+def ref_dense_text(m: SparseMatrix) -> list[list[str]]:
+    """The dense renderer: the scalar text of every one of the rows x
+    cols cells, absent cells reading "0"."""
+    return [[m.entry(i, j).to_text() for j in range(m.cols)] for i in range(m.rows)]
+
+
+def ref_to_text(m: SparseMatrix) -> str:
+    return "[" + "; ".join("[" + ", ".join(row) + "]" for row in ref_dense_text(m)) + "]"
+
+
+_text_monos = st.sampled_from(
+    [(), (("ipi", 1),), (("ipi", 2),), (("zeta", 1),), (("ipi", 1), ("zeta", 1))]
+)
+_text_scalars = st.lists(st.tuples(_text_monos, _fracs), min_size=1, max_size=3).map(lambda ts: Scalar(dict(ts)))
+
+
+@st.composite
+def _rendered(draw):
+    """Zero, 1x1 and rectangular matrices whose rows are empty, full or
+    partly filled; entries are negative and fractional rationals, or
+    cells mixing ipi^k and zeta terms, and a whole matrix may carry one
+    constant monomial."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    values = draw(st.sampled_from([st.integers(-12, 12), _fracs, _text_scalars]))
+    entries = []
+    for i in range(rows):
+        kind = draw(st.sampled_from(["empty", "full", "some"]))
+        if kind == "empty":
+            continue
+        columns = range(cols) if kind == "full" else draw(st.sets(st.integers(0, cols - 1)))
+        entries += [(i, j, draw(values)) for j in columns]
+    m = SparseMatrix(rows, cols, entries)
+    constant = draw(st.sampled_from([None, Scalar.constant("ipi", 2), Scalar.constant("zeta", coeff=-3)]))
+    return m if constant is None else m.scale(constant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rendered())
+def test_renderers_match_dense_reference(m):
+    assert m.to_text() == ref_to_text(m)
+    assert m.to_json() == {"rows": m.rows, "cols": m.cols, "data": ref_dense_text(m)}
+
+
+def test_renderers_on_edge_shapes():
+    assert SparseMatrix.zeros(1, 1).to_text() == "[[0]]"
+    assert SparseMatrix.zeros(2, 3).to_text() == "[[0, 0, 0]; [0, 0, 0]]"
+    cell = SparseMatrix(1, 1, [(0, 0, Scalar.constant("zeta") - Scalar.constant("ipi", 2, Fraction(1, 2)))])
+    assert cell.to_text() == "[[- 1/2*ipi^2 + zeta]]" == ref_to_text(cell)
+    row = SparseMatrix(1, 4, [(0, 1, -1), (0, 3, Fraction(2, 3))])
+    assert row.to_text() == "[[0, - 1, 0, 2/3]]" == ref_to_text(row)
+    assert row.transpose().to_json()["data"] == [["0"], ["- 1"], ["0"], ["2/3"]]

@@ -282,6 +282,16 @@ def test_ncpoly_matches_naive_reference(ra, rb, s):
     assert all(a.coeff(w) == c for w, c in ref_normal(ra))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_ref_scalars | st.integers(-3, 3), _raw_polys), max_size=4))
+def test_ncpoly_lincomb_matches_naive_reference(terms):
+    zero = NCPoly.zero(CDZ)
+    got = zero.lincomb([(c, NCPoly(CDZ, raw)) for c, raw in terms])
+    ref = [t for c, raw in terms for t in ref_scale(raw, Scalar.coerce(c))]
+    assert got.sorted_terms() == ref_normal(ref)
+    _assert_lowest(got)
+
+
 # -- the integer store: lowest terms after every operation ----------------------
 #
 # Every linear combination keeps integer numerators over one positive
@@ -356,6 +366,15 @@ def test_store_stays_in_lowest_terms(ring, data):
     assert p - p == p.ring_zero() and hash(p - p) == hash(p.ring_zero())
     assert p.scale(2) == p + p and hash(p.scale(2)) == hash(p + p)
     assert p.dot([(p, q), (q, p)]) == p * q + q * p
+    # lincomb against repeated scale and +, over the ring's zero.
+    pairs = [(s, p), (data.draw(_kernel_scalars), q), (data.draw(st.integers(-3, 3)), p * q)]
+    combined = p.lincomb(pairs)
+    _assert_lowest(combined)
+    loop = p.ring_zero()
+    for c, x in pairs:
+        loop = loop + x.scale(c)
+    assert combined == loop and hash(combined) == hash(loop)
+    assert p.lincomb([]) == p.ring_zero()
     half = Scalar.rational(1, 2)
     for u in units:
         assert u.scale(half) + u.scale(half) == u

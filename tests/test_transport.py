@@ -373,6 +373,33 @@ def test_braiding_relation_series():
     assert report.passed
 
 
+@pytest.mark.parametrize("order", range(1, 9))
+def test_braiding_recurrence_matches_series_exponential(order):
+    # The right side built as braiding * exp(-ipi h Omega_h), with the
+    # exponential taken by HSeries.exp of the one-step series.
+    from qjacobi.hseries import HSeries
+
+    sigma_h = normalize(gen("sigma_h"))
+    step = normalize(gen("Omega_h")).scale(-Scalar.constant("ipi"))
+    exponent = [sigma_h.ring_zero()] * order
+    if order > 1:
+        exponent[1] = step
+    braiding = []
+    for m in range(order):
+        factorial = Scalar.one()
+        for k in range(2, m + 1):
+            factorial = factorial / Scalar.rational(k)
+        poly = ClassicalPoly.word(("sig",) + ("Om",) * m)
+        factors = (("c", "Mvv", -1), ("X", poly), ("c", "Mvv", 1))
+        coeff = Scalar.constant("ipi", m) * factorial if m else Scalar.one()
+        braiding.append(TransportElement(q_obj(2), q_obj(2), [(coeff, factors)]))
+    lhs = HSeries.constant(sigma_h, order)
+    rhs = HSeries(braiding) * HSeries(exponent).exp()
+    report = verify_identity("sigma_h_def", order=order)
+    assert (report.passed, report.lhs_text, report.rhs_text) == (lhs == rhs, lhs.to_text(), rhs.to_text())
+    assert report.passed
+
+
 def test_unknown_identity():
     with pytest.raises(TransportError):
         verify_identity("9.9")
