@@ -34,7 +34,6 @@ __all__ = [
     "builtin_table",
     "dump_table",
     "load_table",
-    "make_Fk",
     "make_Gk",
     "parse_table",
     "validate_table",
@@ -228,7 +227,3 @@ def make_Gk(
     images = {"Z": Z_image, "Zinv": Zinv_image, "C": C_image, "D": D_image}
     return substitute(alpha(entry), images)
 
-
-def make_Fk(psi_approx: HSeries, Gk: HSeries) -> HSeries:
-    """The companion coefficient: minus the series times the block."""
-    return -(psi_approx * Gk)

@@ -15,7 +15,8 @@ polynomials and transport normal forms all qualify, and so do series
 themselves.  A product of series builds each output coefficient with one
 ``dot`` call, and a linear combination of series each coefficient with
 one ``lincomb`` call, so a growing sum is merged once rather than once
-per added term.
+per added term.  Series ``+`` and ``-`` are the two-term cases of
+``lincomb``, as they are for every other ring here.
 """
 
 from __future__ import annotations
@@ -73,20 +74,11 @@ class HSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coeffs)
 
-    def _binary(self, other, op):
-        if not isinstance(other, HSeries):
-            raise SeriesError("operand is not a series")
-        n = min(self.order, other.order)
-        try:
-            return HSeries([op(self.coeffs[k], other.coeffs[k]) for k in range(n)])
-        except (TypeError, ValueError) as exc:
-            raise SeriesError(f"incompatible series coefficients: {exc}") from exc
-
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self.lincomb(((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self.lincomb(((1, self), (-1, other)))
 
     def __neg__(self):
         return HSeries([-c for c in self.coeffs])

@@ -22,7 +22,7 @@ from math import lcm
 
 from . import jsontext
 from .hseries import HSeries
-from .matrices import MatrixError, SparseMatrix, kron, minimal_polynomial
+from .matrices import MatrixError, SparseMatrix, _krylov, kron
 from .ncalg import NCPoly, Scalar, substitute
 from .psiengine import PSI_ALPHABET
 
@@ -297,8 +297,6 @@ class TensorOps:
     Omega: SparseMatrix      # -(T (x) T) o (1 (x) t (x) 1)
     sigma12: SparseMatrix
     sigma23: SparseMatrix
-    Omega12: SparseMatrix
-    Omega23: SparseMatrix
 
 
 def _bracket_maps(alg: LieAlgebraData) -> dict[str, SparseMatrix]:
@@ -360,17 +358,7 @@ def build_tensor_ops(alg: LieAlgebraData) -> TensorOps:
     }
     Omega = -(kron(maps["T"], maps["T"]) * SparseMatrix.from_numerators(d ** 4, d * d, mid, den))
 
-    eye = SparseMatrix.identity(d)
-    return TensorOps(
-        alg=alg,
-        ad=ads,
-        t_vec=t_vec,
-        t_action=t_action,
-        Omega=Omega,
-        Omega12=kron(Omega, eye),
-        Omega23=kron(eye, Omega),
-        **maps,
-    )
+    return TensorOps(alg=alg, ad=ads, t_vec=t_vec, t_action=t_action, Omega=Omega, **maps)
 
 
 @dataclass
@@ -473,8 +461,9 @@ def verify_sigma_rmatrix(ops: TensorOps, order: int) -> Report:
 
 def eval_series(series: HSeries, ops: TensorOps) -> HSeries:
     """Evaluate a series over the letters O12, O23 on the triple tensor
-    space of an algebra."""
-    letters = {"O12": ops.Omega12, "O23": ops.Omega23}
+    space of an algebra, where O12 is Omega (x) 1 and O23 is 1 (x) Omega."""
+    eye = SparseMatrix.identity(ops.alg.dim)
+    letters = {"O12": kron(ops.Omega, eye), "O23": kron(eye, ops.Omega)}
     out = []
     for coeff in series.coeffs:
         if not isinstance(coeff, NCPoly) or coeff.alphabet != PSI_ALPHABET:
@@ -574,7 +563,7 @@ def _divisors(n: int) -> list[int]:
 def spectral_report(matrix: SparseMatrix) -> SpectralReport:
     """Exact spectral data: trace, minimal polynomial, rational linear
     factors with multiplicities, and kernel dimensions by rank."""
-    coeffs = minimal_polynomial(matrix)
+    coeffs, powers = _krylov(matrix)
     n = matrix.rows
     factors = []
     work = list(coeffs)
@@ -586,14 +575,10 @@ def spectral_report(matrix: SparseMatrix) -> SpectralReport:
         shifted = matrix - SparseMatrix.identity(n).scale(root)
         kernel = n - shifted.rank()
         factors.append((root, mult, kernel))
-    powers = [SparseMatrix.identity(n)]
-    for _ in coeffs[1:]:
-        powers.append(powers[-1] * matrix)
-    acc = matrix.lincomb(zip(coeffs, powers))
     return SpectralReport(
         trace=matrix.trace().as_fraction(),
         min_poly=coeffs,
         factors=factors,
         residual_degree=len(work) - 1,
-        annihilates=acc.is_zero,
+        annihilates=matrix.lincomb(zip(coeffs, powers)).is_zero,
     )

@@ -542,7 +542,14 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 
 
 def minimal_polynomial(matrix: SparseMatrix) -> list[Fraction]:
-    """Monic minimal polynomial coefficients (constant term first).
+    """Monic minimal polynomial coefficients (constant term first)."""
+    return _krylov(matrix)[0]
+
+
+def _krylov(matrix: SparseMatrix) -> tuple[list[Fraction], list[SparseMatrix]]:
+    """The minimal polynomial's coefficients and the powers M^0 .. M^deg
+    formed to find it, so that a caller can evaluate the polynomial at M
+    without multiplying them out again.
 
     Found by Krylov iteration on the flattened powers of the matrix: the
     first linear dependence among 1, M, M^2, ... gives the polynomial.
@@ -554,10 +561,10 @@ def minimal_polynomial(matrix: SparseMatrix) -> list[Fraction]:
     matrix.numerators()  # refuses formal constants before any work
     n = matrix.rows
     basis: list[tuple[int, dict[int, int], dict[int, int]]] = []
-    power = SparseMatrix.identity(n)
+    powers = [SparseMatrix.identity(n)]
     k = 0
     while True:
-        den, rows = power.numerators()
+        den, rows = powers[-1].numerators()
         vec = {i * n + j: v for i, row in rows.items() for j, v in row.items()}
         comb = {k: den}
         for lead, bvec, bcomb in basis:
@@ -567,11 +574,11 @@ def minimal_polynomial(matrix: SparseMatrix) -> list[Fraction]:
                 vec = _row_comb(vec, p, bvec, -f)
                 comb = _row_comb(comb, p, bcomb, -f)
         if not vec:
-            return [Fraction(comb.get(j, 0), comb[k]) for j in range(k + 1)]
+            return [Fraction(comb.get(j, 0), comb[k]) for j in range(k + 1)], powers
         g = gcd(*vec.values(), *comb.values())
         vec = {j: v // g for j, v in vec.items()}
         basis.append((min(vec), vec, {j: v // g for j, v in comb.items()}))
-        power = power * matrix
+        powers.append(powers[-1] * matrix)
         k += 1
         if k > n:
             raise MatrixError("minimal polynomial search exceeded the dimension")

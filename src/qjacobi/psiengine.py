@@ -10,20 +10,19 @@ starts from the unit pair modulo h^1 or h^2, whichever has the parity
 of the requested order N, and steps n -> n + 2 up to N.  At each step
 ``alpha(E_k)``, computed once per degree, is substituted with the pair
 truncated to h^(n-k), the only part of it the shifted block can see,
-and the blocks are summed into the new pair modulo h^n.
+and the blocks are summed into the new pair modulo h^n; the inverse is
+assembled from the same blocks with the opposite sign convention.
 
 The conjugator pair is not checked to be mutually inverse at each step
 (the public :func:`~qjacobi.deformation.make_Gk` still checks it for
-outside callers).  The one two-sided check in :meth:`PsiPair.validate`
-covers every dropped one: by induction each intermediate pair is the
-truncation of the final pair, and (a mod h^m)(b mod h^m) = ab mod h^m,
-so psi * psi_inv = psi_inv * psi = 1 modulo h^N implies the same modulo
-every h^m with m <= N.
-
-The inverse is assembled from the same blocks with the opposite sign
-convention and is cross-checked against ring inversion by
-:func:`check_inverse_consistency`, which turns the inverse formula into
-a machine-checked property.
+outside callers).  The one product in :meth:`PsiPair.validate` covers
+every dropped check.  In the ring of series modulo h^N, a series whose
+constant term is 1 is a unit: its inverse is built degree by degree.
+So once psi starts at 1, psi * psi_inv = 1 makes psi_inv = psi^-1, which
+is then also a left inverse and starts at 1 with no linear term when psi
+does.  By induction each intermediate pair is the truncation of the
+final pair, and (a mod h^m)(b mod h^m) = ab mod h^m, so the same holds
+modulo every h^m with m <= N.
 """
 
 from __future__ import annotations
@@ -31,11 +30,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .deformation import EkTable, TableError, alpha, make_Fk, validate_table
+from .deformation import EkTable, TableError, alpha, validate_table
 from .hseries import HSeries
 from .ncalg import Alphabet, NCPoly, substitute
 
-__all__ = ["EngineError", "InverseReport", "PSI_ALPHABET", "PsiPair", "check_inverse_consistency", "compute_psi"]
+__all__ = ["EngineError", "PSI_ALPHABET", "PsiPair", "compute_psi"]
 
 logger = logging.getLogger(__name__)
 
@@ -56,17 +55,17 @@ class PsiPair:
     table_id: str
 
     def validate(self) -> None:
+        """Check the orders, the start of psi and psi * psi_inv = 1; the
+        module docstring says why that one product settles the rest."""
         one = NCPoly.one(PSI_ALPHABET)
-        zero = NCPoly.zero(PSI_ALPHABET)
         for name, series in (("psi", self.psi), ("psi_inv", self.psi_inv)):
             if series.order != self.order:
                 raise EngineError(f"{name} has order {series.order}, expected {self.order}")
-            if series.coeffs[0] != one:
-                raise EngineError(f"{name} does not start at 1")
-            if self.order >= 2 and series.coeffs[1] != zero:
-                raise EngineError(f"{name} has a nonzero linear coefficient")
-        unit = HSeries.unit(one, self.order)
-        if self.psi * self.psi_inv != unit or self.psi_inv * self.psi != unit:
+        if self.psi.coeffs[0] != one:
+            raise EngineError("psi does not start at 1")
+        if self.order >= 2 and not self.psi.coeffs[1].is_zero:
+            raise EngineError("psi has a nonzero linear coefficient")
+        if self.psi * self.psi_inv != HSeries.unit(one, self.order):
             raise EngineError("pair is not mutually inverse at the stated order")
 
 
@@ -102,39 +101,19 @@ def compute_psi(table: EkTable, order: int) -> PsiPair:
     for n in range(start + 2, order + 1, 2):
         # psi, psi_inv are the pair modulo h^(n-2).  The degree-k block
         # enters shifted by h^k, so it is needed only modulo h^(n-k).
-        acc = acc_inv = HSeries.unit(one, n)
+        # psi gains -back * G_k h^k and psi_inv gains G_k h^k.
+        unit = HSeries.unit(one, n)
+        terms, terms_inv = [(1, unit)], [(1, unit)]
         for k, block in blocks:
             if k > n - 1:
                 break
             back, back_inv = psi.truncate(n - k), psi_inv.truncate(n - k)
             gk = substitute(block, {"Z": back, "Zinv": back_inv, "C": o12, "D": o23})
-            acc = acc + make_Fk(back, gk).shift(k).truncate(n)
-            acc_inv = acc_inv + gk.shift(k).truncate(n)
-        psi, psi_inv = acc, acc_inv
+            terms.append((-1, (back * gk).shift(k)))
+            terms_inv.append((1, gk.shift(k)))
+        psi, psi_inv = unit.lincomb(terms), unit.lincomb(terms_inv)
 
     pair = PsiPair(psi, psi_inv, order, table.source)
     pair.validate()
     return pair
 
-
-@dataclass
-class InverseReport:
-    """Outcome of checking the inverse formula against ring inversion."""
-
-    ok: bool
-    mismatched_degrees: list[int]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_inverse_consistency(pair: PsiPair) -> InverseReport:
-    """Compare the assembled inverse with the ring inverse of the series,
-    coefficient by coefficient."""
-    ring_inverse = pair.psi.invert()
-    mismatched = [
-        k
-        for k in range(min(pair.psi_inv.order, ring_inverse.order))
-        if pair.psi_inv.coeffs[k] != ring_inverse.coeffs[k]
-    ]
-    return InverseReport(not mismatched, mismatched)

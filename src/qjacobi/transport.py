@@ -41,11 +41,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .deformation import AB_ALPHABET, alpha, builtin_table
 from .hseries import HSeries
-from .matrices import SparseMatrix
+from .matrices import SparseMatrix, kron
 from .ncalg import LinearCombination, NCPoly, Scalar, ScalarLike, _sum, substitute
 
 __all__ = [
@@ -894,7 +895,8 @@ def verify_identity(identity: str, table=None, degrees=None, order: int = 4) -> 
 
 # -- evaluation into matrix series ---------------------------------------------
 
-# Classical atom -> the TensorOps field holding its matrix.
+# Classical atom -> the TensorOps field holding its matrix; Om12 and Om23
+# are the lifts TransportModel builds.
 _ATOM_FIELDS = {
     "T": "T",
     "sig": "sigma",
@@ -904,8 +906,6 @@ _ATOM_FIELDS = {
     "T2": "T2",
     "sig12": "sigma12",
     "sig23": "sigma23",
-    "Om12": "Omega12",
-    "Om23": "Omega23",
 }
 
 
@@ -943,8 +943,16 @@ class TransportModel:
         return cls(ops, order, eye3, psi_series.truncate(order), eye2)
 
     def atom_matrix(self, name: str):
-        """The matrix of a classical atom: a field of the tensor operators."""
-        return getattr(self.ops, _ATOM_FIELDS[name])
+        """The matrix of a classical atom: a field of the tensor operators,
+        or for Om12 and Om23 a lift of Omega, built once per model."""
+        if name in _ATOM_FIELDS:
+            return getattr(self.ops, _ATOM_FIELDS[name])
+        return self._omega_lifts[name]
+
+    @cached_property
+    def _omega_lifts(self) -> dict[str, SparseMatrix]:
+        eye = SparseMatrix.identity(self.ops.alg.dim)
+        return {"Om12": kron(self.ops.Omega, eye), "Om23": kron(eye, self.ops.Omega)}
 
     def _conj_series(self, name: str, sign: int) -> HSeries:
         return {

@@ -178,13 +178,16 @@ def test_eval_identity_at_order_two(capsys):
 
 def test_eval_order_three_matches_commutator(capsys):
     from qjacobi.liealg import build_algebra, build_tensor_ops
+    from qjacobi.matrices import SparseMatrix, kron
     from qjacobi.ncalg import Scalar, parse_scalar
 
     code, out = run_cli(capsys, "eval", "--algebra", "sl2", "--order", "3", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     ops = build_tensor_ops(build_algebra("sl2"))
-    expected = (ops.Omega12 * ops.Omega23 - ops.Omega23 * ops.Omega12).scale(
+    eye = SparseMatrix.identity(3)
+    o12, o23 = kron(ops.Omega, eye), kron(eye, ops.Omega)
+    expected = (o12 * o23 - o23 * o12).scale(
         Scalar.rational(-1, 24)
     )
     h2 = doc["coeffs"][2]

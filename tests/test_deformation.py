@@ -15,7 +15,6 @@ from qjacobi.deformation import (
     builtin_table_text,
     dump_table,
     load_table,
-    make_Fk,
     make_Gk,
     parse_table,
     validate_table,
@@ -215,13 +214,3 @@ def test_make_Gk_rejects_non_inverse_pair():
     make_Gk(builtin_table(), 2, z.truncate(2), zinv.truncate(2), A, B)
     with pytest.raises(SeriesError):
         make_Gk(builtin_table(), 2, z, zinv, A, B)
-
-
-def test_make_Fk():
-    g = HSeries.constant(commutator(A, B).scale(Scalar.rational(1, 24)), 2)
-    assert make_Fk(_one_series(2), g) == -g
-    psi = HSeries((NCPoly.one(PSI_AB), NCPoly.zero(PSI_AB), A * A))
-    g0 = HSeries.constant(B, 1)
-    assert make_Fk(psi, g0) == HSeries.constant(-B, 1)
-    zero = HSeries.constant(NCPoly.zero(PSI_AB), 4)
-    assert make_Fk(psi, zero).is_zero

@@ -340,7 +340,7 @@ def test_algebra_json_round_trip(sl2):
 def test_sl3_dimensions(sl3_ops):
     assert sl3_ops.alg.dim == 8
     assert sl3_ops.Omega.rows == 64
-    assert sl3_ops.Omega12.rows == 512
+    assert kron(sl3_ops.Omega, SparseMatrix.identity(8)).rows == 512
 
 
 # -- tensor operators ------------------------------------------------------------
@@ -389,6 +389,31 @@ def test_sl2_spectral_report(sl2_ops):
     assert report.residual_degree == 0
     assert report.annihilates
     assert report.factored_text() == "(x + 1)*(x + 1/2)*(x - 1/2)"
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3"])
+def test_spectral_report_forms_each_power_once(name, sl2_ops, sl3_ops, monkeypatch):
+    # The annihilation check reuses the powers of the minimal polynomial
+    # search, so the report makes one product per degree and no more.
+    omega = {"sl2": sl2_ops, "sl3": sl3_ops}[name].Omega
+    products = []
+    original = SparseMatrix.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__mul__", counted)
+    report = spectral_report(omega)
+    monkeypatch.undo()
+    assert report.annihilates
+    assert len(products) == len(report.min_poly) - 1
+    acc = SparseMatrix.zeros(omega.rows, omega.cols)
+    power = SparseMatrix.identity(omega.rows)
+    for c in report.min_poly:
+        acc = acc + power.scale(c)
+        power = power * omega
+    assert acc.is_zero
 
 
 def test_dividing_by_a_non_root_raises():
@@ -536,7 +561,9 @@ def test_eval_series_identity(sl2_ops):
 def test_eval_psi_order3_matches_matrix_commutator(sl2_ops):
     pair = compute_psi(builtin_table(), 3)
     out = eval_series(pair.psi, sl2_ops)
-    direct = sl2_ops.Omega12 * sl2_ops.Omega23 - sl2_ops.Omega23 * sl2_ops.Omega12
+    eye = SparseMatrix.identity(3)
+    o12, o23 = kron(sl2_ops.Omega, eye), kron(eye, sl2_ops.Omega)
+    direct = o12 * o23 - o23 * o12
     expected = direct.scale(Scalar.rational(-1, 24))
     assert out.coeffs[2] == expected
     assert not expected.is_zero

@@ -249,8 +249,9 @@ def test_eval_series_matches_word_by_word_dense_evaluation():
     from qjacobi.psiengine import compute_psi
 
     ops = build_tensor_ops(build_algebra("sl2"))
-    letters = {"O12": dense(ops.Omega12), "O23": dense(ops.Omega23)}
-    n = ops.Omega12.rows
+    eye3 = SparseMatrix.identity(3)
+    letters = {"O12": dense(kron(ops.Omega, eye3)), "O23": dense(kron(eye3, ops.Omega))}
+    n = 27
     eye = [[Scalar.rational(int(i == j)) for j in range(n)] for i in range(n)]
     psi = compute_psi(builtin_table(), 6).psi
     evaluated = eval_series(psi, ops)

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,7 @@ from helpers import oracle_psi, random_homogeneous_table
 from qjacobi.deformation import AB_ALPHABET, EkTable, builtin_table
 from qjacobi.hseries import HSeries
 from qjacobi.ncalg import NCPoly, Scalar, commutator
-from qjacobi.psiengine import (
-    PSI_ALPHABET,
-    PsiPair,
-    check_inverse_consistency,
-    compute_psi,
-)
+from qjacobi.psiengine import PSI_ALPHABET, EngineError, PsiPair, compute_psi
 
 O12 = NCPoly.letter(PSI_ALPHABET, "O12")
 O23 = NCPoly.letter(PSI_ALPHABET, "O23")
@@ -86,8 +82,8 @@ def test_inverse_identity_builtin():
 
 def test_inverse_consistency_builtin():
     for order in (2, 3, 5, 8):
-        report = check_inverse_consistency(compute_psi(builtin_table(), order))
-        assert report.ok and not report.mismatched_degrees
+        pair = compute_psi(builtin_table(), order)
+        assert pair.psi_inv == pair.psi.invert()
 
 
 def test_inverse_consistency_detects_corruption():
@@ -98,9 +94,75 @@ def test_inverse_consistency_detects_corruption():
         order=4,
         table_id=pair.table_id,
     )
-    report = check_inverse_consistency(corrupted)
-    assert not report
-    assert report.mismatched_degrees == [2]
+    assert corrupted.psi_inv != corrupted.psi.invert()
+    with pytest.raises(EngineError, match="not mutually inverse"):
+        corrupted.validate()
+
+
+# -- the pair check: its rejection paths and its one product ---------------------
+
+# Degrees 2 and 3 make every coefficient from h^2 to h^6 nonzero, so
+# negating any one of them corrupts the pair.
+FULL_TABLE = EkTable(
+    entries={
+        2: builtin_table().entry(2),
+        3: NCPoly(AB_ALPHABET, [(("A", "A", "B"), Scalar.rational(1, 3)), (("B", "A", "B"), 2)]),
+    },
+    source="full",
+)
+FULL_ORDER = 7
+
+
+@pytest.mark.parametrize("degree", range(2, FULL_ORDER))
+def test_validate_rejects_a_negated_inverse_coefficient(degree):
+    pair = compute_psi(FULL_TABLE, FULL_ORDER)
+    coeffs = list(pair.psi_inv.coeffs)
+    assert not coeffs[degree].is_zero
+    coeffs[degree] = -coeffs[degree]
+    with pytest.raises(EngineError, match="not mutually inverse"):
+        replace(pair, psi_inv=HSeries(coeffs)).validate()
+
+
+def test_validate_rejects_psi_not_starting_at_one():
+    # The product is still 1, so only the start check can reject it.
+    pair = compute_psi(FULL_TABLE, FULL_ORDER)
+    bad = replace(pair, psi=pair.psi.scale(2), psi_inv=pair.psi_inv.scale(Scalar.rational(1, 2)))
+    assert bad.psi * bad.psi_inv == HSeries.unit(ONE, FULL_ORDER)
+    with pytest.raises(EngineError, match="does not start at 1"):
+        bad.validate()
+
+
+def test_validate_rejects_a_linear_term():
+    # psi_inv is the ring inverse, so only the linear check can reject it.
+    pair = compute_psi(FULL_TABLE, FULL_ORDER)
+    psi = HSeries((ONE, O12) + pair.psi.coeffs[2:])
+    bad = replace(pair, psi=psi, psi_inv=psi.invert())
+    assert bad.psi * bad.psi_inv == HSeries.unit(ONE, FULL_ORDER)
+    with pytest.raises(EngineError, match="nonzero linear coefficient"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("order", [FULL_ORDER - 1, FULL_ORDER + 1])
+def test_validate_rejects_an_inverse_of_the_wrong_order(order):
+    pair = compute_psi(FULL_TABLE, FULL_ORDER)
+    bad = replace(pair, psi_inv=compute_psi(FULL_TABLE, order).psi_inv)
+    with pytest.raises(EngineError, match=f"psi_inv has order {order}, expected {FULL_ORDER}"):
+        bad.validate()
+
+
+def test_validate_makes_one_series_product(monkeypatch):
+    pair = compute_psi(FULL_TABLE, FULL_ORDER)
+    products = []
+    original = HSeries.dot
+
+    def counted(self, pairs):
+        pairs = list(pairs)
+        products.append(len(pairs))
+        return original(self, pairs)
+
+    monkeypatch.setattr(HSeries, "dot", counted)
+    pair.validate()
+    assert products == [1]
 
 
 def test_monotone_consistency():

@@ -444,11 +444,13 @@ def test_evaluation_of_braid_identity_sides(models):
         assert model.evaluate_expr(lhs) == model.evaluate_expr(rhs)
 
 
-def test_model_evaluation_makes_no_kron_calls(sl2_ops, monkeypatch):
-    # Every atom matrix is a field of the tensor operators, so neither a
-    # model nor its evaluations build a Kronecker product.
+def test_model_builds_each_omega_lift_once(sl2_ops, monkeypatch):
+    # Every atom matrix but Om12 and Om23 is a field of the tensor
+    # operators.  A model builds those two lifts of Omega on first use and
+    # reuses them in every later evaluation.
     import qjacobi.liealg
     import qjacobi.matrices
+    import qjacobi.transport
 
     calls = []
     original = qjacobi.matrices.kron
@@ -457,18 +459,23 @@ def test_model_evaluation_makes_no_kron_calls(sl2_ops, monkeypatch):
         calls.append(1)
         return original(a, b)
 
-    monkeypatch.setattr(qjacobi.matrices, "kron", counted)
-    monkeypatch.setattr(qjacobi.liealg, "kron", counted)
+    for module in (qjacobi.matrices, qjacobi.liealg, qjacobi.transport):
+        monkeypatch.setattr(module, "kron", counted)
     model = TransportModel.trivial(sl2_ops, 3)
     small = compose(gen("T_h"), lift("T_h", "left"))
     large = compose(small, *[gen(name) for name in ("psi", "Omega_h_12", "psi_inv", "Omega_h_23")])
-    for expr in (small, large, large):
+    model.evaluate_element(normalize(small))
+    assert calls == []
+    for expr in (large, large):
         model.evaluate_element(normalize(expr))
+    assert len(calls) == 2
     d = sl2_ops.alg.dim
     eye = SparseMatrix.identity(d)
+    assert model.atom_matrix("Om12") == original(sl2_ops.Omega, eye)
+    assert model.atom_matrix("Om23") == original(eye, sl2_ops.Omega)
     assert TransportModel.trivial(sl2_ops, 3).atom_matrix("T1") == original(sl2_ops.T, eye)
     assert model.atom_matrix("T2") == original(eye, sl2_ops.T)
-    assert calls == []
+    assert len(calls) == 2
 
 
 def test_scaled_sums_evaluate_linearly(models):
