@@ -137,6 +137,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    # load_table refuses a table with any problem (TableError, exit 3), so
+    # the report is only printed for a valid table.
     table = load_table(args.path)
     diagnostics = validate_table(table)
     doc = {
@@ -147,7 +149,7 @@ def cmd_table(args) -> int:
         "problems": diagnostics.problems,
     }
     _emit(_json_text(doc), args.out)
-    return 0 if diagnostics.ok else 3
+    return 0
 
 
 def cmd_omega(args) -> int:

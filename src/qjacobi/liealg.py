@@ -220,10 +220,15 @@ def _parse_algebra(doc: dict, name: str) -> LieAlgebraData:
     for item in brackets:
         try:
             i, j, targets = _index(item[0]), _index(item[1]), item[2]
-            row = {_index(k): _frac(v) for k, v in targets}
-        except (IndexError, TypeError, ValueError) as exc:
+            row = [(_index(k), _frac(v)) for k, v in targets]
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise AlgebraError(f"malformed bracket entry {item!r}: {exc}") from exc
-        structure[(i, j)] = {k: v for k, v in row.items() if v}
+        # A repeated pair or target would leave the later copy in force.
+        if len({k for k, _ in row}) != len(row):
+            raise AlgebraError(f"bracket entry {item!r} states a target index twice")
+        if (i, j) in structure:
+            raise AlgebraError(f"bracket ({i}, {j}) is stated twice")
+        structure[(i, j)] = {k: v for k, v in row if v}
     # Fill unstated mirror brackets by antisymmetry; stated ones are
     # validated as given.
     for (i, j), row in list(structure.items()):

@@ -27,9 +27,19 @@ An expression (:class:`MorphTerm`) is a typed, flat list of
 lists left to right and ``morph_sum`` concatenates them, so terms keep
 their construction order.
 
-Every normalization records a replayable trace of (term, rule, position)
+Every rewrite step, structural or classical, is found by one search
+(``_first_match``): the leftmost position where any rule applies, the
+rules tried in table order there.  Normalization, the completeness check
+of trace replay and the classical discharge (at the first term, in
+canonical order, that a rule applies to) all step that way.  Every
+normalization records a replayable trace of (term, rule, position)
 steps, where term is an index into that list, capped by a step budget so
 failure is observable instead of divergent.
+
+A sum of products of normal forms, such as one coefficient of a series
+product, is concatenated and merged, then normalized once.  Rewriting
+acts term by term and only scales a term's coefficient, so the normal
+form of a sum is the sum of the normal forms.
 
 The unit object and the single tensor site are identified with their
 images outright, which is how the deformed Casimir tensor ``t_h`` types
@@ -47,7 +57,7 @@ from typing import Iterable, Sequence
 from .deformation import AB_ALPHABET, alpha, builtin_table
 from .hseries import HSeries
 from .matrices import SparseMatrix, kron
-from .ncalg import LinearCombination, NCPoly, Scalar, ScalarLike, _sum, substitute
+from .ncalg import LinearCombination, NCPoly, Scalar, ScalarLike, substitute
 
 __all__ = [
     "ClassicalPoly",
@@ -215,8 +225,40 @@ CLASSICAL_RULES: list[tuple[str, tuple[str, ...], list[tuple[int, tuple[str, ...
 ]
 
 
+_ONE = Scalar.one()
+
+
+def _run_matcher(run: tuple, replacement: tuple):
+    """The matcher of a rule that replaces one fixed run: (consumed,
+    replacement, coefficient multiplier) where the run starts, else None."""
+
+    def match(factors: tuple, pos: int):
+        if factors[pos : pos + len(run)] == run:
+            return len(run), replacement, _ONE
+        return None
+
+    return match
+
+
+def _first_match(factors: tuple, rules):
+    """The one rule search: (rule name, pos, match) for the leftmost
+    position where any of the (name, matcher) rules applies, trying them
+    in table order there, or None."""
+    for pos in range(len(factors)):
+        for name, matcher in rules:
+            match = matcher(factors, pos)
+            if match is not None:
+                return name, pos, match
+    return None
+
+
+# Names repeat (three 3.1 runs), so the table stays a tuple.
+_CLASSICAL_RULES = tuple((name, _run_matcher(run, rhs)) for name, run, rhs in CLASSICAL_RULES)
+
+
 def classical_normalize(poly: ClassicalPoly, budget: int = STEP_BUDGET):
-    """Rewrite to a fixpoint of the directed classical rules.
+    """Rewrite to a fixpoint of the directed classical rules, each step at
+    the first term, in canonical order, that a rule applies to.
 
     Returns (normal form, steps, names of rules used); each step is
     (rule name, word text, position).
@@ -225,29 +267,22 @@ def classical_normalize(poly: ClassicalPoly, budget: int = STEP_BUDGET):
     used: set[str] = set()
     current = poly
     while True:
-        match = None
         for word, coeff in current.sorted_terms():
-            for pos in range(len(word)):
-                for name, pattern, replacement in CLASSICAL_RULES:
-                    if word[pos : pos + len(pattern)] == pattern:
-                        match = (name, word, pos, coeff, pattern, replacement)
-                        break
-                if match:
-                    break
-            if match:
+            found = _first_match(word, _CLASSICAL_RULES)
+            if found is not None:
                 break
-        if match is None:
+        else:
             return current, steps, used
         if len(steps) >= budget:
             raise TransportError("classical rewrite budget exhausted")
-        name, word, pos, coeff, pattern, replacement = match
+        name, pos, (consumed, replacement, _) = found
         steps.append((name, ".".join(word) if word else "1", pos))
         used.add(name)
-        delta = ClassicalPoly(current.dom, current.cod, {word: -coeff})
-        for sign, rhs in replacement:
-            new_word = word[:pos] + rhs + word[pos + len(pattern) :]
-            delta = delta + ClassicalPoly(current.dom, current.cod, {new_word: coeff * Scalar.rational(sign)})
-        current = current + delta
+        # The matched term, replaced by the rule's signed words.
+        step = [(word, -coeff)] + [
+            (word[:pos] + rhs + word[pos + consumed :], coeff * sign) for sign, rhs in replacement
+        ]
+        current = current + ClassicalPoly(current.dom, current.cod, step)
 
 
 # -- quantum factors and terms ------------------------------------------------
@@ -333,22 +368,10 @@ class TransportElement(LinearCombination):
         return self._den == 1 and self._terms == {((), ()): 1}
 
     def dot(self, pairs):
-        """The sum of the compositions ``a`` after ``b``.  Each product is
-        concatenated and rewritten to normal form on its own, as ``*``
-        does; the normal forms are then merged once."""
-        out = None
-        stores = []
-        for pair in pairs:
-            raw = super().dot((pair,))
-            normal = _normalize_raw_terms(raw.terms, raw.dom, raw.cod)[0]
-            if out is None:
-                out = normal
-            else:
-                out._check_same(normal)
-            stores.append((normal._terms, normal._den, 1))
-        if out is None:
-            return self.ring_zero()
-        return out._with(_sum(stores))
+        """The sum of the compositions ``a`` after ``b``: the concatenated
+        products, merged once, then rewritten to normal form once."""
+        raw = super().dot(pairs)
+        return _normalize_raw_terms(raw.terms, raw.dom, raw.cod)
 
     # Ring protocol for series coefficients.
     def ring_one(self) -> "TransportElement":
@@ -378,8 +401,6 @@ class TransportElement(LinearCombination):
 
 
 # -- expressions ----------------------------------------------------------------
-
-_ONE = Scalar.one()
 
 
 class MorphTerm:
@@ -505,15 +526,6 @@ EXPANSION_RULES = (
 )
 
 
-def _run_matcher(run: tuple, replacement: tuple):
-    def match(factors: tuple, pos: int):
-        if factors[pos : pos + len(run)] == run:
-            return len(run), replacement, _ONE
-        return None
-
-    return match
-
-
 def _group_cancel(factors: tuple, pos: int):
     pair = factors[pos : pos + 2]
     if len(pair) == 2 and pair[0][0] == pair[1][0] == "c" and pair[0][1] == pair[1][1] and pair[0][2] == -pair[1][2]:
@@ -536,57 +548,35 @@ def _drop_x_unit(factors: tuple, pos: int):
     return None
 
 
-# Rule name -> matcher returning (consumed, replacement, coeff multiplier)
-# or None, in the order the rewriter tries them at each position.
-_MATCHERS = {name: _run_matcher(run, replacement) for name, run, replacement in EXPANSION_RULES}
-_MATCHERS.update({"group:cancel": _group_cancel, "merge:X": _merge_x, "drop:X_unit": _drop_x_unit})
-
-RULE_ORDER = tuple(_MATCHERS)
-
-
-def _match_rule(rule: str, factors: tuple, pos: int):
-    """Return (consumed, replacement, coeff multiplier) or None."""
-    match = _MATCHERS.get(rule)
-    if match is None or pos >= len(factors):
-        return None
-    return match(factors, pos)
+# (rule name, matcher) in the order the rewriter tries them at each
+# position; a matcher returns (consumed, replacement, coeff multiplier)
+# or None.
+_RULES = tuple((name, _run_matcher(run, replacement)) for name, run, replacement in EXPANSION_RULES) + (
+    ("group:cancel", _group_cancel),
+    ("merge:X", _merge_x),
+    ("drop:X_unit", _drop_x_unit),
+)
+_MATCHERS = dict(_RULES)
 
 
 def _rewrite(coeff: Scalar, factors: tuple, pos: int, match):
-    """Apply a match of ``_match_rule`` found at ``pos``."""
+    """Apply a matcher's match found at ``pos``."""
     consumed, replacement, multiplier = match
     return coeff * multiplier, factors[:pos] + replacement + factors[pos + consumed :]
-
-
-def _apply_step(coeff: Scalar, factors: tuple, rule: str, pos: int):
-    match = _match_rule(rule, factors, pos)
-    if match is None:
-        raise TransportError(f"rule {rule!r} does not apply at position {pos}")
-    return _rewrite(coeff, factors, pos, match)
 
 
 def _normalize_raw_terms(raw, dom, cod, budget: int = STEP_BUDGET, trace=None):
     steps = 0
     finished = []
     for index, (coeff, factors) in enumerate(raw):
-        while True:
-            applied = False
-            for pos in range(len(factors)):
-                for rule in RULE_ORDER:
-                    match = _match_rule(rule, factors, pos)
-                    if match is not None:
-                        coeff, factors = _rewrite(coeff, factors, pos, match)
-                        if trace is not None:
-                            trace.append({"term": index, "rule": rule, "pos": pos})
-                        steps += 1
-                        if steps > budget:
-                            raise TransportError("rewrite step budget exhausted")
-                        applied = True
-                        break
-                if applied:
-                    break
-            if not applied:
-                break
+        while (found := _first_match(factors, _RULES)) is not None:
+            rule, pos, match = found
+            coeff, factors = _rewrite(coeff, factors, pos, match)
+            if trace is not None:
+                trace.append({"term": index, "rule": rule, "pos": pos})
+            steps += 1
+            if steps > budget:
+                raise TransportError("rewrite step budget exhausted")
         for factor in factors:
             if factor[0] in ("g", "l"):
                 raise TransportError(
@@ -594,14 +584,13 @@ def _normalize_raw_terms(raw, dom, cod, budget: int = STEP_BUDGET, trace=None):
                     "the bracket lift must be composed directly under the bracket"
                 )
         finished.append((coeff, factors))
-    return TransportElement(dom, cod, finished), steps
+    return TransportElement(dom, cod, finished)
 
 
 def normalize_traced(expr: MorphTerm, budget: int = STEP_BUDGET):
     """Normalize and return (element, replayable trace)."""
     trace: list[dict] = []
-    element, _ = _normalize_raw_terms(expr.terms, expr.dom, expr.cod, budget, trace)
-    return element, trace
+    return _normalize_raw_terms(expr.terms, expr.dom, expr.cod, budget, trace), trace
 
 
 def normalize(expr: MorphTerm, budget: int = STEP_BUDGET) -> TransportElement:
@@ -609,43 +598,40 @@ def normalize(expr: MorphTerm, budget: int = STEP_BUDGET) -> TransportElement:
 
 
 def replay_trace(expr: MorphTerm, trace) -> TransportElement:
-    """Re-apply a recorded trace step by step, without searching."""
-    raw = [[coeff, factors] for coeff, factors in expr.terms]
+    """Re-apply a recorded trace step by step, without searching, then
+    check that no rule still applies."""
+    raw = list(expr.terms)
     for step in trace:
         index, rule, pos = step["term"], step["rule"], step["pos"]
         coeff, factors = raw[index]
-        raw[index][0], raw[index][1] = _apply_step(coeff, factors, rule, pos)
-    for coeff, factors in raw:
-        for pos in range(len(factors)):
-            for rule in RULE_ORDER:
-                if _match_rule(rule, factors, pos) is not None:
-                    raise TransportError("trace is incomplete: a rule still applies")
-    return TransportElement(expr.dom, expr.cod, [(c, f) for c, f in raw])
+        matcher = _MATCHERS.get(rule)
+        match = matcher(factors, pos) if matcher is not None and 0 <= pos < len(factors) else None
+        if match is None:
+            raise TransportError(f"rule {rule!r} does not apply at position {pos}")
+        raw[index] = _rewrite(coeff, factors, pos, match)
+    if any(_first_match(factors, _RULES) for _, factors in raw):
+        raise TransportError("trace is incomplete: a rule still applies")
+    return TransportElement(expr.dom, expr.cod, raw)
 
 
 # -- equality modulo the classical relations -------------------------------------
 
 def _group_single_x_terms(element: TransportElement) -> TransportElement:
-    grouped: dict[tuple, tuple[tuple, ClassicalPoly, tuple]] = {}
-    passthrough = []
+    """Terms with one image block, grouped by the conjugators around it:
+    one block per group, the linear combination of the group's blocks."""
+    grouped: dict[tuple, list[tuple[Scalar, ClassicalPoly]]] = {}
+    terms = []
     for coeff, factors in element.terms:
         x_positions = [i for i, f in enumerate(factors) if f[0] == "X"]
         if len(x_positions) != 1:
-            passthrough.append((coeff, factors))
+            terms.append((coeff, factors))
             continue
         i = x_positions[0]
-        pre, post = factors[:i], factors[i + 1 :]
-        key = (pre, post)
-        poly = factors[i][1].scale(coeff)
-        if key in grouped:
-            _, acc, _ = grouped[key]
-            grouped[key] = (pre, acc + poly, post)
-        else:
-            grouped[key] = (pre, poly, post)
-    terms = list(passthrough)
-    for pre, poly, post in grouped.values():
+        grouped.setdefault((factors[:i], factors[i + 1 :]), []).append((coeff, factors[i][1]))
+    for (pre, post), pairs in grouped.items():
+        poly = pairs[0][1].lincomb(pairs)
         if not poly.is_zero:
-            terms.append((Scalar.one(), pre + (("X", poly),) + post))
+            terms.append((_ONE, pre + (("X", poly),) + post))
     return TransportElement(element.dom, element.cod, terms)
 
 
@@ -674,8 +660,7 @@ def reduce_modulo_classical(element: TransportElement, budget: int = STEP_BUDGET
                 else:
                     out.append(factor)
             new_terms.append((coeff, tuple(out)))
-        candidate, _ = _normalize_raw_terms(new_terms, current.dom, current.cod, budget)
-        candidate = _group_single_x_terms(candidate)
+        candidate = _group_single_x_terms(_normalize_raw_terms(new_terms, current.dom, current.cod, budget))
         if not changed and candidate == current:
             return current, steps, used
         current = candidate
@@ -824,37 +809,27 @@ def _verify_series_coefficients(identity: str, table, degrees) -> IdentityReport
 def _verify_braiding_series(order: int) -> IdentityReport:
     ipi = Scalar.constant("ipi")
     sigma_h_nf = normalize(gen("sigma_h"))
-    omega_h_nf = normalize(gen("Omega_h"))
     lhs = HSeries.constant(sigma_h_nf, order)
 
-    braiding_coeffs = []
-    factorial = Scalar.one()
-    sig_word = ("sig",)
+    # The braiding has h^m coefficient Mvv^-1 X(sig.Om^m) Mvv times ipi^m / m!.
+    braiding, weight = [], _ONE
     for m in range(order):
         if m:
-            factorial = factorial / Scalar.rational(m)
-        poly = ClassicalPoly.word(sig_word + ("Om",) * m)
-        term = TransportElement(
-            q_obj(2),
-            q_obj(2),
-            [(Scalar.constant("ipi", m) * factorial if m else Scalar.one(),
-              (("c", "Mvv", -1), ("X", poly), ("c", "Mvv", 1)))],
-        )
-        braiding_coeffs.append(term)
-    braiding = HSeries(braiding_coeffs)
+            weight = weight * ipi / Scalar.rational(m)
+        factors = (_conj("Mvv", -1), ("X", ClassicalPoly.word(("sig",) + ("Om",) * m)), _conj("Mvv"))
+        braiding.append(TransportElement(q_obj(2), q_obj(2), [(weight, factors)]))
 
     # exp(-ipi h Omega_h) has h^m coefficient E_m = E_(m-1) (-ipi Omega_h) / m,
     # one product per order.
-    step = omega_h_nf.scale(-ipi)
+    step = normalize(gen("Omega_h")).scale(-ipi)
     exponential = [sigma_h_nf.ring_one()]
     for m in range(1, order):
         exponential.append((exponential[-1] * step).scale(Scalar.rational(1, m)))
-    rhs = braiding * HSeries(exponential)
+    rhs = HSeries(braiding) * HSeries(exponential)
 
-    passed = lhs == rhs
     return IdentityReport(
         identity="sigma_h_def",
-        passed=passed,
+        passed=lhs == rhs,
         lhs_text=lhs.to_text(),
         rhs_text=rhs.to_text(),
         notes=(
@@ -930,10 +905,7 @@ class TransportModel:
 
     @classmethod
     def trivial(cls, ops, order: int) -> "TransportModel":
-        d = ops.alg.dim
-        eye3 = HSeries.constant(SparseMatrix.identity(d ** 3), order)
-        eye2 = HSeries.constant(SparseMatrix.identity(d ** 2), order)
-        return cls(ops, order, eye3, eye3, eye2)
+        return cls.conjugated(ops, order, HSeries.constant(SparseMatrix.identity(ops.alg.dim ** 3), order))
 
     @classmethod
     def conjugated(cls, ops, order: int, psi_series: HSeries) -> "TransportModel":
@@ -954,16 +926,6 @@ class TransportModel:
         eye = SparseMatrix.identity(self.ops.alg.dim)
         return {"Om12": kron(self.ops.Omega, eye), "Om23": kron(eye, self.ops.Omega)}
 
-    def _conj_series(self, name: str, sign: int) -> HSeries:
-        return {
-            ("M", 1): self.M,
-            ("M", -1): self.M_inv,
-            ("N", 1): self.N,
-            ("N", -1): self.N_inv,
-            ("Mvv", 1): self.Mvv,
-            ("Mvv", -1): self.Mvv_inv,
-        }[(name, sign)]
-
     def _dim_of(self, obj) -> int:
         if obj == UNIT:
             return 1
@@ -980,7 +942,7 @@ class TransportModel:
         rules, so evaluating an expression checks its normal form."""
         kind = factor[0]
         if kind == "c":
-            return self._conj_series(factor[1], factor[2])
+            return getattr(self, factor[1] if factor[2] > 0 else f"{factor[1]}_inv")
         if kind == "X":
             return self._xpoly_series(factor[1])
 
@@ -1009,22 +971,16 @@ class TransportModel:
         # psi_inv, the last of QUANTUM_GENS
         return self.N_inv * self.M
 
-    def _evaluate_terms(self, terms, dom, cod) -> HSeries:
-        cols = self._dim_of(dom)
+    def evaluate(self, morph: MorphTerm | TransportElement) -> HSeries:
+        """An expression or a normal form read factor by factor in the
+        model, without normalizing it."""
+        cols = self._dim_of(morph.dom)
         acc = None
-        for coeff, factors in terms:
+        for coeff, factors in morph.terms:
             prod = HSeries.constant(SparseMatrix.identity(cols), self.order)
             for factor in reversed(factors):
                 prod = self._factor_series(factor) * prod
             acc = prod.scale(coeff) if acc is None else acc + prod.scale(coeff)
         if acc is None:
-            return HSeries.constant(SparseMatrix.zeros(self._dim_of(cod), cols), self.order)
+            return HSeries.constant(SparseMatrix.zeros(self._dim_of(morph.cod), cols), self.order)
         return acc
-
-    def evaluate_element(self, element: TransportElement) -> HSeries:
-        return self._evaluate_terms(element.terms, element.dom, element.cod)
-
-    def evaluate_expr(self, expr: MorphTerm) -> HSeries:
-        """The expression read factor by factor in the model, without
-        normalizing it."""
-        return self._evaluate_terms(expr.terms, expr.dom, expr.cod)

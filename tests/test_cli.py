@@ -90,6 +90,15 @@ def test_verify_transport_json_golden(capsys):
     assert out.encode("utf-8") == (GOLDEN / "verify_transport.json").read_bytes()
 
 
+def test_verify_sigma_h_def_order_8_json_golden(capsys):
+    # The braiding relation to h^8: each series coefficient is a sum of
+    # products of normal forms, rewritten once.
+    argv = ["verify", "transport", "--identity", "sigma_h_def", "--order", "8", "--format", "json"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "verify_sigma_h_def_o8.json").read_bytes()
+
+
 def test_psi_matches_spec_base_case(capsys):
     code, out = run_cli(capsys, "psi", "--order", "2", "--golden")
     assert code == 0
@@ -298,6 +307,9 @@ def _sl2_doc(*brackets):
         (_sl2_doc([1, 0, [[0, " 2.0 "]]], *_SL2_BRACKETS[1:]), "coefficient ' 2.0 '"),
         (_sl2_doc([1, 0, [[0, "2e0"]]], *_SL2_BRACKETS[1:]), "coefficient '2e0'"),
         (_sl2_doc(*_SL2_BRACKETS[:2], [0, 2, [[1, "1_0"]]]), "coefficient '1_0'"),
+        (_sl2_doc(*_SL2_BRACKETS, {"0": 1}), "bracket"),
+        (_sl2_doc(*_SL2_BRACKETS, [0, 2, [[1, "5"]]]), "bracket (0, 2) is stated twice"),
+        (_sl2_doc(*_SL2_BRACKETS[:2], [0, 2, [[1, "7"], [1, "-6"]]]), "target index twice"),
     ],
     ids=[
         "brackets-number",
@@ -317,6 +329,9 @@ def _sl2_doc(*brackets):
         "coefficient-decimal-point",
         "coefficient-exponent",
         "coefficient-underscore",
+        "bracket-object",
+        "bracket-repeated-pair",
+        "bracket-repeated-target",
     ],
 )
 def test_malformed_algebra_file_exits_3(tmp_path, command, doc, field_name):
@@ -327,6 +342,7 @@ def test_malformed_algebra_file_exits_3(tmp_path, command, doc, field_name):
     assert result.returncode == 3
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
     assert field_name in result.stderr
 
 

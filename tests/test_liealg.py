@@ -138,6 +138,7 @@ def test_malformed_algebra_documents_rejected():
         {"dim": 2, "basis": ["x", "y"], "brackets": None},
         {"dim": 2, "basis": ["x", "y"], "brackets": True},
         {"dim": 0, "basis": [], "brackets": []},
+        {"dim": 2, "basis": ["x", "y"], "brackets": [{"0": 1}]},
     ]
     for doc in bad_docs:
         with pytest.raises(AlgebraError):
@@ -182,6 +183,31 @@ def test_malformed_algebra_documents_rejected():
         for load in (build_algebra, algebra_from_data):
             with pytest.raises(AlgebraError, match=re.escape(repr(spell("-2")))):
                 load(doc)
+
+
+def test_repeated_brackets_rejected():
+    # Each of these once loaded with the later copy in force: the first
+    # as sl2 with [e, f] = 5h, the second with [e, f] = -6h.
+    sl2_brackets = algebra_to_json(build_algebra("sl2"))["brackets"]
+    repeated_pair = sl2_brackets + [[0, 2, [[1, "5"]]]]
+    repeated_target = [
+        [i, j, [[1, "7"], [1, "-6"]] if (i, j) == (0, 2) else row] for i, j, row in sl2_brackets
+    ]
+    for brackets, message in (
+        (repeated_pair, re.escape("bracket (0, 2) is stated twice")),
+        (repeated_target, "states a target index twice"),
+    ):
+        doc = {"dim": 3, "basis": ["e", "h", "f"], "brackets": brackets}
+        for load in (build_algebra, algebra_from_data):
+            with pytest.raises(AlgebraError, match=message):
+                load(doc)
+    # Both orders of one pair may be stated, as algebra_to_json writes
+    # them, and antisymmetry checks that they agree.
+    doc = {"dim": 3, "basis": ["e", "h", "f"], "brackets": sl2_brackets}
+    assert build_algebra(doc).structure == build_algebra("sl2").structure
+    doc["brackets"] = [[i, j, [[1, "7"]] if (i, j) == (2, 0) else row] for i, j, row in sl2_brackets]
+    with pytest.raises(AlgebraError, match="antisymmetry fails"):
+        build_algebra(doc)
 
 
 def test_degenerate_killing_form_rejected():

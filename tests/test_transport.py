@@ -137,6 +137,35 @@ def test_traces_replay_to_the_same_normal_form():
         assert replay_trace(expr, trace) == element
 
 
+def test_replay_rejects_a_truncated_trace():
+    # Without its last step a trace leaves a rule that still applies.
+    for expr in (compose(gen("psi"), gen("psi_inv")), *identity_expressions("4.4"), *identity_expressions("4.5")):
+        _, trace = normalize_traced(expr)
+        with pytest.raises(TransportError, match="trace is incomplete"):
+            replay_trace(expr, trace[:-1])
+
+
+def test_replay_rejects_a_step_where_its_rule_does_not_match():
+    expr = compose(gen("psi"), gen("psi_inv"))
+    _, trace = normalize_traced(expr)
+    # After def:psi the factors are M^-1.N.psi_inv, and def:psi_inv
+    # applies at 2 only: not at the N before it, nor past the end.
+    assert trace[1] == {"term": 0, "rule": "def:psi_inv", "pos": 2}
+    for pos in (1, 3):
+        moved = [dict(step) for step in trace]
+        moved[1]["pos"] = pos
+        with pytest.raises(TransportError, match="does not apply"):
+            replay_trace(expr, moved)
+    # Any step of a longer trace moved past the end of its term.
+    expr = identity_expressions("4.5")[0]
+    _, trace = normalize_traced(expr)
+    for i in range(len(trace)):
+        moved = [dict(step) for step in trace]
+        moved[i]["pos"] = 99
+        with pytest.raises(TransportError, match=f"rule {trace[i]['rule']!r} does not apply at position 99"):
+            replay_trace(expr, moved)
+
+
 def test_each_rewrite_step_matches_its_rule_once(monkeypatch):
     # Every merge:X step multiplies its two image blocks exactly once.
     products = []
@@ -220,6 +249,15 @@ def test_classical_antisymmetry_rule():
     assert reduced == ClassicalPoly.word(("T",), Scalar.rational(-1))
     assert used == {"3.1"}
     assert steps[0][0] == "3.1"
+
+
+def test_classical_steps_take_the_first_term_in_canonical_order():
+    # T.sig sorts before T.sig.sig, so it is rewritten first; starting
+    # at T.sig.sig would cancel both terms in one step.
+    poly = ClassicalPoly.word(("T", "sig")) + ClassicalPoly.word(("T", "sig", "sig"))
+    reduced, steps, _ = classical_normalize(poly)
+    assert reduced.is_zero
+    assert steps == [("3.1", "T.sig", 0), ("3.1", "T.sig.sig", 0), ("3.1", "T.sig", 0)]
 
 
 def test_classical_braid_rule_oriented():
@@ -430,8 +468,8 @@ def test_normalization_preserves_evaluation(sl2_ops, models):
         for _ in range(12):
             depth = rng.randint(1, 5)
             expr = compose(*[gen(rng.choice(pool)) for _ in range(depth)])
-            direct = model.evaluate_expr(expr)
-            via_nf = model.evaluate_element(normalize(expr))
+            direct = model.evaluate(expr)
+            via_nf = model.evaluate(normalize(expr))
             assert direct == via_nf
 
 
@@ -441,7 +479,7 @@ def test_evaluation_of_braid_identity_sides(models):
     lhs = compose(gen("psi"), s12, gen("psi_inv"), s23, gen("psi"), s12)
     rhs = compose(s23, gen("psi"), s12, gen("psi_inv"), s23, gen("psi"))
     for model in models:
-        assert model.evaluate_expr(lhs) == model.evaluate_expr(rhs)
+        assert model.evaluate(lhs) == model.evaluate(rhs)
 
 
 def test_model_builds_each_omega_lift_once(sl2_ops, monkeypatch):
@@ -464,10 +502,10 @@ def test_model_builds_each_omega_lift_once(sl2_ops, monkeypatch):
     model = TransportModel.trivial(sl2_ops, 3)
     small = compose(gen("T_h"), lift("T_h", "left"))
     large = compose(small, *[gen(name) for name in ("psi", "Omega_h_12", "psi_inv", "Omega_h_23")])
-    model.evaluate_element(normalize(small))
+    model.evaluate(normalize(small))
     assert calls == []
     for expr in (large, large):
-        model.evaluate_element(normalize(expr))
+        model.evaluate(normalize(expr))
     assert len(calls) == 2
     d = sl2_ops.alg.dim
     eye = SparseMatrix.identity(d)
@@ -481,12 +519,12 @@ def test_model_builds_each_omega_lift_once(sl2_ops, monkeypatch):
 def test_scaled_sums_evaluate_linearly(models):
     expr = morph_sum((2, gen("psi")), (Scalar.rational(-1, 3), gen("psi_inv")))
     for model in models:
-        direct = model.evaluate_expr(expr)
-        combo = model.evaluate_expr(gen("psi")).scale(2) + model.evaluate_expr(
+        direct = model.evaluate(expr)
+        combo = model.evaluate(gen("psi")).scale(2) + model.evaluate(
             gen("psi_inv")
         ).scale(Scalar.rational(-1, 3))
         assert direct == combo
-        assert model.evaluate_element(normalize(expr)) == direct
+        assert model.evaluate(normalize(expr)) == direct
 
 
 def test_series_claims_evaluate_equally_in_both_models(models):
@@ -494,6 +532,6 @@ def test_series_claims_evaluate_equally_in_both_models(models):
     # the model, against the normal form of the conjugated side.
     for lhs, rhs in _series_sides():
         for model in models:
-            direct = model.evaluate_expr(lhs)
-            assert model.evaluate_expr(rhs) == direct
-            assert model.evaluate_element(normalize(rhs)) == direct
+            direct = model.evaluate(lhs)
+            assert model.evaluate(rhs) == direct
+            assert model.evaluate(normalize(rhs)) == direct
