@@ -14,11 +14,18 @@ Exit codes: 0 success, 1 a verified identity failed, 2 bad arguments
 invalid table/algebra input, 4 an internal invariant failed (an
 ``EngineError``, ``ScalarError`` or ``MatrixError``: a defect of the
 program, not of the input).
+
+``main`` can be called many times in one process.  The process builds
+the parser once (:func:`build_parser` is cached), and each algebra
+preset with its validated operators once
+(:func:`qjacobi.liealg.algebra_ops`).  Tables and algebra files are read
+on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -186,7 +193,13 @@ def _positive_int(value: str) -> int:
     return order
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    :func:`main` call.  It depends on the program text alone, and
+    ``parse_args`` keeps no state between calls: each returns a fresh
+    namespace, and a usage error exits through ``SystemExit`` without
+    changing the parser."""
     parser = argparse.ArgumentParser(
         prog="qjacobi",
         description="Exact computation and verification of the deformed associator identities.",

@@ -14,6 +14,7 @@ at position i*d + j (row-major), and likewise for triple spaces.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -48,7 +49,7 @@ class AlgebraError(ValueError):
     semisimplicity (Killing nondegeneracy) check."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LieAlgebraData:
     """Basis labels and sparse structure constants [x_i, x_j] = sum c_ijk x_k."""
 
@@ -283,13 +284,28 @@ def build_algebra(spec) -> LieAlgebraData:
 
 def algebra_ops(spec) -> TensorOps:
     """The tensor operators of the algebra :func:`build_algebra` builds
-    from ``spec``, validated once, inside :func:`build_tensor_ops`."""
+    from ``spec``, validated once, inside :func:`build_tensor_ops`.
+
+    A preset name is built and validated the first time a process asks
+    for it, and every later call returns that same frozen instance.  A
+    file path or a document is read, built and validated on every call:
+    a file can change between calls.
+    """
+    if isinstance(spec, str) and spec in _PRESETS:
+        return _preset_ops(spec)
     return build_tensor_ops(_load_algebra(spec))
 
 
-@dataclass
+@functools.cache
+def _preset_ops(name: str) -> TensorOps:
+    return build_tensor_ops(_PRESETS[name]())
+
+
+@dataclass(frozen=True)
 class TensorOps:
-    """The derived tensor operators of one algebra, all exact."""
+    """The derived tensor operators of one algebra, all exact.  It is
+    frozen and :class:`SparseMatrix` has no mutating method, so one
+    instance can be shared: :func:`algebra_ops` shares each preset's."""
 
     alg: LieAlgebraData
     ad: tuple[SparseMatrix, ...]

@@ -603,11 +603,15 @@ def replay_trace(expr: MorphTerm, trace) -> TransportElement:
     raw = list(expr.terms)
     for step in trace:
         index, rule, pos = step["term"], step["rule"], step["pos"]
+        # A bool is an int, and a negative index would count from the end.
+        if type(index) is not int or not 0 <= index < len(raw):
+            raise TransportError(f"trace step term {index!r} is not an index in range({len(raw)})")
         coeff, factors = raw[index]
         matcher = _MATCHERS.get(rule)
-        match = matcher(factors, pos) if matcher is not None and 0 <= pos < len(factors) else None
+        in_range = type(pos) is int and 0 <= pos < len(factors)
+        match = matcher(factors, pos) if matcher is not None and in_range else None
         if match is None:
-            raise TransportError(f"rule {rule!r} does not apply at position {pos}")
+            raise TransportError(f"rule {rule!r} does not apply at position {pos!r}")
         raw[index] = _rewrite(coeff, factors, pos, match)
     if any(_first_match(factors, _RULES) for _, factors in raw):
         raise TransportError("trace is incomplete: a rule still applies")

@@ -362,20 +362,26 @@ def test_algebra_file_with_a_repeated_key_exits_3(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, rebuilt",
     [
-        ["omega", "--algebra", "sl2"],
-        ["eval", "--algebra", "sl3", "--order", "2"],
-        ["verify", "classical"],
-        ["verify", "rmatrix", "--order", "2"],
+        (["omega", "--algebra", "sl2"], False),
+        (["eval", "--algebra", "sl3", "--order", "2"], False),
+        (["verify", "classical"], False),
+        (["verify", "rmatrix", "--order", "2"], False),
+        (["omega", "--algebra", "FILE"], True),
     ],
-    ids=["omega-sl2", "eval-sl3", "verify-classical", "verify-rmatrix"],
+    ids=["omega-sl2", "eval-sl3", "verify-classical", "verify-rmatrix", "omega-file"],
 )
-def test_bracket_maps_built_once_per_algebra_command(capsys, monkeypatch, argv):
+def test_bracket_maps_built_once_per_algebra_command(capsys, monkeypatch, tmp_path, argv, rebuilt):
     # Validation builds the bracket maps and the Killing form, and the
-    # tensor operators reuse both.
+    # tensor operators reuse both.  A preset is built once per process;
+    # an algebra file is read and built again on every call.
     from qjacobi import liealg
 
+    liealg._preset_ops.cache_clear()
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(_sl2_doc(*_SL2_BRACKETS)))
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
     calls = []
     original_maps = liealg._bracket_maps
     original_killing = liealg.LieAlgebraData.killing
@@ -390,9 +396,104 @@ def test_bracket_maps_built_once_per_algebra_command(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(liealg, "_bracket_maps", counted_maps)
     monkeypatch.setattr(liealg.LieAlgebraData, "killing", counted_killing)
-    code, _ = run_cli(capsys, *argv)
+    code, first = run_cli(capsys, *argv)
     assert code == 0
     assert sorted(calls) == ["killing", "maps"]
+    calls.clear()
+    code, second = run_cli(capsys, *argv)
+    assert code == 0
+    assert second == first
+    assert sorted(calls) == (["killing", "maps"] if rebuilt else [])
+
+
+def test_shared_preset_operators_survive_every_command_kind(capsys):
+    # Every command kind runs on the operators one process shares; none
+    # may alter them.
+    import dataclasses
+
+    from qjacobi.liealg import algebra_ops, build_algebra, build_tensor_ops
+
+    shared = {name: algebra_ops(name) for name in ("sl2", "sl3")}
+    commands = [
+        ["psi", "--order", "3"],
+        ["psi", "--order", "3", "--format", "json"],
+        ["table", "validate", "src/qjacobi/data/builtin_table.json"],
+        ["verify", "transport", "--identity", "4.5"],
+    ]
+    for name in shared:
+        commands += [
+            ["eval", "--algebra", name, "--order", "3"],
+            ["eval", "--algebra", name, "--order", "2", "--format", "json"],
+            ["omega", "--algebra", name],
+            ["omega", "--algebra", name, "--format", "json"],
+            ["verify", "classical", "--algebra", name],
+            ["verify", "rmatrix", "--algebra", name, "--order", "3"],
+            ["verify", "all", "--algebra", name, "--order", "2", "--format", "json"],
+        ]
+    for argv in commands:
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    for name, ops in shared.items():
+        assert algebra_ops(name) is ops
+        fresh = build_tensor_ops(build_algebra(name))
+        for field in dataclasses.fields(ops):
+            assert getattr(ops, field.name) == getattr(fresh, field.name), (name, field.name)
+
+
+def test_algebra_file_is_read_on_every_call(capsys, tmp_path):
+    from qjacobi.liealg import algebra_to_json, build_algebra
+
+    path = tmp_path / "algebra.json"
+
+    def omega_from_file(doc):
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "omega", "--algebra", str(path))
+        assert code == 0
+        return out
+
+    for name in ("sl2", "sl3", "sl2"):
+        _, preset = run_cli(capsys, "omega", "--algebra", name)
+        expected = preset.replace(f"algebra: {name}\n", f"algebra: {path}\n", 1)
+        assert omega_from_file(algebra_to_json(build_algebra(name))) == expected
+    path.write_text(json.dumps({"dim": 2, "basis": ["x", "y"], "brackets": []}))
+    code = cli.main(["omega", "--algebra", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: Killing form is degenerate: the algebra is not semisimple\n"
+
+
+def test_in_process_calls_match_fresh_processes(capsys, monkeypatch):
+    # One process runs every call on the same parser and preset operators,
+    # usage errors included; each call must print and exit exactly as a
+    # process of its own does.  COLUMNS fixes argparse's usage width.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ["psi", "--order", "3"],
+        ["psi", "--order", "1"],
+        ["omega", "--algebra", "sl2"],
+        ["verify", "rmatrix", "--order", "0"],
+        ["eval", "--algebra", "sl2", "--order", "3", "--format", "json"],
+        ["verify", "classical", "--algebra", "sl3"],
+        ["eval", "--algebra", "sl2", "--order", "2", "--table", "no-such-table.json"],
+        ["verify", "classical", "--algebra", "sl4"],
+        ["psi", "--order", "1"],
+        ["omega", "--algebra", "sl2"],
+        ["eval", "--algebra", "sl2", "--order", "3", "--format", "json"],
+    ]
+    fresh = {}
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        key = tuple(argv)
+        if key not in fresh:
+            result = subprocess.run([sys.executable, "-m", "qjacobi", *argv], capture_output=True, text=True)
+            fresh[key] = (result.returncode, result.stdout, result.stderr)
+        assert (code, captured.out, captured.err) == fresh[key], argv
+    assert sorted({code for code, _, _ in fresh.values()}) == [0, 2, 3]
 
 
 def test_omega_report(capsys):

@@ -12,6 +12,7 @@ from qjacobi.hseries import HSeries
 from qjacobi.liealg import (
     AlgebraError,
     algebra_from_data,
+    algebra_ops,
     algebra_to_json,
     build_algebra,
     build_tensor_ops,
@@ -367,6 +368,23 @@ def test_sl3_dimensions(sl3_ops):
     assert sl3_ops.alg.dim == 8
     assert sl3_ops.Omega.rows == 64
     assert kron(sl3_ops.Omega, SparseMatrix.identity(8)).rows == 512
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3"])
+def test_algebra_ops_shares_each_preset(name):
+    # A preset is built once per process; a document is built per call.
+    assert algebra_ops(name) is algebra_ops(name)
+    doc = algebra_to_json(build_algebra(name))
+    assert algebra_ops(doc) is not algebra_ops(doc)
+
+
+def test_tensor_ops_and_algebra_data_are_frozen(sl2_ops):
+    import dataclasses
+
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sl2_ops.Omega = sl2_ops.T
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sl2_ops.alg.name = "other"
 
 
 # -- tensor operators ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,31 @@ def test_replay_rejects_a_step_where_its_rule_does_not_match():
         moved[i]["pos"] = 99
         with pytest.raises(TransportError, match=f"rule {trace[i]['rule']!r} does not apply at position 99"):
             replay_trace(expr, moved)
+
+
+@pytest.mark.parametrize("term", [3, -1, False, True, 0.0], ids=["past-end", "negative", "false", "true", "float"])
+def test_replay_rejects_a_step_naming_no_term(term):
+    # The expression has one term.  Before the check, 3 and True raised
+    # a bare IndexError, 0.0 a TypeError, and -1 and False replayed term 0.
+    expr = compose(gen("psi"), gen("psi_inv"))
+    _, trace = normalize_traced(expr)
+    assert len(expr.terms) == 1 and trace[0] == {"term": 0, "rule": "def:psi", "pos": 0}
+    moved = [dict(step) for step in trace]
+    moved[0]["term"] = term
+    with pytest.raises(TransportError, match=rf"trace step term {term!r} is not an index in range\(1\)"):
+        replay_trace(expr, moved)
+
+
+@pytest.mark.parametrize("pos", [0.0, "0", None, True], ids=["float", "string", "none", "true"])
+def test_replay_rejects_a_position_that_is_not_an_int(pos):
+    # def:psi applies at 0.  Before the check, the first three raised a
+    # bare TypeError.
+    expr = compose(gen("psi"), gen("psi_inv"))
+    _, trace = normalize_traced(expr)
+    moved = [dict(step) for step in trace]
+    moved[0]["pos"] = pos
+    with pytest.raises(TransportError, match=re.escape(f"rule 'def:psi' does not apply at position {pos!r}")):
+        replay_trace(expr, moved)
 
 
 def test_each_rewrite_step_matches_its_rule_once(monkeypatch):
