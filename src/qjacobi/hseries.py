@@ -3,27 +3,19 @@
 A series of order N trusts the coefficients of h^0 .. h^(N-1) and knows
 nothing beyond; every arithmetic operation returns the weakest order of
 its inputs so precision is never silently inflated.  Coefficients may be
-any exact ring elements implementing the small protocol used here:
-``+``, unary ``-``, ``*`` (ring product), ``dot(pairs)`` (the sum of the
-products ``a * b`` over (a, b) pairs of the ring, merged once),
-``lincomb(pairs)`` (the sum of ``c * x`` over (scalar, element) pairs, in
-the receiver's shape, merged once: its cost is the stored terms of the
-pairs, not one copy of the growing sum per pair), ``scale(Scalar)``,
-``ring_one()``, ``ring_zero()``, ``is_zero``, ``==`` and ``to_text()``.
-Noncommutative polynomials, exact sparse matrices, the classical
-polynomials and transport normal forms all qualify, and so do series
-themselves.  A product of series builds each output coefficient with one
+elements of any ring of the package, series included: see
+:class:`~qjacobi.ncalg.Ring` for the protocol, which a series also
+follows.  A product of series builds each output coefficient with one
 ``dot`` call, and a linear combination of series each coefficient with
 one ``lincomb`` call, so a growing sum is merged once rather than once
-per added term.  Series ``+`` and ``-`` are the two-term cases of
-``lincomb``, as they are for every other ring here.
+per added term.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .ncalg import Alphabet, Scalar, ScalarLike, parse_poly
+from .ncalg import Alphabet, Ring, Scalar, parse_poly
 
 __all__ = ["HSeries", "SeriesError", "parse_series"]
 
@@ -33,7 +25,7 @@ class SeriesError(ValueError):
     unknown coefficients."""
 
 
-class HSeries:
+class HSeries(Ring):
     """A power series known modulo h^order, with exact coefficients."""
 
     __slots__ = ("order", "coeffs")
@@ -74,18 +66,6 @@ class HSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coeffs)
 
-    def __add__(self, other):
-        return self.lincomb(((1, self), (1, other)))
-
-    def __sub__(self, other):
-        return self.lincomb(((1, self), (-1, other)))
-
-    def __neg__(self):
-        return HSeries([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        return self.dot(((self, other),))
-
     def dot(self, pairs) -> "HSeries":
         """The sum of ``a * b`` over the (a, b) pairs, known to the weakest
         order among them; each coefficient is one ``dot`` of its ring."""
@@ -120,10 +100,6 @@ class HSeries:
             ])
         except (TypeError, ValueError) as exc:
             raise SeriesError(f"incompatible series coefficients: {exc}") from exc
-
-    def scale(self, factor: ScalarLike) -> "HSeries":
-        factor = Scalar.coerce(factor)
-        return HSeries([c.scale(factor) for c in self.coeffs])
 
     def truncate(self, n: int) -> "HSeries":
         if n < 1:

@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
+from typing import Mapping
 
 from . import jsontext
 from .hseries import HSeries
@@ -51,14 +53,22 @@ class AlgebraError(ValueError):
 
 @dataclass(frozen=True)
 class LieAlgebraData:
-    """Basis labels and sparse structure constants [x_i, x_j] = sum c_ijk x_k."""
+    """Basis labels and sparse structure constants [x_i, x_j] = sum c_ijk x_k.
+
+    The brackets and each of their rows are stored as read-only views of
+    copies, so an algebra that :func:`algebra_ops` shares cannot change
+    under one caller."""
 
     dim: int
     basis_names: tuple[str, ...]
-    structure: dict[tuple[int, int], dict[int, Fraction]]
+    structure: Mapping[tuple[int, int], Mapping[int, Fraction]]
     name: str = "custom"
 
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
+    def __post_init__(self):
+        frozen = {key: MappingProxyType(dict(row)) for key, row in self.structure.items()}
+        object.__setattr__(self, "structure", MappingProxyType(frozen))
+
+    def bracket(self, i: int, j: int) -> Mapping[int, Fraction]:
         return self.structure.get((i, j), {})
 
     def ad(self, i: int) -> SparseMatrix:
@@ -318,6 +328,8 @@ class TensorOps:
     Omega: SparseMatrix      # -(T (x) T) o (1 (x) t (x) 1)
     sigma12: SparseMatrix
     sigma23: SparseMatrix
+    Omega12: SparseMatrix    # Omega (x) 1, the image of the letter O12
+    Omega23: SparseMatrix    # 1 (x) Omega, the image of the letter O23
 
 
 def _bracket_maps(alg: LieAlgebraData) -> dict[str, SparseMatrix]:
@@ -378,8 +390,11 @@ def build_tensor_ops(alg: LieAlgebraData) -> TensorOps:
         for w in range(d)
     }
     Omega = -(kron(maps["T"], maps["T"]) * SparseMatrix.from_numerators(d ** 4, d * d, mid, den))
-
-    return TensorOps(alg=alg, ad=ads, t_vec=t_vec, t_action=t_action, Omega=Omega, **maps)
+    eye = SparseMatrix.identity(d)
+    return TensorOps(
+        alg=alg, ad=ads, t_vec=t_vec, t_action=t_action, Omega=Omega,
+        Omega12=kron(Omega, eye), Omega23=kron(eye, Omega), **maps,
+    )
 
 
 @dataclass
@@ -483,8 +498,7 @@ def verify_sigma_rmatrix(ops: TensorOps, order: int) -> Report:
 def eval_series(series: HSeries, ops: TensorOps) -> HSeries:
     """Evaluate a series over the letters O12, O23 on the triple tensor
     space of an algebra, where O12 is Omega (x) 1 and O23 is 1 (x) Omega."""
-    eye = SparseMatrix.identity(ops.alg.dim)
-    letters = {"O12": kron(ops.Omega, eye), "O23": kron(eye, ops.Omega)}
+    letters = {"O12": ops.Omega12, "O23": ops.Omega23}
     out = []
     for coeff in series.coeffs:
         if not isinstance(coeff, NCPoly) or coeff.alphabet != PSI_ALPHABET:

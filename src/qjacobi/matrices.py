@@ -29,7 +29,18 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .ncalg import Monomial, Scalar, ScalarLike, _integral_scalar, _join_signed, _mono_mul, _term_body
+from .ncalg import (
+    Monomial,
+    Ring,
+    Scalar,
+    ScalarLike,
+    _integral,
+    _integral_scalar,
+    _join_signed,
+    _mono_mul,
+    _scalar_terms,
+    _term_body,
+)
 
 __all__ = ["MatrixError", "SparseMatrix", "kron", "minimal_polynomial"]
 
@@ -171,7 +182,7 @@ def _rank(rows: list[dict[int, int]]) -> int:
     return rank
 
 
-class SparseMatrix:
+class SparseMatrix(Ring):
     """An immutable exact matrix; zero entries are never stored."""
 
     __slots__ = ("rows", "cols", "_parts")
@@ -181,29 +192,22 @@ class SparseMatrix:
             raise MatrixError("matrix dimensions must be positive")
         self.rows = rows
         self.cols = cols
-        cells: dict[Monomial, dict[tuple[int, int], Fraction | int]] = {}
+        cells: dict[Monomial, dict[tuple[int, int], Fraction]] = {}
         for i, j, value in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise MatrixError(f"entry ({i}, {j}) outside {rows}x{cols}")
-            if isinstance(value, (int, Fraction)):
-                terms = [((), value)]
-            else:
-                terms = Scalar.coerce(value).sorted_terms()
-            for mono, coeff in terms:
+            for mono, coeff in _scalar_terms(value).items():
                 cell = cells.setdefault(mono, {})
                 have = cell.get((i, j))
                 cell[(i, j)] = coeff if have is None else have + coeff
         parts: Parts = {}
         for mono, cell in cells.items():
-            values = {ij: v for ij, v in cell.items() if v}
-            if not values:
-                continue
-            # The lcm of reduced denominators leaves no common factor.
-            den = lcm(*(v.denominator for v in values.values()))
-            data: Rows = {}
-            for (i, j), v in values.items():
-                data.setdefault(i, {})[j] = v.numerator * (den // v.denominator)
-            parts[mono] = (den, data)
+            nums, den = _integral(cell)
+            if nums:
+                data: Rows = {}
+                for (i, j), v in nums.items():
+                    data.setdefault(i, {})[j] = v
+                parts[mono] = (den, data)
         self._parts = parts
 
     @classmethod
@@ -289,26 +293,6 @@ class SparseMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise MatrixError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
-    def __add__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return self.lincomb(((1, self), (1, other)))
-
-    def __sub__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return self.lincomb(((1, self), (-1, other)))
-
-    def __neg__(self):
-        parts = {
-            mono: (den, {i: {j: -v for j, v in row.items()} for i, row in rows.items()})
-            for mono, (den, rows) in self._parts.items()
-        }
-        return SparseMatrix._of(self.rows, self.cols, parts)
-
-    def scale(self, factor: ScalarLike) -> "SparseMatrix":
-        return self.lincomb(((factor, self),))
-
     def lincomb(self, pairs) -> "SparseMatrix":
         """The sum of ``c * x`` over the (scalar, matrix) pairs, in this
         matrix's shape; the zero matrix when there are none.
@@ -316,8 +300,7 @@ class SparseMatrix:
         One lcm of the denominators per monomial, one integer accumulator
         per monomial and one lowest-terms pass serve all the pairs, so the
         cost is the stored entries of the terms, not one copy and merge
-        of the growing sum per term.  ``+``, ``-`` and ``scale`` are its
-        two- and one-term cases.
+        of the growing sum per term.
         """
         terms = []
         for c, x in pairs:
@@ -336,13 +319,6 @@ class SparseMatrix:
         for mono, den, f, rows in terms:
             acc.add(mono, den, f, rows)
         return SparseMatrix._of(self.rows, self.cols, acc.parts())
-
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return self.dot(((self, other),))
 
     def dot(self, pairs) -> "SparseMatrix":
         """The sum of ``a * b`` over the (a, b) pairs, brought to lowest
@@ -369,11 +345,6 @@ class SparseMatrix:
         for mono, den, ra, rb in products:
             acc.add(mono, den, 1, _rows_mul(ra, rb))
         return SparseMatrix._of(*shape, acc.parts())
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def transpose(self) -> "SparseMatrix":
         parts: Parts = {}

@@ -22,6 +22,9 @@ or :class:`Scalar` is built only where a caller reads a coefficient
 ``scale``, ``lincomb`` or ``dot``.  :class:`Scalar` itself keeps plain
 ``Fraction`` arithmetic: it is the public coefficient type.
 
+:class:`Ring` is the base class of every ring of the package, and its
+docstring states the ring protocol.
+
 Words live in the free monoid over a declared :class:`Alphabet`.  Letter
 pairs declared mutually inverse cancel eagerly, so every stored word is
 reduced and the textual form of a polynomial is canonical: terms are
@@ -46,6 +49,7 @@ from typing import Iterable, Mapping, Union
 __all__ = [
     "Alphabet",
     "NCPoly",
+    "Ring",
     "Scalar",
     "ScalarError",
     "WordError",
@@ -372,7 +376,49 @@ def _sum(stores: list[tuple[dict, int, int]]) -> tuple[dict, int]:
     return _lowest(acc, common)
 
 
-class LinearCombination:
+class Ring:
+    """The arithmetic every exact ring of the package derives from its
+    own ``lincomb`` and ``dot``.
+
+    ``lincomb(pairs)`` is the sum of ``c * x`` over (scalar, element)
+    pairs in the receiver's space, and ``dot(pairs)`` the sum of the
+    products ``a * b`` over (a, b) pairs.  Each is merged once, so its
+    cost is the stored terms of the pairs, not one copy of the growing
+    sum per pair, and each raises for an operand of another ring or
+    space, so the operators here pass their operands on unchecked.
+    ``+``, ``-``, negation and ``scale`` are ``lincomb``'s two- and
+    one-term cases; ``*`` is ``scale`` when either operand is a scalar
+    and ``dot``'s one-pair case otherwise.  A ring also has
+    ``ring_one()``, ``ring_zero()``, ``is_zero``, ``==``, ``hash`` and
+    ``to_text()``.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return self.lincomb(((1, self), (1, other)))
+
+    def __sub__(self, other):
+        return self.lincomb(((1, self), (-1, other)))
+
+    def __neg__(self):
+        return self.lincomb(((-1, self),))
+
+    def scale(self, factor: ScalarLike):
+        return self.lincomb(((factor, self),))
+
+    def __mul__(self, other):
+        if isinstance(other, (Scalar, int, Fraction)):
+            return self.scale(other)
+        return self.dot(((self, other),))
+
+    def __rmul__(self, other):
+        if isinstance(other, (Scalar, int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+
+class LinearCombination(Ring):
     """A finite exact linear combination of words.
 
     The store is integer numerators over one positive denominator:
@@ -382,15 +428,14 @@ class LinearCombination:
     gcd of ``_den`` and every numerator is 1; the zero combination has
     ``_den == 1``), so equality and hashing are structural.
     ``lincomb`` and ``dot`` run on the integers only and reduce each
-    result once; ``+``, ``-`` and ``scale`` are ``lincomb``'s two- and
-    one-term cases.  ``Fraction`` and :class:`Scalar` values are built
-    only where a caller reads coefficients.  Subclasses fix what a word
-    is through a few hooks: ``ring_zero`` (the empty combination of the
-    same type), ``_space`` (what two operands of ``+`` must share),
-    ``_error`` (the exception for a mismatch), ``_compose`` (the empty
-    product and how two words join), ``_word_key`` (the canonical word
-    order) and ``_word_text``.  ``dot`` is the one product loop; ``*``
-    is its one-pair case.
+    result once; the rest of the :class:`Ring` arithmetic comes from
+    them.  ``Fraction`` and :class:`Scalar` values are built only where
+    a caller reads coefficients.  Subclasses fix what a word is through
+    a few hooks: ``ring_zero`` (the empty combination of the same type),
+    ``_space`` (what two operands of ``+`` must share), ``_error`` (the
+    exception for a mismatch), ``_compose`` (the empty product and how
+    two words join), ``_word_key`` (the canonical word order) and
+    ``_word_text``.  ``dot`` is the one product loop.
     """
 
     __slots__ = ("_terms", "_den")
@@ -410,11 +455,6 @@ class LinearCombination:
                     key = (word, mono)
                     fracs[key] = fracs.get(key, 0) + frac
         self._terms, self._den = _integral(fracs)
-
-    def _with(self, store: tuple[dict, int]) -> "LinearCombination":
-        out = self.ring_zero()
-        out._terms, out._den = store
-        return out
 
     def _check_same(self, other: "LinearCombination") -> None:
         mine, theirs = self._space(), other._space()
@@ -440,22 +480,6 @@ class LinearCombination:
             by_word.setdefault(word, {})[mono] = Fraction(v, den)
         return [(word, Scalar(by_word[word])) for word in sorted(by_word, key=self._word_key)]
 
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.lincomb(((1, self), (1, other)))
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.lincomb(((1, self), (-1, other)))
-
-    def __neg__(self):
-        return self._with(({key: -v for key, v in self._terms.items()}, self._den))
-
-    def scale(self, factor: ScalarLike):
-        return self.lincomb(((factor, self),))
-
     def lincomb(self, pairs):
         """The sum of ``c * x`` over the (scalar, element) pairs, in this
         element's space, merged once over the lcm of the denominators;
@@ -466,24 +490,15 @@ class LinearCombination:
                 raise TypeError(f"{type(self).__name__}.lincomb needs {type(self).__name__} terms")
             if x is not self:
                 self._check_same(x)
-            if type(c) is int:
-                if c:
-                    stores.append((x._terms, x._den, c))
-                continue
-            fnums, fden = _integral(_scalar_terms(c))
+            fnums, fden = _integral_scalar(c)
             for fmono, fv in fnums.items():
                 nums = x._terms
                 if fmono:
                     nums = {(word, _mono_mul(mono, fmono)): v for (word, mono), v in nums.items()}
                 stores.append((nums, x._den * fden, fv))
-        return self._with(_sum(stores))
-
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.dot(((self, other),))
+        out = self.ring_zero()
+        out._terms, out._den = _sum(stores)
+        return out
 
     def dot(self, pairs):
         """The sum of ``a * b`` over the (a, b) pairs, merged once over
@@ -521,11 +536,6 @@ class LinearCombination:
                     acc[key] = get(key, 0) + c1 * c2
         out._terms, out._den = _lowest(acc, common)
         return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -639,14 +649,13 @@ def substitute(p: LinearCombination, images: Mapping[str, object], zero=None):
     are.
     """
     from .hseries import HSeries
-    from .matrices import SparseMatrix
 
     missing = sorted(p.support() - set(images))
     if missing:
         raise WordError(f"missing image for letter(s) {', '.join(missing)}")
     imgs = dict(images)
     for name, img in imgs.items():
-        if not isinstance(img, (LinearCombination, SparseMatrix, HSeries)):
+        if not isinstance(img, Ring):
             raise WordError(f"image for {name!r} is not a ring element")
     series = [img.order for img in imgs.values() if isinstance(img, HSeries)]
     if series:

@@ -51,12 +51,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .deformation import AB_ALPHABET, alpha, builtin_table
 from .hseries import HSeries
-from .matrices import SparseMatrix, kron
+from .matrices import SparseMatrix
 from .ncalg import LinearCombination, NCPoly, Scalar, ScalarLike, substitute
 
 __all__ = [
@@ -602,6 +601,8 @@ def replay_trace(expr: MorphTerm, trace) -> TransportElement:
     check that no rule still applies."""
     raw = list(expr.terms)
     for step in trace:
+        if not isinstance(step, dict) or not {"term", "rule", "pos"} <= step.keys():
+            raise TransportError(f"trace step {step!r} is not a dict with term, rule and pos")
         index, rule, pos = step["term"], step["rule"], step["pos"]
         # A bool is an int, and a negative index would count from the end.
         if type(index) is not int or not 0 <= index < len(raw):
@@ -874,8 +875,7 @@ def verify_identity(identity: str, table=None, degrees=None, order: int = 4) -> 
 
 # -- evaluation into matrix series ---------------------------------------------
 
-# Classical atom -> the TensorOps field holding its matrix; Om12 and Om23
-# are the lifts TransportModel builds.
+# Classical atom -> the TensorOps field holding its matrix.
 _ATOM_FIELDS = {
     "T": "T",
     "sig": "sigma",
@@ -885,6 +885,8 @@ _ATOM_FIELDS = {
     "T2": "T2",
     "sig12": "sigma12",
     "sig23": "sigma23",
+    "Om12": "Omega12",
+    "Om23": "Omega23",
 }
 
 
@@ -919,16 +921,8 @@ class TransportModel:
         return cls(ops, order, eye3, psi_series.truncate(order), eye2)
 
     def atom_matrix(self, name: str):
-        """The matrix of a classical atom: a field of the tensor operators,
-        or for Om12 and Om23 a lift of Omega, built once per model."""
-        if name in _ATOM_FIELDS:
-            return getattr(self.ops, _ATOM_FIELDS[name])
-        return self._omega_lifts[name]
-
-    @cached_property
-    def _omega_lifts(self) -> dict[str, SparseMatrix]:
-        eye = SparseMatrix.identity(self.ops.alg.dim)
-        return {"Om12": kron(self.ops.Omega, eye), "Om23": kron(eye, self.ops.Omega)}
+        """The matrix of a classical atom: a field of the tensor operators."""
+        return getattr(self.ops, _ATOM_FIELDS[name])
 
     def _dim_of(self, obj) -> int:
         if obj == UNIT:

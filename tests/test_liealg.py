@@ -387,6 +387,45 @@ def test_tensor_ops_and_algebra_data_are_frozen(sl2_ops):
         sl2_ops.alg.name = "other"
 
 
+def test_shared_algebra_structure_is_read_only():
+    # Before the structure was read-only, a caller could pop a bracket
+    # from the preset every later algebra_ops("sl2") call returns.
+    import dataclasses
+    import json
+
+    alg = algebra_ops("sl2").alg
+    with pytest.raises(TypeError):
+        alg.structure[(0, 1)] = {0: Fraction(1)}
+    with pytest.raises(TypeError):
+        alg.structure[(0, 1)][0] = Fraction(1)
+    with pytest.raises(TypeError):
+        alg.bracket(0, 1)[2] = Fraction(1)
+    assert alg == build_algebra("sl2")
+    assert json.dumps(algebra_to_json(alg), sort_keys=True) == (
+        '{"basis": ["e", "h", "f"], "brackets": [[0, 1, [[0, "-2"]]], [0, 2, [[1, "1"]]], '
+        '[1, 0, [[0, "2"]]], [1, 2, [[2, "-2"]]], [2, 0, [[1, "-1"]]], [2, 1, [[2, "2"]]]], "dim": 3}'
+    )
+    # replace builds a new algebra from plain dicts, frozen alike, and the
+    # shared preset keeps its brackets.
+    scaled = {key: {k: 2 * v for k, v in row.items()} for key, row in alg.structure.items()}
+    other = dataclasses.replace(alg, structure=scaled)
+    assert other.structure[(0, 1)] == {0: Fraction(-4)}
+    with pytest.raises(TypeError):
+        other.structure[(0, 1)][0] = Fraction(1)
+    scaled[(0, 1)][0] = Fraction(9)
+    assert other.structure[(0, 1)] == {0: Fraction(-4)}
+    assert alg.structure[(0, 1)] == {0: Fraction(-2)}
+    assert algebra_ops("sl2").alg == build_algebra("sl2")
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3"])
+def test_letter_images_are_the_lifts_of_omega(name):
+    ops = algebra_ops(name)
+    eye = SparseMatrix.identity(ops.alg.dim)
+    assert ops.Omega12 == kron(ops.Omega, eye)
+    assert ops.Omega23 == kron(eye, ops.Omega)
+
+
 # -- tensor operators ------------------------------------------------------------
 
 def test_sl2_omega_trace_zero(sl2_ops):

@@ -510,3 +510,99 @@ def test_substitute_typed_words_into_rectangular_matrices(raw, seed):
     p = ClassicalPoly(3, 1, [(("T", *two, lift, *three), coeff) for two, lift, three, coeff in raw])
     zero = SparseMatrix.zeros(2, 8)
     assert substitute(p, images, zero) == naive_substitute(p, images, zero)
+
+
+# -- the ring protocol: +, -, negation, scale and * of every ring ---------------
+
+
+def _protocol_operands():
+    from qjacobi.hseries import HSeries
+    from qjacobi.matrices import SparseMatrix
+    from qjacobi.transport import ClassicalPoly, gen, normalize
+
+    a, c = NCPoly.letter(AB, "A"), NCPoly.letter(CDZ, "C")
+    m2 = SparseMatrix.from_rows([[1, 2], [0, Scalar.constant("ipi")]])
+    m3 = SparseMatrix.identity(3)
+    return {
+        "ncpoly-ab": a,
+        "ncpoly-cdz": c,
+        "classical": ClassicalPoly.atom("sig"),
+        "transport": normalize(gen("sigma_h")),
+        "matrix-2x2": m2,
+        "matrix-3x3": m3,
+        "series-poly": HSeries((a.ring_one(), a)),
+        "series-matrix": HSeries((m2.ring_one(), m2)),
+        "int": 2,
+        "float": 1.5,
+    }
+
+
+_PROTOCOL_NAMES = list(_protocol_operands())
+
+
+def _mixed_error(op, left, right):
+    """The exception a mixed-type ``left op right`` raises, or None where
+    it is defined (a ring times an int scales)."""
+    from qjacobi.hseries import SeriesError
+    from qjacobi.matrices import MatrixError
+
+    family = {"ncpoly": WordError, "matrix": MatrixError}
+    lf, rf = left.split("-")[0], right.split("-")[0]
+    if op == "*" and "int" in (left, right):
+        return None
+    if lf == "series":
+        # The series' own lincomb and dot reject every foreign operand.
+        return SeriesError
+    if lf == rf and lf in family:
+        # One class over two alphabets or two shapes.
+        return family[lf]
+    return TypeError
+
+
+_MIXED_CASES = [
+    (op, left, right)
+    for left in _PROTOCOL_NAMES
+    for right in _PROTOCOL_NAMES
+    if left != right and not {left, right} <= {"int", "float"}
+    for op in ("+", "-", "*")
+    if _mixed_error(op, left, right) is not None
+]
+
+
+_OP_NAMES = {"+": "add", "-": "sub", "*": "mul"}
+
+
+@pytest.mark.parametrize(
+    "op, left, right", _MIXED_CASES, ids=[f"{left}.{_OP_NAMES[op]}.{right}" for op, left, right in _MIXED_CASES]
+)
+def test_mixed_type_operations_keep_their_exception_type(op, left, right):
+    operands = _protocol_operands()
+    expected = _mixed_error(op, left, right)
+    x, y = operands[left], operands[right]
+    with pytest.raises(Exception) as caught:
+        {"+": lambda: x + y, "-": lambda: x - y, "*": lambda: x * y}[op]()
+    assert type(caught.value) is expected
+
+
+_PROTOCOL_SCALARS = [3, Fraction(-2, 5), Scalar.constant("ipi", coeff=Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("name", ["series-poly", "series-matrix"])
+def test_series_times_a_scalar_scales(name):
+    from qjacobi.hseries import HSeries
+
+    s = _protocol_operands()[name]
+    for c in _PROTOCOL_SCALARS:
+        assert s * c == s.scale(c) == HSeries([x.scale(c) for x in s.coeffs])
+        assert c * s == s.scale(c)
+
+
+@pytest.mark.parametrize("name", [n for n in _PROTOCOL_NAMES if n not in ("int", "float")])
+def test_negation_and_scalar_products_are_scale(name):
+    x = _protocol_operands()[name]
+    x = x + x.scale(Fraction(1, 3))
+    assert -x == x.scale(-1)
+    assert -x + x == x.ring_zero()
+    for c in _PROTOCOL_SCALARS:
+        assert x * c == x.scale(c)
+        assert c * x == x.scale(c)

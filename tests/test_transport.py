@@ -192,6 +192,19 @@ def test_replay_rejects_a_position_that_is_not_an_int(pos):
         replay_trace(expr, moved)
 
 
+@pytest.mark.parametrize(
+    "step",
+    [{"rule": "def:psi", "pos": 0}, {"term": 0, "pos": 0}, {"term": 0, "rule": "def:psi"}, ["x"], "step", None],
+    ids=["no-term", "no-rule", "no-pos", "list", "string", "none"],
+)
+def test_replay_rejects_a_step_that_is_not_a_full_dict(step):
+    # Before the check, a missing key raised a bare KeyError and a list,
+    # a string or None a bare TypeError.
+    expr = compose(gen("psi"), gen("psi_inv"))
+    with pytest.raises(TransportError, match=re.escape(f"trace step {step!r} is not a dict with term, rule and pos")):
+        replay_trace(expr, [step])
+
+
 def test_each_rewrite_step_matches_its_rule_once(monkeypatch):
     # Every merge:X step multiplies its two image blocks exactly once.
     products = []
@@ -509,12 +522,11 @@ def test_evaluation_of_braid_identity_sides(models):
 
 
 def test_model_builds_each_omega_lift_once(sl2_ops, monkeypatch):
-    # Every atom matrix but Om12 and Om23 is a field of the tensor
-    # operators.  A model builds those two lifts of Omega on first use and
-    # reuses them in every later evaluation.
+    # Every atom matrix is a field of the tensor operators: the lifts of
+    # Omega are built once, with the operators, and no model or
+    # evaluation builds them again.
     import qjacobi.liealg
     import qjacobi.matrices
-    import qjacobi.transport
 
     calls = []
     original = qjacobi.matrices.kron
@@ -523,23 +535,20 @@ def test_model_builds_each_omega_lift_once(sl2_ops, monkeypatch):
         calls.append(1)
         return original(a, b)
 
-    for module in (qjacobi.matrices, qjacobi.liealg, qjacobi.transport):
+    for module in (qjacobi.matrices, qjacobi.liealg):
         monkeypatch.setattr(module, "kron", counted)
     model = TransportModel.trivial(sl2_ops, 3)
     small = compose(gen("T_h"), lift("T_h", "left"))
     large = compose(small, *[gen(name) for name in ("psi", "Omega_h_12", "psi_inv", "Omega_h_23")])
-    model.evaluate(normalize(small))
-    assert calls == []
-    for expr in (large, large):
+    for expr in (small, large, large):
         model.evaluate(normalize(expr))
-    assert len(calls) == 2
+    assert calls == []
+    assert model.atom_matrix("Om12") is sl2_ops.Omega12
+    assert model.atom_matrix("Om23") is sl2_ops.Omega23
     d = sl2_ops.alg.dim
     eye = SparseMatrix.identity(d)
-    assert model.atom_matrix("Om12") == original(sl2_ops.Omega, eye)
-    assert model.atom_matrix("Om23") == original(eye, sl2_ops.Omega)
     assert TransportModel.trivial(sl2_ops, 3).atom_matrix("T1") == original(sl2_ops.T, eye)
     assert model.atom_matrix("T2") == original(eye, sl2_ops.T)
-    assert len(calls) == 2
 
 
 def test_scaled_sums_evaluate_linearly(models):
