@@ -13,8 +13,10 @@ structural.
 All arithmetic (sums, products, scaling, Kronecker products, rank,
 inverse and the minimal polynomial) runs on the integer numerators;
 :class:`~qjacobi.ncalg.Scalar` values are built only where a caller
-reads single entries.  A sum of any number of terms (``lincomb``,
-``dot``, ``kron``) is merged once, in place, over one lcm per monomial,
+reads single entries.  One fraction-free reducer, :func:`_reduce`,
+serves every elimination: rank, the minimal polynomial, and the inverse,
+which is read off the minimal polynomial.  A sum of any number of terms
+(``lincomb``, ``dot``, ``kron``) is merged once, in place, over one lcm per monomial,
 and the renderers visit only the stored cells.  The tensor operators built from Lie structure
 constants are extremely sparse, which keeps products on the
 512-dimensional triple tensor spaces cheap.
@@ -66,10 +68,35 @@ def _row_comb(a: dict[int, int], fa: int, b: dict[int, int], fb: int) -> dict[in
     return {j: v for j, v in out.items() if v}
 
 
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """The row divided by the gcd of its entries."""
-    g = gcd(*row.values())
-    return row if g <= 1 else {j: v // g for j, v in row.items()}
+# Echelon rows as (lead column, row, combination) triples; each row is
+# zero at the leads of the rows before it.
+Basis = list[tuple[int, dict[int, int], dict[int, int]]]
+
+
+def _reduce(basis: Basis, vec: dict[int, int], comb: dict[int, int]) -> dict[int, int] | None:
+    """Reduce the integer row ``vec`` against ``basis`` by fraction-free
+    row operations, applying each one to ``comb``, the integer
+    combination of the inputs that ``vec`` is.
+
+    A nonzero remainder, divided by the gcd of its entries and its
+    combination, is appended to ``basis`` and None is returned.  A row
+    that reduces to zero returns its combination: an integer linear
+    dependence among the inputs.
+    """
+    for lead, bvec, bcomb in basis:
+        f = vec.get(lead)
+        if f:
+            p = bvec[lead]
+            vec = _row_comb(vec, p, bvec, -f)
+            comb = _row_comb(comb, p, bcomb, -f)
+    if not vec:
+        return comb
+    g = gcd(*vec.values(), *comb.values())
+    if g > 1:
+        vec = {j: v // g for j, v in vec.items()}
+        comb = {j: v // g for j, v in comb.items()}
+    basis.append((min(vec), vec, comb))
+    return None
 
 
 def _rows_mul(a: Rows, b: Rows) -> Rows:
@@ -159,27 +186,6 @@ class _PartSum:
                 den, rows = den // g, {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
             out[mono] = (den, rows)
         return out
-
-
-def _rank(rows: list[dict[int, int]]) -> int:
-    """Fraction-free sparse Gaussian elimination; counts the pivots."""
-    rows = [row for row in rows if row]
-    rank = 0
-    while rows:
-        pivot_row = min(rows, key=min)
-        rows.remove(pivot_row)
-        col = min(pivot_row)
-        pivot = pivot_row[col]
-        rank += 1
-        reduced = []
-        for row in rows:
-            f = row.get(col)
-            if f:
-                row = _primitive(_row_comb(row, pivot, pivot_row, -f))
-            if row:
-                reduced.append(row)
-        rows = reduced
-    return rank
 
 
 class SparseMatrix(Ring):
@@ -467,31 +473,25 @@ class SparseMatrix(Ring):
         return self._parts.get((), (1, {}))
 
     def rank(self) -> int:
-        """Exact rank over the rationals (entries must be constant-free)."""
-        return _rank(list(self.numerators()[1].values()))
+        """Exact rank over the rationals (entries must be constant-free):
+        the size of the echelon basis the numerator rows reduce to."""
+        basis: Basis = []
+        for row in self.numerators()[1].values():
+            _reduce(basis, row, {})
+        return len(basis)
 
     def inverse(self) -> "SparseMatrix":
-        """Exact inverse of a square rational matrix."""
+        """Exact inverse of a square rational matrix, read off its minimal
+        polynomial p = c_0 + c_1 x + ... + x^d: the matrix is singular
+        exactly when c_0 = 0, and otherwise
+        M^-1 = -(c_1 + c_2 M + ... + c_d M^(d-1)) / c_0."""
         if self.rows != self.cols:
             raise MatrixError("inverse of a non-square matrix")
-        n = self.rows
-        den, rows = self.numerators()
-        # Fraction-free Gauss-Jordan on [N | I]; M^-1 = den * N^-1.
-        aug = [{**rows.get(i, {}), n + i: 1} for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if col in aug[r]), None)
-            if pivot is None:
-                raise MatrixError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            prow = aug[col]
-            p = prow[col]
-            for r in range(n):
-                f = aug[r].get(col)
-                if r != col and f:
-                    aug[r] = _primitive(_row_comb(aug[r], p, prow, -f))
-        return SparseMatrix(n, n, [
-            (i, j - n, Fraction(den * v, aug[i][i])) for i in range(n) for j, v in aug[i].items() if j >= n
-        ])
+        coeffs, powers = _krylov(self)
+        c0 = coeffs[0]
+        if not c0:
+            raise MatrixError("matrix is singular")
+        return self.lincomb((-c / c0, power) for c, power in zip(coeffs[1:], powers) if c)
 
 
 def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
@@ -524,32 +524,24 @@ def _krylov(matrix: SparseMatrix) -> tuple[list[Fraction], list[SparseMatrix]]:
 
     Found by Krylov iteration on the flattened powers of the matrix: the
     first linear dependence among 1, M, M^2, ... gives the polynomial.
-    Each reduced vector ``vec`` is kept as an integer combination
-    ``sum comb[j] * M^j`` of the powers.
+    Each power goes once through :func:`_reduce`, the reducer that rank
+    uses too, which keeps every reduced vector as an integer combination
+    ``sum comb[j] * M^j`` of the powers; :meth:`SparseMatrix.inverse`
+    reads the inverse off the polynomial and these powers.
     """
     if matrix.rows != matrix.cols:
         raise MatrixError("minimal polynomial of a non-square matrix")
     matrix.numerators()  # refuses formal constants before any work
     n = matrix.rows
-    basis: list[tuple[int, dict[int, int], dict[int, int]]] = []
+    basis: Basis = []
     powers = [SparseMatrix.identity(n)]
-    k = 0
     while True:
-        den, rows = powers[-1].numerators()
+        k = len(basis)
+        den, rows = powers[k].numerators()
         vec = {i * n + j: v for i, row in rows.items() for j, v in row.items()}
-        comb = {k: den}
-        for lead, bvec, bcomb in basis:
-            f = vec.get(lead)
-            if f:
-                p = bvec[lead]
-                vec = _row_comb(vec, p, bvec, -f)
-                comb = _row_comb(comb, p, bcomb, -f)
-        if not vec:
+        comb = _reduce(basis, vec, {k: den})
+        if comb is not None:
             return [Fraction(comb.get(j, 0), comb[k]) for j in range(k + 1)], powers
-        g = gcd(*vec.values(), *comb.values())
-        vec = {j: v // g for j, v in vec.items()}
-        basis.append((min(vec), vec, {j: v // g for j, v in comb.items()}))
-        powers.append(powers[-1] * matrix)
-        k += 1
-        if k > n:
+        if k == n:
             raise MatrixError("minimal polynomial search exceeded the dimension")
+        powers.append(powers[k] * matrix)

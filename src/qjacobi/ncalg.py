@@ -71,8 +71,8 @@ class WordError(ValueError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_RATIONAL_RE = re.compile(r"(\d+)(?:/(\d+))?\Z")
-_FACTOR_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(\d+))?\Z")
+_RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\Z")
+_FACTOR_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^([0-9]+))?\Z")
 
 # A monomial in formal constants: (("ipi", 2),), sorted by name, exponents > 0.
 Monomial = tuple
@@ -761,7 +761,10 @@ def _parse_term(body: str, alphabet: Alphabet | None, constants: tuple[str, ...]
             raise WordError(f"word must be the last factor in {body!r}")
         fm = _FACTOR_RE.match(factor)
         if fm and fm.group(1) in constants:
-            mono.append((fm.group(1), int(fm.group(2) or 1)))
+            exponent = int(fm.group(2) or 1)
+            if not exponent:
+                raise WordError(f"exponent 0 in {body!r}; exponents are at least 1")
+            mono.append((fm.group(1), exponent))
             continue
         if alphabet is not None:
             letters = tuple(factor.split("."))

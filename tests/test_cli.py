@@ -99,6 +99,20 @@ def test_verify_sigma_h_def_order_8_json_golden(capsys):
     assert out.encode("utf-8") == (GOLDEN / "verify_sigma_h_def_o8.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "algebra, golden",
+    [("sl3", "omega_sl3.json"), (str(GOLDEN / "algebra_sl2xsl2.json"), "omega_sl2xsl2.json")],
+    ids=["sl3", "sl2xsl2-file"],
+)
+def test_omega_json_golden(capsys, algebra, golden):
+    # The minimal polynomial, the kernel dimensions by rank and, for the
+    # algebra file, which is not a preset, the inverse Killing form behind
+    # the Casimir tensor, computed anew on each call.
+    code, out = run_cli(capsys, "omega", "--algebra", algebra, "--format", "json")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
 def test_psi_matches_spec_base_case(capsys):
     code, out = run_cli(capsys, "psi", "--order", "2", "--golden")
     assert code == 0
@@ -277,6 +291,31 @@ def test_table_degree_key_must_be_canonical(tmp_path, command, text, message):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "command", [["psi", "--order", "3", "--table"], ["table", "validate"]], ids=["psi", "table-validate"]
+)
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"entries": {"2": "\u0661/\u0662\u0664*A.B - 1/24*B.A"}},
+        {"entries": {"2": "ipi^0*A.B - ipi^0*B.A"}},
+        {"constants": ["zeta"], "entries": {"2": "1/24*zeta^0*A.B - 1/24*B.A"}},
+    ],
+    ids=["arabic-indic-digits", "ipi-zero-exponent", "zeta-zero-exponent"],
+)
+def test_table_coefficients_use_ascii_digits_and_positive_exponents(tmp_path, command, doc):
+    # Before, the first loaded as 1/24*A.B - 1/24*B.A and exited 0, and a
+    # zero exponent exited 4 as an internal invariant failure.
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    cmd = [sys.executable, "-m", "qjacobi", *command, str(path)]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 _SL2_BRACKETS = [[1, 0, [[0, "2"]]], [1, 2, [[2, "-2"]]], [0, 2, [[1, "1"]]]]

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qjacobi.matrices import MatrixError, SparseMatrix, kron, minimal_polynomial
@@ -225,9 +225,102 @@ def test_elimination_refuses_formal_constants(m, data):
             call(with_constant)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: _matrices(n, n, values=st.one_of(st.integers(-3, 3), _fracs))))
+# -- elimination against a plain Fraction Gaussian elimination ----------------
+
+
+def ref_fractions(m: SparseMatrix) -> list[list[Fraction]]:
+    return [[m.entry(i, j).as_fraction() for j in range(m.cols)] for i in range(m.rows)]
+
+
+def ref_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan over Fractions, with the
+    pivot columns."""
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        lead = rows[r][col]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def ref_rank(rows: list[list[Fraction]]) -> int:
+    return len(ref_echelon(rows)[1])
+
+
+def ref_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
+    """Gauss-Jordan on [A | I]; None when A is singular."""
+    n = len(rows)
+    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    reduced, pivots = ref_echelon(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
+def _conjugated(m: SparseMatrix) -> SparseMatrix:
+    """S M S^-1 for an integer S with ones on and above the diagonal."""
+    n = m.rows
+    s = SparseMatrix(n, n, [(i, j, 1) for i in range(n) for j in range(i, n)])
+    return s * m * SparseMatrix.from_rows(ref_inverse(ref_fractions(s)))
+
+
+_rationals = st.one_of(st.integers(-3, 3), _fracs)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Square and rectangular rational matrices; half are products
+    through an inner dimension of at most 3, so rank deficiency is
+    common."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return draw(_matrices(rows, cols, _rationals))
+    inner = draw(st.integers(1, 3))
+    return draw(_matrices(rows, inner, _rationals)) * draw(_matrices(inner, cols, _rationals))
+
+
+# Nilpotent Jordan blocks, and a repeated eigenvalue inside a 2x2 Jordan
+# block beside a 1x1 block of the same eigenvalue (characteristic
+# polynomial (x - 2)^3, minimal polynomial (x - 2)^2), also conjugated
+# so that no entry sits where the blocks put it.
+_REPEATED = SparseMatrix.from_rows([[2, 1, 0], [0, 2, 0], [0, 0, 2]])
+_h = Fraction(-1, 2)
+_JORDAN = [SparseMatrix(n, n, [(i, i + 1, 1) for i in range(n - 1)]) for n in (1, 2, 3, 4)] + [
+    _REPEATED,
+    _conjugated(_REPEATED),
+    SparseMatrix.from_rows([[_h, 1, 0, 0], [0, _h, 0, 0], [0, 0, _h, 1], [0, 0, 0, _h]]),
+    _conjugated(SparseMatrix.from_rows([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 3]])),
+]
+
+
+def _with_examples(test):
+    for m in _JORDAN:
+        test = example(m)(test)
+    return test
+
+
+@settings(max_examples=120, deadline=None)
+@given(_rational_matrices())
+@_with_examples
 def test_rational_elimination_is_consistent(m):
+    rows = ref_fractions(m)
+    rank = ref_rank(rows)
+    assert m.rank() == rank == m.transpose().rank()
+    if m.rows != m.cols:
+        for call in (SparseMatrix.inverse, minimal_polynomial):
+            with pytest.raises(MatrixError):
+                call(m)
+        return
     n = m.rows
     eye = SparseMatrix.identity(n)
     coeffs = minimal_polynomial(m)
@@ -236,11 +329,22 @@ def test_rational_elimination_is_consistent(m):
     for c in coeffs:
         acc, power = acc + power.scale(c), power * m
     assert acc.is_zero
-    if m.rank() == n:
-        assert m * m.inverse() == eye == m.inverse() * m
-    else:
-        with pytest.raises(MatrixError):
+    # Minimal: the degree is the number of independent powers among
+    # I, M, ..., M^n, flattened to rows.
+    flat, power = [], dense(eye)
+    for _ in range(n + 1):
+        flat.append([x.as_fraction() for row in power for x in row])
+        power = ref_mul(power, rows)
+    assert len(coeffs) - 1 == ref_rank(flat)
+    inverse = ref_inverse(rows)
+    assert (inverse is None) == (rank < n) == (coeffs[0] == 0)
+    if inverse is None:
+        with pytest.raises(MatrixError, match="singular"):
             m.inverse()
+    else:
+        got = m.inverse()
+        assert ref_fractions(got) == inverse
+        assert m * got == eye == got * m
 
 
 def test_eval_series_matches_word_by_word_dense_evaluation():

@@ -62,6 +62,21 @@ def test_scalar_text_round_trip():
     assert parse_scalar("0") == Scalar.zero()
 
 
+@pytest.mark.parametrize(
+    "body",
+    ["\u0661/24*A.B", "1/\u0662\u0664*A.B", "\uff12*A.B", "ipi^\u0662*A.B", "ipi^0*A.B", "zeta^00*A.B"],
+    ids=["arabic-indic-numerator", "arabic-indic-denominator", "fullwidth", "arabic-indic-exponent",
+         "zero-exponent", "zero-exponent-padded"],
+)
+def test_grammar_reads_ascii_digits_and_exponents_of_at_least_one(body):
+    # Each once parsed: \d matches any Unicode digit and int() reads it,
+    # and exponent 0 reached Scalar, which refuses it with ScalarError.
+    with pytest.raises(WordError):
+        parse_poly(f"{body} - B.A", AB, ("ipi", "zeta"))
+    with pytest.raises(WordError):
+        parse_scalar(body.replace("*A.B", ""), ("ipi", "zeta"))
+
+
 def test_scalar_no_zero_terms_stored():
     s = Scalar.constant("ipi") - Scalar.constant("ipi")
     assert s.is_zero and s == Scalar.zero()
