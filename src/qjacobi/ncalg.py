@@ -298,7 +298,7 @@ class Alphabet:
         return self._inverse.get(letter)
 
     def word_key(self, word: tuple[str, ...]):
-        return (len(word), tuple(self._index[x] for x in word))
+        return (len(word), tuple(map(self._index.__getitem__, word)))
 
 
 def word_reduce(seq: Iterable[str], alphabet: Alphabet) -> tuple[str, ...]:
@@ -483,7 +483,21 @@ class LinearCombination(Ring):
     def lincomb(self, pairs):
         """The sum of ``c * x`` over the (scalar, element) pairs, in this
         element's space, merged once over the lcm of the denominators;
-        the ring zero when there are none."""
+        the ring zero when there are none.
+
+        One pair with the ``int`` factor 1 or -1 copies its store, negated
+        for -1, which is already in lowest terms.  A ``Fraction`` factor
+        1/q takes no such shortcut: it folds q into the denominator."""
+        pairs = list(pairs)
+        if len(pairs) == 1:
+            c, x = pairs[0]
+            if type(c) is int and (c == 1 or c == -1) and type(x) is type(self):
+                if x is not self:
+                    self._check_same(x)
+                out = self.ring_zero()
+                out._terms = dict(x._terms) if c == 1 else {key: -v for key, v in x._terms.items()}
+                out._den = x._den
+                return out
         stores = []
         for c, x in pairs:
             if type(x) is not type(self):
@@ -553,9 +567,22 @@ class LinearCombination(Ring):
             return "0"
         word_key, word_text, den = self._word_key, self._word_text, self._den
         terms = sorted(self._terms.items(), key=lambda kv: (word_key(kv[0][0]), kv[0][1]))
-        return _join_signed(
-            [(v < 0, _term_body(Fraction(v, den), mono, word_text(word))) for (word, mono), v in terms]
-        )
+        # Many terms share a numerator and a monomial: each such head is
+        # rendered once.  A head reads "1" only for a bare unit coefficient,
+        # which a word replaces.
+        heads: dict = {}
+        parts = []
+        for (word, mono), v in terms:
+            head = heads.get((v, mono))
+            if head is None:
+                head = heads[v, mono] = _term_body(Fraction(v, den), mono, "")
+            body = word_text(word)
+            if not body:
+                body = head
+            elif head != "1":
+                body = f"{head}*{body}"
+            parts.append((v < 0, body))
+        return _join_signed(parts)
 
 
 class NCPoly(LinearCombination):

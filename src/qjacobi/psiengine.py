@@ -1,28 +1,40 @@
 """Inductive computation of the associator correction series.
 
-The series and its inverse live over the two-letter alphabet O12, O23.
-Both start at 1 with no linear term.  Every degree-k table entry enters
-the pair shifted by h^k, conjugated through the pair itself, so the
-pair modulo h^n follows exactly from the pair modulo h^(n-2); reading
-the pair only two orders back is what makes a single forward pass
-exact, with no fixed-point iteration.  :func:`compute_psi` therefore
-starts from the unit pair modulo h^1 or h^2, whichever has the parity
-of the requested order N, and steps n -> n + 2 up to N.  At each step
-``alpha(E_k)``, computed once per degree, is substituted with the pair
-truncated to h^(n-k), the only part of it the shifted block can see,
-and the blocks are summed into the new pair modulo h^n; the inverse is
-assembled from the same blocks with the opposite sign convention.
+The series psi and its inverse live over the two-letter alphabet O12,
+O23.  With G_k the block ``alpha(E_k)`` with psi, psi_inv, O12 and O23
+put in for its letters Z, Zinv, C and D, the pair is the solution of
 
-The conjugator pair is not checked to be mutually inverse at each step
-(the public :func:`~qjacobi.deformation.make_Gk` still checks it for
-outside callers).  The one product in :meth:`PsiPair.validate` covers
-every dropped check.  In the ring of series modulo h^N, a series whose
-constant term is 1 is a unit: its inverse is built degree by degree.
-So once psi starts at 1, psi * psi_inv = 1 makes psi_inv = psi^-1, which
-is then also a left inverse and starts at 1 with no linear term when psi
-does.  By induction each intermediate pair is the truncation of the
-final pair, and (a mod h^m)(b mod h^m) = ab mod h^m, so the same holds
-modulo every h^m with m <= N.
+    psi = 1 - sum_k h^k psi G_k,        psi_inv = 1 + sum_k h^k G_k
+
+over the table degrees k >= 2 (Drinfeld, 1990).  Read coefficient by
+coefficient, with ``s[j]`` the coefficient of h^j of a series s:
+
+    psi[j]     = - sum_k sum_i psi[i] G_k[j - k - i]
+    psi_inv[j] =   sum_k G_k[j - k]
+
+and G_k[m] is a polynomial in the coefficients of psi and psi_inv up to
+h^m only, since every letter image starts at h^0.  As k >= 2, the
+coefficient h^j of the pair reads psi, psi_inv and every G_k only up to
+h^(j-2).  So :func:`compute_psi` computes each coefficient once, from the
+lower ones, in one forward pass from psi[0] = psi_inv[0] = 1, with no
+fixed-point iteration: the "relaxed" evaluation of a recursive power
+series (van der Hoeven, *Relax, but don't be too lazy*, 2002).  Each
+block keeps one coefficient list per distinct prefix of its words and
+appends one entry to each list per power of h: a C or D letter
+multiplies the parent prefix's entry by O12 or O23, and a Z or Zinv
+letter is one ``dot`` over the parent's entries and the known
+coefficients of psi or psi_inv.  G_k[m] is one ``lincomb`` over the
+block's words, and psi[j] one ``dot``.
+
+The engine does not check that the pair is mutually inverse as it goes.
+The one product in :meth:`PsiPair.validate` covers every such check.  In
+the ring of series modulo h^N, a series whose constant term is 1 is a
+unit: its inverse is built degree by degree.  So once psi starts at 1,
+psi * psi_inv = 1 makes psi_inv = psi^-1, which is then also a left
+inverse and starts at 1 with no linear term when psi does.  Every
+coefficient the engine reads is a coefficient of the final pair, and
+(a mod h^m)(b mod h^m) = ab mod h^m, so the images of Z and Zinv behind
+each coefficient were mutually inverse modulo every h^m with m <= N.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from dataclasses import dataclass
 
 from .deformation import EkTable, TableError, alpha, validate_table
 from .hseries import HSeries
-from .ncalg import Alphabet, NCPoly, substitute
+from .ncalg import Alphabet, NCPoly
 
 __all__ = ["EngineError", "PSI_ALPHABET", "PsiPair", "compute_psi"]
 
@@ -69,6 +81,45 @@ class PsiPair:
             raise EngineError("pair is not mutually inverse at the stated order")
 
 
+class _Block:
+    """The coefficients of one block G_k, one power of h at a time.
+
+    Every distinct nonempty prefix of the block's words keeps the list
+    of its image's coefficients, beside the list of its parent prefix
+    (the empty prefix's is the unit's) and the image of its last letter:
+    a constant polynomial, or the coefficient list of psi or psi_inv.
+    """
+
+    def __init__(self, poly: NCPoly, one: NCPoly, images: dict):
+        self.one = one
+        self.root: list[NCPoly] = []
+        self.nodes: list[tuple[list, list, object]] = []
+        self.words: list[tuple] = []
+        self.coeffs: list[NCPoly] = []
+        made: dict[tuple, list] = {}
+        for word, coeff in poly.sorted_terms():
+            values = self.root
+            for end in range(1, len(word) + 1):
+                parent, values = values, made.get(word[:end])
+                if values is None:
+                    values = made[word[:end]] = []
+                    self.nodes.append((values, parent, images[word[end - 1]]))
+            self.words.append((coeff, values))
+
+    def extend(self, m: int) -> list[NCPoly]:
+        """Append the coefficient of h^m to every prefix and to G_k, and
+        return G_k's coefficients; psi and psi_inv must be known to h^m."""
+        one = self.one
+        self.root.append(one if m == 0 else one.ring_zero())
+        for values, parent, image in self.nodes:
+            if isinstance(image, list):
+                values.append(one.dot([(parent[i], image[m - i]) for i in range(m + 1)]))
+            else:
+                values.append(parent[m] * image)
+        self.coeffs.append(one.lincomb([(coeff, values[m]) for coeff, values in self.words]))
+        return self.coeffs
+
+
 def compute_psi(table: EkTable, order: int) -> PsiPair:
     """Compute the pair modulo h^order from a coefficient table.
 
@@ -91,29 +142,21 @@ def compute_psi(table: EkTable, order: int) -> PsiPair:
         )
 
     one = NCPoly.one(PSI_ALPHABET)
-    o12 = NCPoly.letter(PSI_ALPHABET, "O12")
-    o23 = NCPoly.letter(PSI_ALPHABET, "O23")
-    blocks = [(k, alpha(table.entry(k))) for k in degrees if k < order]
+    psi, psi_inv = [one], [one]
+    images = {
+        "C": NCPoly.letter(PSI_ALPHABET, "O12"),
+        "D": NCPoly.letter(PSI_ALPHABET, "O23"),
+        "Z": psi,
+        "Zinv": psi_inv,
+    }
+    blocks = [(k, _Block(alpha(table.entry(k)), one, images)) for k in degrees if k < order]
+    for j in range(1, order):
+        # psi and psi_inv are known below h^j; G_k gains its h^(j-k) entry.
+        gs = [(k, block.extend(j - k)) for k, block in blocks if k <= j]
+        psi.append(-one.dot([(psi[i], g[j - k - i]) for k, g in gs for i in range(j - k + 1)]))
+        psi_inv.append(one.lincomb([(1, g[j - k]) for k, g in gs]))
 
-    # The pair modulo h^1 or h^2, whichever has the parity of the order.
-    start = 2 - order % 2
-    psi = psi_inv = HSeries.unit(one, start)
-    for n in range(start + 2, order + 1, 2):
-        # psi, psi_inv are the pair modulo h^(n-2).  The degree-k block
-        # enters shifted by h^k, so it is needed only modulo h^(n-k).
-        # psi gains -back * G_k h^k and psi_inv gains G_k h^k.
-        unit = HSeries.unit(one, n)
-        terms, terms_inv = [(1, unit)], [(1, unit)]
-        for k, block in blocks:
-            if k > n - 1:
-                break
-            back, back_inv = psi.truncate(n - k), psi_inv.truncate(n - k)
-            gk = substitute(block, {"Z": back, "Zinv": back_inv, "C": o12, "D": o23})
-            terms.append((-1, (back * gk).shift(k)))
-            terms_inv.append((1, gk.shift(k)))
-        psi, psi_inv = unit.lincomb(terms), unit.lincomb(terms_inv)
-
-    pair = PsiPair(psi, psi_inv, order, table.source)
+    pair = PsiPair(HSeries(psi), HSeries(psi_inv), order, table.source)
     pair.validate()
     return pair
 

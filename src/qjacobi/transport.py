@@ -561,7 +561,9 @@ _MATCHERS = dict(_RULES)
 def _rewrite(coeff: Scalar, factors: tuple, pos: int, match):
     """Apply a matcher's match found at ``pos``."""
     consumed, replacement, multiplier = match
-    return coeff * multiplier, factors[:pos] + replacement + factors[pos + consumed :]
+    if multiplier is not _ONE:
+        coeff = coeff * multiplier
+    return coeff, factors[:pos] + replacement + factors[pos + consumed :]
 
 
 def _normalize_raw_terms(raw, dom, cod, budget: int = STEP_BUDGET, trace=None):

@@ -59,9 +59,15 @@ def oracle_psi(table: EkTable, order: int):
     raise AssertionError("oracle iteration did not reach a fixed point")
 
 
-def random_homogeneous_table(rng, max_degree=5, max_terms=3) -> EkTable:
-    """A random table with homogeneous entries in degrees 2..max_degree."""
+def random_homogeneous_table(rng, max_degree=5, max_terms=3, constants=()) -> EkTable:
+    """A random table with homogeneous entries in degrees 2..max_degree.
+
+    The terms take ``constants`` in turn, each to the first or second
+    power, and then one plain rational term, and so on round; with no
+    constants every term is plain and nothing more is drawn."""
     entries = {}
+    turns = tuple(constants) + (None,)
+    drawn = 0
     degrees = [k for k in range(2, max_degree + 1) if rng.random() < 0.7]
     if not degrees:
         degrees = [2]
@@ -69,11 +75,16 @@ def random_homogeneous_table(rng, max_degree=5, max_terms=3) -> EkTable:
         terms = []
         for _ in range(rng.randint(1, max_terms)):
             word = tuple(rng.choice("AB") for _ in range(k))
-            coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-            terms.append((word, Scalar.rational(coeff)))
+            coeff = Scalar.rational(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+            name = turns[drawn % len(turns)]
+            drawn += 1
+            if name is not None:
+                coeff = coeff * Scalar.constant(name, rng.randint(1, 2))
+            terms.append((word, coeff))
         poly = NCPoly(AB_ALPHABET, terms)
         if not poly.is_zero:
             entries[k] = poly
     if not entries:
         entries[2] = NCPoly.word(AB_ALPHABET, ("A", "B"))
-    return EkTable(entries=entries, source=f"random-{rng.random():.6f}")
+    declared = tuple(name for name in constants if name != "ipi") + ("ipi",)
+    return EkTable(entries=entries, constants=declared, source=f"random-{rng.random():.6f}")

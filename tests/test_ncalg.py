@@ -408,6 +408,22 @@ def test_store_is_integer_numerators_over_one_denominator():
     assert x.coeff(("B",)) == Scalar.rational(1, 4)
 
 
+def test_unit_factors_and_a_third_give_the_polynomials_built_from_scratch():
+    # A lone factor 1 or -1 copies the store; 1/3 must still reduce it,
+    # since every numerator of p is divisible by 3.
+    p = poly("3/7*A - 6/7*A.B + 9*ipi*B")
+    assert p._den == 7 and all(v % 3 == 0 for v in p._terms.values())
+    cases = [
+        (-p, poly("- 3/7*A + 6/7*A.B - 9*ipi*B")),
+        (p.lincomb([(-1, p)]), poly("- 3/7*A + 6/7*A.B - 9*ipi*B")),
+        (p.lincomb([(1, p)]), poly("3/7*A - 6/7*A.B + 9*ipi*B")),
+        (p.scale(Fraction(1, 3)), poly("1/7*A - 2/7*A.B + 3*ipi*B")),
+    ]
+    for got, expected in cases:
+        _assert_lowest(got)
+        assert got == expected and hash(got) == hash(expected)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_raw_polys, st.randoms(use_true_random=False))
 def test_ncpoly_hash_agrees_with_equality_across_insertion_orders(raw, rng):

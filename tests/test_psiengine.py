@@ -5,6 +5,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 from helpers import oracle_psi, random_homogeneous_table
@@ -57,14 +58,22 @@ def test_oracle_agrees_on_random_tables():
         assert pair.psi_inv == oracle_inv
 
 
-@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+# Random tables whose coefficients carry ipi, or ipi and a constant the
+# table declares itself.
+_CONSTANT_TABLES = {"ipi": ("ipi",), "user-constant": ("zeta", "ipi")}
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, *_CONSTANT_TABLES])
 def test_engine_matches_oracle_at_every_order(seed):
-    # Odd orders start the two-orders-per-step loop from the pair modulo
-    # h^1, even orders from the pair modulo h^2.
+    # The engine computes each coefficient once from the lower ones; the
+    # oracle iterates the whole pair to its fixed point at full order.
     if seed is None:
         table = builtin_table()
     else:
-        table = random_homogeneous_table(random.Random(seed), max_degree=5, max_terms=3)
+        constants = _CONSTANT_TABLES.get(seed, ())
+        table = random_homogeneous_table(random.Random(seed), max_degree=5, max_terms=3, constants=constants)
+        carried = {name for poly in table.entries.values() for _, c in poly.sorted_terms() for name in c.constants()}
+        assert carried == set(constants)
     for order in range(2, 10):
         pair = compute_psi(table, order)
         oracle, oracle_inv = oracle_psi(table, order)
@@ -185,6 +194,49 @@ def test_degree_bound():
     for k, coeff in enumerate(pair.psi.coeffs):
         degree = coeff.degree()
         assert degree is None or degree <= k
+
+
+# -- the built-in pair at orders the golden files do not pin --------------------
+
+BUILTIN_ORDER = 12
+
+
+@pytest.fixture(scope="module")
+def builtin_pair():
+    pair = compute_psi(builtin_table(), BUILTIN_ORDER)
+    return pair.psi, pair.psi_inv
+
+
+def test_builtin_odd_coefficients_vanish(builtin_pair):
+    for series in builtin_pair:
+        assert all(c.is_zero for c in series.coeffs[1::2])
+
+
+def test_builtin_psi_has_central_binomial_word_counts(builtin_pair):
+    # Only psi: psi_inv has 4, 12, 40 and 140 words at h^4 to h^10.
+    psi, _ = builtin_pair
+    counts = [len(c.sorted_terms()) for c in psi.coeffs[0:11:2]]
+    assert counts == [comb(2 * m, m) for m in range(6)]
+
+
+def test_builtin_words_are_balanced(builtin_pair):
+    for series in builtin_pair:
+        for c in series.coeffs:
+            assert all(word.count("O12") == word.count("O23") for word, _ in c.sorted_terms())
+
+
+def test_builtin_pair_is_invariant_under_swap_and_reversal(builtin_pair):
+    swap = {"O12": "O23", "O23": "O12"}
+    for series in builtin_pair:
+        for c in series.coeffs:
+            mirrored = [(tuple(swap[x] for x in reversed(word)), s) for word, s in c.sorted_terms()]
+            assert NCPoly(PSI_ALPHABET, mirrored) == c
+
+
+def test_builtin_coefficients_are_integral_after_powers_of_24(builtin_pair):
+    for series in builtin_pair:
+        for m, c in enumerate(series.coeffs[::2]):
+            assert all((s.as_fraction() * 24**m).denominator == 1 for _, s in c.sorted_terms())
 
 
 def test_zero_table_gives_unit():
