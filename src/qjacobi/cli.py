@@ -87,9 +87,9 @@ def cmd_psi(args) -> int:
 
 def cmd_eval(args) -> int:
     table = load_table(args.table)
-    pair = compute_psi(table, args.order)
+    # A bad algebra file exits before any work on Ψ; a bad table first.
     ops = algebra_ops(args.algebra)
-    series = eval_series(pair.psi, ops)
+    series = eval_series(compute_psi(table, args.order).psi, ops)
     if args.format == "json":
         doc = {
             "algebra": ops.alg.name,

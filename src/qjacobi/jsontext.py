@@ -11,7 +11,11 @@ Here a list whose items are all ``str`` (a matrix row, a series
 coefficient list) is written by one ``str.join``.  One encoder call on
 the concatenated cells tells whether any cell needs escaping; when none
 does, the raw cells are joined between quotes, and otherwise the
-encoded cells are joined.
+encoded cells are joined.  Such a list is written once per indent in a
+call: its text is kept by the list's ``id`` and the indent, and a list
+object met again at that indent (the one shared empty row of
+:meth:`~qjacobi.matrices.SparseMatrix.to_json`) reuses it.  The ids are
+stable because ``doc`` holds every list alive for the whole call.
 
 :func:`unique_keys` is the package's one ``object_pairs_hook`` for
 reading JSON documents (coefficient tables, algebra files): it refuses
@@ -46,14 +50,15 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def dumps(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``."""
     parts: list[str] = []
-    _write(doc, "\n", parts)
+    _write(doc, "\n", parts, {})
     parts.append("\n")
     return "".join(parts)
 
 
-def _write(value, newline: str, parts: list[str]) -> None:
+def _write(value, newline: str, parts: list[str], written: dict[tuple[int, str], str]) -> None:
     """Append the text of ``value`` at the indent that ``newline`` (a
-    line break followed by the current indent) carries."""
+    line break followed by the current indent) carries; ``written``
+    keeps the text of each list of ``str`` by (``id``, ``newline``)."""
     if isinstance(value, str):
         parts.append(_quote(value))
     elif value is None:
@@ -74,12 +79,17 @@ def _write(value, newline: str, parts: list[str]) -> None:
         opener = "{"
         for key in sorted(value):
             parts.append(opener + inner + _quote(key) + ": ")
-            _write(value[key], inner, parts)
+            _write(value[key], inner, parts, written)
             opener = ","
         parts.append(newline + "}")
     elif isinstance(value, list):
         if not value:
             parts.append("[]")
+            return
+        key = (id(value), newline)
+        text = written.get(key)
+        if text is not None:
+            parts.append(text)
             return
         inner = newline + _INDENT
         try:
@@ -89,14 +99,16 @@ def _write(value, newline: str, parts: list[str]) -> None:
         if cells is not None:
             if _quote(cells) == '"' + cells + '"':
                 # Escaping is per character, so no cell needs it.
-                parts.append("[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + newline + "]")
+                text = "[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + newline + "]"
             else:
-                parts.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+                text = "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
+            parts.append(text)
+            written[key] = text
             return
         opener = "["
         for item in value:
             parts.append(opener + inner)
-            _write(item, inner, parts)
+            _write(item, inner, parts, written)
             opener = ","
         parts.append(newline + "]")
     else:

@@ -427,9 +427,14 @@ class SparseMatrix(Ring):
         return out
 
     def to_json(self) -> dict:
-        data = [["0"] * self.cols for _ in range(self.rows)]
+        """``{"rows", "cols", "data"}``, ``data`` holding each cell's text.
+
+        Empty rows are one shared list; do not modify it.
+        """
+        empty = ["0"] * self.cols
+        data = [empty] * self.rows
         for i, row in self._cell_texts().items():
-            line = data[i]
+            line = data[i] = empty.copy()
             for j, text in row.items():
                 line[j] = text
         return {"rows": self.rows, "cols": self.cols, "data": data}

@@ -34,7 +34,8 @@ That text form is the interchange format used by every other module.
 
 :func:`substitute` is the one word evaluator: it maps each word to the
 product of its letters' images in any ring of the package (polynomials,
-exact matrices or truncated series).
+exact matrices or truncated series), and sums the words by Horner's rule
+over their last letters.
 """
 
 from __future__ import annotations
@@ -662,18 +663,23 @@ def substitute(p: LinearCombination, images: Mapping[str, object], zero=None):
     target, exact matrices, or truncated series; a series among them
     turns the others into constant series and truncates everything to
     the weakest order.  Each word maps to the product of its letters'
-    images, multiplied from its first letter on; the empty word maps to
-    the ring one.  ``zero`` is the zero of the target ring, by default
-    that of the images; typed words over rectangular matrices need it,
-    since their images do not fix the shape of the result.
+    images, its first letter on the left; the empty word maps to the
+    ring one.  ``zero`` is the zero of the target ring, by default that
+    of the images; typed words over rectangular matrices need it, since
+    their images do not fix the shape of the result.
 
-    The words are taken in lexicographic order, which walks their prefix
-    trie depth first, left to right: the words that share a prefix come
-    together, so the image of each distinct nonempty prefix is one
-    product (the prefix before it times its last letter's image).  Each
-    word's (coefficient, image) pair is collected and the sum is one
-    ``lincomb`` of the target ring, merged once however many words there
-    are.
+    The sum is taken by Horner's rule over the last letter,
+    ``sum c_w w = c_e + sum_a (sum c_ua u) a``, applied again to each
+    quotient ``sum c_ua u``.  The quotients are the nodes of the words'
+    suffix trie: the node of a suffix ``s`` is ``sum_b (c_bs + Q_bs) b``,
+    where ``Q_bs`` is the node of ``bs`` when ``bs`` is a proper suffix
+    of some word.  A constant ``c_bs`` adds ``c_bs * image(b)`` through
+    ``lincomb``, with no product; every other (quotient, letter) pair of
+    a node goes into one ``dot``.  So the products are one per distinct
+    proper nonempty suffix of the words, and the left factor of each is
+    a quotient of lower degree, not a long prefix.  A node is summed in
+    its own ring and shape (for typed words, a rectangular one), and a
+    unit is built only for an empty word.
     """
     from .hseries import HSeries
 
@@ -698,22 +704,33 @@ def substitute(p: LinearCombination, images: Mapping[str, object], zero=None):
             # Constant polynomial: nothing to substitute.
             return p
         zero = next(iter(imgs.values())).ring_zero()
-    pairs = []
-    # prefix[i] is the image of the first i + 1 letters of the last word.
-    prefix: list = []
-    last: tuple = ()
-    for word, coeff in sorted(p.sorted_terms(), key=lambda term: term[0]):
-        shared = 0
-        for x, y in zip(word, last):
-            if x != y:
-                break
-            shared += 1
-        del prefix[shared:]
-        for letter in word[shared:]:
-            prefix.append(prefix[-1] * imgs[letter] if prefix else imgs[letter])
-        pairs.append((coeff, prefix[-1] if word else zero.ring_one()))
-        last = word
-    return zero.lincomb(pairs)
+    # ends[s][b] is the coefficient of the word b + s; inner[s] holds the
+    # letters b for which b + s is a proper suffix of a word.
+    ends: dict[tuple, dict] = {}
+    inner: dict[tuple, dict] = {}
+    constant = []
+    for word, coeff in p.sorted_terms():
+        if not word:
+            constant.append((coeff, zero.ring_one()))
+            continue
+        ends.setdefault(word[1:], {})[word[0]] = coeff
+        for k in range(1, len(word)):
+            inner.setdefault(word[k + 1:], {})[word[k]] = None
+
+    def node(suffix: tuple, pairs: list, receiver=None):
+        """The quotient of ``suffix`` plus the sum of ``pairs``, taken
+        in the space of ``receiver``, by default its own."""
+        pairs += [(c, imgs[b]) for b, c in ends.get(suffix, {}).items()]
+        below = inner.get(suffix)
+        if below:
+            prod = zero.dot([(node((b,) + suffix, []), imgs[b]) for b in below])
+            if not pairs:
+                return prod
+            # First, so that the merge keeps its rows where it can.
+            pairs.insert(0, (1, prod))
+        return (pairs[0][1] if receiver is None else receiver).lincomb(pairs)
+
+    return node((), constant, zero)
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,8 @@ def test_eval_json_golden(capsys):
 
 
 def test_eval_text_golden(capsys):
-    # The dense text form of every coefficient, from the prefix walk of
-    # the word evaluator over Psi's words up to length 7.
+    # The dense text form of every coefficient, from Horner's rule in the
+    # word evaluator over Psi's words up to length 7.
     code, out = run_cli(capsys, "eval", "--algebra", "sl2", "--order", "8")
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / "eval_sl2_o8.txt").read_bytes()
@@ -225,6 +225,25 @@ def test_eval_bad_table_exits_3(capsys, tmp_path):
     code = cli.main(["eval", "--algebra", "sl2", "--order", "2", "--table", str(path)])
     capsys.readouterr()
     assert code == 3
+
+
+def test_eval_reads_the_algebra_before_computing_psi(capsys, monkeypatch, tmp_path):
+    # A bad algebra file exits 3 without any work on Ψ; a bad table is
+    # still read first, so its error wins.
+    def forbidden(table, order):
+        raise AssertionError("compute_psi ran before the algebra was read")
+
+    monkeypatch.setattr(cli, "compute_psi", forbidden)
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(json.dumps({"dim": 0, "basis": [], "brackets": []}))
+    code = cli.main(["eval", "--order", "12", "--algebra", str(algebra)])
+    err = capsys.readouterr().err
+    assert code == 3 and err == "error: dim must be positive\n"
+    table = tmp_path / "bad.json"
+    table.write_text("{not json")
+    code = cli.main(["eval", "--order", "12", "--algebra", str(algebra), "--table", str(table)])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("error: cannot parse table: ")
 
 
 def test_table_validate_builtin_file(capsys):

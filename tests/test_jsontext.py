@@ -73,6 +73,13 @@ def test_package_documents_match_json_dumps():
     assert dumps(doc) == _oracle(doc)
 
 
+@pytest.mark.parametrize("row", [["0", "1/2", "ipi"], ["0", 'a"b', "\n", "é"]], ids=["plain", "escaped"])
+def test_writer_repeats_an_aliased_list(row):
+    # One list object written at three indents, and more than once at each.
+    doc = {"a": row, "b": [row, row], "c": {"d": [row, ["x"], row]}, "e": row}
+    assert dumps(doc) == _oracle(doc)
+
+
 @pytest.mark.parametrize(
     "doc",
     [1.5, (1, 2), Fraction(1, 2), {1: "a"}, {"a": {None: 1}}, ["0", 0.0], ["0", ("1",)], {"a": [Fraction(1)]}],

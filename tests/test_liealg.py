@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qjacobi.matrices
 from qjacobi.hseries import HSeries
 from qjacobi.liealg import (
     AlgebraError,
@@ -676,36 +677,36 @@ def test_eval_series_is_multiplicative(sl2_ops):
 
 def _eval_products(ops, order, monkeypatch):
     """(matrix products eval_series makes on the built-in Psi mod
-    h^order, the count the prefix walk predicts)."""
-    # Each distinct nonempty prefix of a coefficient's words costs one
-    # matrix product, except a one-letter prefix, which is an image.
+    h^order, the count Horner's rule predicts)."""
+    # Each distinct proper nonempty suffix of a coefficient's words costs
+    # one product: its quotient times the image of the letter before it.
+    # The built-in Psi is rational, so each product is one integer
+    # row product.
     psi = compute_psi(builtin_table(), order).psi
     expected = 0
     for coeff in psi.coeffs:
-        words = [word for word, _ in coeff.sorted_terms() if word]
-        prefixes = {word[:n] for word in words for n in range(1, len(word) + 1)}
-        expected += len(prefixes) - len({word[0] for word in words})
+        words = [word for word, _ in coeff.sorted_terms()]
+        expected += len({word[n:] for word in words for n in range(1, len(word))})
     calls = []
-    product = SparseMatrix.__mul__
+    product = qjacobi.matrices._rows_mul
 
-    def counted(self, other):
-        if isinstance(other, SparseMatrix):
-            calls.append(1)
-        return product(self, other)
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
 
-    monkeypatch.setattr(SparseMatrix, "__mul__", counted)
+    monkeypatch.setattr(qjacobi.matrices, "_rows_mul", counted)
     eval_series(psi, ops)
     return len(calls), expected
 
 
-def test_eval_series_makes_one_product_per_new_prefix(sl2_ops, monkeypatch):
-    assert _eval_products(sl2_ops, 10, monkeypatch) == (332, 332)
+def test_eval_series_makes_one_product_per_proper_suffix(sl2_ops, monkeypatch):
+    assert _eval_products(sl2_ops, 10, monkeypatch) == (242, 242)
 
 
 def test_eval_series_products_on_sl3(sl3_ops, monkeypatch):
-    # Summing the evaluated words (one lincomb per coefficient) makes no
+    # Summing a node's constant quotients (one lincomb per node) makes no
     # product of its own.
-    assert _eval_products(sl3_ops, 6, monkeypatch) == (18, 18)
+    assert _eval_products(sl3_ops, 6, monkeypatch) == (14, 14)
 
 
 def test_eval_series_alphabet_mismatch(sl2_ops):

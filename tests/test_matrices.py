@@ -465,6 +465,16 @@ def test_renderers_match_dense_reference(m):
     assert m.to_json() == {"rows": m.rows, "cols": m.cols, "data": ref_dense_text(m)}
 
 
+def test_json_data_matches_dense_reference():
+    # Empty rows share one list, and a filled row is its own copy of it.
+    import random
+
+    rng = random.Random(3)
+    sparse = SparseMatrix(6, 5, [(rng.randrange(6), rng.randrange(5), rng.randint(-4, 4)) for _ in range(7)])
+    for m in (SparseMatrix.zeros(4, 3), SparseMatrix.identity(4), sparse):
+        assert m.to_json()["data"] == ref_dense_text(m)
+
+
 def test_renderers_on_edge_shapes():
     assert SparseMatrix.zeros(1, 1).to_text() == "[[0]]"
     assert SparseMatrix.zeros(2, 3).to_text() == "[[0, 0, 0]; [0, 0, 0]]"

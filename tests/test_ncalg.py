@@ -438,7 +438,7 @@ def test_ncpoly_hash_agrees_with_equality_across_insertion_orders(raw, rng):
     assert len({forward, backward, summed}) == 1
 
 
-# -- the prefix walk of substitute against word-by-word products --------------
+# -- Horner's rule in substitute against word-by-word products ---------------
 
 ABC = Alphabet(("A", "B", "C"))
 
@@ -512,6 +512,64 @@ def test_substitute_into_series_matches_word_products(raw, seed):
     out = substitute(p, {"A": a, "B": b, "C": c})
     lifted = {"A": a, "B": HSeries.constant(b, 3), "C": c.truncate(3)}
     assert out == naive_substitute(p, lifted, HSeries.constant(SparseMatrix.zeros(2, 2), 3))
+
+
+_horner_scalars = st.builds(
+    lambda p, q, e, z: Scalar.rational(p, q)
+    * (Scalar.constant("ipi", e) if e else Scalar.one())
+    * (Scalar.constant("zeta", z) if z else Scalar.one()),
+    st.integers(-4, 4),
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.integers(0, 1),
+)
+
+
+@st.composite
+def _horner_terms(draw, letters):
+    """Up to 12 terms with words of length 0 to 7, the empty word in
+    about half the draws, coefficients carrying ipi and a user constant
+    zeta; most words end in a cut of one drawn stem, so that suffixes
+    repeat across the words, and the others are free."""
+    stem = draw(st.lists(st.sampled_from(letters), min_size=5, max_size=5))
+    terms = [((), draw(_horner_scalars))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 11))):
+        if draw(st.booleans()):
+            head = draw(st.lists(st.sampled_from(letters), max_size=2))
+            word = head + stem[draw(st.integers(0, 5)):]
+        else:
+            word = draw(st.lists(st.sampled_from(letters), max_size=4))
+        terms.append((tuple(word), draw(_horner_scalars)))
+    return terms
+
+
+def _random_ncpoly(rng):
+    """Zero to three terms over CDZ, whose Z and Zinv cancel in products."""
+    words = [(), ("C",), ("D",), ("Z",), ("Zinv",), ("C", "Z"), ("Zinv", "D")]
+    terms = [(rng.choice(words), Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(rng.randint(0, 3))]
+    return NCPoly(CDZ, terms)
+
+
+@settings(max_examples=90, deadline=None)
+@given(_horner_terms(ABC.letters), st.sampled_from(["matrix", "ncpoly", "series"]), st.integers(0, 2**32))
+def test_substitute_matches_word_products_in_every_ring(raw, ring, seed):
+    import random
+
+    from qjacobi.hseries import HSeries
+    from qjacobi.matrices import SparseMatrix
+
+    rng = random.Random(seed)
+    if ring == "matrix":
+        images = {x: _random_matrix(rng, 3, 3) for x in ABC.letters}
+        zero = SparseMatrix.zeros(3, 3)
+    elif ring == "ncpoly":
+        images = {x: _random_ncpoly(rng) for x in ABC.letters}
+        zero = NCPoly.zero(CDZ)
+    else:
+        images = {x: HSeries([_random_ncpoly(rng) for _ in range(3)]) for x in ABC.letters}
+        zero = HSeries.constant(NCPoly.zero(CDZ), 3)
+    p = NCPoly(ABC, raw)
+    assert substitute(p, images) == naive_substitute(p, images, zero)
 
 
 @settings(max_examples=30, deadline=None)
