@@ -454,7 +454,10 @@ class LinearCombination(Ring):
                 word = stored_word(word)
                 for mono, frac in scalar.items():
                     key = (word, mono)
-                    fracs[key] = fracs.get(key, 0) + frac
+                    # A first term is stored as it is: 0 + frac would
+                    # build and reduce a Fraction.
+                    held = fracs.get(key)
+                    fracs[key] = frac if held is None else held + frac
         self._terms, self._den = _integral(fracs)
 
     def _check_same(self, other: "LinearCombination") -> None:

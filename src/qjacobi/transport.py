@@ -31,10 +31,18 @@ Every rewrite step, structural or classical, is found by one search
 (``_first_match``): the leftmost position where any rule applies, the
 rules tried in table order there.  Normalization, the completeness check
 of trace replay and the classical discharge (at the first term, in
-canonical order, that a rule applies to) all step that way.  Every
-normalization records a replayable trace of (term, rule, position)
-steps, where term is an index into that list, capped by a step budget so
-failure is observable instead of divergent.
+canonical order, that a rule applies to) all step that way.  The rules
+are filed by the head of the factor a match starts at (a quantum
+factor's kind, a classical atom itself), in table order, so a position
+tries only the rules that can start there; a rule whose head differs
+cannot match, so the step found is still the leftmost position, then the
+first rule in table order.  After a rewrite at ``pos``, normalization
+resumes the term's search at ``pos - (w - 1)``, where ``w`` is the widest
+window any rule reads: no rule matched further left, and a match there
+would read only factors left of ``pos``, which the rewrite did not
+change.  Every normalization records a replayable trace of (term, rule,
+position) steps, where term is an index into that list, capped by a step
+budget so failure is observable instead of divergent.
 
 A sum of products of normal forms, such as one coefficient of a series
 product, is concatenated and merged, then normalized once.  Rewriting
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .deformation import AB_ALPHABET, alpha, builtin_table
@@ -143,15 +152,32 @@ def _word_type(word: tuple[str, ...]) -> tuple[int, int]:
 
 
 class ClassicalPoly(LinearCombination):
-    """A polynomial of typed classical composition words."""
+    """A polynomial of typed classical composition words.
 
-    __slots__ = ("dom", "cod")
+    Image blocks are hashed with every factor tuple that holds them and
+    rendered with every term that sorts them, so a polynomial keeps its
+    hash and its text once computed.  Its store is set when it is built
+    and never changed after it is read.
+    """
+
+    __slots__ = ("dom", "cod", "_hash", "_text")
     _error = TransportError
 
     def __init__(self, dom: int, cod: int, terms=None):
         self.dom = dom
         self.cod = cod
+        self._hash = self._text = None
         self._store(terms, self._typed)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = super().__hash__()
+        return self._hash
+
+    def to_text(self) -> str:
+        if self._text is None:
+            self._text = super().to_text()
+        return self._text
 
     def _typed(self, word: Sequence[str]) -> tuple[str, ...]:
         word = tuple(word)
@@ -239,20 +265,50 @@ def _run_matcher(run: tuple, replacement: tuple):
     return match
 
 
-def _first_match(factors: tuple, rules):
+def _rule_table(rules, head):
+    """The search table of ``(name, matcher, head)`` rules: ``(by_head,
+    head)``, where ``by_head`` maps a head to the (name, matcher) pairs of
+    the rules whose matches start at a factor with that head, in table
+    order, and ``head`` maps a factor to its head."""
+    by_head: dict = {}
+    for name, matcher, key in rules:
+        by_head.setdefault(key, []).append((name, matcher))
+    return {key: tuple(pairs) for key, pairs in by_head.items()}, head
+
+
+def _first_match(factors: tuple, table, start: int = 0):
     """The one rule search: (rule name, pos, match) for the leftmost
-    position where any of the (name, matcher) rules applies, trying them
-    in table order there, or None."""
-    for pos in range(len(factors)):
-        for name, matcher in rules:
+    position from ``start`` on where any rule of the table applies,
+    trying them in table order there, or None.
+
+    At each position only the rules filed under the factor's head are
+    tried.  A rule matches only where its first factor has the rule's
+    head, and each head's rules keep their table order, so the step found
+    is the one a trial of every rule at every position would find: the
+    leftmost position, then the first rule in table order.  A caller
+    passes a ``start`` above 0 only where it knows that no rule applies
+    further left: normalization resumes a term's search ``w - 1``
+    positions left of its last rewrite, ``w`` the widest window a rule
+    reads, since a match starting further left would read only factors
+    the rewrite left unchanged, where none applied before."""
+    by_head, head = table
+    for pos in range(start, len(factors)):
+        for name, matcher in by_head.get(head(factors[pos]), ()):
             match = matcher(factors, pos)
             if match is not None:
                 return name, pos, match
     return None
 
 
-# Names repeat (three 3.1 runs), so the table stays a tuple.
-_CLASSICAL_RULES = tuple((name, _run_matcher(run, rhs)) for name, run, rhs in CLASSICAL_RULES)
+def _atom(atom: str) -> str:
+    return atom
+
+
+# A classical word's factors are its atoms, and an atom is its own head.
+# Names repeat (three 3.1 runs), so the table keeps (name, matcher) pairs.
+_CLASSICAL_TABLE = _rule_table(
+    [(name, _run_matcher(run, rhs), run[0]) for name, run, rhs in CLASSICAL_RULES], _atom
+)
 
 
 def classical_normalize(poly: ClassicalPoly, budget: int = STEP_BUDGET):
@@ -266,14 +322,17 @@ def classical_normalize(poly: ClassicalPoly, budget: int = STEP_BUDGET):
     used: set[str] = set()
     current = poly
     while True:
-        for word, coeff in current.sorted_terms():
-            found = _first_match(word, _CLASSICAL_RULES)
+        # The words in canonical order; only the rewritten term's
+        # coefficient is read off the store.
+        for word in sorted({word for word, _ in current._terms}, key=ClassicalPoly._word_key):
+            found = _first_match(word, _CLASSICAL_TABLE)
             if found is not None:
                 break
         else:
             return current, steps, used
         if len(steps) >= budget:
             raise TransportError("classical rewrite budget exhausted")
+        coeff = current.coeff(word)
         name, pos, (consumed, replacement, _) = found
         steps.append((name, ".".join(word) if word else "1", pos))
         used.add(name)
@@ -370,7 +429,14 @@ class TransportElement(LinearCombination):
         """The sum of the compositions ``a`` after ``b``: the concatenated
         products, merged once, then rewritten to normal form once."""
         raw = super().dot(pairs)
-        return _normalize_raw_terms(raw.terms, raw.dom, raw.cod)
+        den = raw._den
+        # The store's terms in store order: the result is a sum, so the
+        # order is immaterial, and a plain rational needs no Scalar.
+        terms = [
+            (Scalar({mono: Fraction(v, den)}) if mono else Fraction(v, den), factors)
+            for (factors, mono), v in raw._terms.items()
+        ]
+        return _normalize_raw_terms(terms, raw.dom, raw.cod)
 
     # Ring protocol for series coefficients.
     def ring_one(self) -> "TransportElement":
@@ -468,7 +534,11 @@ def compose(*parts: MorphTerm) -> MorphTerm:
             )
     terms = parts[0].terms
     for part in parts[1:]:
-        terms = [(c1 * c2, f1 + f2) for c1, f1 in terms for c2, f2 in part.terms]
+        terms = [
+            (c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2, f1 + f2)
+            for c1, f1 in terms
+            for c2, f2 in part.terms
+        ]
     return MorphTerm(terms, parts[-1].dom, parts[0].cod)
 
 
@@ -482,7 +552,7 @@ def morph_sum(*weighted: tuple[ScalarLike, MorphTerm]) -> MorphTerm:
         if (expr.dom, expr.cod) != (dom, cod):
             raise TransportError("sum of differently typed morphisms")
         weight = Scalar.coerce(weight)
-        terms.extend((weight * c, f) for c, f in expr.terms)
+        terms.extend((weight if c is _ONE else weight * c, f) for c, f in expr.terms)
     return MorphTerm(terms, dom, cod)
 
 
@@ -547,15 +617,32 @@ def _drop_x_unit(factors: tuple, pos: int):
     return None
 
 
-# (rule name, matcher) in the order the rewriter tries them at each
-# position; a matcher returns (consumed, replacement, coeff multiplier)
-# or None.
-_RULES = tuple((name, _run_matcher(run, replacement)) for name, run, replacement in EXPANSION_RULES) + (
-    ("group:cancel", _group_cancel),
-    ("merge:X", _merge_x),
-    ("drop:X_unit", _drop_x_unit),
+# Structural rules, tried after the expansion rules: rule name, matcher,
+# the factor kind a match starts at, and the widest window the matcher
+# reads (factors pos, pos + 1, ...).
+STRUCTURAL_RULES = (
+    ("group:cancel", _group_cancel, "c", 2),
+    ("merge:X", _merge_x, "X", 2),
+    ("drop:X_unit", _drop_x_unit, "X", 1),
 )
-_MATCHERS = dict(_RULES)
+
+
+def _kind(factor) -> str:
+    return factor[0]
+
+
+# (rule name, matcher, head) in the order the rewriter tries them at each
+# position; a matcher returns (consumed, replacement, coeff multiplier)
+# or None.  A quantum factor's head is its kind.
+_RULES = tuple((name, _run_matcher(run, rhs), run[0][0]) for name, run, rhs in EXPANSION_RULES) + tuple(
+    (name, matcher, kind) for name, matcher, kind, _ in STRUCTURAL_RULES
+)
+_TABLE = _rule_table(_RULES, _kind)
+_MATCHERS = {name: matcher for name, matcher, _ in _RULES}
+# How far left of a rewrite the search resumes: one less than the widest
+# window any rule reads, so that every position further left reads only
+# factors the rewrite left unchanged.
+_RESUME_BACK = max([len(run) for _, run, _ in EXPANSION_RULES] + [width for *_, width in STRUCTURAL_RULES]) - 1
 
 
 def _rewrite(coeff: Scalar, factors: tuple, pos: int, match):
@@ -570,9 +657,11 @@ def _normalize_raw_terms(raw, dom, cod, budget: int = STEP_BUDGET, trace=None):
     steps = 0
     finished = []
     for index, (coeff, factors) in enumerate(raw):
-        while (found := _first_match(factors, _RULES)) is not None:
+        start = 0
+        while (found := _first_match(factors, _TABLE, start)) is not None:
             rule, pos, match = found
             coeff, factors = _rewrite(coeff, factors, pos, match)
+            start = max(pos - _RESUME_BACK, 0)
             if trace is not None:
                 trace.append({"term": index, "rule": rule, "pos": pos})
             steps += 1
@@ -616,7 +705,7 @@ def replay_trace(expr: MorphTerm, trace) -> TransportElement:
         if match is None:
             raise TransportError(f"rule {rule!r} does not apply at position {pos!r}")
         raw[index] = _rewrite(coeff, factors, pos, match)
-    if any(_first_match(factors, _RULES) for _, factors in raw):
+    if any(_first_match(factors, _TABLE) for _, factors in raw):
         raise TransportError("trace is incomplete: a rule still applies")
     return TransportElement(expr.dom, expr.cod, raw)
 

@@ -1,9 +1,14 @@
 """Shared test utilities: independent brute-force oracles and random data.
 
-The oracle here recomputes the associator correction series by plain
+The Psi oracle recomputes the associator correction series by plain
 fixed-point iteration at full order, with its own regex-based run
 parser, so it shares no code path with the production engine beyond the
 ring primitives.
+
+The rewrite oracle finds every transport step by trying every rule at
+every position from 0 after each step, with its own run matchers over
+the published rule tables, so it shares only the rule data and the
+structural matchers with the rewriter's indexed, resuming search.
 """
 
 import re
@@ -13,6 +18,13 @@ from qjacobi.deformation import AB_ALPHABET, EkTable
 from qjacobi.hseries import HSeries
 from qjacobi.ncalg import NCPoly, Scalar
 from qjacobi.psiengine import PSI_ALPHABET
+from qjacobi.transport import (
+    CLASSICAL_RULES,
+    EXPANSION_RULES,
+    STRUCTURAL_RULES,
+    ClassicalPoly,
+    TransportElement,
+)
 
 
 def oracle_alpha_product(word, psi, psi_inv, c_img, d_img, unit):
@@ -88,3 +100,68 @@ def random_homogeneous_table(rng, max_degree=5, max_terms=3, constants=()) -> Ek
         entries[2] = NCPoly.word(AB_ALPHABET, ("A", "B"))
     declared = tuple(name for name in constants if name != "ipi") + ("ipi",)
     return EkTable(entries=entries, constants=declared, source=f"random-{rng.random():.6f}")
+
+
+def _reference_run(run, replacement):
+    """A matcher for one fixed run, compared factor by factor."""
+
+    def match(factors, pos):
+        if len(factors) - pos >= len(run) and all(factors[pos + i] == f for i, f in enumerate(run)):
+            return len(run), replacement, 1
+        return None
+
+    return match
+
+
+REFERENCE_RULES = [(name, _reference_run(run, rhs)) for name, run, rhs in EXPANSION_RULES] + [
+    (name, matcher) for name, matcher, *_ in STRUCTURAL_RULES
+]
+REFERENCE_CLASSICAL_RULES = [(name, _reference_run(run, rhs)) for name, run, rhs in CLASSICAL_RULES]
+
+
+def reference_search(factors, rules):
+    """(name, pos, match) of the first rule, in list order, that applies
+    at the leftmost position where any does, trying all of them at every
+    position from 0; or None."""
+    for pos in range(len(factors)):
+        for name, matcher in rules:
+            match = matcher(factors, pos)
+            if match is not None:
+                return name, pos, match
+    return None
+
+
+def reference_normalize(expr, budget=10_000):
+    """(normal form, trace) of an expression, searching from 0 after
+    every step."""
+    trace, finished = [], []
+    for index, (coeff, factors) in enumerate(expr.terms):
+        while (found := reference_search(factors, REFERENCE_RULES)) is not None:
+            name, pos, (consumed, replacement, multiplier) = found
+            coeff = coeff * multiplier
+            factors = factors[:pos] + replacement + factors[pos + consumed :]
+            trace.append({"term": index, "rule": name, "pos": pos})
+            if len(trace) > budget:
+                raise AssertionError("reference rewriting did not terminate")
+        finished.append((coeff, factors))
+    return TransportElement(expr.dom, expr.cod, finished), trace
+
+
+def reference_classical_normalize(poly, budget=10_000):
+    """(normal form, steps, rules used) of a classical polynomial: each
+    step at the first term, in canonical order, that a rule applies to."""
+    steps, used, current = [], set(), poly
+    while True:
+        for word, coeff in current.sorted_terms():
+            found = reference_search(word, REFERENCE_CLASSICAL_RULES)
+            if found is not None:
+                break
+        else:
+            return current, steps, used
+        name, pos, (consumed, replacement, _) = found
+        steps.append((name, ".".join(word) if word else "1", pos))
+        used.add(name)
+        terms = [(word, -coeff)] + [(word[:pos] + rhs + word[pos + consumed :], coeff * sign) for sign, rhs in replacement]
+        current = current + ClassicalPoly(current.dom, current.cod, terms)
+        if len(steps) > budget:
+            raise AssertionError("reference classical rewriting did not terminate")

@@ -90,6 +90,15 @@ def test_verify_transport_json_golden(capsys):
     assert out.encode("utf-8") == (GOLDEN / "verify_transport.json").read_bytes()
 
 
+def test_verify_transport_constants_table_json_golden(capsys):
+    # The 5.1 traces of a multi-term table whose words carry ipi and a
+    # user constant: each monomial's claim and the assembled entry's.
+    table = str(GOLDEN / "table_constants.json")
+    code, out = run_cli(capsys, "verify", "transport", "--table", table, "--format", "json")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "verify_transport_constants.json").read_bytes()
+
+
 def test_verify_sigma_h_def_order_8_json_golden(capsys):
     # The braiding relation to h^8: each series coefficient is a sum of
     # products of normal forms, rewritten once.

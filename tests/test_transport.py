@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import reference_classical_normalize, reference_normalize
 
 from qjacobi.deformation import builtin_table, parse_table
 from qjacobi.liealg import build_algebra, build_tensor_ops, eval_series
@@ -90,6 +91,17 @@ def test_normalize_is_idempotent():
         once = normalize(expr)
         again = normalize(element_to_expr(once))
         assert once == again
+
+
+def test_products_of_normal_forms_keep_formal_constants():
+    # A product of normal forms normalizes its merged terms; each term's
+    # coefficient, formal constants included, rides through the rewrite.
+    ipi = Scalar.constant("ipi")
+    left = morph_sum((ipi, gen("Omega_h")), (Scalar.rational(1, 2), gen("sigma_h")))
+    right = morph_sum((1, gen("sigma_h")), (Scalar.constant("zeta", 2) - 3, gen("Omega_h")))
+    a, b = normalize(left), normalize(right)
+    assert a * b == normalize(compose(left, right))
+    assert a.dot([(a, b), (b, a)]) == normalize(morph_sum((1, compose(left, right)), (1, compose(right, left))))
 
 
 def test_unknown_generator_rejected():
@@ -223,22 +235,123 @@ def test_each_rewrite_step_matches_its_rule_once(monkeypatch):
     assert replay_trace(expr, trace) == element
 
 
+_POOL = ["psi", "psi_inv", "sigma_h_12", "sigma_h_23", "Omega_h_12", "Omega_h_23"]
+
+
+def _random_well_typed(rng):
+    """A random composite of three-site generators, sometimes under a
+    bracket composite or summed with one more generator."""
+    parts = [gen(rng.choice(_POOL)) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.3:
+        # End in a bracket composite so the fused rules fire too.
+        return compose(gen("T_h"), lift("T_h", rng.choice(("left", "right"))), compose(*parts))
+    expr = compose(*parts)
+    if rng.random() < 0.4:
+        expr = morph_sum((rng.randint(-3, 3), expr), (1, gen(rng.choice(_POOL))))
+    return expr
+
+
+def _random_conjugated(rng):
+    """A random composite of three-site generators and conjugated image
+    blocks, some of them scalar, or of two-site generators under a
+    bracket, so that every rule fires somewhere."""
+    if rng.random() < 0.25:
+        parts = [gen(rng.choice(("sigma_h", "Omega_h"))) for _ in range(rng.randint(0, 4))]
+        last = [gen("t_h")] if rng.random() < 0.3 else []
+        head = [gen("T_h")] if rng.random() < 0.5 else []
+        return compose(*head, *parts, *last) if head or parts or last else gen("sigma_h")
+    parts = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.6:
+            parts.append(gen(rng.choice(_POOL)))
+            continue
+        word = tuple(rng.choice(("sig12", "sig23", "Om12", "Om23")) for _ in range(rng.randint(0, 2)))
+        terms = [(word, Scalar.rational(rng.randint(1, 3), rng.randint(1, 2)))]
+        if word and rng.random() < 0.3:
+            terms.append(((), Scalar.constant("ipi")))
+        block = xblock(ClassicalPoly(3, 3, terms))
+        parts.append(compose(gen(rng.choice("MN") + "_inv"), block, gen(rng.choice("MN"))))
+    expr = compose(*parts)
+    if rng.random() < 0.4:
+        expr = morph_sum((Scalar.rational(rng.randint(-3, 3), 2), expr), (1, gen(rng.choice(_POOL))))
+    return expr
+
+
 def test_termination_on_random_well_typed_terms():
     rng = random.Random(20240813)
-    pool = ["psi", "psi_inv", "sigma_h_12", "sigma_h_23", "Omega_h_12", "Omega_h_23"]
     for _ in range(100):
-        depth = rng.randint(1, 6)
-        parts = [gen(rng.choice(pool)) for _ in range(depth)]
-        if rng.random() < 0.3:
-            # End in a bracket composite so the fused rules fire too.
-            expr = compose(gen("T_h"), lift("T_h", rng.choice(("left", "right"))), compose(*parts))
-        else:
-            expr = compose(*parts)
-            if rng.random() < 0.4:
-                expr = morph_sum((rng.randint(-3, 3), expr), (1, gen(rng.choice(pool))))
-        nf = normalize(expr)
+        nf = normalize(_random_well_typed(rng))
         for _, factors in nf.terms:
             assert all(f[0] in ("c", "X") for f in factors)
+
+
+# -- the indexed, resuming search against the all-rules search -----------------------
+
+def _assert_same_as_reference(expr):
+    element, trace = normalize_traced(expr)
+    ref_element, ref_trace = reference_normalize(expr)
+    assert trace == ref_trace
+    assert element == ref_element
+
+
+def test_random_terms_step_as_the_reference_search():
+    rng = random.Random(20261018)
+    for _ in range(120):
+        _assert_same_as_reference(_random_well_typed(rng))
+    for _ in range(120):
+        _assert_same_as_reference(_random_conjugated(rng))
+
+
+def test_series_claims_step_as_the_reference_search():
+    for sides in _series_sides():
+        for expr in sides:
+            _assert_same_as_reference(expr)
+
+
+@pytest.mark.parametrize("identity", ["4.3a", "4.3b", "4.4", "4.5"])
+def test_identity_sides_step_as_the_reference_search(identity):
+    for expr in identity_expressions(identity):
+        _assert_same_as_reference(expr)
+
+
+def test_search_resumes_left_of_a_rewrite():
+    # The rewrite at 2 leaves N^-1.M.M^-1.N, whose first match is at 1:
+    # the search resumes one factor left of the rewrite, not at it.
+    _, trace = normalize_traced(compose(gen("psi_inv"), gen("psi")))
+    assert [(step["rule"], step["pos"]) for step in trace] == [
+        ("def:psi_inv", 0),
+        ("def:psi", 2),
+        ("group:cancel", 1),
+        ("group:cancel", 0),
+    ]
+    assert all(step["term"] == 0 for step in trace)
+
+
+def test_classical_steps_match_the_reference_search():
+    # Every word carries the braid run sig12.sig23.sig12, the one rule
+    # reading three atoms, among other atoms and bracket heads.
+    rng = random.Random(33)
+    fill = ("sig12", "sig23", "Om12", "Om23")
+    for _ in range(150):
+        bracket = rng.random() < 0.4
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            word = [rng.choice(fill) for _ in range(rng.randint(0, 4))]
+            at = rng.randint(0, len(word))
+            word[at:at] = ["sig12", "sig23", "sig12"]
+            if bracket:
+                word = [rng.choice(("T1", "T2"))] + word
+                if rng.random() < 0.5:
+                    word = ["T"] + word
+            terms.append((tuple(word), Scalar.rational(rng.randint(-3, 3) or 1, rng.randint(1, 3))))
+        # One type per polynomial: the first word's.
+        first = ClassicalPoly.word(terms[0][0])
+        terms = [(w, c) for w, c in terms if ClassicalPoly.word(w).cod == first.cod]
+        poly = ClassicalPoly(first.dom, first.cod, terms)
+        reduced, steps, used = classical_normalize(poly)
+        ref_reduced, ref_steps, ref_used = reference_classical_normalize(poly)
+        assert steps == ref_steps
+        assert reduced == ref_reduced and used == ref_used
 
 
 def test_conjugator_scaffold_identities():
