@@ -249,8 +249,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    Exact input and output can hold integers longer than the
+    interpreter's limit on int/str conversion, so the command runs with
+    that limit lifted, and the limit is restored when it returns; the
+    arguments themselves are parsed under the interpreter's limit."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (TableError, AlgebraError) as exc:
@@ -263,6 +272,9 @@ def main(argv=None) -> int:
     except (TransportError, SeriesError, WordError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

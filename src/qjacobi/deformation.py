@@ -135,8 +135,12 @@ def validate_table(table: EkTable) -> TableDiagnostics:
                 f"degree {k} entry is not homogeneous of word length {k}: {poly.to_text()}"
             )
     degrees = table.degrees()
-    missing = [k for k in range(2, max(degrees) + 1)] if degrees else []
-    missing = [k for k in missing if k not in degrees]
+    # Only for a valid table: a nonzero entry of degree k then spells k
+    # letters, so the gaps are bounded by the size of the input.
+    missing = []
+    if degrees and not problems:
+        present = set(degrees)
+        missing = [k for k in range(2, degrees[-1]) if k not in present]
     return TableDiagnostics(table.source, degrees, missing, problems)
 
 
@@ -218,12 +222,20 @@ def make_Gk(
     C_image: NCPoly,
     D_image: NCPoly,
 ) -> HSeries:
-    """Substitute the conjugator pair and Casimir letters into alpha(E_k)."""
+    """Substitute the conjugator pair and Casimir letters into alpha(E_k),
+    known to the weaker order of the pair; C and D enter as constant
+    series."""
     entry = table.entry(k)
     order = min(Z_image.order, Zinv_image.order)
+    Z_image, Zinv_image = Z_image.truncate(order), Zinv_image.truncate(order)
     unit = HSeries.unit(Z_image.coeffs[0], order)
     if Z_image * Zinv_image != unit or Zinv_image * Z_image != unit:
         raise SeriesError("Z and Zinv images are not mutually inverse at the working order")
-    images = {"Z": Z_image, "Zinv": Zinv_image, "C": C_image, "D": D_image}
+    images = {
+        "Z": Z_image,
+        "Zinv": Zinv_image,
+        "C": HSeries.constant(C_image, order),
+        "D": HSeries.constant(D_image, order),
+    }
     return substitute(alpha(entry), images)
 

@@ -57,11 +57,6 @@ class HSeries(Ring):
     def ring_zero(self) -> "HSeries":
         return HSeries.constant(self.coeffs[0].ring_zero(), self.order)
 
-    def coeff(self, k: int):
-        if not 0 <= k < self.order:
-            raise SeriesError(f"coefficient h^{k} is outside the known order {self.order}")
-        return self.coeffs[k]
-
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coeffs)

@@ -33,7 +33,6 @@ __all__ = [
     "AlgebraError",
     "LieAlgebraData",
     "TensorOps",
-    "algebra_from_data",
     "algebra_ops",
     "algebra_to_json",
     "build_algebra",
@@ -246,12 +245,6 @@ def _parse_algebra(doc: dict, name: str) -> LieAlgebraData:
         if (j, i) not in structure:
             structure[(j, i)] = {k: -v for k, v in row.items()}
     return LieAlgebraData(dim, tuple(basis), structure, name=name)
-
-
-def algebra_from_data(doc: dict, name: str = "custom") -> LieAlgebraData:
-    alg = _parse_algebra(doc, name)
-    _validate_algebra(alg)
-    return alg
 
 
 def algebra_to_json(alg: LieAlgebraData) -> dict:

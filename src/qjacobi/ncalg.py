@@ -33,7 +33,7 @@ ordered length-first, then by letter index, and serialize as
 That text form is the interchange format used by every other module.
 
 :func:`substitute` is the one word evaluator: it maps each word to the
-product of its letters' images in any ring of the package (polynomials,
+product of its letters' images in one ring of the package (polynomials,
 exact matrices or truncated series), and sums the words by Horner's rule
 over their last letters.
 """
@@ -659,17 +659,13 @@ def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
     return p * q - q * p
 
 
-def substitute(p: LinearCombination, images: Mapping[str, object], zero=None):
+def substitute(p: LinearCombination, images: Mapping[str, object]):
     """Apply the algebra homomorphism sending each letter to its image.
 
-    Images are elements of one ring: linear combinations over a common
-    target, exact matrices, or truncated series; a series among them
-    turns the others into constant series and truncates everything to
-    the weakest order.  Each word maps to the product of its letters'
-    images, its first letter on the left; the empty word maps to the
-    ring one.  ``zero`` is the zero of the target ring, by default that
-    of the images; typed words over rectangular matrices need it, since
-    their images do not fix the shape of the result.
+    Images are elements of one ring: polynomials over a common alphabet,
+    square exact matrices of one size, or truncated series.  Each word
+    maps to the product of its letters' images, its first letter on the
+    left; the empty word maps to the ring one.
 
     The sum is taken by Horner's rule over the last letter,
     ``sum c_w w = c_e + sum_a (sum c_ua u) a``, applied again to each
@@ -680,33 +676,21 @@ def substitute(p: LinearCombination, images: Mapping[str, object], zero=None):
     ``lincomb``, with no product; every other (quotient, letter) pair of
     a node goes into one ``dot``.  So the products are one per distinct
     proper nonempty suffix of the words, and the left factor of each is
-    a quotient of lower degree, not a long prefix.  A node is summed in
-    its own ring and shape (for typed words, a rectangular one), and a
-    unit is built only for an empty word.
+    a quotient of lower degree, not a long prefix.  A unit is built only
+    for an empty word.
     """
-    from .hseries import HSeries
-
     missing = sorted(p.support() - set(images))
     if missing:
         raise WordError(f"missing image for letter(s) {', '.join(missing)}")
-    imgs = dict(images)
-    for name, img in imgs.items():
+    for name, img in images.items():
         if not isinstance(img, Ring):
             raise WordError(f"image for {name!r} is not a ring element")
-    series = [img.order for img in imgs.values() if isinstance(img, HSeries)]
-    if series:
-        order = min(series)
-        imgs = {
-            name: img.truncate(order) if isinstance(img, HSeries) else HSeries.constant(img, order)
-            for name, img in imgs.items()
-        }
-    if len({type(img) for img in imgs.values()}) > 1:
+    if len({type(img) for img in images.values()}) > 1:
         raise WordError("substitution images live in different rings")
-    if zero is None:
-        if not imgs:
-            # Constant polynomial: nothing to substitute.
-            return p
-        zero = next(iter(imgs.values())).ring_zero()
+    if not images:
+        # Constant polynomial: nothing to substitute.
+        return p
+    zero = next(iter(images.values())).ring_zero()
     # ends[s][b] is the coefficient of the word b + s; inner[s] holds the
     # letters b for which b + s is a proper suffix of a word.
     ends: dict[tuple, dict] = {}
@@ -720,20 +704,19 @@ def substitute(p: LinearCombination, images: Mapping[str, object], zero=None):
         for k in range(1, len(word)):
             inner.setdefault(word[k + 1:], {})[word[k]] = None
 
-    def node(suffix: tuple, pairs: list, receiver=None):
-        """The quotient of ``suffix`` plus the sum of ``pairs``, taken
-        in the space of ``receiver``, by default its own."""
-        pairs += [(c, imgs[b]) for b, c in ends.get(suffix, {}).items()]
+    def node(suffix: tuple, pairs: list):
+        """The quotient of ``suffix`` plus the sum of ``pairs``."""
+        pairs += [(c, images[b]) for b, c in ends.get(suffix, {}).items()]
         below = inner.get(suffix)
         if below:
-            prod = zero.dot([(node((b,) + suffix, []), imgs[b]) for b in below])
+            prod = zero.dot([(node((b,) + suffix, []), images[b]) for b in below])
             if not pairs:
                 return prod
             # First, so that the merge keeps its rows where it can.
             pairs.insert(0, (1, prod))
-        return (pairs[0][1] if receiver is None else receiver).lincomb(pairs)
+        return zero.lincomb(pairs)
 
-    return node((), constant, zero)
+    return node((), constant)
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,7 @@ from typing import Iterable, Sequence
 
 from .deformation import AB_ALPHABET, alpha, builtin_table
 from .hseries import HSeries
-from .matrices import SparseMatrix
-from .ncalg import LinearCombination, NCPoly, Scalar, ScalarLike, substitute
+from .ncalg import LinearCombination, NCPoly, Scalar, ScalarLike
 
 __all__ = [
     "ClassicalPoly",
@@ -421,9 +420,6 @@ class TransportElement(LinearCombination):
     def terms(self) -> list[tuple[Scalar, tuple]]:
         """(coefficient, factors) pairs in canonical order."""
         return [(coeff, factors) for factors, coeff in self.sorted_terms()]
-
-    def is_identity(self) -> bool:
-        return self._den == 1 and self._terms == {((), ()): 1}
 
     def dot(self, pairs):
         """The sum of the compositions ``a`` after ``b``: the concatenated
@@ -962,114 +958,3 @@ def verify_identity(identity: str, table=None, degrees=None, order: int = 4) -> 
         discharge_steps=steps,
         notes=notes,
     )
-
-
-# -- evaluation into matrix series ---------------------------------------------
-
-# Classical atom -> the TensorOps field holding its matrix.
-_ATOM_FIELDS = {
-    "T": "T",
-    "sig": "sigma",
-    "Om": "Omega",
-    "tcas": "t_vec",
-    "T1": "T1",
-    "T2": "T2",
-    "sig12": "sigma12",
-    "sig23": "sigma23",
-    "Om12": "Omega12",
-    "Om23": "Omega23",
-}
-
-
-@dataclass
-class TransportModel:
-    """Matrix interpretations for the conjugators of one algebra.
-
-    Any invertible choice gives a sound model: every rewrite rule is an
-    exact identity of the interpreted series by construction.
-    """
-
-    ops: object
-    order: int
-    M: HSeries
-    N: HSeries
-    Mvv: HSeries
-
-    def __post_init__(self):
-        self.M_inv = self.M.invert()
-        self.N_inv = self.N.invert()
-        self.Mvv_inv = self.Mvv.invert()
-
-    @classmethod
-    def trivial(cls, ops, order: int) -> "TransportModel":
-        return cls.conjugated(ops, order, HSeries.constant(SparseMatrix.identity(ops.alg.dim ** 3), order))
-
-    @classmethod
-    def conjugated(cls, ops, order: int, psi_series: HSeries) -> "TransportModel":
-        d = ops.alg.dim
-        eye3 = HSeries.constant(SparseMatrix.identity(d ** 3), order)
-        eye2 = HSeries.constant(SparseMatrix.identity(d ** 2), order)
-        return cls(ops, order, eye3, psi_series.truncate(order), eye2)
-
-    def atom_matrix(self, name: str):
-        """The matrix of a classical atom: a field of the tensor operators."""
-        return getattr(self.ops, _ATOM_FIELDS[name])
-
-    def _dim_of(self, obj) -> int:
-        if obj == UNIT:
-            return 1
-        return self.ops.alg.dim ** obj[1]
-
-    def _xpoly_series(self, poly: ClassicalPoly) -> HSeries:
-        zero = SparseMatrix.zeros(self._dim_of(x_obj(poly.cod)), self._dim_of(x_obj(poly.dom)))
-        images = {atom: self.atom_matrix(atom) for atom in poly.support()}
-        return HSeries.constant(substitute(poly, images, zero), self.order)
-
-    def _factor_series(self, factor) -> HSeries:
-        """The model meaning of one factor; deformed generators and lifts
-        are read by their definitions here, independently of the rewrite
-        rules, so evaluating an expression checks its normal form."""
-        kind = factor[0]
-        if kind == "c":
-            return getattr(self, factor[1] if factor[2] > 0 else f"{factor[1]}_inv")
-        if kind == "X":
-            return self._xpoly_series(factor[1])
-
-        def atom(name: str) -> HSeries:
-            return self._xpoly_series(ClassicalPoly.atom(name))
-
-        if kind == "l":
-            _, name, side = factor
-            if name == "T_h":
-                raise TransportError("a bare bracket lift has no standalone evaluation")
-            base = {"sigma_h": "sig", "Omega_h": "Om"}[name]
-            if side == "left":
-                return self.N_inv * atom(base + "12") * self.N
-            return self.M_inv * atom(base + "23") * self.M
-        name = factor[1]
-        if name == "T_h":
-            return atom("T") * self.Mvv
-        if name == "sigma_h":
-            return self.Mvv_inv * atom("sig") * self.Mvv
-        if name == "Omega_h":
-            return self.Mvv_inv * atom("Om") * self.Mvv
-        if name == "t_h":
-            return self.Mvv_inv * atom("tcas")
-        if name == "psi":
-            return self.M_inv * self.N
-        # psi_inv, the last of QUANTUM_GENS
-        return self.N_inv * self.M
-
-    def evaluate(self, morph: MorphTerm | TransportElement) -> HSeries:
-        """An expression or a normal form read factor by factor in the
-        model, without normalizing it."""
-        cols = self._dim_of(morph.dom)
-        acc = None
-        for coeff, factors in morph.terms:
-            prod = HSeries.constant(SparseMatrix.identity(cols), self.order)
-            for factor in reversed(factors):
-                prod = self._factor_series(factor) * prod
-            acc = prod.scale(coeff) if acc is None else acc + prod.scale(coeff)
-        if acc is None:
-            return HSeries.constant(SparseMatrix.zeros(self._dim_of(morph.cod), cols), self.order)
-        return acc

@@ -26,7 +26,6 @@ from qjacobi.deformation import (
 )
 from qjacobi.hseries import HSeries, parse_series
 from qjacobi.liealg import (
-    algebra_from_data,
     algebra_to_json,
     build_algebra,
     build_tensor_ops,
@@ -209,7 +208,7 @@ def test_criterion_9_determinism_and_round_trips():
         for name in ("sl2", "sl3"):
             alg = build_algebra(name)
             doc = json.loads(json.dumps(algebra_to_json(alg)))
-            again = algebra_from_data(doc, name=alg.name)
+            again = build_algebra(doc)
             assert again.structure == alg.structure
             assert again.basis_names == alg.basis_names
         # Byte-identical CLI runs, across processes.

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -346,11 +347,97 @@ def test_table_coefficients_use_ascii_digits_and_positive_exponents(tmp_path, co
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _capped(*argv):
+    """Run the CLI in a child whose address space is capped at 1.5 GB
+    where the platform allows it, so that a request that would exhaust
+    memory fails in the child instead of on the host."""
+    try:
+        import resource
+    except ImportError:
+        resource = None
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+    cmd = [sys.executable, "-m", "qjacobi", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, preexec_fn=cap if resource else None)
+
+
+@pytest.mark.parametrize(
+    "command", [["psi", "--order", "3", "--table"], ["table", "validate"]], ids=["psi", "table-validate"]
+)
+def test_invalid_table_with_a_huge_degree_exits_3(tmp_path, command):
+    # The coverage report once listed every degree below the largest key
+    # before the homogeneity problem was reported: a list of 10^12 ints,
+    # a MemoryError traceback and exit 1.
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"entries": {"2": "1/24*A.B - 1/24*B.A", "999999999999": "A"}}))
+    result = _capped(*command, str(path))
+    assert result.returncode == 3
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "degree 999999999999 entry is not homogeneous of word length 999999999999" in lines[0]
+
+
+def _unlimited_digits(compute):
+    """``compute()`` with the interpreter's int/str digit limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return compute()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+def test_coefficients_beyond_the_digit_limit(capsys, tmp_path):
+    # Two 3,000-digit coefficients give 6,017-digit numerators at order 5,
+    # past the interpreter's default limit of 4,300 digits: psi and eval
+    # once exited 2 with "Exceeds the limit".
+    from qjacobi.deformation import load_table
+    from qjacobi.liealg import algebra_ops, eval_series
+    from qjacobi.psiengine import compute_psi
+
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"entries": {"2": f"{'7' * 3000}*A.B - 1/{'3' * 3000}*B.A"}}))
+
+    def expected():
+        pair = compute_psi(load_table(str(path)), 5)
+        psi_text = "\n".join(["psi:", pair.psi.to_text(), "psi_inv:", pair.psi_inv.to_text()]) + "\n"
+        return psi_text, eval_series(pair.psi, algebra_ops("sl2")).to_text() + "\n"
+
+    psi_text, eval_text = _unlimited_digits(expected)
+    assert max(len(n) for n in re.findall(r"\d+", psi_text)) > 6000
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(capsys, "psi", "--order", "5", "--table", str(path)) == (0, psi_text)
+    assert run_cli(capsys, "eval", "--algebra", "sl2", "--order", "5", "--table", str(path)) == (0, eval_text)
+    assert sys.get_int_max_str_digits() == limit
+
+
 _SL2_BRACKETS = [[1, 0, [[0, "2"]]], [1, 2, [[2, "-2"]]], [0, 2, [[1, "1"]]]]
 
 
 def _sl2_doc(*brackets):
     return {"dim": 3, "basis": ["e", "h", "f"], "brackets": list(brackets)}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+@pytest.mark.parametrize("spell", [int, str], ids=["json-integer", "string"])
+def test_algebra_coefficients_beyond_the_digit_limit(capsys, tmp_path, spell):
+    # sl2 with every structure constant times a 5,001-digit N: the basis
+    # N*e, N*h, N*f, whose Omega is that of sl2.  Once exit 2 for a JSON
+    # integer and exit 3 for a string coefficient.
+    def document():
+        n = int("9" + "8" * 5000)
+        return json.dumps(_sl2_doc(*[[i, j, [[k, spell(int(c) * n)]]] for i, j, ((k, c),) in _SL2_BRACKETS]))
+
+    path = tmp_path / "algebra.json"
+    path.write_text(_unlimited_digits(document))
+    code, out = run_cli(capsys, "omega", "--algebra", str(path))
+    assert code == 0
+    _, reference = run_cli(capsys, "omega", "--algebra", "sl2")
+    assert out.splitlines()[1:] == reference.splitlines()[1:]
 
 
 @pytest.mark.parametrize("command", [["omega"], ["eval", "--order", "3"]], ids=["omega", "eval"])

@@ -12,7 +12,6 @@ import qjacobi.matrices
 from qjacobi.hseries import HSeries
 from qjacobi.liealg import (
     AlgebraError,
-    algebra_from_data,
     algebra_ops,
     algebra_to_json,
     build_algebra,
@@ -174,17 +173,15 @@ def test_malformed_algebra_documents_rejected():
     half_target["brackets"][0][2][0][0] = 0.5
     mistyped.append(("bracket", half_target))
     for field_name, doc in mistyped:
-        for load in (build_algebra, algebra_from_data):
-            with pytest.raises(AlgebraError, match=field_name):
-                load(doc)
+        with pytest.raises(AlgebraError, match=field_name):
+            build_algebra(doc)
     # Coefficient strings are integers or p/q.  Each of these once loaded
     # through Fraction's wider grammar (the last as sl2 scaled by 10);
     # the error names the value.
     for spell in (lambda c: f" {c}.0 ", lambda c: f"{c}e0", lambda c: f"{c}_0"):
         doc = sl2_with(coeff=spell)
-        for load in (build_algebra, algebra_from_data):
-            with pytest.raises(AlgebraError, match=re.escape(repr(spell("-2")))):
-                load(doc)
+        with pytest.raises(AlgebraError, match=re.escape(repr(spell("-2")))):
+            build_algebra(doc)
 
 
 def test_repeated_brackets_rejected():
@@ -200,9 +197,8 @@ def test_repeated_brackets_rejected():
         (repeated_target, "states a target index twice"),
     ):
         doc = {"dim": 3, "basis": ["e", "h", "f"], "brackets": brackets}
-        for load in (build_algebra, algebra_from_data):
-            with pytest.raises(AlgebraError, match=message):
-                load(doc)
+        with pytest.raises(AlgebraError, match=message):
+            build_algebra(doc)
     # Both orders of one pair may be stated, as algebra_to_json writes
     # them, and antisymmetry checks that they agree.
     doc = {"dim": 3, "basis": ["e", "h", "f"], "brackets": sl2_brackets}
@@ -216,9 +212,8 @@ def test_degenerate_killing_form_rejected():
     # [x, y] = y passes antisymmetry and Jacobi, but the algebra is
     # solvable: its Killing form has rank 1.
     doc = {"dim": 2, "basis": ["x", "y"], "brackets": [[0, 1, [[1, "1"]]]]}
-    for load in (build_algebra, algebra_from_data):
-        with pytest.raises(AlgebraError, match="Killing form is degenerate"):
-            load(doc)
+    with pytest.raises(AlgebraError, match="Killing form is degenerate"):
+        build_algebra(doc)
 
 
 def _naive_sl_n(n):
@@ -359,7 +354,7 @@ def test_validation_matches_loop_oracle(case):
 
 def test_algebra_json_round_trip(sl2):
     doc = algebra_to_json(sl2)
-    again = algebra_from_data(doc, name=sl2.name)
+    again = build_algebra(doc)
     assert again.dim == sl2.dim
     assert again.basis_names == sl2.basis_names
     assert again.structure == sl2.structure
