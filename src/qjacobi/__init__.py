@@ -9,7 +9,7 @@ and braid identities by typed conjugation rewriting.
 
 __version__ = "0.1.0"
 
-from .ncalg import Alphabet, NCPoly, Scalar, commutator, parse_poly, parse_scalar, substitute, word_reduce
+from .ncalg import Alphabet, NCPoly, Scalar, commutator, parse_poly, parse_scalar, substitute
 
 __all__ = [
     "Alphabet",
@@ -19,6 +19,5 @@ __all__ = [
     "parse_poly",
     "parse_scalar",
     "substitute",
-    "word_reduce",
     "__version__",
 ]

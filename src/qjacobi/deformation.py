@@ -3,11 +3,12 @@
 The degree-k coefficients of the associator series are homogeneous
 noncommutative polynomials in two letters A, B.  The map :func:`alpha`
 rewrites each monomial A^n1 B^m1 ... A^nj B^mj into the conjugated word
-C^n1 Zinv D^m1 Z ... C^nj Zinv D^mj Z over four letters with Z, Zinv a
-mutually inverse pair; boundary runs may be empty, which is what makes
-the map total on all words.  Substituting a series and its inverse for
-Z, Zinv yields the degree-k building blocks consumed by the inductive
-engine.
+C^n1 Zinv D^m1 Z ... C^nj Zinv D^mj Z over four letters; boundary runs
+may be empty, which is what makes the map total on all words.  A last
+A-run with no B-run after it (m_j = 0) becomes C^nj alone, as Zinv Z
+is 1, so every emitted word is already cancelled: no other Z, Zinv
+pair ever meets.  Substituting a series and its inverse for Z, Zinv
+yields the degree-k building blocks consumed by the inductive engine.
 
 Only the degree-2 coefficient, (1/24)(AB - BA), ships built in.  Higher
 degrees are supplied as data files because their closed forms depend on
@@ -17,7 +18,6 @@ enforces homogeneity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 AB_ALPHABET = Alphabet(("A", "B"))
-CDZ_ALPHABET = Alphabet(("C", "D", "Z", "Zinv"), (("Z", "Zinv"),))
+CDZ_ALPHABET = Alphabet(("C", "D", "Z", "Zinv"))
 
 
 class TableError(ValueError):
@@ -64,7 +64,8 @@ def _alpha_word(word: tuple[str, ...]) -> tuple[str, ...]:
         if i < len(groups) and groups[i][0] == "B":
             m = groups[i][1]
             i += 1
-        out.extend(["C"] * n + ["Zinv"] + ["D"] * m + ["Z"])
+        # A last A-run's Zinv Z is 1.
+        out.extend(["C"] * n + ["Zinv"] + ["D"] * m + ["Z"] if m else ["C"] * n)
     return tuple(out)
 
 
@@ -144,13 +145,13 @@ def validate_table(table: EkTable) -> TableDiagnostics:
     return TableDiagnostics(table.source, degrees, missing, problems)
 
 
-def parse_table(text: str, source: str = "custom") -> EkTable:
+def parse_table(text: str | bytes, source: str = "custom") -> EkTable:
     try:
-        doc = json.loads(text, object_pairs_hook=jsontext.unique_keys)
+        doc = jsontext.loads(text)
     except jsontext.DuplicateKeyError as exc:
         raise TableError(f"{exc} in table document") from None
-    except json.JSONDecodeError as exc:
-        raise TableError(f"cannot parse table: {exc}") from exc
+    except jsontext.DocumentError as exc:
+        raise TableError(f"cannot parse table: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
         raise TableError("table document needs an 'entries' object")
     notes = doc.get("provenance", {})
@@ -191,7 +192,7 @@ def load_table(path_or_name: str) -> EkTable:
     if path_or_name == "builtin":
         return builtin_table()
     try:
-        with open(path_or_name, "r", encoding="utf-8") as handle:
+        with open(path_or_name, "rb") as handle:
             text = handle.read()
     except OSError as exc:
         raise TableError(f"cannot read table file: {exc}") from exc

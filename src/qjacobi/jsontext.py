@@ -17,22 +17,41 @@ object met again at that indent (the one shared empty row of
 :meth:`~qjacobi.matrices.SparseMatrix.to_json`) reuses it.  The ids are
 stable because ``doc`` holds every list alive for the whole call.
 
-:func:`unique_keys` is the package's one ``object_pairs_hook`` for
-reading JSON documents (coefficient tables, algebra files): it refuses
+:func:`loads` is the package's one JSON reader (coefficient tables,
+algebra files): it raises :class:`DocumentError` for bytes that are not
+UTF-8, malformed JSON, nesting too deep and, through :func:`unique_keys`,
 an object that names a key twice.
 """
 
 from __future__ import annotations
 
+import json
 from json.encoder import encode_basestring_ascii as _quote
 
-__all__ = ["DuplicateKeyError", "dumps", "unique_keys"]
+__all__ = ["DocumentError", "DuplicateKeyError", "dumps", "loads", "unique_keys"]
 
 _INDENT = "  "
 
 
-class DuplicateKeyError(ValueError):
+class DocumentError(ValueError):
+    """A JSON document that cannot be read."""
+
+
+class DuplicateKeyError(DocumentError):
     """A JSON object that names one key twice."""
+
+
+def loads(data: str | bytes):
+    """The document in ``data``; ``bytes`` are read as UTF-8 text with
+    its line ends as a text-mode file read gives them."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(data, object_pairs_hook=unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DocumentError(str(exc)) from None
+    except RecursionError:
+        raise DocumentError("nesting too deep") from None
 
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -15,7 +15,6 @@ at position i*d + j (row-major), and likewise for triple spaces.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -265,14 +264,14 @@ def _load_algebra(spec) -> LieAlgebraData:
         alg = _PRESETS[spec]()
     else:
         try:
-            with open(spec, "r", encoding="utf-8") as handle:
-                doc = json.load(handle, object_pairs_hook=jsontext.unique_keys)
+            with open(spec, "rb") as handle:
+                doc = jsontext.loads(handle.read())
         except OSError as exc:
             raise AlgebraError(f"cannot read algebra file: {exc}") from exc
         except jsontext.DuplicateKeyError as exc:
             raise AlgebraError(f"{exc} in algebra file") from None
-        except json.JSONDecodeError as exc:
-            raise AlgebraError(f"cannot parse algebra file: {exc}") from exc
+        except jsontext.DocumentError as exc:
+            raise AlgebraError(f"cannot parse algebra file: {exc}") from None
         alg = _parse_algebra(doc, str(spec))
     return alg
 

@@ -15,9 +15,9 @@ numerators is 1), the same representation as the parts of
 :class:`~qjacobi.matrices.SparseMatrix`.  One merge, one scale, one
 product loop and one renderer serve :class:`NCPoly` here and the
 classical polynomials and transport normal forms of ``transport``; the
-subclasses differ only in how two words join, how words sort and how a
-word prints.  Those loops multiply and add integers only; a ``Fraction``
-or :class:`Scalar` is built only where a caller reads a coefficient
+subclasses differ only in what a word holds and which operands compose.
+Those loops multiply and add integers only; a ``Fraction`` or
+:class:`Scalar` is built only where a caller reads a coefficient
 (``coeff``, ``sorted_terms``, ``to_text``), never inside ``+``, ``*``,
 ``scale``, ``lincomb`` or ``dot``.  :class:`Scalar` itself keeps plain
 ``Fraction`` arithmetic: it is the public coefficient type.
@@ -25,10 +25,10 @@ or :class:`Scalar` is built only where a caller reads a coefficient
 :class:`Ring` is the base class of every ring of the package, and its
 docstring states the ring protocol.
 
-Words live in the free monoid over a declared :class:`Alphabet`.  Letter
-pairs declared mutually inverse cancel eagerly, so every stored word is
-reduced and the textual form of a polynomial is canonical: terms are
-ordered length-first, then by letter index, and serialize as
+Words live in the free monoid over a declared :class:`Alphabet`: a word
+is a plain tuple of letter names, and a product concatenates.  The
+textual form of a polynomial is canonical: terms are ordered
+length-first, then by letter names, and serialize as
 ``coeff*letter.letter`` chains, e.g. ``1/24*O12.O23 - 1/24*O23.O12``.
 That text form is the interchange format used by every other module.
 
@@ -40,7 +40,6 @@ over their last letters.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +57,6 @@ __all__ = [
     "parse_poly",
     "parse_scalar",
     "substitute",
-    "word_reduce",
 ]
 
 
@@ -121,12 +119,16 @@ class Scalar:
                 frac = Fraction(coeff)
                 if not frac:
                     continue
-                norm = tuple(sorted((str(n), int(e)) for n, e in mono))
-                for name, exp in norm:
+                # A name given twice is one factor: its exponents add.
+                exps: dict[str, int] = {}
+                for name, exp in mono:
+                    name, exp = str(name), int(exp)
                     if not _NAME_RE.match(name):
                         raise ScalarError(f"bad constant name {name!r}")
                     if exp <= 0:
                         raise ScalarError("constant exponents must be positive")
+                    exps[name] = exps.get(name, 0) + exp
+                norm = tuple(sorted(exps.items()))
                 data[norm] = data.get(norm, _F0) + frac
         self._terms = {m: c for m, c in data.items() if c}
 
@@ -264,10 +266,11 @@ def _scalar_terms(value: ScalarLike) -> Mapping[Monomial, Fraction]:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered letter names, plus letter pairs declared mutually inverse."""
+    """Letter names, in the order they are declared.  The declared order
+    does not order words: every word ring sorts by length, then by
+    letter names."""
 
     letters: tuple[str, ...]
-    inverse_pairs: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if len(set(self.letters)) != len(self.letters):
@@ -275,58 +278,7 @@ class Alphabet:
         for name in self.letters:
             if not _NAME_RE.match(name):
                 raise WordError(f"bad letter name {name!r}")
-        paired: dict[str, str] = {}
-        for z, zinv in self.inverse_pairs:
-            if z == zinv:
-                raise WordError(f"letter {z!r} cannot be its own inverse")
-            for name in (z, zinv):
-                if name not in self.letters:
-                    raise WordError(f"inverse pair uses unknown letter {name!r}")
-                if name in paired:
-                    raise WordError(f"letter {name!r} appears in more than one inverse pair")
-            paired[z] = zinv
-            paired[zinv] = z
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.letters)})
-        object.__setattr__(self, "_inverse", paired)
-
-    def index(self, letter: str) -> int:
-        try:
-            return self._index[letter]
-        except KeyError:
-            raise WordError(f"unknown letter {letter!r}") from None
-
-    def inverse_of(self, letter: str) -> str | None:
-        return self._inverse.get(letter)
-
-    def word_key(self, word: tuple[str, ...]):
-        return (len(word), tuple(map(self._index.__getitem__, word)))
-
-
-def word_reduce(seq: Iterable[str], alphabet: Alphabet) -> tuple[str, ...]:
-    """Reduce a letter sequence by cancelling adjacent inverse pairs.
-
-    The two-letter cancellation system is locally confluent, so a single
-    stack scan yields the unique normal form regardless of the order in
-    which cancellations are discovered.
-    """
-    out: list[str] = []
-    for letter in seq:
-        if letter not in alphabet._index:
-            raise WordError(f"unknown letter {letter!r}")
-        if out and alphabet.inverse_of(letter) == out[-1]:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
-def _concat_reduced(w1: tuple[str, ...], w2: tuple[str, ...], alphabet: Alphabet) -> tuple[str, ...]:
-    # Both inputs are reduced, so cancellation only happens at the seam.
-    i, j = len(w1), 0
-    while i > 0 and j < len(w2) and alphabet.inverse_of(w2[j]) == w1[i - 1]:
-        i -= 1
-        j += 1
-    return w1[:i] + w2[j:]
+        object.__setattr__(self, "_letter_set", frozenset(self.letters))
 
 
 def _integral(fracs: Mapping) -> tuple[dict, int]:
@@ -431,15 +383,25 @@ class LinearCombination(Ring):
     ``lincomb`` and ``dot`` run on the integers only and reduce each
     result once; the rest of the :class:`Ring` arithmetic comes from
     them.  ``Fraction`` and :class:`Scalar` values are built only where
-    a caller reads coefficients.  Subclasses fix what a word is through
-    a few hooks: ``ring_zero`` (the empty combination of the same type),
+    a caller reads coefficients.  A word is a tuple, and two words join
+    by concatenation.  Subclasses fix what a word holds through a few
+    hooks: ``ring_zero`` (the empty combination of the same type),
     ``_space`` (what two operands of ``+`` must share), ``_error`` (the
-    exception for a mismatch), ``_compose`` (the empty product and how
-    two words join), ``_word_key`` (the canonical word order) and
-    ``_word_text``.  ``dot`` is the one product loop.
+    exception for a mismatch) and ``_compose`` (the empty product, once
+    it has checked that the operands compose).  Words sort by length,
+    then as tuples, and print dot-joined; ``TransportElement``, whose
+    words hold factors, overrides ``_word_key`` and ``_word_text``.
     """
 
     __slots__ = ("_terms", "_den")
+
+    @staticmethod
+    def _word_key(word: tuple):
+        return (len(word), word)
+
+    @staticmethod
+    def _word_text(word: tuple) -> str:
+        return ".".join(word)
 
     def _store(self, terms, stored_word) -> None:
         """Set the store from (word, coefficient) pairs or a mapping;
@@ -521,10 +483,10 @@ class LinearCombination(Ring):
     def dot(self, pairs):
         """The sum of ``a * b`` over the (a, b) pairs, merged once over
         the lcm of the pair denominators; the ring zero when there are
-        none.  Each pair joins its words through its own ``_compose``,
-        and all products must share one space."""
+        none.  Each pair's words join by concatenation, ``_compose``
+        checks each pair, and all products must share one space."""
         out = spaces = None
-        joins = []
+        products = []
         for a, b in pairs:
             if type(a) is not type(self) or type(b) is not type(self):
                 raise TypeError(f"{type(self).__name__}.dot needs {type(self).__name__} operands")
@@ -532,25 +494,25 @@ class LinearCombination(Ring):
             # alike, so only a change of spaces is composed and checked.
             if (a._space(), b._space()) != spaces:
                 spaces = (a._space(), b._space())
-                prod, join = a._compose(b)
+                prod = a._compose(b)
                 if out is None:
                     out = prod
                 else:
                     out._check_same(prod)
             if a._terms and b._terms:
-                joins.append((join, a._terms.items(), b._terms.items(), a._den * b._den))
+                products.append((a._terms.items(), b._terms.items(), a._den * b._den))
         if out is None:
             return self.ring_zero()
-        common = lcm(*(den for *_, den in joins))
+        common = lcm(*(den for *_, den in products))
         acc: dict = {}
         get = acc.get
-        for join, left, right, den in joins:
+        for left, right, den in products:
             f = common // den
             for (w1, m1), c1 in left:
                 c1 *= f
                 for (w2, m2), c2 in right:
                     # _mono_mul, with its empty-monomial cases inline.
-                    key = (join(w1, w2), m2 if not m1 else m1 if not m2 else _mono_mul(m1, m2))
+                    key = (w1 + w2, m2 if not m1 else m1 if not m2 else _mono_mul(m1, m2))
                     acc[key] = get(key, 0) + c1 * c2
         out._terms, out._den = _lowest(acc, common)
         return out
@@ -590,15 +552,22 @@ class LinearCombination(Ring):
 
 
 class NCPoly(LinearCombination):
-    """Finite linear combination of reduced words with exact coefficients,
-    over a fixed alphabet."""
+    """Finite linear combination of words with exact coefficients, over a
+    fixed alphabet."""
 
     __slots__ = ("alphabet",)
     _error = WordError
 
     def __init__(self, alphabet: Alphabet, terms=None):
         self.alphabet = alphabet
-        self._store(terms, lambda word: word_reduce(word, alphabet))
+        self._store(terms, self._checked)
+
+    def _checked(self, word: Iterable[str]) -> tuple[str, ...]:
+        word = tuple(word)
+        for letter in word:
+            if letter not in self.alphabet._letter_set:
+                raise WordError(f"unknown letter {letter!r}")
+        return word
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "NCPoly":
@@ -633,18 +602,7 @@ class NCPoly(LinearCombination):
 
     def _compose(self, other: "NCPoly"):
         self._check_same(other)
-        alphabet = self.alphabet
-        if not alphabet.inverse_pairs:
-            # Nothing cancels, so words just concatenate.
-            return self.ring_zero(), operator.add
-        return self.ring_zero(), lambda w1, w2: _concat_reduced(w1, w2, alphabet)
-
-    def _word_key(self, word: tuple[str, ...]):
-        return self.alphabet.word_key(word)
-
-    @staticmethod
-    def _word_text(word: tuple[str, ...]) -> str:
-        return ".".join(word)
+        return self.ring_zero()
 
     # Ring protocol used by hseries coefficients.
     def ring_one(self) -> "NCPoly":
@@ -798,7 +756,7 @@ def _parse_term(body: str, alphabet: Alphabet | None, constants: tuple[str, ...]
             continue
         if alphabet is not None:
             letters = tuple(factor.split("."))
-            if all(l in alphabet._index for l in letters):
+            if alphabet._letter_set.issuperset(letters):
                 word = letters
                 continue
         raise WordError(f"unknown factor {factor!r}")

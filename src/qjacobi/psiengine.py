@@ -132,13 +132,17 @@ def compute_psi(table: EkTable, order: int) -> PsiPair:
     if not diagnostics.ok:
         raise TableError("; ".join(diagnostics.problems))
 
-    degrees = table.degrees()
-    missing = [k for k in range(2, order) if k not in degrees]
+    # The validator's gaps lie below the top degree; those above are one span.
+    degrees = diagnostics.degrees
+    missing = [str(k) for k in diagnostics.missing_below_max if k < order]
+    top = max(degrees, default=1)
+    if top + 1 < order:
+        missing.append(f"{top + 1}..{order - 1}")
     if missing:
         logger.info(
             "table %s has no entries for degrees %s; treating them as zero",
             table.source,
-            missing,
+            ", ".join(missing),
         )
 
     one = NCPoly.one(PSI_ALPHABET)

@@ -57,7 +57,6 @@ identity consumes it.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -225,15 +224,7 @@ class ClassicalPoly(LinearCombination):
         """Composition: self after other."""
         if self.dom != other.cod:
             raise TransportError("classical composition type mismatch")
-        return ClassicalPoly(other.dom, self.cod), operator.add
-
-    @staticmethod
-    def _word_key(word: tuple[str, ...]):
-        return (len(word), word)
-
-    @staticmethod
-    def _word_text(word: tuple[str, ...]) -> str:
-        return ".".join(word)
+        return ClassicalPoly(other.dom, self.cod)
 
 
 # Directed classical rules: name, pattern, replacement terms (sign, word).
@@ -450,7 +441,7 @@ class TransportElement(LinearCombination):
         """Composition: self after other."""
         if self.dom != other.cod:
             raise TransportError("transport composition type mismatch")
-        return TransportElement(other.dom, self.cod), operator.add
+        return TransportElement(other.dom, self.cod)
 
     @staticmethod
     def _word_key(factors: tuple):

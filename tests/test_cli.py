@@ -516,6 +516,28 @@ def test_algebra_file_with_a_repeated_key_exits_3(tmp_path, command):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["table", "validate"], ["psi", "--order", "3", "--table"], ["omega", "--algebra"],
+     ["eval", "--order", "3", "--algebra"]],
+    ids=["table-validate", "psi", "omega", "eval"],
+)
+@pytest.mark.parametrize(
+    "data", [b"\xff\xfe{\x00}\x00", b"[" * 100_000], ids=["not-utf8", "nested-too-deep"]
+)
+def test_unreadable_document_exits_3(capsys, tmp_path, command, data):
+    # The first once exited 2 with the codec's message, the second 1
+    # with a RecursionError traceback.
+    path = tmp_path / "document.json"
+    path.write_bytes(data)
+    code = cli.main([*command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot parse ")
+
+
+@pytest.mark.parametrize(
     "argv, rebuilt",
     [
         (["omega", "--algebra", "sl2"], False),

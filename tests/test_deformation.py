@@ -79,6 +79,32 @@ def test_alpha_template_shape_for_positive_runs():
         assert alpha(NCPoly.word(AB_ALPHABET, word)) == NCPoly.word(CDZ_ALPHABET, expected)
 
 
+def _template_then_cancelled(word):
+    """The full template C^n Zinv D^m Z for every (A-run, B-run) pair of
+    ``word``, either run possibly empty, with adjacent Z, Zinv pairs then
+    cancelled by a stack scan."""
+    runs = re.findall(r"(A*)(B*)", "".join(word))
+    out = []
+    for a_run, b_run in runs:
+        if not a_run and not b_run:
+            continue
+        for letter in ("C",) * len(a_run) + ("Zinv",) + ("D",) * len(b_run) + ("Z",):
+            if out and {out[-1], letter} == {"Z", "Zinv"}:
+                out.pop()
+            else:
+                out.append(letter)
+    return tuple(out)
+
+
+def test_alpha_emits_the_cancelled_template():
+    for word in _all_words(8):
+        image = alpha(NCPoly.word(AB_ALPHABET, word))
+        ((letters, coeff),) = image.sorted_terms()
+        assert coeff == 1
+        assert letters == _template_then_cancelled(word)
+        assert all({x, y} != {"Z", "Zinv"} for x, y in zip(letters, letters[1:]))
+
+
 def test_alpha_specialization_recovers_input():
     # Z, Zinv -> 1 and C, D -> A, B undoes the substitution.
     images = {

@@ -210,7 +210,7 @@ def _combinations(units, max_size=3):
 
 
 def _cdz_units():
-    cdz = Alphabet(("C", "D", "Z", "Zinv"), (("Z", "Zinv"),))
+    cdz = Alphabet(("C", "D", "Z", "Zinv"))
     return [NCPoly.one(cdz)] + [NCPoly.letter(cdz, x) for x in cdz.letters]
 
 

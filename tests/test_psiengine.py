@@ -247,6 +247,17 @@ def test_zero_table_gives_unit():
         assert pair.psi_inv == HSeries.unit(ONE, order)
 
 
+@pytest.mark.parametrize("order, gaps", [(4, "3"), (12, "3, 4, 6..11")])
+def test_missing_degrees_are_logged_once_with_the_tail_as_a_span(caplog, order, gaps):
+    table = EkTable(
+        entries={2: builtin_table().entry(2), 5: NCPoly.word(AB_ALPHABET, ("A", "A", "B", "A", "B"))},
+        source="gappy",
+    )
+    with caplog.at_level("INFO", logger="qjacobi.psiengine"):
+        compute_psi(table, order)
+    assert caplog.messages == [f"table gappy has no entries for degrees {gaps}; treating them as zero"]
+
+
 def test_order_below_two_rejected():
     with pytest.raises(ValueError):
         compute_psi(builtin_table(), 1)
