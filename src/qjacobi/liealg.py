@@ -78,25 +78,11 @@ class LieAlgebraData:
         return SparseMatrix(self.dim, self.dim, entries)
 
     def killing(self) -> SparseMatrix:
-        """K_ij = trace(ad x_i ad x_j) = sum over k, l of c_il^k c_jk^l,
-        summed over the structure constants on integer numerators over
-        the square of their common denominator; no matrix product."""
-        den = lcm(*(c.denominator for row in self.structure.values() for c in row.values()))
-        # partners[(k, l)][j] is the numerator of c_jk^l.
-        partners: dict[tuple[int, int], dict[int, int]] = {}
-        for (j, k), row in self.structure.items():
-            for l, c in row.items():
-                partners.setdefault((k, l), {})[j] = c.numerator * (den // c.denominator)
-        rows: dict[int, dict[int, int]] = {}
-        for (i, l), row in self.structure.items():
-            for k, c in row.items():
-                found = partners.get((k, l))
-                if found:
-                    x = c.numerator * (den // c.denominator)
-                    out = rows.setdefault(i, {})
-                    for j, y in found.items():
-                        out[j] = out.get(j, 0) + x * y
-        return SparseMatrix.from_numerators(self.dim, self.dim, rows, den * den)
+        """The Killing form, K_ij = tr(ad x_i ad x_j)."""
+        ads = [self.ad(i) for i in range(self.dim)]
+        return SparseMatrix(self.dim, self.dim, [
+            (i, j, (x * y).trace()) for i, x in enumerate(ads) for j, y in enumerate(ads)
+        ])
 
 
 def _validate_algebra(alg: LieAlgebraData) -> tuple[dict[str, SparseMatrix], SparseMatrix]:
@@ -356,33 +342,22 @@ def build_tensor_ops(alg: LieAlgebraData) -> TensorOps:
     """The derived operators of ``alg``, after validating it; the bracket
     maps and the inverse Killing form the validation built are reused.
 
-    The inverse Killing form is read once, as integer numerators over
-    its denominator: ``t_vec`` and the 1 (x) t (x) 1 map are assembled
-    from those numerators directly, in time proportional to their
-    entries, and ``t_action`` is one ``lincomb`` of the kron(ad_i, ad_j)
-    over the nonzero entries.  No Scalar is built.  ``Omega`` (from the
+    With t = K^-1 the Casimir tensor, ``t_vec`` is sum t_ij e_i (x) e_j,
+    ``t_action`` is sum t_ij ad_i (x) ad_j, and
+    ``Omega`` = -(T (x) T) o (1 (x) t (x) 1).  ``Omega`` (from the
     bracket map) and ``t_action`` (from the adjoint) stay independent
     constructions, so that ``verify rmatrix`` certifies they agree.
     """
     maps, kinv = _validate_algebra(alg)
     d = alg.dim
-    den, kinv_rows = kinv.numerators()
-    entries = [(i, j, v) for i, row in kinv_rows.items() for j, v in row.items()]
+    entries = list(kinv.items())
     ads = tuple(alg.ad(i) for i in range(d))
-    t_vec = SparseMatrix.from_numerators(d * d, 1, {i * d + j: {0: v} for i, j, v in entries}, den)
+    t_vec = SparseMatrix(d * d, 1, [(i * d + j, 0, c) for i, j, c in entries])
     t_action = SparseMatrix.zeros(d * d, d * d).lincomb(
-        [(Fraction(v, den), kron(ads[i], ads[j])) for i, j, v in entries]
+        [(c, kron(ads[i], ads[j])) for i, j, c in entries]
     )
-
-    # 1 (x) t (x) 1 sends v (x) w to sum t_ij v (x) e_i (x) e_j (x) w.
-    mid = {
-        ((a * d + i) * d + j) * d + w: {a * d + w: v}
-        for i, j, v in entries
-        for a in range(d)
-        for w in range(d)
-    }
-    Omega = -(kron(maps["T"], maps["T"]) * SparseMatrix.from_numerators(d ** 4, d * d, mid, den))
     eye = SparseMatrix.identity(d)
+    Omega = -(kron(maps["T"], maps["T"]) * kron(kron(eye, t_vec), eye))
     return TensorOps(
         alg=alg, ad=ads, t_vec=t_vec, t_action=t_action, Omega=Omega,
         Omega12=kron(Omega, eye), Omega23=kron(eye, Omega), **maps,

@@ -225,26 +225,6 @@ class SparseMatrix(Ring):
         return out
 
     @classmethod
-    def from_numerators(cls, rows: int, cols: int, numerators: Rows, den: int = 1) -> "SparseMatrix":
-        """The rational matrix ``numerators / den``, the numerators given
-        as row -> column -> int; no Fraction or Scalar is built."""
-        if rows < 1 or cols < 1:
-            raise MatrixError("matrix dimensions must be positive")
-        if den < 1:
-            raise MatrixError("the denominator must be positive")
-        data: Rows = {}
-        for i, row in numerators.items():
-            row = {j: v for j, v in row.items() if v}
-            if not row:
-                continue
-            if not 0 <= i < rows or min(row) < 0 or max(row) >= cols:
-                raise MatrixError(f"row {i} has an entry outside {rows}x{cols}")
-            data[i] = row
-        acc = _PartSum((((), den),))
-        acc.add((), den, 1, data)
-        return cls._of(rows, cols, acc.parts())
-
-    @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
         if n < 1:
             raise MatrixError("matrix dimensions must be positive")
@@ -351,16 +331,6 @@ class SparseMatrix(Ring):
         for mono, den, ra, rb in products:
             acc.add(mono, den, 1, _rows_mul(ra, rb))
         return SparseMatrix._of(*shape, acc.parts())
-
-    def transpose(self) -> "SparseMatrix":
-        parts: Parts = {}
-        for mono, (den, rows) in self._parts.items():
-            flipped: Rows = {}
-            for i, row in rows.items():
-                for j, v in row.items():
-                    flipped.setdefault(j, {})[i] = v
-            parts[mono] = (den, flipped)
-        return SparseMatrix._of(self.cols, self.rows, parts)
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
@@ -469,7 +439,7 @@ class SparseMatrix(Ring):
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
-    def numerators(self) -> tuple[int, Rows]:
+    def _numerators(self) -> tuple[int, Rows]:
         """``(den, rows)`` of a constant-free matrix: integer numerators,
         row -> column -> int, over one positive denominator, in lowest
         terms.  The rows are the matrix's own store; do not modify them."""
@@ -481,7 +451,7 @@ class SparseMatrix(Ring):
         """Exact rank over the rationals (entries must be constant-free):
         the size of the echelon basis the numerator rows reduce to."""
         basis: Basis = []
-        for row in self.numerators()[1].values():
+        for row in self._numerators()[1].values():
             _reduce(basis, row, {})
         return len(basis)
 
@@ -536,13 +506,13 @@ def _krylov(matrix: SparseMatrix) -> tuple[list[Fraction], list[SparseMatrix]]:
     """
     if matrix.rows != matrix.cols:
         raise MatrixError("minimal polynomial of a non-square matrix")
-    matrix.numerators()  # refuses formal constants before any work
+    matrix._numerators()  # refuses formal constants before any work
     n = matrix.rows
     basis: Basis = []
     powers = [SparseMatrix.identity(n)]
     while True:
         k = len(basis)
-        den, rows = powers[k].numerators()
+        den, rows = powers[k]._numerators()
         vec = {i * n + j: v for i, row in rows.items() for j, v in row.items()}
         comb = _reduce(basis, vec, {k: den})
         if comb is not None:

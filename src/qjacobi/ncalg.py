@@ -84,7 +84,7 @@ def _as_scalar(value) -> "Scalar | None":
     if isinstance(value, Scalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return Scalar({(): Fraction(value)})
+        return Scalar._of({(): Fraction(value)})
     return None
 
 
@@ -131,6 +131,15 @@ class Scalar:
                 norm = tuple(sorted(exps.items()))
                 data[norm] = data.get(norm, _F0) + frac
         self._terms = {m: c for m, c in data.items() if c}
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, Fraction]) -> "Scalar":
+        """The scalar of ``terms`` whose monomials are already normal
+        and whose coefficients are ``Fraction``s, as arithmetic results
+        are; only zero coefficients are dropped."""
+        out = cls.__new__(cls)
+        out._terms = {m: c for m, c in terms.items() if c}
+        return out
 
     @classmethod
     def rational(cls, p: int | Fraction, q: int = 1) -> "Scalar":
@@ -184,7 +193,7 @@ class Scalar:
         data = dict(self._terms)
         for mono, coeff in other._terms.items():
             data[mono] = data.get(mono, _F0) + coeff
-        return Scalar(data)
+        return Scalar._of(data)
 
     __radd__ = __add__
 
@@ -201,7 +210,7 @@ class Scalar:
         return other + (-self)
 
     def __neg__(self):
-        return Scalar({m: -c for m, c in self._terms.items()})
+        return Scalar._of({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         other = _as_scalar(other)
@@ -212,7 +221,7 @@ class Scalar:
             for mb, cb in other._terms.items():
                 mono = _mono_mul(ma, mb)
                 data[mono] = data.get(mono, _F0) + ca * cb
-        return Scalar(data)
+        return Scalar._of(data)
 
     __rmul__ = __mul__
 
@@ -223,7 +232,7 @@ class Scalar:
         if not other.is_rational:
             raise ScalarError("division by a scalar with formal constants is unsupported")
         q = other._terms[()]
-        return Scalar({m: c / q for m, c in self._terms.items()})
+        return Scalar._of({m: c / q for m, c in self._terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

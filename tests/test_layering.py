@@ -104,3 +104,17 @@ def test_the_reader_sees_imports_at_any_depth(tmp_path):
         "hseries": {"HSeries"},
         "psiengine": {"PSI_ALPHABET"},
     }
+
+
+def test_liealg_leaves_the_matrix_store_to_matrices():
+    # liealg builds its operators from SparseMatrix's public methods and
+    # kron; how a matrix stores its entries is private to matrices.
+    source = PACKAGE / "liealg.py"
+    attributes = {node.attr for node in ast.walk(ast.parse(source.read_text("utf-8")))
+                  if isinstance(node, ast.Attribute)}
+    assert not attributes & {"numerators", "_numerators", "from_numerators", "_parts"}
+    # _krylov stays: spectral_report reuses the Krylov powers for its
+    # annihilates check.  Evaluating the polynomial at Omega by Horner's
+    # rule instead cost about 1.6 ms more on a 7.6 ms sl3 report
+    # (Python 3.11, 2 shared CPUs, best of 15).
+    assert package_imports(source)["matrices"] == {"MatrixError", "SparseMatrix", "kron", "_krylov"}

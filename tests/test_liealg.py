@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,8 @@ from qjacobi.matrices import MatrixError, SparseMatrix, kron
 from qjacobi.ncalg import NCPoly, Scalar
 from qjacobi.psiengine import PSI_ALPHABET, compute_psi
 from qjacobi.deformation import builtin_table
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # Hand-written adjoint matrices for the basis (e, h, f):
@@ -83,6 +86,17 @@ _SCALED_SL2 = {
 }
 
 
+def _killing_by_structure(alg):
+    """K_ij = sum over k, l of c_il^k c_jk^l: tr(ad x_i ad x_j) written
+    out in the structure constants, in plain Fractions."""
+    d = alg.dim
+    return SparseMatrix(d, d, [
+        (i, j, sum((alg.bracket(i, l).get(k, 0) * alg.bracket(j, k).get(l, 0)
+                    for k in range(d) for l in range(d)), Fraction(0)))
+        for i in range(d) for j in range(d)
+    ])
+
+
 @pytest.mark.parametrize("alg", [
     pytest.param(lambda: build_algebra("sl2"), id="sl2"),
     pytest.param(lambda: build_algebra("sl3"), id="sl3"),
@@ -91,14 +105,52 @@ _SCALED_SL2 = {
 ])
 def test_killing_matches_trace_of_adjoint_products(alg):
     alg = alg()
-    ads = [alg.ad(i) for i in range(alg.dim)]
-    expected = SparseMatrix(alg.dim, alg.dim, [
-        (i, j, (ads[i] * ads[j]).trace()) for i in range(alg.dim) for j in range(alg.dim)
-    ])
+    expected = _killing_by_structure(alg)
     assert alg.killing() == expected
     if alg.name == "custom":
         assert any(v.denominator > 1 for row in alg.structure.values() for v in row.values())
         assert expected.entry(1, 1) == Scalar.rational(8, 9)
+
+
+def _sl_n_defining(n):
+    """The basis of ``_sl_n(n)`` as nested-list Fraction matrices: E_ab
+    off the diagonal, then E_ii - E_(i+1)(i+1)."""
+
+    def unit(entries):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for a, b, v in entries:
+            m[a][b] = Fraction(v)
+        return m
+
+    basis = [unit([(a, b, 1)]) for a in range(n) for b in range(n) if a != b]
+    return basis + [unit([(i, i, 1), (i + 1, i + 1, -1)]) for i in range(n - 1)]
+
+
+# sl2's basis (e, h, f) as 2 x 2 matrices, and the scaled basis of _SCALED_SL2.
+_SL2_DEFINING = [[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]]
+_SCALED_SL2_DEFINING = [
+    [[v * c for v in row] for row in x] for x, c in zip(_SL2_DEFINING, (Fraction(1, 2), Fraction(1, 3), 1))
+]
+
+
+@pytest.mark.parametrize("alg, basis", [
+    pytest.param(lambda: build_algebra("sl2"), _SL2_DEFINING, id="sl2"),
+    pytest.param(lambda: _sl_n(3), _sl_n_defining(3), id="sl3"),
+    pytest.param(lambda: _sl_n(4), _sl_n_defining(4), id="sl4"),
+    pytest.param(lambda: build_algebra(_SCALED_SL2), _SCALED_SL2_DEFINING, id="scaled-sl2"),
+])
+def test_killing_is_2n_times_the_defining_trace(alg, basis):
+    # On sl(n), K(x, y) = 2n tr(xy) with x, y the defining n x n matrices.
+    alg = alg()
+    n = len(basis[0])
+
+    def trace_of_product(x, y):
+        return sum((x[a][b] * y[b][a] for a in range(n) for b in range(n)), Fraction(0))
+
+    expected = SparseMatrix(alg.dim, alg.dim, [
+        (i, j, 2 * n * trace_of_product(x, y)) for i, x in enumerate(basis) for j, y in enumerate(basis)
+    ])
+    assert alg.killing() == expected
 
 
 def test_abelian_algebra_rejected():
@@ -219,18 +271,11 @@ def test_degenerate_killing_form_rejected():
 def _naive_sl_n(n):
     """sl(n) structure constants from nested-list Fraction matrices."""
 
-    def unit(entries):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for a, b, v in entries:
-            m[a][b] = Fraction(v)
-        return m
-
     def product(x, y):
         return [[sum((x[a][c] * y[c][b] for c in range(n)), Fraction(0)) for b in range(n)] for a in range(n)]
 
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    basis = [unit([(a, b, 1)]) for a, b in pairs]
-    basis += [unit([(i, i, 1), (i + 1, i + 1, -1)]) for i in range(n - 1)]
+    basis = _sl_n_defining(n)
     structure = {}
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
@@ -432,16 +477,22 @@ def test_sl2_omega_trace_zero(sl2_ops):
         assert ad.trace().is_zero
 
 
-def test_omega_equals_casimir_sum_oracle(sl2_ops, sl2):
-    kinv = sl2.killing().inverse()
-    oracle = SparseMatrix.zeros(9, 9)
-    for i in range(3):
-        for j in range(3):
-            coeff = kinv.entry(i, j)
-            if not coeff.is_zero:
-                oracle = oracle + kron(sl2.ad(i), sl2.ad(j)).scale(coeff)
-    assert sl2_ops.Omega == oracle
-    assert sl2_ops.t_action == oracle
+def test_omega_equals_casimir_sum_oracle():
+    # Omega = sum K^-1_ij ad_i (x) ad_j, with K from the structure
+    # constants; the scaled sl2 brackets give K^-1 other denominators.
+    for spec in ("sl2", "sl3", str(GOLDEN / "algebra_sl2xsl2.json"), _SCALED_SL2):
+        alg = build_algebra(spec)
+        ops = build_tensor_ops(alg)
+        d = alg.dim
+        kinv = _killing_by_structure(alg).inverse()
+        oracle = SparseMatrix.zeros(d * d, d * d)
+        for i in range(d):
+            for j in range(d):
+                coeff = kinv.entry(i, j)
+                if not coeff.is_zero:
+                    oracle = oracle + kron(alg.ad(i), alg.ad(j)).scale(coeff)
+        assert ops.Omega == oracle, spec
+        assert ops.t_action == oracle, spec
 
 
 def test_sl2_omega_spectrum_via_rank_oracle(sl2_ops):

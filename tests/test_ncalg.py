@@ -210,6 +210,22 @@ _words = st.lists(st.sampled_from(AB.letters), max_size=4).map(tuple)
 _polys = st.lists(st.tuples(_words, _scalars), max_size=5).map(lambda ts: NCPoly(AB, ts))
 
 
+_monomials = st.sampled_from([(), (("ipi", 1),), (("ipi", 2),), (("zeta", 1),), (("ipi", 1), ("zeta", 1))])
+_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+_any_scalars = st.dictionaries(_monomials, _fractions, max_size=4).map(Scalar)
+
+
+@given(_any_scalars, _any_scalars | st.integers(-3, 3) | _fractions, _fractions.filter(bool))
+def test_arithmetic_results_are_the_scalars_of_their_terms(a, b, q):
+    # Arithmetic builds its results without the checks of Scalar(...);
+    # each must be the scalar that the checked constructor builds.
+    for result in (a + b, b + a, a - b, b - a, -a, a * b, b * a, a / q, Scalar.coerce(b)):
+        rebuilt = Scalar(dict(result._terms))
+        assert result == rebuilt and hash(result) == hash(rebuilt)
+        assert result.to_text() == rebuilt.to_text()
+        assert all(type(c) is Fraction and c for c in result._terms.values())
+
+
 @given(_polys)
 def test_poly_text_round_trip(p):
     assert parse_poly(p.to_text(), AB) == p
