@@ -447,17 +447,18 @@ def verify_sigma_rmatrix(ops: TensorOps, order: int) -> Report:
     E' = A E + E B holds whether or not A and B commute, so E_0 = 1 and
     k E_k = ipi (t_action E_(k-1) - E_(k-1) Omega).  This recurrence
     yields exactly the coefficients of the product of the two exponential
-    series, with two matrix products per order.
+    series, with one ``dot`` of the two products per order.
     """
     if order < 1:
         raise ValueError("order must be positive")
     zero = ops.sigma.ring_zero()
     report = Report(ops.alg.name)
     E = ops.sigma.ring_one()
+    neg_omega = -ops.Omega
     for k in range(order):
         if k:
             step = Scalar.constant("ipi", coeff=Fraction(1, k))
-            E = (ops.t_action * E - E * ops.Omega).scale(step)
+            E = E.dot(((ops.t_action, E), (E, neg_omega))).scale(step)
         report.checks.append(_matrix_check(f"h^{k}", zero if k else ops.sigma, ops.sigma * E))
     return report
 

@@ -16,10 +16,14 @@ inverse and the minimal polynomial) runs on the integer numerators;
 reads single entries.  One fraction-free reducer, :func:`_reduce`,
 serves every elimination: rank, the minimal polynomial, and the inverse,
 which is read off the minimal polynomial.  A sum of any number of terms
-(``lincomb``, ``dot``, ``kron``) is merged once, in place, over one lcm per monomial,
-and the renderers visit only the stored cells.  The tensor operators built from Lie structure
-constants are extremely sparse, which keeps products on the
-512-dimensional triple tensor spaces cheap.
+(``lincomb``, ``kron``) is merged once, in place, over one lcm per
+monomial.  A sum of products (``dot``, which every product goes through)
+is summed one output row at a time, with one integer accumulator per
+row that every pair's row product adds into, so no product matrix is
+formed per pair.  The renderers visit only the stored cells.  The
+tensor operators built from Lie structure constants are extremely
+sparse, which keeps products on the 512-dimensional triple tensor spaces
+cheap.
 
 Index convention for Kronecker products is row-major: basis vector
 i (x) j of a product space sits at position i * dim2 + j.
@@ -99,20 +103,48 @@ def _reduce(basis: Basis, vec: dict[int, int], comb: dict[int, int]) -> dict[int
     return None
 
 
-def _rows_mul(a: Rows, b: Rows) -> Rows:
+def _rows_dot(terms: list[tuple[int, Rows, Rows]]) -> Rows:
+    """The integer rows of the sum of ``f * a * b`` over the (f, a, b)
+    terms, built one output row at a time, with zero cells dropped.
+
+    Row i has one accumulator, and every term adds its row-i product
+    straight into it (Gustavson's row-by-row product, taken over a whole
+    sum), so no term's product is stored on its own.  A row is filtered
+    only when it holds a zero.
+    """
     out: Rows = {}
-    for i, row in a.items():
+    for i in dict.fromkeys(i for _, a, _ in terms for i in a):
         acc: dict[int, int] = {}
-        for k, x in row.items():
-            brow = b.get(k)
-            if brow is None:
+        get = acc.get
+        for f, a, b in terms:
+            row = a.get(i)
+            if row is None:
                 continue
-            for j, y in brow.items():
-                acc[j] = acc.get(j, 0) + x * y
-        acc = {j: v for j, v in acc.items() if v}
+            for k, x in row.items():
+                brow = b.get(k)
+                if brow is None:
+                    continue
+                x *= f
+                for j, y in brow.items():
+                    acc[j] = get(j, 0) + x * y
+        if 0 in acc.values():
+            acc = {j: v for j, v in acc.items() if v}
         if acc:
             out[i] = acc
     return out
+
+
+def _lowest_part(den: int, rows: Rows) -> tuple[int, Rows]:
+    """The part ``(den, rows)`` in lowest terms: both divided by the gcd
+    of the denominator and every numerator, in one pass that stops at 1."""
+    g = den
+    for row in rows.values():
+        if g == 1:
+            break
+        g = gcd(g, *row.values())
+    if g == 1:
+        return den, rows
+    return den // g, {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
 
 
 class _PartSum:
@@ -175,16 +207,8 @@ class _PartSum:
                         rows[i] = row
                     else:
                         del rows[i]
-            if not rows:
-                continue
-            den = g = self.commons[mono]
-            for row in rows.values():
-                if g == 1:
-                    break
-                g = gcd(g, *row.values())
-            if g > 1:
-                den, rows = den // g, {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
-            out[mono] = (den, rows)
+            if rows:
+                out[mono] = _lowest_part(self.commons[mono], rows)
         return out
 
 
@@ -251,7 +275,7 @@ class SparseMatrix(Ring):
             v = rows.get(i, {}).get(j)
             if v:
                 terms[mono] = Fraction(v, den)
-        return Scalar(terms)
+        return Scalar._of(terms)
 
     def _cells(self) -> dict[tuple[int, int], list[tuple[Monomial, Fraction]]]:
         """Nonzero cells with their terms, monomials in ascending order."""
@@ -264,7 +288,7 @@ class SparseMatrix(Ring):
 
     def items(self):
         for (i, j), terms in self._cells().items():
-            yield i, j, Scalar(dict(terms))
+            yield i, j, Scalar._of(dict(terms))
 
     @property
     def is_zero(self) -> bool:
@@ -308,9 +332,14 @@ class SparseMatrix(Ring):
 
     def dot(self, pairs) -> "SparseMatrix":
         """The sum of ``a * b`` over the (a, b) pairs, brought to lowest
-        terms once; the zero matrix of this shape when there are none."""
+        terms once; the zero matrix of this shape when there are none.
+
+        The part products of the pairs are grouped by their result
+        monomial.  Each monomial gets one lcm of its products'
+        denominators and is summed row by row by :func:`_rows_dot`, each
+        product scaled by lcm / den, then given one gcd pass."""
         shape = None
-        products = []
+        groups: dict[Monomial, list[tuple[int, Rows, Rows]]] = {}
         for a, b in pairs:
             if not isinstance(a, SparseMatrix) or not isinstance(b, SparseMatrix):
                 raise TypeError("SparseMatrix.dot needs SparseMatrix operands")
@@ -322,20 +351,21 @@ class SparseMatrix(Ring):
                 raise MatrixError(f"cannot add a {a.rows}x{b.cols} product to {shape[0]}x{shape[1]}")
             for ma, (da, ra) in a._parts.items():
                 for mb, (db, rb) in b._parts.items():
-                    products.append((_mono_mul(ma, mb), da * db, ra, rb))
+                    groups.setdefault(_mono_mul(ma, mb), []).append((da * db, ra, rb))
         if shape is None:
             return self.ring_zero()
-        if not products:
-            return SparseMatrix._of(*shape, {})
-        acc = _PartSum((mono, den) for mono, den, _, _ in products)
-        for mono, den, ra, rb in products:
-            acc.add(mono, den, 1, _rows_mul(ra, rb))
-        return SparseMatrix._of(*shape, acc.parts())
+        parts: Parts = {}
+        for mono, group in groups.items():
+            den = lcm(*(d for d, _, _ in group))
+            rows = _rows_dot([(den // d, ra, rb) for d, ra, rb in group])
+            if rows:
+                parts[mono] = _lowest_part(den, rows)
+        return SparseMatrix._of(*shape, parts)
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise MatrixError("trace of a non-square matrix")
-        return Scalar({
+        return Scalar._of({
             mono: Fraction(sum(row.get(i, 0) for i, row in rows.items()), den)
             for mono, (den, rows) in self._parts.items()
         })

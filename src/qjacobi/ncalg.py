@@ -136,7 +136,8 @@ class Scalar:
     def _of(cls, terms: dict[Monomial, Fraction]) -> "Scalar":
         """The scalar of ``terms`` whose monomials are already normal
         and whose coefficients are ``Fraction``s, as arithmetic results
-        are; only zero coefficients are dropped."""
+        and the cells of the integer stores are; only zero coefficients
+        are dropped."""
         out = cls.__new__(cls)
         out._terms = {m: c for m, c in terms.items() if c}
         return out
@@ -442,7 +443,7 @@ class LinearCombination(Ring):
 
     def coeff(self, word: Iterable) -> Scalar:
         word, den = tuple(word), self._den
-        return Scalar({mono: Fraction(v, den) for (w, mono), v in self._terms.items() if w == word})
+        return Scalar._of({mono: Fraction(v, den) for (w, mono), v in self._terms.items() if w == word})
 
     def support(self) -> set:
         return {letter for word, _ in self._terms for letter in word}
@@ -453,7 +454,7 @@ class LinearCombination(Ring):
         by_word: dict = {}
         for (word, mono), v in self._terms.items():
             by_word.setdefault(word, {})[mono] = Fraction(v, den)
-        return [(word, Scalar(by_word[word])) for word in sorted(by_word, key=self._word_key)]
+        return [(word, Scalar._of(by_word[word])) for word in sorted(by_word, key=self._word_key)]
 
     def lincomb(self, pairs):
         """The sum of ``c * x`` over the (scalar, element) pairs, in this

@@ -420,7 +420,7 @@ class TransportElement(LinearCombination):
         # The store's terms in store order: the result is a sum, so the
         # order is immaterial, and a plain rational needs no Scalar.
         terms = [
-            (Scalar({mono: Fraction(v, den)}) if mono else Fraction(v, den), factors)
+            (Scalar._of({mono: Fraction(v, den)}) if mono else Fraction(v, den), factors)
             for (factors, mono), v in raw._terms.items()
         ]
         return _normalize_raw_terms(terms, raw.dom, raw.cod)

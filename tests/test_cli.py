@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -80,6 +81,19 @@ def test_eval_constants_text_golden(capsys):
     code, out = run_cli(capsys, "eval", "--algebra", "sl2", "--order", "4", "--table", table)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / "eval_sl2_o4_constants.txt").read_bytes()
+
+
+def test_eval_constants_on_algebra_file_digest(capsys):
+    # A non-preset algebra with two formal constants: the h^3 coefficient
+    # has ipi and zeta parts, so products join nonempty monomials.  The
+    # output is 564112 bytes, so its SHA-256 is pinned in place of a file.
+    table = str(GOLDEN / "table_constants.json")
+    algebra = str(GOLDEN / "algebra_sl2xsl2.json")
+    code, out = run_cli(capsys, "eval", "--algebra", algebra, "--order", "4", "--table", table)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "15999e480a575590c8d04385a7071ab8ddd2955464ecaeef44f9f465f38ac710"
+    )
 
 
 def test_verify_transport_json_golden(capsys):

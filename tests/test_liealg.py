@@ -726,21 +726,21 @@ def _eval_products(ops, order, monkeypatch):
     h^order, the count Horner's rule predicts)."""
     # Each distinct proper nonempty suffix of a coefficient's words costs
     # one product: its quotient times the image of the letter before it.
-    # The built-in Psi is rational, so each product is one integer
-    # row product.
+    # The built-in Psi is rational, so each product is one (left, right)
+    # pair of integer row stores handed to the row-by-row kernel.
     psi = compute_psi(builtin_table(), order).psi
     expected = 0
     for coeff in psi.coeffs:
         words = [word for word, _ in coeff.sorted_terms()]
         expected += len({word[n:] for word in words for n in range(1, len(word))})
     calls = []
-    product = qjacobi.matrices._rows_mul
+    kernel = qjacobi.matrices._rows_dot
 
-    def counted(a, b):
-        calls.append(1)
-        return product(a, b)
+    def counted(terms):
+        calls.extend((a, b) for _, a, b in terms)
+        return kernel(terms)
 
-    monkeypatch.setattr(qjacobi.matrices, "_rows_mul", counted)
+    monkeypatch.setattr(qjacobi.matrices, "_rows_dot", counted)
     eval_series(psi, ops)
     return len(calls), expected
 

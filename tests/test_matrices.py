@@ -401,6 +401,76 @@ def test_lincomb_checks_its_terms():
         m.lincomb([(1, 1)])
 
 
+# -- dot: a whole sum of products, row by row ----------------------------------
+
+_two_constants = st.lists(
+    st.tuples(st.sampled_from([(), (("ipi", 1),), (("ipi", 1), ("zeta", 1)), (("zeta", 2),)]), _fracs),
+    min_size=1,
+    max_size=2,
+).map(lambda ts: Scalar(dict(ts)))
+
+
+@st.composite
+def _dot_pairs(draw):
+    """(rows, cols, pairs): 0-5 pairs whose products are rows x cols,
+    with an inner size drawn per pair, and perhaps, after them, the
+    negation of one pair restricted to some rows of its left factor,
+    which cancels those rows of its product (with every row kept, the
+    whole product)."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = st.one_of(_values, _two_constants)
+    pairs = []
+    for _ in range(draw(st.integers(0, 5))):
+        inner = draw(st.integers(1, 4))
+        pairs.append((draw(_matrices(rows, inner, values)), draw(_matrices(inner, cols, values))))
+    if pairs and draw(st.booleans()):
+        a, b = draw(st.sampled_from(pairs))
+        keep = draw(st.sets(st.integers(0, rows - 1)))
+        part = SparseMatrix(rows, a.cols, [(i, j, v) for i, j, v in a.items() if i in keep])
+        pairs.append((-part, b))
+    return rows, cols, pairs
+
+
+@settings(max_examples=120, deadline=None)
+@given(_dot_pairs())
+@example((2, 2, [(SparseMatrix.identity(2).scale(Scalar.constant("ipi")), SparseMatrix.identity(2))] * 2))
+@example((2, 1, [
+    (SparseMatrix.from_rows([[Fraction(1, 2), 1], [Scalar.constant("ipi"), 0]]), SparseMatrix.from_rows([[3], [1]])),
+    (SparseMatrix.from_rows([[Fraction(-1, 2), -1], [0, 0]]), SparseMatrix.from_rows([[3], [1]])),
+]))
+@example((3, 3, [(SparseMatrix.identity(3), SparseMatrix.identity(3)), (-SparseMatrix.identity(3), SparseMatrix.identity(3))]))
+def test_dot_matches_dense_sum_and_repeated_products(case):
+    rows, cols, pairs = case
+    receiver = SparseMatrix.zeros(rows, cols)
+    got = receiver.dot(pairs)
+    ref = dense(receiver)
+    loop = receiver
+    for a, b in pairs:
+        ref = ref_add(ref, ref_mul(dense(a), dense(b)))
+        loop = loop + a * b
+    assert (got.rows, got.cols) == (rows, cols)
+    assert dense(got) == ref
+    assert got == loop and hash(got) == hash(loop)
+    _assert_canonical(got)
+    assert receiver.dot(iter(pairs)) == got
+
+
+def test_dot_checks_its_pairs():
+    m = SparseMatrix.identity(2)
+    wide = SparseMatrix(2, 3)
+    assert m.dot([]) == m.ring_zero() and wide.dot([]) == SparseMatrix.zeros(2, 3)
+    assert m.dot([(wide, SparseMatrix(3, 1))]) == SparseMatrix.zeros(2, 1)
+    with pytest.raises(TypeError, match="SparseMatrix.dot needs SparseMatrix operands"):
+        m.dot([(m, 1)])
+    with pytest.raises(MatrixError, match="cannot compose 2x3 with 2x2"):
+        m.dot([(wide, m)])
+    with pytest.raises(MatrixError, match="cannot add a 2x3 product to 2x2"):
+        m.dot([(m, m), (m, wide)])
+    # A pair that neither composes nor fits the sum reports the composition.
+    with pytest.raises(MatrixError, match="cannot compose 2x3 with 2x2"):
+        m.dot([(m, m), (wide, m)])
+
+
 # -- the renderers against the dense reference ---------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qjacobi.matrices import SparseMatrix
 from qjacobi.ncalg import (
     Alphabet,
     NCPoly,
@@ -18,6 +19,7 @@ from qjacobi.ncalg import (
     parse_scalar,
     substitute,
 )
+from qjacobi.transport import TransportElement, gen, normalize, q_obj
 
 AB = Alphabet(("A", "B"))
 CDZ = Alphabet(("C", "D", "Z", "Zinv"))
@@ -224,6 +226,51 @@ def test_arithmetic_results_are_the_scalars_of_their_terms(a, b, q):
         assert result == rebuilt and hash(result) == hash(rebuilt)
         assert result.to_text() == rebuilt.to_text()
         assert all(type(c) is Fraction and c for c in result._terms.values())
+
+
+_ENDOS = (
+    lambda: normalize(gen("sigma_h")),
+    lambda: normalize(gen("Omega_h")),
+    lambda: TransportElement(q_obj(2), q_obj(2), [(1, ())]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(_words, _any_scalars), max_size=5),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), _any_scalars), max_size=4),
+    st.lists(st.tuples(st.integers(0, 2), _any_scalars), min_size=1, max_size=3),
+    st.integers(0, 2),
+)
+def test_store_reads_are_the_scalars_of_their_terms(words, cells, endos, other):
+    # Reads of an integer store build their Scalars without the checks of
+    # Scalar(...); each must be the scalar that the checked constructor
+    # builds.  Every Scalar built unchecked during the calls is caught.
+    built = []
+    trusted = Scalar._of.__func__
+
+    def caught(cls, terms):
+        built.append(trusted(cls, terms))
+        return built[-1]
+
+    p = NCPoly(AB, words)
+    m = SparseMatrix(3, 3, cells)
+    e = TransportElement(q_obj(2), q_obj(2), [])
+    e = e.lincomb((c, _ENDOS[k]()) for k, c in endos)
+    f = _ENDOS[other]()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Scalar, "_of", classmethod(caught))
+        returned = [c for _, c in p.sorted_terms()] + [p.coeff(w) for w, _ in words]
+        returned += [m.entry(i, j) for i in range(3) for j in range(3)]
+        returned += [v for _, _, v in m.items()] + [m.trace()]
+        product = e.dot([(e, f), (f, e)])
+    assert all(any(s is b for b in built) for s in returned)
+    for s in built:
+        rebuilt = Scalar(dict(s._terms))
+        assert s == rebuilt and hash(s) == hash(rebuilt)
+        assert s.to_text() == rebuilt.to_text()
+        assert all(type(c) is Fraction and c for c in s._terms.values())
+    assert product == e * f + f * e
 
 
 @given(_polys)
