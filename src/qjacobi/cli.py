@@ -18,8 +18,13 @@ program, not of the input).
 ``main`` can be called many times in one process.  The process builds
 the parser once (:func:`build_parser` is cached), and each algebra
 preset with its validated operators once
-(:func:`qjacobi.liealg.algebra_ops`).  Tables and algebra files are read
-on every call.
+(:func:`qjacobi.liealg.algebra_ops`).  It keeps the Psi pair of each of
+the 8 table contents used last, up to the highest order asked for, and
+forgets the one used longest ago when a ninth comes
+(:func:`qjacobi.psiengine.compute_psi`); a longer request resumes the
+pair and checks psi * psi_inv = 1 on the extended pair, so every served
+coefficient has passed that check in this process.  Tables and algebra
+files are read and validated on every call.
 """
 
 from __future__ import annotations

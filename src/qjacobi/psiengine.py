@@ -35,6 +35,18 @@ inverse and starts at 1 with no linear term when psi does.  Every
 coefficient the engine reads is a coefficient of the final pair, and
 (a mod h^m)(b mod h^m) = ab mod h^m, so the images of Z and Zinv behind
 each coefficient were mutually inverse modulo every h^m with m <= N.
+
+The pair depends on the table's nonzero entries alone, and the pass is
+online: the pair modulo h^N is the first N coefficients of the pair
+modulo any higher order.  So a process keeps one engine per table
+content (the degree -> entry map), with its pair, its block prefix
+lists and the order it reached, for the :data:`CACHED_TABLES` tables
+used last; using one more table forgets the one used longest ago.
+:func:`compute_psi` validates the table on every call, resumes that
+table's pass only past the order already reached, and runs the pair
+check on the extended pair each time it grows; an engine whose pass or
+check fails is dropped before the error propagates.  So every
+coefficient served has passed the check in this process.
 """
 
 from __future__ import annotations
@@ -120,11 +132,50 @@ class _Block:
         return self.coeffs
 
 
+class _Engine:
+    """The pair of one table content, resumable past the order reached.
+
+    ``entries`` lists the table's nonzero (degree, entry) pairs by
+    degree; a block joins once the pass reaches its degree, the first
+    power of h it contributes to.
+    """
+
+    def __init__(self, entries: tuple):
+        one = NCPoly.one(PSI_ALPHABET)
+        self.one = one
+        self.entries = entries
+        self.psi, self.psi_inv = [one], [one]
+        self.images = {
+            "C": NCPoly.letter(PSI_ALPHABET, "O12"),
+            "D": NCPoly.letter(PSI_ALPHABET, "O23"),
+            "Z": self.psi,
+            "Zinv": self.psi_inv,
+        }
+        self.blocks: list[tuple[int, _Block]] = []
+
+    def extend(self, order: int) -> None:
+        """Compute the pair modulo h^order, if it is not known yet."""
+        one, psi, psi_inv, blocks = self.one, self.psi, self.psi_inv, self.blocks
+        start = len(psi)
+        blocks += [(k, _Block(alpha(p), one, self.images)) for k, p in self.entries if start <= k < order]
+        for j in range(start, order):
+            # psi and psi_inv are known below h^j; G_k gains its h^(j-k) entry.
+            gs = [(k, block.extend(j - k)) for k, block in blocks if k <= j]
+            psi.append(-one.dot([(psi[i], g[j - k - i]) for k, g in gs for i in range(j - k + 1)]))
+            psi_inv.append(one.lincomb([(1, g[j - k]) for k, g in gs]))
+
+
+# Table content -> its engine, the one used last at the end.
+CACHED_TABLES = 8
+_engines: dict[tuple, _Engine] = {}
+
+
 def compute_psi(table: EkTable, order: int) -> PsiPair:
     """Compute the pair modulo h^order from a coefficient table.
 
     Table degrees absent from 2..order-1 contribute nothing; they are
-    treated as zero coefficients and logged.
+    treated as zero coefficients and logged.  The table's engine is kept
+    for later calls; the module docstring says how.
     """
     if order < 2:
         raise ValueError(f"order must be at least 2, got {order}")
@@ -145,22 +196,16 @@ def compute_psi(table: EkTable, order: int) -> PsiPair:
             ", ".join(missing),
         )
 
-    one = NCPoly.one(PSI_ALPHABET)
-    psi, psi_inv = [one], [one]
-    images = {
-        "C": NCPoly.letter(PSI_ALPHABET, "O12"),
-        "D": NCPoly.letter(PSI_ALPHABET, "O23"),
-        "Z": psi,
-        "Zinv": psi_inv,
-    }
-    blocks = [(k, _Block(alpha(table.entry(k)), one, images)) for k in degrees if k < order]
-    for j in range(1, order):
-        # psi and psi_inv are known below h^j; G_k gains its h^(j-k) entry.
-        gs = [(k, block.extend(j - k)) for k, block in blocks if k <= j]
-        psi.append(-one.dot([(psi[i], g[j - k - i]) for k, g in gs for i in range(j - k + 1)]))
-        psi_inv.append(one.lincomb([(1, g[j - k]) for k, g in gs]))
-
-    pair = PsiPair(HSeries(psi), HSeries(psi_inv), order, table.source)
-    pair.validate()
+    key = tuple((k, table.entries[k]) for k in degrees)
+    # Taken out while it runs, so an engine whose pass or check fails is
+    # not put back: the whole pair of a cached engine has been checked.
+    engine = _engines.pop(key, None) or _Engine(key)
+    grows = len(engine.psi) < order
+    engine.extend(order)
+    pair = PsiPair(HSeries(engine.psi[:order]), HSeries(engine.psi_inv[:order]), order, table.source)
+    if grows:
+        pair.validate()
+    _engines[key] = engine
+    if len(_engines) > CACHED_TABLES:
+        del _engines[next(iter(_engines))]
     return pair
-

@@ -3,7 +3,10 @@
 The Psi oracle recomputes the associator correction series by plain
 fixed-point iteration at full order, with its own regex-based run
 parser, so it shares no code path with the production engine beyond the
-ring primitives.
+ring primitives.  The engine keeps each table's pair for later calls in
+the process, so a test that compares against one engine run, or counts
+the engine's work, starts from an empty cache (:func:`fresh_psi`,
+:func:`empty_psi_cache`).
 
 The rewrite oracle finds every transport step by trying every rule at
 every position from 0 after each step, with its own run matchers over
@@ -21,11 +24,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from qjacobi import psiengine
 from qjacobi.deformation import AB_ALPHABET, EkTable
 from qjacobi.hseries import HSeries
 from qjacobi.matrices import SparseMatrix
 from qjacobi.ncalg import NCPoly, Scalar
-from qjacobi.psiengine import PSI_ALPHABET
+from qjacobi.psiengine import PSI_ALPHABET, compute_psi
 from qjacobi.transport import (
     CLASSICAL_RULES,
     EXPANSION_RULES,
@@ -56,6 +60,18 @@ def oracle_alpha_product(word, psi, psi_inv, c_img, d_img, unit):
                 acc = acc * d_img
             acc = acc * psi
     return acc
+
+
+def empty_psi_cache():
+    """Forget every table's engine, so that the next ``compute_psi`` of
+    any table starts from h^0."""
+    psiengine._engines.clear()
+
+
+def fresh_psi(table: EkTable, order: int):
+    """The pair one engine run gives, from an empty cache."""
+    empty_psi_cache()
+    return compute_psi(table, order)
 
 
 def oracle_psi(table: EkTable, order: int):

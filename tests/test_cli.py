@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import empty_psi_cache, fresh_psi
 
 from qjacobi import cli
 
@@ -652,15 +653,49 @@ def test_algebra_file_is_read_on_every_call(capsys, tmp_path):
     assert captured.err == "error: Killing form is degenerate: the algebra is not semisimple\n"
 
 
+def test_table_file_is_read_on_every_call(capsys, tmp_path):
+    # The engine is kept by table content, not by path: a file rewritten
+    # between calls gets the pair of its new entries.
+    from qjacobi.deformation import load_table
+
+    path = tmp_path / "table.json"
+    docs = [{"entries": {"2": entry, "4": "A.B.B.A"}} for entry in ("A.B - B.A", "A.B - 2*B.A", "A.B - B.A")]
+    expected = []
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        pair = fresh_psi(load_table(str(path)), 6)
+        expected.append("\n".join(["psi:", pair.psi.to_text(), "psi_inv:", pair.psi_inv.to_text()]) + "\n")
+    empty_psi_cache()
+    for doc, text in zip(docs, expected):
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "psi", "--order", "6", "--table", str(path)) == (0, text)
+    path.write_text(json.dumps({"entries": {"2": "A.B.A"}}))
+    code = cli.main(["psi", "--order", "6", "--table", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: degree 2 entry is not homogeneous")
+
+
 def test_in_process_calls_match_fresh_processes(capsys, monkeypatch):
-    # One process runs every call on the same parser and preset operators,
-    # usage errors included; each call must print and exit exactly as a
-    # process of its own does.  COLUMNS fixes argparse's usage width.
+    # One process runs every call on the same parser, preset operators and
+    # Psi engines, usage errors included; each call must print and exit
+    # exactly as a process of its own does.  From an empty cache, the psi
+    # calls at orders 6, 4 and 8 extend a table's pair, read it back and
+    # extend it again.  COLUMNS fixes argparse's usage width.
     monkeypatch.setenv("COLUMNS", "80")
     assert cli.build_parser() is cli.build_parser()
+    empty_psi_cache()
+    table = str(GOLDEN / "table_constants.json")
     calls = [
         ["psi", "--order", "3"],
+        ["psi", "--order", "6", "--table", table, "--format", "json"],
+        ["psi", "--order", "6"],
+        ["psi", "--order", "4", "--table", table],
         ["psi", "--order", "1"],
+        ["psi", "--order", "4"],
+        ["psi", "--order", "8", "--table", table, "--format", "json"],
+        ["psi", "--order", "8"],
         ["omega", "--algebra", "sl2"],
         ["verify", "rmatrix", "--order", "0"],
         ["eval", "--algebra", "sl2", "--order", "3", "--format", "json"],
@@ -684,6 +719,24 @@ def test_in_process_calls_match_fresh_processes(capsys, monkeypatch):
             fresh[key] = (result.returncode, result.stdout, result.stderr)
         assert (code, captured.out, captured.err) == fresh[key], argv
     assert sorted({code for code, _, _ in fresh.values()}) == [0, 2, 3]
+
+
+def test_each_path_of_one_table_content_names_itself(capsys, tmp_path):
+    # The two files and the built-in table share one engine; each call
+    # still reports the table it was given.
+    from qjacobi.deformation import builtin_table, dump_table
+
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_text(dump_table(builtin_table()))
+    docs = {}
+    for source in ["builtin", *map(str, paths), "builtin"]:
+        code, out = run_cli(capsys, "psi", "--order", "5", "--format", "json", "--table", source)
+        assert code == 0
+        docs[source] = json.loads(out)
+        assert docs[source].pop("table") == source
+    assert len(docs) == 3
+    assert all(doc == docs["builtin"] for doc in docs.values())
 
 
 def test_omega_report(capsys):

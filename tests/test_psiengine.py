@@ -8,12 +8,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from helpers import oracle_psi, random_homogeneous_table
+from helpers import empty_psi_cache, fresh_psi, oracle_psi, random_homogeneous_table
 
+from qjacobi import cli
 from qjacobi.deformation import AB_ALPHABET, EkTable, builtin_table
 from qjacobi.hseries import HSeries
 from qjacobi.ncalg import NCPoly, Scalar, commutator
-from qjacobi.psiengine import PSI_ALPHABET, EngineError, PsiPair, compute_psi
+from qjacobi.psiengine import CACHED_TABLES, PSI_ALPHABET, EngineError, PsiPair, compute_psi
 
 O12 = NCPoly.letter(PSI_ALPHABET, "O12")
 O23 = NCPoly.letter(PSI_ALPHABET, "O23")
@@ -175,18 +176,141 @@ def test_validate_makes_one_series_product(monkeypatch):
 
 
 def test_monotone_consistency():
-    top = compute_psi(builtin_table(), 8)
+    # Each order from its own engine run: a warm cache would hand every
+    # order the same stored coefficients.
+    top = fresh_psi(builtin_table(), 8)
     for n in range(2, 9):
-        part = compute_psi(builtin_table(), n)
+        part = fresh_psi(builtin_table(), n)
         assert top.psi.truncate(n) == part.psi
         assert top.psi_inv.truncate(n) == part.psi_inv
 
 
 def test_monotone_consistency_random_table():
     table = random_homogeneous_table(random.Random(5), max_degree=4)
-    top = compute_psi(table, 7)
+    top = fresh_psi(table, 7)
     for n in range(2, 8):
-        assert top.psi.truncate(n) == compute_psi(table, n).psi
+        assert top.psi.truncate(n) == fresh_psi(table, n).psi
+
+
+# -- one engine per table content, kept across calls ----------------------------
+
+
+@pytest.fixture
+def cold_cache():
+    """An empty cache, and none left behind: an engine a test corrupted
+    must not serve a later test."""
+    empty_psi_cache()
+    yield
+    empty_psi_cache()
+
+
+# (table index, order) requests, each served by the cache as it stands.
+_SEQUENCES = {
+    "ascending": [(0, n) for n in range(2, 10)],
+    "descending": [(0, n) for n in range(9, 1, -1)],
+    "repeated": [(0, 5), (0, 5), (0, 7), (0, 7), (0, 5), (0, 2)],
+    "interleaved": [(0, 4), (1, 6), (0, 8), (1, 3), (1, 9), (0, 6), (0, 9), (1, 2)],
+}
+
+
+@pytest.mark.parametrize("name", _SEQUENCES)
+def test_resumed_pairs_match_fresh_engines_and_the_oracle(name, cold_cache):
+    sequence = _SEQUENCES[name]
+    tables = [
+        random_homogeneous_table(random.Random(seed), max_degree=5, max_terms=3, constants=("zeta", "ipi"))
+        for seed in (7, 8)
+    ]
+    top = max(order for _, order in sequence)
+    oracles = [oracle_psi(table, top) for table in tables]
+    expected = {(t, n): fresh_psi(tables[t], n) for t, n in set(sequence)}
+    empty_psi_cache()
+    for t, n in sequence:
+        pair = compute_psi(tables[t], n)
+        assert pair == expected[t, n]
+        assert pair.psi == oracles[t][0].truncate(n)
+        assert pair.psi_inv == oracles[t][1].truncate(n)
+
+
+def _counted_checks(monkeypatch):
+    """The orders of the pairs PsiPair.validate checks from now on."""
+    orders = []
+    original = PsiPair.validate
+
+    def counted(pair):
+        orders.append(pair.order)
+        return original(pair)
+
+    monkeypatch.setattr(PsiPair, "validate", counted)
+    return orders
+
+
+def test_the_pair_is_checked_each_time_it_grows_and_only_then(cold_cache, monkeypatch):
+    checks = _counted_checks(monkeypatch)
+    for order in (6, 4, 6, 8, 3, 8, 9):
+        compute_psi(builtin_table(), order)
+    assert checks == [6, 8, 9]
+
+
+def test_a_cached_table_is_still_validated_and_logged(cold_cache, caplog):
+    from qjacobi.deformation import TableError
+
+    table = EkTable(entries={2: builtin_table().entry(2), 4: NCPoly.word(AB_ALPHABET, ("A", "B", "A", "B"))})
+    with caplog.at_level("INFO", logger="qjacobi.psiengine"):
+        compute_psi(table, 7)
+        compute_psi(table, 7)
+    assert caplog.messages == ["table custom has no entries for degrees 3, 5..6; treating them as zero"] * 2
+    table.entries[3] = NCPoly.word(AB_ALPHABET, ("A", "B"))
+    with pytest.raises(TableError, match="not homogeneous"):
+        compute_psi(table, 6)
+
+
+def test_a_failed_check_drops_the_engine(cold_cache, monkeypatch, capsys):
+    expected = fresh_psi(builtin_table(), 6)
+    empty_psi_cache()
+    compute_psi(builtin_table(), 3)
+    # Negation builds only psi's new coefficients, so psi_inv stays right
+    # and psi * psi_inv = 1 fails once a nonzero coefficient is negated.
+    monkeypatch.setattr(NCPoly, "__neg__", lambda self: self)
+    with pytest.raises(EngineError, match="not mutually inverse"):
+        compute_psi(builtin_table(), 6)
+    assert cli.main(["psi", "--order", "6"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal invariant failed: pair is not mutually inverse at the stated order\n"
+    monkeypatch.undo()
+    checks = _counted_checks(monkeypatch)
+    assert compute_psi(builtin_table(), 6) == expected
+    assert checks == [6]
+
+
+def test_the_table_used_longest_ago_is_dropped(cold_cache, monkeypatch):
+    tables = [random_homogeneous_table(random.Random(seed), max_degree=4) for seed in range(CACHED_TABLES + 1)]
+    assert len({tuple(sorted(t.entries.items())) for t in tables}) == len(tables)
+    expected = [fresh_psi(table, 6) for table in tables]
+    empty_psi_cache()
+    for table in tables[:CACHED_TABLES]:
+        compute_psi(table, 6)
+    compute_psi(tables[0], 6)
+    compute_psi(tables[CACHED_TABLES], 6)
+    # tables[1] is now the one used longest ago and was dropped; the rest
+    # are served without new work.
+    checks = _counted_checks(monkeypatch)
+    for i in [0, *range(2, CACHED_TABLES + 1)]:
+        assert compute_psi(tables[i], 6) == expected[i]
+    assert checks == []
+    assert compute_psi(tables[1], 6) == expected[1]
+    assert checks == [6]
+
+
+def test_equal_contents_share_an_engine_but_not_the_table_id(cold_cache, monkeypatch):
+    builtin = builtin_table()
+    copy = EkTable(entries=dict(builtin.entries), constants=("zeta", "ipi"), source="copy")
+    first = compute_psi(builtin, 5)
+    checks = _counted_checks(monkeypatch)
+    second = compute_psi(copy, 5)
+    assert checks == []
+    assert (first.table_id, second.table_id) == ("builtin", "copy")
+    assert replace(second, table_id="builtin") == first
 
 
 def test_degree_bound():
