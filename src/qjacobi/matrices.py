@@ -15,15 +15,16 @@ inverse and the minimal polynomial) runs on the integer numerators;
 :class:`~qjacobi.ncalg.Scalar` values are built only where a caller
 reads single entries.  One fraction-free reducer, :func:`_reduce`,
 serves every elimination: rank, the minimal polynomial, and the inverse,
-which is read off the minimal polynomial.  A sum of any number of terms
-(``lincomb``, ``kron``) is merged once, in place, over one lcm per
-monomial.  A sum of products (``dot``, which every product goes through)
-is summed one output row at a time, with one integer accumulator per
-row that every pair's row product adds into, so no product matrix is
-formed per pair.  The renderers visit only the stored cells.  The
-tensor operators built from Lie structure constants are extremely
-sparse, which keeps products on the 512-dimensional triple tensor spaces
-cheap.
+which is read off the minimal polynomial.  Every sum (``lincomb``,
+``kron`` and ``dot``) groups its terms by result monomial and goes
+through one helper, :func:`_sum_parts`: one lcm per monomial, one
+kernel pass over its terms, one gcd pass.  :func:`_rows_add` merges the
+terms of ``lincomb`` and ``kron`` one term at a time; :func:`_rows_dot`
+sums products (every product goes through ``dot``) one output row at a
+time, with one integer accumulator per row, so no product matrix is
+formed per pair.  The renderers visit only the stored cells.  The tensor
+operators built from Lie structure constants are extremely sparse, which
+keeps products on the 512-dimensional triple tensor spaces cheap.
 
 Index convention for Kronecker products is row-major: basis vector
 i (x) j of a product space sits at position i * dim2 + j.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ncalg import (
     Monomial,
@@ -103,8 +104,8 @@ def _reduce(basis: Basis, vec: dict[int, int], comb: dict[int, int]) -> dict[int
     return None
 
 
-def _rows_dot(terms: list[tuple[int, Rows, Rows]]) -> Rows:
-    """The integer rows of the sum of ``f * a * b`` over the (f, a, b)
+def _rows_dot(terms: list[list]) -> Rows:
+    """The integer rows of the sum of ``f * a * b`` over the [f, a, b]
     terms, built one output row at a time, with zero cells dropped.
 
     Row i has one accumulator, and every term adds its row-i product
@@ -134,6 +135,36 @@ def _rows_dot(terms: list[tuple[int, Rows, Rows]]) -> Rows:
     return out
 
 
+def _rows_add(terms: list[list]) -> Rows:
+    """The integer rows of the sum of ``f * rows`` over the [f, rows]
+    terms, merged term by term.  A row is lent (shared with its source,
+    which never changes) until a second term reaches it, or scaled when f
+    is not 1; the first merge copies it, and only merged rows are
+    filtered for zeros."""
+    f, rows = terms[0]
+    out: Rows = dict(rows) if f == 1 else {i: {j: v * f for j, v in row.items()} for i, row in rows.items()}
+    merged: set[int] = set()
+    for f, rows in terms[1:]:
+        for i, row in rows.items():
+            mine = out.get(i)
+            if mine is None:
+                out[i] = row if f == 1 else {j: v * f for j, v in row.items()}
+                continue
+            if i not in merged:
+                merged.add(i)
+                mine = out[i] = dict(mine)
+            get = mine.get
+            for j, v in row.items():
+                mine[j] = get(j, 0) + v * f
+    for i in merged:
+        row = out[i]
+        if 0 in row.values():
+            row = out[i] = {j: v for j, v in row.items() if v}
+            if not row:
+                del out[i]
+    return out
+
+
 def _lowest_part(den: int, rows: Rows) -> tuple[int, Rows]:
     """The part ``(den, rows)`` in lowest terms: both divided by the gcd
     of the denominator and every numerator, in one pass that stops at 1."""
@@ -147,69 +178,22 @@ def _lowest_part(den: int, rows: Rows) -> tuple[int, Rows]:
     return den // g, {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
 
 
-class _PartSum:
-    """A sum of ``f * rows / den`` terms, merged once.
-
-    The denominators are known before any numerator is added, so each
-    monomial gets one lcm and one integer accumulator, every term is
-    added into it in place, and :meth:`parts` makes one lowest-terms
-    pass.  A term's row is taken as it is (shared with its source,
-    which never changes) until a second term reaches that row; the
-    first merge copies it, and only merged rows can gain zeros.
-    """
-
-    __slots__ = ("commons", "sums")
-
-    def __init__(self, dens: Iterable[tuple[Monomial, int]]):
-        commons: dict[Monomial, int] = {}
-        for mono, den in dens:
-            have = commons.get(mono)
-            commons[mono] = den if have is None else lcm(have, den)
-        self.commons = commons
-        self.sums: dict[Monomial, tuple[Rows, set[int]]] = {}
-
-    def add(self, mono: Monomial, den: int, f: int, rows: Rows) -> None:
-        """Add ``f * rows / den``; ``den`` divides the lcm of ``mono``."""
-        f *= self.commons[mono] // den
-        have = self.sums.get(mono)
-        if have is None:
-            if f == 1:
-                self.sums[mono] = (dict(rows), set())
-            else:
-                self.sums[mono] = ({i: {j: v * f for j, v in row.items()} for i, row in rows.items()}, set())
-            return
-        acc, merged = have
-        for i, row in rows.items():
-            mine = acc.get(i)
-            if mine is None:
-                acc[i] = row if f == 1 else {j: v * f for j, v in row.items()}
-                continue
-            if i not in merged:
-                merged.add(i)
-                mine = acc[i] = dict(mine)
-            get = mine.get
-            if f == 1:
-                for j, v in row.items():
-                    mine[j] = get(j, 0) + v
-            else:
-                for j, v in row.items():
-                    mine[j] = get(j, 0) + v * f
-
-    def parts(self) -> Parts:
-        """The sum, every part in lowest terms, empty parts dropped."""
-        out: Parts = {}
-        for mono, (rows, merged) in self.sums.items():
-            for i in merged:
-                row = rows[i]
-                if 0 in row.values():
-                    row = {j: v for j, v in row.items() if v}
-                    if row:
-                        rows[i] = row
-                    else:
-                        del rows[i]
-            if rows:
-                out[mono] = _lowest_part(self.commons[mono], rows)
-        return out
+def _sum_parts(groups: dict[Monomial, list[tuple[int, list]]], kernel: Callable[[list[list]], Rows]) -> Parts:
+    """The parts of a sum whose terms are grouped by result monomial as
+    ``(den, [f, rows...])``, each ``f * rows... / den``.  Each monomial
+    gets one lcm of its denominators, each factor is scaled to it in
+    place, ``kernel`` sums the [f, rows...] terms into integer rows, and
+    :func:`_lowest_part` makes one gcd pass; empty parts are dropped."""
+    parts: Parts = {}
+    for mono, group in groups.items():
+        den = lcm(*[d for d, _ in group])
+        for d, term in group:
+            if d != den:
+                term[0] *= den // d
+        rows = kernel([term for _, term in group])
+        if rows:
+            parts[mono] = _lowest_part(den, rows)
+    return parts
 
 
 class SparseMatrix(Ring):
@@ -261,7 +245,7 @@ class SparseMatrix(Ring):
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[ScalarLike]]) -> "SparseMatrix":
         nrows = len(rows)
-        ncols = len(rows[0])
+        ncols = len(rows[0]) if rows else 0
         entries = []
         for i, row in enumerate(rows):
             if len(row) != ncols:
@@ -307,12 +291,12 @@ class SparseMatrix(Ring):
         """The sum of ``c * x`` over the (scalar, matrix) pairs, in this
         matrix's shape; the zero matrix when there are none.
 
-        One lcm of the denominators per monomial, one integer accumulator
-        per monomial and one lowest-terms pass serve all the pairs, so the
-        cost is the stored entries of the terms, not one copy and merge
-        of the growing sum per term.
+        :func:`_sum_parts` gives each monomial one lcm and one gcd pass,
+        and :func:`_rows_add` merges its terms, so the cost is the stored
+        entries of the terms, not one copy and merge of the growing sum
+        per term.
         """
-        terms = []
+        groups: dict = {}
         for c, x in pairs:
             if not isinstance(x, SparseMatrix):
                 raise TypeError("SparseMatrix.lincomb needs SparseMatrix terms")
@@ -322,24 +306,19 @@ class SparseMatrix(Ring):
             fnums, fden = _integral_scalar(c)
             for fmono, fv in fnums.items():
                 for mono, (den, rows) in x._parts.items():
-                    terms.append((_mono_mul(mono, fmono), den * fden, fv, rows))
-        if not terms:
-            return SparseMatrix._of(self.rows, self.cols, {})
-        acc = _PartSum((mono, den) for mono, den, _, _ in terms)
-        for mono, den, f, rows in terms:
-            acc.add(mono, den, f, rows)
-        return SparseMatrix._of(self.rows, self.cols, acc.parts())
+                    groups.setdefault(_mono_mul(mono, fmono), []).append((den * fden, [fv, rows]))
+        return SparseMatrix._of(self.rows, self.cols, _sum_parts(groups, _rows_add))
 
     def dot(self, pairs) -> "SparseMatrix":
         """The sum of ``a * b`` over the (a, b) pairs, brought to lowest
         terms once; the zero matrix of this shape when there are none.
 
         The part products of the pairs are grouped by their result
-        monomial.  Each monomial gets one lcm of its products'
-        denominators and is summed row by row by :func:`_rows_dot`, each
-        product scaled by lcm / den, then given one gcd pass."""
+        monomial and summed by :func:`_sum_parts` (one lcm and one gcd
+        pass per monomial), with :func:`_rows_dot` summing them one output
+        row at a time."""
         shape = None
-        groups: dict[Monomial, list[tuple[int, Rows, Rows]]] = {}
+        groups: dict = {}
         for a, b in pairs:
             if not isinstance(a, SparseMatrix) or not isinstance(b, SparseMatrix):
                 raise TypeError("SparseMatrix.dot needs SparseMatrix operands")
@@ -351,16 +330,8 @@ class SparseMatrix(Ring):
                 raise MatrixError(f"cannot add a {a.rows}x{b.cols} product to {shape[0]}x{shape[1]}")
             for ma, (da, ra) in a._parts.items():
                 for mb, (db, rb) in b._parts.items():
-                    groups.setdefault(_mono_mul(ma, mb), []).append((da * db, ra, rb))
-        if shape is None:
-            return self.ring_zero()
-        parts: Parts = {}
-        for mono, group in groups.items():
-            den = lcm(*(d for d, _, _ in group))
-            rows = _rows_dot([(den // d, ra, rb) for d, ra, rb in group])
-            if rows:
-                parts[mono] = _lowest_part(den, rows)
-        return SparseMatrix._of(*shape, parts)
+                    groups.setdefault(_mono_mul(ma, mb), []).append((da * db, [1, ra, rb]))
+        return SparseMatrix._of(*(shape or (self.rows, self.cols)), _sum_parts(groups, _rows_dot))
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
@@ -500,8 +471,9 @@ class SparseMatrix(Ring):
 
 
 def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """Kronecker product with row-major index convention."""
-    blocks = []
+    """Kronecker product with row-major index convention: the block of each
+    pair of parts is one :func:`_rows_add` term of :func:`_sum_parts`."""
+    groups: dict = {}
     for ma, (da, arows) in a._parts.items():
         for mb, (db, brows) in b._parts.items():
             rows: Rows = {}
@@ -510,11 +482,8 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
                     rows[i * b.rows + j] = {
                         k * b.cols + l: x * y for k, x in arow.items() for l, y in brow.items()
                     }
-            blocks.append((_mono_mul(ma, mb), da * db, rows))
-    acc = _PartSum((mono, den) for mono, den, _ in blocks)
-    for mono, den, rows in blocks:
-        acc.add(mono, den, 1, rows)
-    return SparseMatrix._of(a.rows * b.rows, a.cols * b.cols, acc.parts())
+            groups.setdefault(_mono_mul(ma, mb), []).append((da * db, [1, rows]))
+    return SparseMatrix._of(a.rows * b.rows, a.cols * b.cols, _sum_parts(groups, _rows_add))
 
 
 def minimal_polynomial(matrix: SparseMatrix) -> list[Fraction]:

@@ -188,7 +188,7 @@ def compute_psi(table: EkTable, order: int) -> PsiPair:
     missing = [str(k) for k in diagnostics.missing_below_max if k < order]
     top = max(degrees, default=1)
     if top + 1 < order:
-        missing.append(f"{top + 1}..{order - 1}")
+        missing.append(f"{top + 1}..{order - 1}" if top + 2 < order else str(top + 1))
     if missing:
         logger.info(
             "table %s has no entries for degrees %s; treating them as zero",

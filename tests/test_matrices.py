@@ -1,5 +1,6 @@
 """Tests for exact sparse matrices."""
 
+from copy import deepcopy
 from fractions import Fraction
 from math import gcd
 
@@ -48,6 +49,12 @@ def test_scalar_multiplication_commutes_across_operand_order():
     s = Scalar.rational(1, 3)
     assert s * m == m * s == m.scale(s)
     assert 2 * m == m * 2
+
+
+@pytest.mark.parametrize("rows", [[[]], []])
+def test_from_rows_refuses_empty_shapes(rows):
+    with pytest.raises(MatrixError, match="matrix dimensions must be positive"):
+        SparseMatrix.from_rows(rows)
 
 
 def test_rank_exact():
@@ -183,12 +190,20 @@ def test_kernel_linear_ops_match_reference(pair, s):
     assert dense(a - b) == ref_add(da, db, -1)
     assert dense(-a) == ref_scale(da, Scalar.rational(-1))
     assert dense(a.scale(s)) == ref_scale(da, s)
+    _assert_canonical(-a)
+    _assert_canonical(a.scale(s))
     assert (a == b) == (da == db)
     assert a + b - b == a
     assert hash(a + b - b) == hash(a)
     assert (a - a).is_zero
     if a.rows == a.cols:
         assert a.trace() == ref_trace(da)
+    # Sums lend their terms' rows; no sum may change a store it lent.
+    before = [(m, deepcopy(m._parts), hash(m)) for m in (a, b)]
+    x = a + b
+    for y in (x + b, x.scale(2), -x, kron(x, b)):
+        _assert_canonical(y)
+    assert all(m._parts == parts and hash(m) == key for m, parts, key in before)
 
 
 @settings(max_examples=80, deadline=None)
@@ -200,6 +215,8 @@ def test_kernel_products_match_reference(pair, c):
     assert dense(product) == ref_mul(da, db)
     assert product.nnz() == sum(1 for row in ref_mul(da, db) for x in row if not x.is_zero)
     assert dense(kron(a, c)) == ref_kron(da, dense(c))
+    _assert_canonical(kron(a, c))
+    _assert_canonical(product)
     assert {(i, j): v for i, j, v in product.items()} == {
         (i, j): v for i, row in enumerate(ref_mul(da, db)) for j, v in enumerate(row) if not v.is_zero
     }

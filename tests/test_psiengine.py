@@ -382,6 +382,17 @@ def test_missing_degrees_are_logged_once_with_the_tail_as_a_span(caplog, order, 
     assert caplog.messages == [f"table gappy has no entries for degrees {gaps}; treating them as zero"]
 
 
+@pytest.mark.parametrize("order, gaps", [(6, "3, 5"), (8, "3, 5..7")])
+def test_a_one_degree_tail_is_logged_as_that_degree(caplog, order, gaps):
+    table = EkTable(
+        entries={2: builtin_table().entry(2), 4: NCPoly.word(AB_ALPHABET, ("A", "B", "A", "B"))},
+        source="gappy",
+    )
+    with caplog.at_level("INFO", logger="qjacobi.psiengine"):
+        compute_psi(table, order)
+    assert caplog.messages == [f"table gappy has no entries for degrees {gaps}; treating them as zero"]
+
+
 def test_order_below_two_rejected():
     with pytest.raises(ValueError):
         compute_psi(builtin_table(), 1)
