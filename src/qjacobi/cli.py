@@ -183,17 +183,18 @@ def cmd_omega(args) -> int:
     return 0
 
 
-def _order_at_least_two(value: str) -> int:
-    order = int(value)
-    if order < 2:
-        raise argparse.ArgumentTypeError("order must be at least 2")
-    return order
+def _order_at_least(least: int, message: str):
+    """The ``--order`` type: an integer of at least ``least``."""
 
+    def order(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError("order must be an integer") from None
+        if number < least:
+            raise argparse.ArgumentTypeError(message)
+        return number
 
-def _positive_int(value: str) -> int:
-    order = int(value)
-    if order < 1:
-        raise argparse.ArgumentTypeError("order must be positive")
     return order
 
 
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     psi = sub.add_parser("psi", help="compute the series pair modulo h^N")
-    psi.add_argument("--order", "-n", type=_order_at_least_two, required=True)
+    psi.add_argument("--order", "-n", type=_order_at_least(2, "order must be at least 2"), required=True)
     psi.add_argument("--table", default="builtin")
     psi.add_argument("--format", choices=("text", "json"), default="text")
     psi.add_argument("--golden", action="store_true", help="force the canonical text form")
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=("classical", "rmatrix", "transport", "all"))
     verify.add_argument("--algebra", default="sl2")
-    verify.add_argument("--order", "-n", type=_positive_int, default=4)
+    verify.add_argument("--order", "-n", type=_order_at_least(1, "order must be positive"), default=4)
     verify.add_argument("--identity", choices=TRANSPORT_IDENTITIES + ("all",), default="all")
     verify.add_argument("--table", default="builtin")
     verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate the series on an algebra")
     ev.add_argument("--algebra", required=True)
-    ev.add_argument("--order", "-n", type=_order_at_least_two, required=True)
+    ev.add_argument("--order", "-n", type=_order_at_least(2, "order must be at least 2"), required=True)
     ev.add_argument("--table", default="builtin")
     ev.add_argument("--format", choices=("text", "json"), default="text")
     ev.add_argument("--out")

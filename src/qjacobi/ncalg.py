@@ -32,10 +32,12 @@ length-first, then by letter names, and serialize as
 ``coeff*letter.letter`` chains, e.g. ``1/24*O12.O23 - 1/24*O23.O12``.
 That text form is the interchange format used by every other module.
 
-:func:`substitute` is the one word evaluator: it maps each word to the
-product of its letters' images in one ring of the package (polynomials,
-exact matrices or truncated series), and sums the words by Horner's rule
-over their last letters.
+:class:`WordEvaluator` is the one word evaluator: it maps each word to
+the product of its letters' images in one ring of the package and sums
+the words by Horner's rule over their last letters, one power of h at a
+time.  :func:`substitute` is its h^0 coefficient with constant images
+(polynomials, exact matrices or truncated series), and the Psi engine
+extends it over the coefficient lists of the pair it is building.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "Scalar",
     "ScalarError",
     "WordError",
+    "WordEvaluator",
     "commutator",
     "parse_poly",
     "parse_scalar",
@@ -627,25 +630,74 @@ def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
     return p * q - q * p
 
 
-def substitute(p: LinearCombination, images: Mapping[str, object]):
-    """Apply the algebra homomorphism sending each letter to its image.
+class WordEvaluator:
+    """The image of a combination of words, one power of h at a time.
 
-    Images are elements of one ring: polynomials over a common alphabet,
-    square exact matrices of one size, or truncated series.  Each word
-    maps to the product of its letters' images, its first letter on the
-    left; the empty word maps to the ring one.
+    Each word maps to the product of its letters' images, its first
+    letter on the left, and the empty word to the ring one.  An image is
+    an element of the ring of ``ring`` (a constant) or the list of the
+    coefficients known so far of a series over that ring; a constant is
+    a series whose only coefficient is at h^0.
 
     The sum is taken by Horner's rule over the last letter,
     ``sum c_w w = c_e + sum_a (sum c_ua u) a``, applied again to each
     quotient ``sum c_ua u``.  The quotients are the nodes of the words'
     suffix trie: the node of a suffix ``s`` is ``sum_b (c_bs + Q_bs) b``,
     where ``Q_bs`` is the node of ``bs`` when ``bs`` is a proper suffix
-    of some word.  A constant ``c_bs`` adds ``c_bs * image(b)`` through
-    ``lincomb``, with no product; every other (quotient, letter) pair of
-    a node goes into one ``dot``.  So the products are one per distinct
-    proper nonempty suffix of the words, and the left factor of each is
-    a quotient of lower degree, not a long prefix.  A unit is built only
-    for an empty word.
+    of some word, and the image is the empty suffix's node.  Each node
+    keeps its coefficients, and :meth:`extend` appends coefficient m to
+    every node, the longest suffixes first.  A constant ``c_bs`` adds
+    ``c_bs * image(b)[m]`` through ``lincomb``, with no product, and the
+    products ``Q_bs[i] * image(b)[m - i]`` of a node make one ``dot``.
+    So at h^0 there is one product per distinct proper nonempty suffix
+    of the words, and its left factor is a quotient of lower degree, not
+    a long prefix.  A unit is built only for an empty word.
+    """
+
+    def __init__(self, p: LinearCombination, images: Mapping[str, object], ring: Ring):
+        self.ring = ring
+        series = {b: img if isinstance(img, list) else [img] for b, img in images.items()}
+        # ends[s] pairs the coefficient of each word b + s with b's image;
+        # inner[s] holds the letters b for which b + s is a proper suffix
+        # of a word.
+        ends: dict[tuple, list] = {(): []}
+        inner: dict[tuple, dict] = {}
+        for word, coeff in p.sorted_terms():
+            ends.setdefault(word[1:], []).append((coeff, series[word[0]] if word else [ring.ring_one()]))
+            for k in range(1, len(word)):
+                inner.setdefault(word[k + 1:], {})[word[k]] = None
+        values = {s: [] for s in (*ends, *inner)}
+        self.image = values[()]
+        self.nodes = [
+            (values[s], ends.get(s, []), [(values[(b,) + s], series[b]) for b in inner.get(s, ())])
+            for s in sorted(values, key=len, reverse=True)
+        ]
+
+    def extend(self, m: int) -> list:
+        """Append the coefficient of h^m to every node and return the
+        image's coefficients; every series image must be known to h^m."""
+        ring = self.ring
+        for values, ends, below in self.nodes:
+            pairs = [(c, img[m]) for c, img in ends if m < len(img)]
+            if below:
+                prod = ring.dot([(q[i], img[m - i]) for q, img in below
+                                 for i in range(m + 1) if m - i < len(img)])
+                if not pairs:
+                    values.append(prod)
+                    continue
+                # First, so that the merge keeps its rows where it can.
+                pairs.insert(0, (1, prod))
+            values.append(ring.lincomb(pairs))
+        return self.image
+
+
+def substitute(p: LinearCombination, images: Mapping[str, object]):
+    """Apply the algebra homomorphism sending each letter to its image.
+
+    Images are elements of one ring: polynomials over a common alphabet,
+    square exact matrices of one size, or truncated series.  The sum is
+    the h^0 coefficient of :class:`WordEvaluator` with every image a
+    constant, whose docstring says how the words are summed.
     """
     missing = sorted(p.support() - set(images))
     if missing:
@@ -658,33 +710,7 @@ def substitute(p: LinearCombination, images: Mapping[str, object]):
     if not images:
         # Constant polynomial: nothing to substitute.
         return p
-    zero = next(iter(images.values())).ring_zero()
-    # ends[s][b] is the coefficient of the word b + s; inner[s] holds the
-    # letters b for which b + s is a proper suffix of a word.
-    ends: dict[tuple, dict] = {}
-    inner: dict[tuple, dict] = {}
-    constant = []
-    for word, coeff in p.sorted_terms():
-        if not word:
-            constant.append((coeff, zero.ring_one()))
-            continue
-        ends.setdefault(word[1:], {})[word[0]] = coeff
-        for k in range(1, len(word)):
-            inner.setdefault(word[k + 1:], {})[word[k]] = None
-
-    def node(suffix: tuple, pairs: list):
-        """The quotient of ``suffix`` plus the sum of ``pairs``."""
-        pairs += [(c, images[b]) for b, c in ends.get(suffix, {}).items()]
-        below = inner.get(suffix)
-        if below:
-            prod = zero.dot([(node((b,) + suffix, []), images[b]) for b in below])
-            if not pairs:
-                return prod
-            # First, so that the merge keeps its rows where it can.
-            pairs.insert(0, (1, prod))
-        return zero.lincomb(pairs)
-
-    return node((), constant)
+    return WordEvaluator(p, images, next(iter(images.values()))).extend(0)[0]
 
 
 # ---------------------------------------------------------------------------

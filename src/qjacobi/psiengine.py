@@ -19,12 +19,11 @@ h^(j-2).  So :func:`compute_psi` computes each coefficient once, from the
 lower ones, in one forward pass from psi[0] = psi_inv[0] = 1, with no
 fixed-point iteration: the "relaxed" evaluation of a recursive power
 series (van der Hoeven, *Relax, but don't be too lazy*, 2002).  Each
-block keeps one coefficient list per distinct prefix of its words and
-appends one entry to each list per power of h: a C or D letter
-multiplies the parent prefix's entry by O12 or O23, and a Z or Zinv
-letter is one ``dot`` over the parent's entries and the known
-coefficients of psi or psi_inv.  G_k[m] is one ``lincomb`` over the
-block's words, and psi[j] one ``dot``.
+block is the package's one word evaluator,
+:class:`~qjacobi.ncalg.WordEvaluator`, with O12 and O23 as constants and
+the growing coefficient lists of psi and psi_inv as series: it sums the
+block's words by Horner's rule over their suffix trie and appends G_k[m]
+once psi and psi_inv are known to h^m.  psi[j] is one ``dot``.
 
 The engine does not check that the pair is mutually inverse as it goes.
 The one product in :meth:`PsiPair.validate` covers every such check.  In
@@ -39,8 +38,8 @@ each coefficient were mutually inverse modulo every h^m with m <= N.
 The pair depends on the table's nonzero entries alone, and the pass is
 online: the pair modulo h^N is the first N coefficients of the pair
 modulo any higher order.  So a process keeps one engine per table
-content (the degree -> entry map), with its pair, its block prefix
-lists and the order it reached, for the :data:`CACHED_TABLES` tables
+content (the degree -> entry map), with its pair, its blocks' word
+evaluators and the order it reached, for the :data:`CACHED_TABLES` tables
 used last; using one more table forgets the one used longest ago.
 :func:`compute_psi` validates the table on every call, resumes that
 table's pass only past the order already reached, and runs the pair
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 
 from .deformation import EkTable, TableError, alpha, validate_table
 from .hseries import HSeries
-from .ncalg import Alphabet, NCPoly
+from .ncalg import Alphabet, NCPoly, WordEvaluator
 
 __all__ = ["EngineError", "PSI_ALPHABET", "PsiPair", "compute_psi"]
 
@@ -93,45 +92,6 @@ class PsiPair:
             raise EngineError("pair is not mutually inverse at the stated order")
 
 
-class _Block:
-    """The coefficients of one block G_k, one power of h at a time.
-
-    Every distinct nonempty prefix of the block's words keeps the list
-    of its image's coefficients, beside the list of its parent prefix
-    (the empty prefix's is the unit's) and the image of its last letter:
-    a constant polynomial, or the coefficient list of psi or psi_inv.
-    """
-
-    def __init__(self, poly: NCPoly, one: NCPoly, images: dict):
-        self.one = one
-        self.root: list[NCPoly] = []
-        self.nodes: list[tuple[list, list, object]] = []
-        self.words: list[tuple] = []
-        self.coeffs: list[NCPoly] = []
-        made: dict[tuple, list] = {}
-        for word, coeff in poly.sorted_terms():
-            values = self.root
-            for end in range(1, len(word) + 1):
-                parent, values = values, made.get(word[:end])
-                if values is None:
-                    values = made[word[:end]] = []
-                    self.nodes.append((values, parent, images[word[end - 1]]))
-            self.words.append((coeff, values))
-
-    def extend(self, m: int) -> list[NCPoly]:
-        """Append the coefficient of h^m to every prefix and to G_k, and
-        return G_k's coefficients; psi and psi_inv must be known to h^m."""
-        one = self.one
-        self.root.append(one if m == 0 else one.ring_zero())
-        for values, parent, image in self.nodes:
-            if isinstance(image, list):
-                values.append(one.dot([(parent[i], image[m - i]) for i in range(m + 1)]))
-            else:
-                values.append(parent[m] * image)
-        self.coeffs.append(one.lincomb([(coeff, values[m]) for coeff, values in self.words]))
-        return self.coeffs
-
-
 class _Engine:
     """The pair of one table content, resumable past the order reached.
 
@@ -151,13 +111,13 @@ class _Engine:
             "Z": self.psi,
             "Zinv": self.psi_inv,
         }
-        self.blocks: list[tuple[int, _Block]] = []
+        self.blocks: list[tuple[int, WordEvaluator]] = []
 
     def extend(self, order: int) -> None:
         """Compute the pair modulo h^order, if it is not known yet."""
         one, psi, psi_inv, blocks = self.one, self.psi, self.psi_inv, self.blocks
         start = len(psi)
-        blocks += [(k, _Block(alpha(p), one, self.images)) for k, p in self.entries if start <= k < order]
+        blocks += [(k, WordEvaluator(alpha(p), self.images, one)) for k, p in self.entries if start <= k < order]
         for j in range(start, order):
             # psi and psi_inv are known below h^j; G_k gains its h^(j-k) entry.
             gs = [(k, block.extend(j - k)) for k, block in blocks if k <= j]

@@ -40,6 +40,17 @@ def test_psi_order_one_exits_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["psi"], ["eval"], ["verify", "rmatrix"]], ids=["psi", "eval", "verify"])
+def test_a_non_integer_order_exits_2_with_a_plain_message(capsys, command):
+    # argparse words a type function's ValueError with the function's
+    # name, as in "invalid _order_at_least_two value: 'abc'".
+    with pytest.raises(SystemExit) as err:
+        cli.main([*command, "--order", "abc"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == f"qjacobi {command[0]}: error: argument --order/-n: order must be an integer"
+
+
 def test_psi_golden_conflicts_with_json(capsys):
     code = cli.main(["psi", "--order", "2", "--golden", "--format", "json"])
     capsys.readouterr()

@@ -8,12 +8,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from helpers import empty_psi_cache, fresh_psi, oracle_psi, random_homogeneous_table
+from helpers import empty_psi_cache, fresh_psi, oracle_alpha_product, oracle_psi, random_homogeneous_table
 
 from qjacobi import cli
-from qjacobi.deformation import AB_ALPHABET, EkTable, builtin_table
+from qjacobi.deformation import AB_ALPHABET, EkTable, alpha, builtin_table
 from qjacobi.hseries import HSeries
-from qjacobi.ncalg import NCPoly, Scalar, commutator
+from qjacobi.ncalg import LinearCombination, NCPoly, Scalar, WordEvaluator, commutator
 from qjacobi.psiengine import CACHED_TABLES, PSI_ALPHABET, EngineError, PsiPair, compute_psi
 
 O12 = NCPoly.letter(PSI_ALPHABET, "O12")
@@ -311,6 +311,50 @@ def test_equal_contents_share_an_engine_but_not_the_table_id(cold_cache, monkeyp
     assert checks == []
     assert (first.table_id, second.table_id) == ("builtin", "copy")
     assert replace(second, table_id="builtin") == first
+
+
+_BLOCK_TABLES = {
+    "builtin": builtin_table,
+    "random": lambda: random_homogeneous_table(random.Random(21), max_degree=5, max_terms=3),
+    "random-zeta": lambda: random_homogeneous_table(random.Random(22), max_degree=5, max_terms=3, constants=("zeta",)),
+}
+
+
+@pytest.mark.parametrize("name", _BLOCK_TABLES)
+def test_blocks_extended_in_two_batches_match_the_word_by_word_oracle(name):
+    # The relaxed evaluator against products of whole truncated series,
+    # word by word over {A, B}, with no suffix trie and no alpha.
+    table, order = _BLOCK_TABLES[name](), 9
+    pair = fresh_psi(table, order)
+    images = {"C": O12, "D": O23, "Z": list(pair.psi.coeffs), "Zinv": list(pair.psi_inv.coeffs)}
+    c_img, d_img, unit = HSeries.constant(O12, order), HSeries.constant(O23, order), HSeries.unit(ONE, order)
+    for k, entry in table.entries.items():
+        expected = unit.lincomb([
+            (coeff, oracle_alpha_product(word, pair.psi, pair.psi_inv, c_img, d_img, unit))
+            for word, coeff in entry.sorted_terms()
+        ])
+        block = WordEvaluator(alpha(entry), images, ONE)
+        for m1 in (k, order):
+            for m in range(len(block.image), m1):
+                block.extend(m)
+            assert block.image == list(expected.coeffs[:m1]), (k, m1)
+
+
+def test_the_engine_makes_115_products_on_the_builtin_table_at_order_14(cold_cache, monkeypatch):
+    # Nonempty product pairs, the pair check's included.  With one
+    # coefficient list per prefix of each block's words, in place of the
+    # word evaluator's suffix trie, the same call made 122.
+    products = []
+    original = LinearCombination.dot
+
+    def counted(self, pairs):
+        pairs = list(pairs)
+        products.append(sum(1 for a, b in pairs if a._terms and b._terms))
+        return original(self, pairs)
+
+    monkeypatch.setattr(LinearCombination, "dot", counted)
+    compute_psi(builtin_table(), 14)
+    assert sum(products) == 115
 
 
 def test_degree_bound():
