@@ -8,7 +8,8 @@ may be empty, which is what makes the map total on all words.  A last
 A-run with no B-run after it (m_j = 0) becomes C^nj alone, as Zinv Z
 is 1, so every emitted word is already cancelled: no other Z, Zinv
 pair ever meets.  Substituting a series and its inverse for Z, Zinv
-yields the degree-k building blocks consumed by the inductive engine.
+yields the degree-k block G_k (:func:`make_Gk`).  The inductive engine
+evaluates E_k itself at A = C, B = Zinv D Z, which is the same block.
 
 Only the degree-2 coefficient, (1/24)(AB - BA), ships built in.  Higher
 degrees are supplied as data files because their closed forms depend on

@@ -358,18 +358,8 @@ class SparseMatrix(Ring):
         self._same_shape(other)
         if self._parts == other._parts:
             return None
-        first = None
-        empty = (1, {})
-        for mono in self._parts.keys() | other._parts.keys():
-            da, a = self._parts.get(mono, empty)
-            db, b = other._parts.get(mono, empty)
-            for i in a.keys() | b.keys():
-                ra, rb = a.get(i, {}), b.get(i, {})
-                for j in ra.keys() | rb.keys():
-                    if ra.get(j, 0) * db != rb.get(j, 0) * da and (first is None or (i, j) < first):
-                        first = (i, j)
-        # Parts in lowest terms differ only where some cell differs.
-        i, j = first
+        diff = (self - other)._parts.values()
+        i, j = min((i, j) for _, rows in diff for i, row in rows.items() for j in row)
         return (i, j, self.entry(i, j), other.entry(i, j))
 
     # Ring protocol used by hseries coefficients.

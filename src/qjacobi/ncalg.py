@@ -657,6 +657,8 @@ class WordEvaluator:
     def __init__(self, p: LinearCombination, images: Mapping[str, object], ring: Ring):
         self.ring = ring
         series = {b: img if isinstance(img, list) else [img] for b, img in images.items()}
+        # The letters of the words whose images are series.
+        self.series_images = [(b, images[b]) for b in sorted(p.support()) if isinstance(images[b], list)]
         # ends[s] pairs the coefficient of each word b + s with b's image;
         # inner[s] holds the letters b for which b + s is a proper suffix
         # of a word.
@@ -675,7 +677,12 @@ class WordEvaluator:
 
     def extend(self, m: int) -> list:
         """Append the coefficient of h^m to every node and return the
-        image's coefficients; every series image must be known to h^m."""
+        image's coefficients.  Every series image of a letter of the
+        words must be known to h^m; a ValueError names the first that is
+        not."""
+        for b, img in self.series_images:
+            if len(img) <= m:
+                raise ValueError(f"the series image of {b!r} has {len(img)} coefficient(s); h^{m} needs {m + 1}")
         ring = self.ring
         for values, ends, below in self.nodes:
             pairs = [(c, img[m]) for c, img in ends if m < len(img)]

@@ -6,39 +6,41 @@ put in for its letters Z, Zinv, C and D, the pair is the solution of
 
     psi = 1 - sum_k h^k psi G_k,        psi_inv = 1 + sum_k h^k G_k
 
-over the table degrees k >= 2 (Drinfeld, 1990).  Read coefficient by
-coefficient, with ``s[j]`` the coefficient of h^j of a series s:
+over the table degrees k >= 2 (Drinfeld, 1990).  The first equation is
+psi psi_inv = 1, and alpha only conjugates each B-run (``Zinv D^m Z``),
+so G_k = E_k(O12, Y) with the one series Y = psi_inv O23 psi.  Read
+coefficient by coefficient, with ``s[j]`` the coefficient of h^j of s:
 
-    psi[j]     = - sum_k sum_i psi[i] G_k[j - k - i]
+    Y[n]       =   sum_i (psi_inv[i] O23) psi[n - i]
     psi_inv[j] =   sum_k G_k[j - k]
+    psi[j]     = - sum_{i < j-1} psi[i] psi_inv[j - i]
 
-and G_k[m] is a polynomial in the coefficients of psi and psi_inv up to
-h^m only, since every letter image starts at h^0.  As k >= 2, the
-coefficient h^j of the pair reads psi, psi_inv and every G_k only up to
-h^(j-2).  So :func:`compute_psi` computes each coefficient once, from the
-lower ones, in one forward pass from psi[0] = psi_inv[0] = 1, with no
-fixed-point iteration: the "relaxed" evaluation of a recursive power
-series (van der Hoeven, *Relax, but don't be too lazy*, 2002).  Each
-block is the package's one word evaluator,
-:class:`~qjacobi.ncalg.WordEvaluator`, with O12 and O23 as constants and
-the growing coefficient lists of psi and psi_inv as series: it sums the
-block's words by Horner's rule over their suffix trie and appends G_k[m]
-once psi and psi_inv are known to h^m.  psi[j] is one ``dot``.
+the last being the series inverse, as psi_inv[1] = 0.  G_k[m] and Y[m]
+read Y, psi and psi_inv only up to h^m, as every image starts at h^0.
+As k >= 2, the coefficient h^j of the pair reads Y and every G_k only up
+to h^(j-2).  So :func:`compute_psi` computes each coefficient once, from
+the lower ones, in one forward pass from psi[0] = psi_inv[0] = 1, with
+no fixed-point iteration: the "relaxed" evaluation of a recursive power
+series (van der Hoeven, *Relax, but don't be too lazy*, 2002).  Step j
+appends Y[j - 2] to the list the blocks share, then extends them: each
+is a :class:`~qjacobi.ncalg.WordEvaluator` with O12 a constant and Y a
+series.  With the products psi_inv[i] O23 kept, Y[n] and psi[j] are one
+``dot`` each.
 
-The engine does not check that the pair is mutually inverse as it goes.
-The one product in :meth:`PsiPair.validate` covers every such check.  In
-the ring of series modulo h^N, a series whose constant term is 1 is a
-unit: its inverse is built degree by degree.  So once psi starts at 1,
-psi * psi_inv = 1 makes psi_inv = psi^-1, which is then also a left
-inverse and starts at 1 with no linear term when psi does.  Every
-coefficient the engine reads is a coefficient of the final pair, and
-(a mod h^m)(b mod h^m) = ab mod h^m, so the images of Z and Zinv behind
-each coefficient were mutually inverse modulo every h^m with m <= N.
+:meth:`PsiPair.validate` checks the arithmetic with one product.  In the
+ring of series modulo h^N, a series whose constant term is 1 is a unit,
+so once psi starts at 1, psi * psi_inv = 1 makes psi_inv = psi^-1, also
+a left inverse, starting at 1 with no linear term when psi does.  That
+holds whatever the blocks are, so the test suite checks each block
+against the alpha block over the finished pair.  They agree because
+every coefficient the engine reads is one of the final pair, and
+(a mod h^m)(b mod h^m) = ab mod h^m: the psi and psi_inv behind Y[n]
+are mutually inverse modulo h^(n+1).
 
 The pair depends on the table's nonzero entries alone, and the pass is
 online: the pair modulo h^N is the first N coefficients of the pair
 modulo any higher order.  So a process keeps one engine per table
-content (the degree -> entry map), with its pair, its blocks' word
+content (the degree -> entry map), with its pair, Y, its blocks' word
 evaluators and the order it reached, for the :data:`CACHED_TABLES` tables
 used last; using one more table forgets the one used longest ago.
 :func:`compute_psi` validates the table on every call, resumes that
@@ -53,7 +55,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .deformation import EkTable, TableError, alpha, validate_table
+from .deformation import EkTable, TableError, validate_table
 from .hseries import HSeries
 from .ncalg import Alphabet, NCPoly, WordEvaluator
 
@@ -79,7 +81,7 @@ class PsiPair:
 
     def validate(self) -> None:
         """Check the orders, the start of psi and psi * psi_inv = 1; the
-        module docstring says why that one product settles the rest."""
+        module docstring says what that one product settles."""
         one = NCPoly.one(PSI_ALPHABET)
         for name, series in (("psi", self.psi), ("psi_inv", self.psi_inv)):
             if series.order != self.order:
@@ -97,32 +99,32 @@ class _Engine:
 
     ``entries`` lists the table's nonzero (degree, entry) pairs by
     degree; a block joins once the pass reaches its degree, the first
-    power of h it contributes to.
+    power of h it contributes to.  The blocks share ``y``, the known
+    coefficients of Y, and ``left`` keeps the products psi_inv[i] * O23.
     """
 
     def __init__(self, entries: tuple):
-        one = NCPoly.one(PSI_ALPHABET)
-        self.one = one
+        self.one = one = NCPoly.one(PSI_ALPHABET)
+        self.o23 = NCPoly.letter(PSI_ALPHABET, "O23")
         self.entries = entries
         self.psi, self.psi_inv = [one], [one]
-        self.images = {
-            "C": NCPoly.letter(PSI_ALPHABET, "O12"),
-            "D": NCPoly.letter(PSI_ALPHABET, "O23"),
-            "Z": self.psi,
-            "Zinv": self.psi_inv,
-        }
+        self.left, self.y = [], []
+        self.images = {"A": NCPoly.letter(PSI_ALPHABET, "O12"), "B": self.y}
         self.blocks: list[tuple[int, WordEvaluator]] = []
 
     def extend(self, order: int) -> None:
         """Compute the pair modulo h^order, if it is not known yet."""
-        one, psi, psi_inv, blocks = self.one, self.psi, self.psi_inv, self.blocks
+        one, psi, psi_inv, left, y, blocks = self.one, self.psi, self.psi_inv, self.left, self.y, self.blocks
         start = len(psi)
-        blocks += [(k, WordEvaluator(alpha(p), self.images, one)) for k, p in self.entries if start <= k < order]
+        blocks += [(k, WordEvaluator(p, self.images, one)) for k, p in self.entries if start <= k < order]
         for j in range(start, order):
-            # psi and psi_inv are known below h^j; G_k gains its h^(j-k) entry.
-            gs = [(k, block.extend(j - k)) for k, block in blocks if k <= j]
-            psi.append(-one.dot([(psi[i], g[j - k - i]) for k, g in gs for i in range(j - k + 1)]))
-            psi_inv.append(one.lincomb([(1, g[j - k]) for k, g in gs]))
+            # psi and psi_inv are known below h^j; Y gains its h^(j-2)
+            # entry, then G_k its h^(j-k) entry.
+            if j >= 2:
+                left.append(psi_inv[j - 2] * self.o23)
+                y.append(one.dot([(x, psi[j - 2 - i]) for i, x in enumerate(left)]))
+            psi_inv.append(one.lincomb([(1, block.extend(j - k)[j - k]) for k, block in blocks if k <= j]))
+            psi.append(-one.dot([(psi[i], psi_inv[j - i]) for i in range(j - 1)]))
 
 
 # Table content -> its engine, the one used last at the end.

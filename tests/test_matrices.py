@@ -84,6 +84,12 @@ def test_first_difference():
     b = SparseMatrix(3, 3, [(0, 0, 1), (1, 1, 1), (2, 2, 2)])
     assert a.first_difference(b) == (2, 2, Scalar.one(), Scalar.rational(2))
     assert a.first_difference(SparseMatrix.identity(3)) is None
+    # Equal rational parts; the ipi parts differ at (1, 0) and (2, 1).
+    ipi = Scalar.constant("ipi")
+    c = SparseMatrix(3, 3, [(0, 0, 1), (1, 0, ipi + 1), (2, 1, ipi * 3)])
+    d = SparseMatrix(3, 3, [(0, 0, 1), (1, 0, ipi * 2 + 1), (2, 1, ipi)])
+    assert c.first_difference(d) == (1, 0, ipi + 1, ipi * 2 + 1)
+    assert d.first_difference(c) == (1, 0, ipi * 2 + 1, ipi + 1)
 
 
 def test_minimal_polynomial_of_projector():

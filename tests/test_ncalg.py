@@ -14,6 +14,7 @@ from qjacobi.ncalg import (
     Scalar,
     ScalarError,
     WordError,
+    WordEvaluator,
     commutator,
     parse_poly,
     parse_scalar,
@@ -190,6 +191,19 @@ def test_substitute_kills_commutator():
 def test_substitute_missing_image():
     with pytest.raises(WordError):
         substitute(poly("A.B"), {"A": NCPoly.letter(CDZ, "C")})
+
+
+def test_word_evaluator_refuses_a_series_image_not_known_far_enough():
+    c, d = NCPoly.letter(CDZ, "C"), NCPoly.letter(CDZ, "D")
+    p, h0 = poly("A.B + 2*B"), c * d + d.scale(2)
+    series = WordEvaluator(p, {"A": c, "B": [d]}, NCPoly.one(CDZ))
+    assert series.extend(0) == [h0]
+    with pytest.raises(ValueError, match="image of 'B' has 1 coefficient"):
+        series.extend(1)
+    assert series.image == [h0]
+    # A constant is known at every power of h and is zero past h^0.
+    constant = WordEvaluator(p, {"A": c, "B": d}, NCPoly.one(CDZ))
+    assert [constant.extend(m) for m in range(3)][-1] == [h0, NCPoly.zero(CDZ), NCPoly.zero(CDZ)]
 
 
 def test_substitute_identity_on_series():

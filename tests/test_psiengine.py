@@ -10,7 +10,7 @@ from math import comb
 import pytest
 from helpers import empty_psi_cache, fresh_psi, oracle_alpha_product, oracle_psi, random_homogeneous_table
 
-from qjacobi import cli
+from qjacobi import cli, psiengine
 from qjacobi.deformation import AB_ALPHABET, EkTable, alpha, builtin_table
 from qjacobi.hseries import HSeries
 from qjacobi.ncalg import LinearCombination, NCPoly, Scalar, WordEvaluator, commutator
@@ -340,10 +340,30 @@ def test_blocks_extended_in_two_batches_match_the_word_by_word_oracle(name):
             assert block.image == list(expected.coeffs[:m1]), (k, m1)
 
 
-def test_the_engine_makes_115_products_on_the_builtin_table_at_order_14(cold_cache, monkeypatch):
-    # Nonempty product pairs, the pair check's included.  With one
-    # coefficient list per prefix of each block's words, in place of the
-    # word evaluator's suffix trie, the same call made 122.
+@pytest.mark.parametrize("name", _BLOCK_TABLES)
+def test_each_engine_block_equals_the_alpha_block_over_the_finished_pair(name, cold_cache):
+    # The engine evaluates E_k at A = O12, B = Y = psi_inv O23 psi, which
+    # is alpha(E_k) at Z = psi, Zinv = psi_inv only because psi psi_inv
+    # = 1.  The pair check cannot see a wrong Y: psi is the series
+    # inverse of psi_inv whatever the blocks are.
+    table, order = _BLOCK_TABLES[name](), 9
+    pair = compute_psi(table, order)
+    (engine,) = psiengine._engines.values()
+    images = {"C": O12, "D": O23, "Z": list(pair.psi.coeffs), "Zinv": list(pair.psi_inv.coeffs)}
+    assert [k for k, _ in engine.blocks] == table.degrees()
+    for k, block in engine.blocks:
+        expected = WordEvaluator(alpha(table.entries[k]), images, ONE)
+        for m in range(order - k):
+            expected.extend(m)
+        assert block.image == expected.image, k
+
+
+def test_the_engine_makes_88_products_on_the_builtin_table_at_order_14(cold_cache, monkeypatch):
+    # Nonempty product pairs, the pair check's included.  With each block
+    # evaluated over alpha's words, with psi and psi_inv put in for Z and
+    # Zinv, the same call made 115; with one coefficient list per prefix
+    # of each block's words, in place of the word evaluator's suffix
+    # trie, it made 122.
     products = []
     original = LinearCombination.dot
 
@@ -354,7 +374,7 @@ def test_the_engine_makes_115_products_on_the_builtin_table_at_order_14(cold_cac
 
     monkeypatch.setattr(LinearCombination, "dot", counted)
     compute_psi(builtin_table(), 14)
-    assert sum(products) == 115
+    assert sum(products) == 88
 
 
 def test_degree_bound():
