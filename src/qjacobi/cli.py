@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ``psi`` (compute the series pair), ``verify`` (classical,
-braiding and transport suites), ``eval`` (matrix evaluation on an
-algebra), ``table validate`` and ``omega``.  Text output uses the
+braiding and transport suites), ``eval`` (psi computed in an algebra's
+matrices), ``table validate`` and ``omega``.  Text output uses the
 canonical interchange grammar shared with the library, so identical
 invocations are byte-identical and golden files can be diffed.
 ``--format json`` and ``table validate`` write through
@@ -18,12 +18,13 @@ program, not of the input).
 ``main`` can be called many times in one process.  The process builds
 the parser once (:func:`build_parser` is cached), and each algebra
 preset with its validated operators once
-(:func:`qjacobi.liealg.algebra_ops`).  It keeps the Psi pairs of the
-table contents used last, as :mod:`qjacobi.psiengine` sets out (its
-:data:`~qjacobi.psiengine.CACHED_TABLES` bounds them); a longer request
-resumes a kept pair and checks psi * psi_inv = 1 on the extended pair,
-so every served coefficient has passed that check in this process.
-Tables and algebra files are read and validated on every call.
+(:func:`qjacobi.liealg.algebra_ops`).  It keeps the Psi pairs used
+last, ``psi``'s free ones and ``eval``'s in each algebra's matrices, by
+table content and letters, as :mod:`qjacobi.psiengine` sets out; a
+longer request resumes a kept pair and checks psi * psi_inv = 1 on the
+extended pair, so every served coefficient has passed that check in
+this process.  Tables and algebra files are read and validated on every
+call.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .hseries import SeriesError
 from .liealg import (
     AlgebraError,
     algebra_ops,
-    eval_series,
     spectral_report,
     structure_report,
     verify_classical,
@@ -47,7 +47,7 @@ from .liealg import (
 )
 from .matrices import MatrixError
 from .ncalg import ScalarError, WordError
-from .psiengine import EngineError, compute_psi
+from .psiengine import EngineError, compute_psi, compute_psi_in
 from .transport import TransportError, verify_identity
 
 __all__ = ["main"]
@@ -93,7 +93,7 @@ def cmd_eval(args) -> int:
     table = load_table(args.table)
     # A bad algebra file exits before any work on Ψ; a bad table first.
     ops = algebra_ops(args.algebra)
-    series = eval_series(compute_psi(table, args.order).psi, ops)
+    series = compute_psi_in(table, args.order, ops.Omega12, ops.Omega23).psi
     if args.format == "json":
         doc = {
             "algebra": ops.alg.name,

@@ -464,8 +464,9 @@ def verify_sigma_rmatrix(ops: TensorOps, order: int) -> Report:
 
 
 def eval_series(series: HSeries, ops: TensorOps) -> HSeries:
-    """Evaluate a series over the letters O12, O23 on the triple tensor
-    space of an algebra, where O12 is Omega (x) 1 and O23 is 1 (x) Omega."""
+    """Evaluate a free series over O12, O23 word by word on the triple
+    tensor space, O12 as Omega (x) 1 and O23 as 1 (x) Omega: the tests'
+    oracle for :func:`~qjacobi.psiengine.compute_psi_in`."""
     letters = {"O12": ops.Omega12, "O23": ops.Omega23}
     out = []
     for coeff in series.coeffs:

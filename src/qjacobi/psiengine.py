@@ -1,8 +1,11 @@
 """Inductive computation of the associator correction series.
 
-The series psi and its inverse live over the two-letter alphabet O12,
-O23.  With G_k the block ``alpha(E_k)`` with psi, psi_inv, O12 and O23
-put in for its letters Z, Zinv, C and D, the pair is the solution of
+The series psi and its inverse are series in two letters O12, O23, and
+one recursion fixes them in any ring the letters live in: the free
+algebra (:func:`compute_psi`) or an algebra's matrices
+(:func:`compute_psi_in`, which ``eval`` runs).  With G_k the block
+``alpha(E_k)`` with psi, psi_inv, O12 and O23 put in for its letters Z,
+Zinv, C and D, the pair is the solution of
 
     psi = 1 - sum_k h^k psi G_k,        psi_inv = 1 + sum_k h^k G_k
 
@@ -18,14 +21,15 @@ coefficient by coefficient, with ``s[j]`` the coefficient of h^j of s:
 the last being the series inverse, as psi_inv[1] = 0.  G_k[m] and Y[m]
 read Y, psi and psi_inv only up to h^m, as every image starts at h^0.
 As k >= 2, the coefficient h^j of the pair reads Y and every G_k only up
-to h^(j-2).  So :func:`compute_psi` computes each coefficient once, from
+to h^(j-2).  So the engine computes each coefficient once, from
 the lower ones, in one forward pass from psi[0] = psi_inv[0] = 1, with
 no fixed-point iteration: the "relaxed" evaluation of a recursive power
 series (van der Hoeven, *Relax, but don't be too lazy*, 2002).  Step j
 appends Y[j - 2] to the list the blocks share, then extends them: each
 is a :class:`~qjacobi.ncalg.WordEvaluator` with O12 a constant and Y a
 series.  With the products psi_inv[i] O23 kept, Y[n] and psi[j] are one
-``dot`` each.
+``dot`` each; a product by psi[0] = psi_inv[0] = 1 is added as its
+other factor, not multiplied.
 
 :meth:`PsiPair.validate` checks the arithmetic with one product.  In the
 ring of series modulo h^N, a series whose constant term is 1 is a unit,
@@ -37,14 +41,15 @@ every coefficient the engine reads is one of the final pair, and
 (a mod h^m)(b mod h^m) = ab mod h^m: the psi and psi_inv behind Y[n]
 are mutually inverse modulo h^(n+1).
 
-The pair depends on the table's nonzero entries alone, and the pass is
-online: the pair modulo h^N is the first N coefficients of the pair
-modulo any higher order.  So a process keeps one engine per table
-content (the degree -> entry map), with its pair, Y, its blocks' word
-evaluators and the order it reached, for the :data:`CACHED_TABLES` tables
-used last; using one more table forgets the one used longest ago.
-:func:`compute_psi` validates the table on every call, resumes that
-table's pass only past the order already reached, and runs the pair
+The pair depends on the table's nonzero entries and the two letters
+alone, and the pass is online: the pair modulo h^N is the first N
+coefficients of the pair modulo any higher order.  So a process keeps
+one engine per table content (the degree -> entry map) and letters,
+compared by value, with its pair, Y, its blocks' word evaluators and the
+order it reached, for the :data:`CACHED_TABLES` engines used last, free
+and matrix ones alike; using one more forgets the one used longest ago.
+:func:`compute_psi_in` validates the table on every call, resumes that
+engine's pass only past the order already reached, and runs the pair
 check on the extended pair each time it grows; an engine whose pass or
 check fails is dropped before the error propagates.  So every
 coefficient served has passed the check in this process.
@@ -59,7 +64,7 @@ from .deformation import EkTable, TableError, validate_table
 from .hseries import HSeries
 from .ncalg import Alphabet, NCPoly, WordEvaluator
 
-__all__ = ["EngineError", "PSI_ALPHABET", "PsiPair", "compute_psi"]
+__all__ = ["EngineError", "PSI_ALPHABET", "PsiPair", "compute_psi", "compute_psi_in"]
 
 logger = logging.getLogger(__name__)
 
@@ -80,9 +85,9 @@ class PsiPair:
     table_id: str
 
     def validate(self) -> None:
-        """Check the orders, the start of psi and psi * psi_inv = 1; the
-        module docstring says what that one product settles."""
-        one = NCPoly.one(PSI_ALPHABET)
+        """Check the orders, the start of psi and psi * psi_inv = 1 in psi's
+        ring; the module docstring says what that one product settles."""
+        one = self.psi.coeffs[0].ring_one()
         for name, series in (("psi", self.psi), ("psi_inv", self.psi_inv)):
             if series.order != self.order:
                 raise EngineError(f"{name} has order {series.order}, expected {self.order}")
@@ -95,7 +100,8 @@ class PsiPair:
 
 
 class _Engine:
-    """The pair of one table content, resumable past the order reached.
+    """The pair of one table content in the ring of the letters ``o12``
+    and ``o23``, resumable past the order reached.
 
     ``entries`` lists the table's nonzero (degree, entry) pairs by
     degree; a block joins once the pass reaches its degree, the first
@@ -103,13 +109,13 @@ class _Engine:
     coefficients of Y, and ``left`` keeps the products psi_inv[i] * O23.
     """
 
-    def __init__(self, entries: tuple):
-        self.one = one = NCPoly.one(PSI_ALPHABET)
-        self.o23 = NCPoly.letter(PSI_ALPHABET, "O23")
+    def __init__(self, entries: tuple, o12, o23):
+        self.one = one = o12.ring_one()
+        self.o23 = o23
         self.entries = entries
         self.psi, self.psi_inv = [one], [one]
         self.left, self.y = [], []
-        self.images = {"A": NCPoly.letter(PSI_ALPHABET, "O12"), "B": self.y}
+        self.images = {"A": o12, "B": self.y}
         self.blocks: list[tuple[int, WordEvaluator]] = []
 
     def extend(self, order: int) -> None:
@@ -119,26 +125,37 @@ class _Engine:
         blocks += [(k, WordEvaluator(p, self.images, one)) for k, p in self.entries if start <= k < order]
         for j in range(start, order):
             # psi and psi_inv are known below h^j; Y gains its h^(j-2)
-            # entry, then G_k its h^(j-k) entry.
+            # entry, then G_k its h^(j-k) entry.  A product by psi[0] =
+            # psi_inv[0] = 1 is taken as its other factor.
             if j >= 2:
-                left.append(psi_inv[j - 2] * self.o23)
-                y.append(one.dot([(x, psi[j - 2 - i]) for i, x in enumerate(left)]))
+                left.append(psi_inv[j - 2] * self.o23 if j > 2 else self.o23)
+                y.append(left[-1] + one.dot([(x, psi[j - 2 - i]) for i, x in enumerate(left[:-1])]))
             psi_inv.append(one.lincomb([(1, block.extend(j - k)[j - k]) for k, block in blocks if k <= j]))
-            psi.append(-one.dot([(psi[i], psi_inv[j - i]) for i in range(j - 1)]))
+            rest = one.dot([(psi[i], psi_inv[j - i]) for i in range(1, j - 1)])
+            psi.append(one.lincomb([(-1, psi_inv[j]), (-1, rest)]))
 
 
-# Table content -> its engine, the one used last at the end.
+# (table content, O12, O23) -> its engine, the one used last at the end.
 CACHED_TABLES = 8
 _engines: dict[tuple, _Engine] = {}
+_FREE_LETTERS = (NCPoly.letter(PSI_ALPHABET, "O12"), NCPoly.letter(PSI_ALPHABET, "O23"))
 
 
 def compute_psi(table: EkTable, order: int) -> PsiPair:
-    """Compute the pair modulo h^order from a coefficient table.
+    """Compute the pair modulo h^order from a coefficient table, over
+    the free letters O12, O23.
 
     Table degrees absent from 2..order-1 contribute nothing; they are
     treated as zero coefficients and logged.  The table's engine is kept
     for later calls; the module docstring says how.
     """
+    return compute_psi_in(table, order, *_FREE_LETTERS)
+
+
+def compute_psi_in(table: EkTable, order: int, o12, o23) -> PsiPair:
+    """The pair of :func:`compute_psi` in the ring of the images ``o12``
+    and ``o23`` of the letters, computed there and not in the free
+    algebra."""
     if order < 2:
         raise ValueError(f"order must be at least 2, got {order}")
     diagnostics = validate_table(table)
@@ -158,10 +175,11 @@ def compute_psi(table: EkTable, order: int) -> PsiPair:
             ", ".join(missing),
         )
 
-    key = tuple((k, table.entries[k]) for k in degrees)
+    entries = tuple((k, table.entries[k]) for k in degrees)
+    key = (entries, o12, o23)
     # Taken out while it runs, so an engine whose pass or check fails is
     # not put back: the whole pair of a cached engine has been checked.
-    engine = _engines.pop(key, None) or _Engine(key)
+    engine = _engines.pop(key, None) or _Engine(entries, o12, o23)
     grows = len(engine.psi) < order
     engine.extend(order)
     pair = PsiPair(HSeries(engine.psi[:order]), HSeries(engine.psi_inv[:order]), order, table.source)

@@ -74,6 +74,19 @@ def fresh_psi(table: EkTable, order: int):
     return compute_psi(table, order)
 
 
+def negate_psi_below_the_top(monkeypatch):
+    """Make every engine pass end by negating psi's coefficient of
+    h^(order - 2), in any ring; where it is nonzero, as h^4 of the
+    built-in pair modulo h^6 is, psi * psi_inv = 1 then fails."""
+    extend = psiengine._Engine.extend
+
+    def corrupted(engine, order):
+        extend(engine, order)
+        engine.psi[order - 2] = -engine.psi[order - 2]
+
+    monkeypatch.setattr(psiengine._Engine, "extend", corrupted)
+
+
 def oracle_psi(table: EkTable, order: int):
     """Fixed-point iteration for the pair at full order.
 

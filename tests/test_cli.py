@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import empty_psi_cache, fresh_psi
+from helpers import empty_psi_cache, fresh_psi, negate_psi_below_the_top
 
 from qjacobi import cli
 
@@ -95,6 +95,10 @@ def test_eval_constants_text_golden(capsys):
     assert out.encode("utf-8") == (GOLDEN / "eval_sl2_o4_constants.txt").read_bytes()
 
 
+# `eval --algebra algebra_sl2xsl2.json --order 4 --table table_constants.json`
+SL2XSL2_EVAL_DIGEST = "15999e480a575590c8d04385a7071ab8ddd2955464ecaeef44f9f465f38ac710"
+
+
 def test_eval_constants_on_algebra_file_digest(capsys):
     # A non-preset algebra with two formal constants: the h^3 coefficient
     # has ipi and zeta parts, so products join nonempty monomials.  The
@@ -103,9 +107,7 @@ def test_eval_constants_on_algebra_file_digest(capsys):
     algebra = str(GOLDEN / "algebra_sl2xsl2.json")
     code, out = run_cli(capsys, "eval", "--algebra", algebra, "--order", "4", "--table", table)
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "15999e480a575590c8d04385a7071ab8ddd2955464ecaeef44f9f465f38ac710"
-    )
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SL2XSL2_EVAL_DIGEST
 
 
 def test_verify_transport_json_golden(capsys):
@@ -212,10 +214,11 @@ def test_internal_invariant_failure_exits_4(capsys, monkeypatch, command, error)
     module, _, name = error.rpartition(".")
     exc_type = getattr(importlib.import_module(module), name)
 
-    def broken(table, order):
+    def broken(table, order, *letters):
         raise exc_type("pair is not mutually inverse at the stated order")
 
-    monkeypatch.setattr(cli, "compute_psi", broken)
+    # psi computes the free pair, eval the pair in the algebra.
+    monkeypatch.setattr(cli, "compute_psi_in" if command[0] == "eval" else "compute_psi", broken)
     code = cli.main(list(command))
     captured = capsys.readouterr()
     assert code == 4
@@ -266,10 +269,10 @@ def test_eval_bad_table_exits_3(capsys, tmp_path):
 def test_eval_reads_the_algebra_before_computing_psi(capsys, monkeypatch, tmp_path):
     # A bad algebra file exits 3 without any work on Ψ; a bad table is
     # still read first, so its error wins.
-    def forbidden(table, order):
-        raise AssertionError("compute_psi ran before the algebra was read")
+    def forbidden(table, order, o12, o23):
+        raise AssertionError("compute_psi_in ran before the algebra was read")
 
-    monkeypatch.setattr(cli, "compute_psi", forbidden)
+    monkeypatch.setattr(cli, "compute_psi_in", forbidden)
     algebra = tmp_path / "algebra.json"
     algebra.write_text(json.dumps({"dim": 0, "basis": [], "brackets": []}))
     code = cli.main(["eval", "--order", "12", "--algebra", str(algebra)])
@@ -686,6 +689,55 @@ def test_table_file_is_read_on_every_call(capsys, tmp_path):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: degree 2 entry is not homogeneous")
+
+
+def test_an_algebra_file_rewritten_between_evals_gives_the_new_algebras_bytes(capsys, tmp_path):
+    # The engine is kept by the letters' content, not by the file's path.
+    from qjacobi.liealg import algebra_to_json, build_algebra
+
+    path, table = tmp_path / "algebra.json", str(GOLDEN / "table_constants.json")
+    argv = ["eval", "--algebra", str(path), "--order", "4", "--table", table]
+    path.write_text(json.dumps(algebra_to_json(build_algebra("sl2"))))
+    assert run_cli(capsys, *argv) == (0, (GOLDEN / "eval_sl2_o4_constants.txt").read_text())
+    path.write_text((GOLDEN / "algebra_sl2xsl2.json").read_text())
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SL2XSL2_EVAL_DIGEST
+
+
+def test_psi_and_eval_on_each_algebra_keep_separate_engines(capsys):
+    from qjacobi import psiengine
+    from qjacobi.liealg import algebra_ops
+
+    empty_psi_cache()
+    for argv in (["psi"], ["eval", "--algebra", "sl2"], ["eval", "--algebra", "sl3"]):
+        code, _ = run_cli(capsys, *argv, "--order", "4")
+        assert code == 0
+    letters = [key[1:] for key in psiengine._engines]
+    assert letters == [
+        psiengine._FREE_LETTERS,
+        (algebra_ops("sl2").Omega12, algebra_ops("sl2").Omega23),
+        (algebra_ops("sl3").Omega12, algebra_ops("sl3").Omega23),
+    ]
+    assert len({key[0] for key in psiengine._engines}) == 1
+
+
+def test_a_pair_in_the_algebra_that_fails_its_check_exits_4_and_is_not_kept(capsys, monkeypatch):
+    from qjacobi import psiengine
+
+    argv = ["eval", "--algebra", "sl2", "--order", "6"]
+    empty_psi_cache()
+    expected = run_cli(capsys, *argv)
+    empty_psi_cache()
+    negate_psi_below_the_top(monkeypatch)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: internal invariant failed: pair is not mutually inverse at the stated order\n"
+    assert psiengine._engines == {}
+    monkeypatch.undo()
+    assert run_cli(capsys, *argv) == expected
 
 
 def test_in_process_calls_match_fresh_processes(capsys, monkeypatch):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import empty_psi_cache, fresh_psi, random_homogeneous_table
 
 import qjacobi.matrices
 from qjacobi.hseries import HSeries
@@ -26,7 +27,7 @@ from qjacobi.liealg import (
 from qjacobi.liealg import _poly_divide_linear, _sl_n
 from qjacobi.matrices import MatrixError, SparseMatrix, kron
 from qjacobi.ncalg import NCPoly, Scalar
-from qjacobi.psiengine import PSI_ALPHABET, compute_psi
+from qjacobi.psiengine import PSI_ALPHABET, compute_psi, compute_psi_in
 from qjacobi.deformation import builtin_table
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -762,3 +763,53 @@ def test_eval_series_alphabet_mismatch(sl2_ops):
     series = HSeries.unit(NCPoly.one(other), 2)
     with pytest.raises(ValueError):
         eval_series(series, sl2_ops)
+
+
+# -- the Psi engine on the algebra's letters against free-then-evaluate ----------
+
+# Each random table carries ipi and the user constant zeta.
+_ORACLE_TABLES = {
+    "builtin": builtin_table,
+    "random-1": lambda: random_homogeneous_table(random.Random(1), max_degree=5, max_terms=3, constants=("zeta", "ipi")),
+    "random-4": lambda: random_homogeneous_table(random.Random(4), max_degree=5, max_terms=3, constants=("ipi", "zeta")),
+}
+_ORACLE_ORDERS = {"sl2": range(2, 13), "sl3": (4, 6)}
+
+
+def _oracle_table(name):
+    table = _ORACLE_TABLES[name]()
+    if name != "builtin":
+        found = {c for entry in table.entries.values() for _, coeff in entry.sorted_terms() for c in coeff.constants()}
+        assert found == {"ipi", "zeta"}, found
+    return table
+
+
+@pytest.mark.parametrize("algebra", _ORACLE_ORDERS)
+@pytest.mark.parametrize("name", _ORACLE_TABLES)
+def test_the_pair_in_the_algebra_is_the_free_pair_evaluated(name, algebra):
+    # Two independent routes: the free pair multiplied out word by word,
+    # and the engine run on the matrices of O12 and O23, each from an
+    # empty cache.
+    table, ops = _oracle_table(name), algebra_ops(algebra)
+    for order in _ORACLE_ORDERS[algebra]:
+        free = fresh_psi(table, order)
+        empty_psi_cache()
+        pair = compute_psi_in(table, order, ops.Omega12, ops.Omega23)
+        assert pair.psi == eval_series(free.psi, ops), order
+        assert pair.psi_inv == eval_series(free.psi_inv, ops), order
+    empty_psi_cache()
+
+
+@pytest.mark.parametrize("algebra", _ORACLE_ORDERS)
+@pytest.mark.parametrize("name", _ORACLE_TABLES)
+def test_a_pair_in_the_algebra_resumed_over_ascending_orders_equals_a_fresh_one(name, algebra):
+    table, ops = _oracle_table(name), algebra_ops(algebra)
+    letters = (ops.Omega12, ops.Omega23)
+    fresh = {}
+    for order in _ORACLE_ORDERS[algebra]:
+        empty_psi_cache()
+        fresh[order] = compute_psi_in(table, order, *letters)
+    empty_psi_cache()
+    for order in _ORACLE_ORDERS[algebra]:
+        assert compute_psi_in(table, order, *letters) == fresh[order], order
+    empty_psi_cache()

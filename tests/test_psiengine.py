@@ -8,7 +8,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from helpers import empty_psi_cache, fresh_psi, oracle_alpha_product, oracle_psi, random_homogeneous_table
+from helpers import (
+    empty_psi_cache,
+    fresh_psi,
+    negate_psi_below_the_top,
+    oracle_alpha_product,
+    oracle_psi,
+    random_homogeneous_table,
+)
 
 from qjacobi import cli, psiengine
 from qjacobi.deformation import AB_ALPHABET, EkTable, alpha, builtin_table
@@ -268,9 +275,9 @@ def test_a_failed_check_drops_the_engine(cold_cache, monkeypatch, capsys):
     expected = fresh_psi(builtin_table(), 6)
     empty_psi_cache()
     compute_psi(builtin_table(), 3)
-    # Negation builds only psi's new coefficients, so psi_inv stays right
-    # and psi * psi_inv = 1 fails once a nonzero coefficient is negated.
-    monkeypatch.setattr(NCPoly, "__neg__", lambda self: self)
+    # The pass negates psi's h^4 coefficient, its last nonzero one below
+    # h^6, so psi * psi_inv = 1 fails.
+    negate_psi_below_the_top(monkeypatch)
     with pytest.raises(EngineError, match="not mutually inverse"):
         compute_psi(builtin_table(), 6)
     assert cli.main(["psi", "--order", "6"]) == 4
@@ -358,8 +365,11 @@ def test_each_engine_block_equals_the_alpha_block_over_the_finished_pair(name, c
         assert block.image == expected.image, k
 
 
-def test_the_engine_makes_88_products_on_the_builtin_table_at_order_14(cold_cache, monkeypatch):
-    # Nonempty product pairs, the pair check's included.  With each block
+def test_the_engine_makes_75_products_on_the_builtin_table_at_order_14(cold_cache, monkeypatch):
+    # Nonempty product pairs, the pair check's included.  Multiplying by
+    # psi[0] = psi_inv[0] = 1 where the engine now adds the other factor,
+    # the same call made 88 (1 * O23, left[n] * psi[0] in each Y[n] and
+    # psi[0] * psi_inv[j] in each psi[j]).  With each block
     # evaluated over alpha's words, with psi and psi_inv put in for Z and
     # Zinv, the same call made 115; with one coefficient list per prefix
     # of each block's words, in place of the word evaluator's suffix
@@ -374,7 +384,7 @@ def test_the_engine_makes_88_products_on_the_builtin_table_at_order_14(cold_cach
 
     monkeypatch.setattr(LinearCombination, "dot", counted)
     compute_psi(builtin_table(), 14)
-    assert sum(products) == 88
+    assert sum(products) == 75
 
 
 def test_degree_bound():
