@@ -197,9 +197,13 @@ def _sum_parts(groups: dict[Monomial, list[tuple[int, list]]], kernel: Callable[
 
 
 class SparseMatrix(Ring):
-    """An immutable exact matrix; zero entries are never stored."""
+    """An immutable exact matrix; zero entries are never stored.
 
-    __slots__ = ("rows", "cols", "_parts")
+    The parts are set when the matrix is built and never written after,
+    so the first ``hash()`` keeps its value in ``_hash``.
+    """
+
+    __slots__ = ("rows", "cols", "_parts", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[tuple[int, int, ScalarLike]] = ()):
         if rows < 1 or cols < 1:
@@ -223,6 +227,7 @@ class SparseMatrix(Ring):
                     data.setdefault(i, {})[j] = v
                 parts[mono] = (den, data)
         self._parts = parts
+        self._hash = None
 
     @classmethod
     def _of(cls, rows: int, cols: int, parts: Parts) -> "SparseMatrix":
@@ -230,6 +235,7 @@ class SparseMatrix(Ring):
         out.rows = rows
         out.cols = cols
         out._parts = parts
+        out._hash = None
         return out
 
     @classmethod
@@ -347,11 +353,13 @@ class SparseMatrix(Ring):
         return (self.rows, self.cols) == (other.rows, other.cols) and self._parts == other._parts
 
     def __hash__(self):
-        parts = tuple(sorted(
-            (mono, den, tuple(sorted((i, tuple(sorted(row.items()))) for i, row in rows.items())))
-            for mono, (den, rows) in self._parts.items()
-        ))
-        return hash((self.rows, self.cols, parts))
+        if self._hash is None:
+            parts = tuple(sorted(
+                (mono, den, tuple(sorted((i, tuple(sorted(row.items()))) for i, row in rows.items())))
+                for mono, (den, rows) in self._parts.items()
+            ))
+            self._hash = hash((self.rows, self.cols, parts))
+        return self._hash
 
     def first_difference(self, other: "SparseMatrix"):
         """Smallest (row, col, here, there) where the matrices differ."""

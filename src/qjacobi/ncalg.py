@@ -20,7 +20,11 @@ Those loops multiply and add integers only; a ``Fraction`` or
 :class:`Scalar` is built only where a caller reads a coefficient
 (``coeff``, ``sorted_terms``, ``to_text``), never inside ``+``, ``*``,
 ``scale``, ``lincomb`` or ``dot``.  :class:`Scalar` itself keeps plain
-``Fraction`` arithmetic: it is the public coefficient type.
+``Fraction`` arithmetic: it is the public coefficient type.  A store is
+never written after its combination is built, so each combination
+computes its hash and its text once and keeps them; text rendered inside
+``cli.main``, which lifts the limit on int/str conversion, is later
+served from that cache with no integer converted again.
 
 :class:`Ring` is the base class of every ring of the package, and its
 docstring states the ring protocol.
@@ -392,7 +396,11 @@ class LinearCombination(Ring):
     and ``_den`` is the shared denominator, so the coefficient of a key
     is ``_terms[key] / _den``.  The pair is kept in lowest terms (the
     gcd of ``_den`` and every numerator is 1; the zero combination has
-    ``_den == 1``), so equality and hashing are structural.
+    ``_den == 1``), so equality and hashing are structural.  Only
+    ``_set`` writes the store, while the object is being built (``_store``
+    in ``__init__``, and the results ``lincomb`` and ``dot`` build), never
+    after it is returned; it clears ``_hash`` and ``_text``, which the
+    first ``hash()`` and ``to_text()`` fill.
     ``lincomb`` and ``dot`` run on the integers only and reduce each
     result once; the rest of the :class:`Ring` arithmetic comes from
     them.  ``Fraction`` and :class:`Scalar` values are built only where
@@ -406,7 +414,7 @@ class LinearCombination(Ring):
     words hold factors, overrides ``_word_key`` and ``_word_text``.
     """
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_terms", "_den", "_hash", "_text")
 
     @staticmethod
     def _word_key(word: tuple):
@@ -416,11 +424,18 @@ class LinearCombination(Ring):
     def _word_text(word: tuple) -> str:
         return ".".join(word)
 
+    def _set(self, terms: dict, den: int):
+        """Write the store of an object being built, clear its cache and
+        return the object."""
+        self._terms, self._den = terms, den
+        self._hash = self._text = None
+        return self
+
     def _store(self, terms, stored_word) -> None:
         """Set the store from (word, coefficient) pairs or a mapping;
         ``stored_word`` checks a word and returns the form it is kept in."""
         if not terms:
-            self._terms, self._den = {}, 1
+            self._set({}, 1)
             return
         fracs: dict = {}
         for word, coeff in terms.items() if isinstance(terms, Mapping) else terms:
@@ -433,7 +448,7 @@ class LinearCombination(Ring):
                     # build and reduce a Fraction.
                     held = fracs.get(key)
                     fracs[key] = frac if held is None else held + frac
-        self._terms, self._den = _integral(fracs)
+        self._set(*_integral(fracs))
 
     def _check_same(self, other: "LinearCombination") -> None:
         mine, theirs = self._space(), other._space()
@@ -473,10 +488,8 @@ class LinearCombination(Ring):
             if type(c) is int and (c == 1 or c == -1) and type(x) is type(self):
                 if x is not self:
                     self._check_same(x)
-                out = self.ring_zero()
-                out._terms = dict(x._terms) if c == 1 else {key: -v for key, v in x._terms.items()}
-                out._den = x._den
-                return out
+                terms = dict(x._terms) if c == 1 else {key: -v for key, v in x._terms.items()}
+                return self.ring_zero()._set(terms, x._den)
         stores = []
         for c, x in pairs:
             if type(x) is not type(self):
@@ -489,9 +502,7 @@ class LinearCombination(Ring):
                 if fmono:
                     nums = {(word, _mono_mul(mono, fmono)): v for (word, mono), v in nums.items()}
                 stores.append((nums, x._den * fden, fv))
-        out = self.ring_zero()
-        out._terms, out._den = _sum(stores)
-        return out
+        return self.ring_zero()._set(*_sum(stores))
 
     def dot(self, pairs):
         """The sum of ``a * b`` over the (a, b) pairs, merged once over
@@ -527,8 +538,7 @@ class LinearCombination(Ring):
                     # _mono_mul, with its empty-monomial cases inline.
                     key = (w1 + w2, m2 if not m1 else m1 if not m2 else _mono_mul(m1, m2))
                     acc[key] = get(key, 0) + c1 * c2
-        out._terms, out._den = _lowest(acc, common)
-        return out
+        return out._set(*_lowest(acc, common))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -536,12 +546,16 @@ class LinearCombination(Ring):
         return self._space() == other._space() and self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self._space(), self._den, frozenset(self._terms.items())))
+        if self._hash is None:
+            self._hash = hash((self._space(), self._den, frozenset(self._terms.items())))
+        return self._hash
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_text()})"
 
     def to_text(self) -> str:
+        if self._text is not None:
+            return self._text
         if not self._terms:
             return "0"
         word_key, word_text, den = self._word_key, self._word_text, self._den
@@ -561,7 +575,8 @@ class LinearCombination(Ring):
             elif head != "1":
                 body = f"{head}*{body}"
             parts.append((v < 0, body))
-        return _join_signed(parts)
+        self._text = _join_signed(parts)
+        return self._text
 
 
 class NCPoly(LinearCombination):

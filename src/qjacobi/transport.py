@@ -150,32 +150,15 @@ def _word_type(word: tuple[str, ...]) -> tuple[int, int]:
 
 
 class ClassicalPoly(LinearCombination):
-    """A polynomial of typed classical composition words.
+    """A polynomial of typed classical composition words."""
 
-    Image blocks are hashed with every factor tuple that holds them and
-    rendered with every term that sorts them, so a polynomial keeps its
-    hash and its text once computed.  Its store is set when it is built
-    and never changed after it is read.
-    """
-
-    __slots__ = ("dom", "cod", "_hash", "_text")
+    __slots__ = ("dom", "cod")
     _error = TransportError
 
     def __init__(self, dom: int, cod: int, terms=None):
         self.dom = dom
         self.cod = cod
-        self._hash = self._text = None
         self._store(terms, self._typed)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = super().__hash__()
-        return self._hash
-
-    def to_text(self) -> str:
-        if self._text is None:
-            self._text = super().to_text()
-        return self._text
 
     def _typed(self, word: Sequence[str]) -> tuple[str, ...]:
         word = tuple(word)

@@ -784,6 +784,23 @@ def test_in_process_calls_match_fresh_processes(capsys, monkeypatch):
     assert sorted({code for code, _, _ in fresh.values()}) == [0, 2, 3]
 
 
+def test_kept_coefficients_print_from_their_cached_texts_as_fresh_ones(capsys):
+    # The order 10 call renders and keeps the text of every coefficient
+    # of the built-in pair; the order 6 call prints the same coefficients
+    # again from those texts, and eval then runs in the same process.
+    empty_psi_cache()
+    calls = [
+        ["psi", "--order", "10"],
+        ["psi", "--order", "6", "--format", "json"],
+        ["eval", "--algebra", "sl2", "--order", "4", "--format", "json"],
+    ]
+    outputs = [run_cli(capsys, *argv) for argv in calls]
+    for argv, (code, out) in zip(calls[:2], outputs):
+        fresh = subprocess.run([sys.executable, "-m", "qjacobi", *argv], capture_output=True, text=True, check=True)
+        assert (code, out) == (0, fresh.stdout), argv
+    assert outputs[2] == (0, (GOLDEN / "eval_sl2_o4.json").read_text())
+
+
 def test_each_path_of_one_table_content_names_itself(capsys, tmp_path):
     # The two files and the built-in table share one engine; each call
     # still reports the table it was given.

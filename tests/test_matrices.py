@@ -187,6 +187,22 @@ def _pairs(draw, same_shape):
     return a, draw(_matrices(rows, cols))
 
 
+@settings(max_examples=60, deadline=None)
+@given(_pairs(same_shape=True))
+def test_equal_matrices_built_two_ways_hash_equal_whichever_is_hashed_first(pair):
+    # A matrix keeps its first hash: one built by the constructor and one
+    # by lincomb must agree, whichever computes its hash first.  The
+    # operands are hashed first, so a result that kept an operand's hash
+    # shows here.
+    a, b = pair
+    hash(a), hash(b)
+    for first in (0, 1):
+        built = (SparseMatrix(a.rows, a.cols, [*a.items(), *b.items()]), a + b)
+        assert built[0] == built[1]
+        key = hash(built[first])
+        assert hash(built[1 - first]) == key and hash(built[first]) == key
+
+
 @settings(max_examples=80, deadline=None)
 @given(_pairs(same_shape=True), _scalars)
 def test_kernel_linear_ops_match_reference(pair, s):

@@ -420,21 +420,23 @@ _kernel_scalars = st.builds(
 )
 
 
+def _draw_kernel_element(data, units):
+    """A sum of scaled units and products of two units, built by + and
+    scale."""
+    terms = st.lists(st.tuples(st.lists(st.sampled_from(units), min_size=1, max_size=2), _kernel_scalars), max_size=4)
+    out = units[0].ring_zero()
+    for factors, c in data.draw(terms):
+        word = factors[0] if len(factors) == 1 else factors[0] * factors[1]
+        out = out + word.scale(c)
+    return out
+
+
 @pytest.mark.parametrize("ring", sorted(_KERNEL_RINGS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_store_stays_in_lowest_terms(ring, data):
     units = _KERNEL_RINGS[ring]()
-    terms = st.lists(st.tuples(st.lists(st.sampled_from(units), min_size=1, max_size=2), _kernel_scalars), max_size=4)
-
-    def build(ts):
-        out = units[0].ring_zero()
-        for factors, c in ts:
-            word = factors[0] if len(factors) == 1 else factors[0] * factors[1]
-            out = out + word.scale(c)
-        return out
-
-    p, q = build(data.draw(terms)), build(data.draw(terms))
+    p, q = _draw_kernel_element(data, units), _draw_kernel_element(data, units)
     s = data.draw(_kernel_scalars)
     results = [p, q, p + q, p - q, -p, p * q, p.scale(s), s * p, p.dot([(p, q), (q, p)]), p.dot([])]
     for x in results:
@@ -459,6 +461,45 @@ def test_store_stays_in_lowest_terms(ring, data):
         assert u.scale(half) + u.scale(half) == u
         assert hash(u.scale(half) + u.scale(half)) == hash(u)
         assert u.scale(half)._den == 2 and (u.scale(half) + u.scale(half))._den == 1
+
+
+def _rebuilt(x):
+    """A copy of ``x`` built by its constructor from its sorted terms."""
+    terms = x.sorted_terms()
+    if isinstance(x, NCPoly):
+        return NCPoly(x.alphabet, terms)
+    if isinstance(x, TransportElement):
+        return TransportElement(x.dom, x.cod, [(c, factors) for factors, c in terms])
+    return type(x)(x.dom, x.cod, terms)
+
+
+@pytest.mark.parametrize("ring", sorted(_KERNEL_RINGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_result_hashes_and_prints_as_its_terms_rebuilt(ring, data):
+    # Each combination keeps its first hash and text.  The operands'
+    # are read first, so a result that kept an operand's cache beside a
+    # new store, or an operand whose store changed, shows here.
+    units = _KERNEL_RINGS[ring]()
+    p, q = _draw_kernel_element(data, units), _draw_kernel_element(data, units)
+    s, t = data.draw(_kernel_scalars), data.draw(st.integers(-3, 3))
+    for x in (p, q, *units):
+        hash(x), x.to_text()
+    results = [
+        p + q, p - q, q - q, -p, p.scale(s), p.scale(Fraction(1, 3)),
+        p.lincomb([(1, q)]), p.lincomb([(-1, q)]), p.lincomb([(s, p), (t, q), (1, p * q)]), p.lincomb([]),
+        p * q, p.dot([(p, q), (q, p), (q, q)]), p.dot([]),
+    ]
+    for x in (p, q, *units, *results):
+        fresh = _rebuilt(x)
+        key, text = hash(x), x.to_text()
+        assert x == fresh and hash(x) == key == hash(fresh)
+        assert x.to_text() == text == fresh.to_text()
+
+
+def test_a_nonzero_polynomial_renders_once():
+    p = poly("1/6*A + 1/4*B")
+    assert p.to_text() is p.to_text()
 
 
 def test_store_is_integer_numerators_over_one_denominator():
