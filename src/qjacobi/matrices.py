@@ -200,7 +200,9 @@ class SparseMatrix(Ring):
     """An immutable exact matrix; zero entries are never stored.
 
     The parts are set when the matrix is built and never written after,
-    so the first ``hash()`` keeps its value in ``_hash``.
+    so the first ``hash()`` keeps its value in ``_hash``.  A pickle or
+    copy leaves it out, since a hash of monomials depends on the
+    process's string hash seed.
     """
 
     __slots__ = ("rows", "cols", "_parts", "_hash")
@@ -237,6 +239,9 @@ class SparseMatrix(Ring):
         out._parts = parts
         out._hash = None
         return out
+
+    def __getstate__(self):
+        return None, {"rows": self.rows, "cols": self.cols, "_parts": self._parts, "_hash": None}
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":

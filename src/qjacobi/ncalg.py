@@ -14,8 +14,11 @@ pair is kept in lowest terms (the gcd of the denominator and all
 numerators is 1), the same representation as the parts of
 :class:`~qjacobi.matrices.SparseMatrix`.  One merge, one scale, one
 product loop and one renderer serve :class:`NCPoly` here and the
-classical polynomials and transport normal forms of ``transport``; the
-subclasses differ only in what a word holds and which operands compose.
+classical polynomials and transport normal forms of ``transport``.  So
+does one type rule: a combination goes from its ``dom`` to its ``cod``,
+two combinations add when both agree, and ``a`` composes after ``b``
+when ``a.dom == b.cod``; an :class:`NCPoly` goes from its alphabet to
+itself.  The subclasses differ only in what a word holds.
 Those loops multiply and add integers only; a ``Fraction`` or
 :class:`Scalar` is built only where a caller reads a coefficient
 (``coeff``, ``sorted_terms``, ``to_text``), never inside ``+``, ``*``,
@@ -389,7 +392,7 @@ class Ring:
 
 
 class LinearCombination(Ring):
-    """A finite exact linear combination of words.
+    """A finite exact linear combination of words, from ``dom`` to ``cod``.
 
     The store is integer numerators over one positive denominator:
     ``_terms`` maps ``(word, constant monomial)`` to a nonzero ``int``
@@ -400,21 +403,25 @@ class LinearCombination(Ring):
     ``_set`` writes the store, while the object is being built (``_store``
     in ``__init__``, and the results ``lincomb`` and ``dot`` build), never
     after it is returned; it clears ``_hash`` and ``_text``, which the
-    first ``hash()`` and ``to_text()`` fill.
+    first ``hash()`` and ``to_text()`` fill; a pickle or copy carries
+    neither, since a hash of words depends on the string hash seed.
     ``lincomb`` and ``dot`` run on the integers only and reduce each
     result once; the rest of the :class:`Ring` arithmetic comes from
     them.  ``Fraction`` and :class:`Scalar` values are built only where
-    a caller reads coefficients.  A word is a tuple, and two words join
-    by concatenation.  Subclasses fix what a word holds through a few
-    hooks: ``ring_zero`` (the empty combination of the same type),
-    ``_space`` (what two operands of ``+`` must share), ``_error`` (the
-    exception for a mismatch) and ``_compose`` (the empty product, once
-    it has checked that the operands compose).  Words sort by length,
-    then as tuples, and print dot-joined; ``TransportElement``, whose
-    words hold factors, overrides ``_word_key`` and ``_word_text``.
+    a caller reads coefficients.
+
+    One type rule serves every subclass: two combinations add when their
+    ``(dom, cod)`` agree, ``a`` composes after ``b`` when ``a.dom ==
+    b.cod`` (``a``'s word first, the product from ``b.dom`` to
+    ``a.cod``), and the unit needs ``dom == cod``.  A mismatch raises
+    the subclass's ``_error``.  A subclass states only what its words
+    hold: the word check its constructor passes to ``_store``.  Words
+    sort by length, then as tuples, and print dot-joined;
+    ``TransportElement``, whose words hold factors, overrides
+    ``_word_key`` and ``_word_text``.
     """
 
-    __slots__ = ("_terms", "_den", "_hash", "_text")
+    __slots__ = ("dom", "cod", "_terms", "_den", "_hash", "_text")
 
     @staticmethod
     def _word_key(word: tuple):
@@ -430,6 +437,16 @@ class LinearCombination(Ring):
         self._terms, self._den = terms, den
         self._hash = self._text = None
         return self
+
+    def _empty(self, dom, cod):
+        """The zero combination of this type from ``dom`` to ``cod``."""
+        out = object.__new__(type(self))
+        out.dom, out.cod = dom, cod
+        return out._set({}, 1)
+
+    def __getstate__(self):
+        return None, {"dom": self.dom, "cod": self.cod, "_terms": self._terms, "_den": self._den,
+                      "_hash": None, "_text": None}
 
     def _store(self, terms, stored_word) -> None:
         """Set the store from (word, coefficient) pairs or a mapping;
@@ -451,9 +468,17 @@ class LinearCombination(Ring):
         self._set(*_integral(fracs))
 
     def _check_same(self, other: "LinearCombination") -> None:
-        mine, theirs = self._space(), other._space()
-        if mine is not theirs and mine != theirs:
+        # A tuple compares its items by identity first.
+        if (self.dom, self.cod) != (other.dom, other.cod):
             raise self._error(f"cannot combine {type(self).__name__} operands of different types")
+
+    def ring_zero(self):
+        return self._empty(self.dom, self.cod)
+
+    def ring_one(self):
+        if self.dom != self.cod:
+            raise self._error(f"a {type(self).__name__} has a unit only from a space to itself")
+        return self._empty(self.dom, self.cod)._set({((), ()): 1}, 1)
 
     @property
     def is_zero(self) -> bool:
@@ -507,25 +532,22 @@ class LinearCombination(Ring):
     def dot(self, pairs):
         """The sum of ``a * b`` over the (a, b) pairs, merged once over
         the lcm of the pair denominators; the ring zero when there are
-        none.  Each pair's words join by concatenation, ``_compose``
-        checks each pair, and all products must share one space."""
-        out = spaces = None
+        none.  Each ``a`` must compose after its ``b``, and all products
+        must go between the same spaces."""
+        space = None
         products = []
         for a, b in pairs:
             if type(a) is not type(self) or type(b) is not type(self):
                 raise TypeError(f"{type(self).__name__}.dot needs {type(self).__name__} operands")
-            # A pair over the same spaces as the one before composes
-            # alike, so only a change of spaces is composed and checked.
-            if (a._space(), b._space()) != spaces:
-                spaces = (a._space(), b._space())
-                prod = a._compose(b)
-                if out is None:
-                    out = prod
-                else:
-                    out._check_same(prod)
+            if a.dom is not b.cod and a.dom != b.cod:
+                raise self._error(f"cannot compose {type(self).__name__} operands whose types do not meet")
+            if space is None:
+                space = (b.dom, a.cod)
+            elif (b.dom, a.cod) != space:
+                raise self._error(f"the {type(self).__name__} products of one dot go between different spaces")
             if a._terms and b._terms:
                 products.append((a._terms.items(), b._terms.items(), a._den * b._den))
-        if out is None:
+        if space is None:
             return self.ring_zero()
         common = lcm(*(den for *_, den in products))
         acc: dict = {}
@@ -538,16 +560,16 @@ class LinearCombination(Ring):
                     # _mono_mul, with its empty-monomial cases inline.
                     key = (w1 + w2, m2 if not m1 else m1 if not m2 else _mono_mul(m1, m2))
                     acc[key] = get(key, 0) + c1 * c2
-        return out._set(*_lowest(acc, common))
+        return self._empty(*space)._set(*_lowest(acc, common))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._space() == other._space() and self._den == other._den and self._terms == other._terms
+        return (self.dom, self.cod, self._den, self._terms) == (other.dom, other.cod, other._den, other._terms)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._space(), self._den, frozenset(self._terms.items())))
+            self._hash = hash((self.dom, self.cod, self._den, frozenset(self._terms.items())))
         return self._hash
 
     def __repr__(self):
@@ -581,19 +603,23 @@ class LinearCombination(Ring):
 
 class NCPoly(LinearCombination):
     """Finite linear combination of words with exact coefficients, over a
-    fixed alphabet."""
+    fixed alphabet: a combination from the alphabet to itself."""
 
-    __slots__ = ("alphabet",)
+    __slots__ = ()
     _error = WordError
 
     def __init__(self, alphabet: Alphabet, terms=None):
-        self.alphabet = alphabet
+        self.dom = self.cod = alphabet
         self._store(terms, self._checked)
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.dom
 
     def _checked(self, word: Iterable[str]) -> tuple[str, ...]:
         word = tuple(word)
         for letter in word:
-            if letter not in self.alphabet._letter_set:
+            if letter not in self.dom._letter_set:
                 raise WordError(f"unknown letter {letter!r}")
         return word
 
@@ -624,20 +650,6 @@ class NCPoly(LinearCombination):
         if len(lengths) > 1:
             return False
         return degree is None or not lengths or lengths == {degree}
-
-    def _space(self):
-        return self.alphabet
-
-    def _compose(self, other: "NCPoly"):
-        self._check_same(other)
-        return self.ring_zero()
-
-    # Ring protocol used by hseries coefficients.
-    def ring_one(self) -> "NCPoly":
-        return NCPoly.one(self.alphabet)
-
-    def ring_zero(self) -> "NCPoly":
-        return NCPoly(self.alphabet)
 
 
 def commutator(p: NCPoly, q: NCPoly) -> NCPoly:

@@ -85,6 +85,7 @@ __all__ = [
     "xblock",
 ]
 
+# The step budget of every rewrite loop, read each time one runs.
 STEP_BUDGET = 10_000
 
 # Objects: "u" is the unit, ("q", k) the k-fold deformed tensor power,
@@ -150,9 +151,11 @@ def _word_type(word: tuple[str, ...]) -> tuple[int, int]:
 
 
 class ClassicalPoly(LinearCombination):
-    """A polynomial of typed classical composition words."""
+    """A polynomial of typed classical composition words, from the
+    ``dom``-fold to the ``cod``-fold tensor power: every word has that
+    type, and the empty word needs ``dom == cod``."""
 
-    __slots__ = ("dom", "cod")
+    __slots__ = ()
     _error = TransportError
 
     def __init__(self, dom: int, cod: int, terms=None):
@@ -191,23 +194,6 @@ class ClassicalPoly(LinearCombination):
         if self.dom != self.cod or any(word for word, _ in self._terms):
             return None
         return self.coeff(())
-
-    def ring_one(self) -> "ClassicalPoly":
-        if self.dom != self.cod:
-            raise TransportError("identity exists only for endomorphism polynomials")
-        return ClassicalPoly.one(self.dom)
-
-    def ring_zero(self) -> "ClassicalPoly":
-        return ClassicalPoly(self.dom, self.cod)
-
-    def _space(self):
-        return (self.dom, self.cod)
-
-    def _compose(self, other: "ClassicalPoly"):
-        """Composition: self after other."""
-        if self.dom != other.cod:
-            raise TransportError("classical composition type mismatch")
-        return ClassicalPoly(other.dom, self.cod)
 
 
 # Directed classical rules: name, pattern, replacement terms (sign, word).
@@ -284,7 +270,7 @@ _CLASSICAL_TABLE = _rule_table(
 )
 
 
-def classical_normalize(poly: ClassicalPoly, budget: int = STEP_BUDGET):
+def classical_normalize(poly: ClassicalPoly):
     """Rewrite to a fixpoint of the directed classical rules, each step at
     the first term, in canonical order, that a rule applies to.
 
@@ -303,7 +289,7 @@ def classical_normalize(poly: ClassicalPoly, budget: int = STEP_BUDGET):
                 break
         else:
             return current, steps, used
-        if len(steps) >= budget:
+        if len(steps) >= STEP_BUDGET:
             raise TransportError("classical rewrite budget exhausted")
         coeff = current.coeff(word)
         name, pos, (consumed, replacement, _) = found
@@ -376,13 +362,15 @@ def _factor_text(factor) -> str:
 
 
 class TransportElement(LinearCombination):
-    """A sum of conjugated image terms; the normal-form algebra.
+    """A sum of conjugated image terms from object ``dom`` to object
+    ``cod``; the normal-form algebra.
 
-    Its words are factor tuples; a product concatenates them and then
-    rewrites the result to normal form.
+    Its words are factor tuples, keyed and printed by their factors'
+    text; a product concatenates them and then rewrites the result to
+    normal form.
     """
 
-    __slots__ = ("dom", "cod")
+    __slots__ = ()
     _error = TransportError
 
     def __init__(self, dom, cod, terms: Iterable[tuple[ScalarLike, tuple]] = ()):
@@ -407,24 +395,6 @@ class TransportElement(LinearCombination):
             for (factors, mono), v in raw._terms.items()
         ]
         return _normalize_raw_terms(terms, raw.dom, raw.cod)
-
-    # Ring protocol for series coefficients.
-    def ring_one(self) -> "TransportElement":
-        if self.dom != self.cod:
-            raise TransportError("identity exists only for endomorphism elements")
-        return TransportElement(self.dom, self.cod, [(1, ())])
-
-    def ring_zero(self) -> "TransportElement":
-        return TransportElement(self.dom, self.cod)
-
-    def _space(self):
-        return (self.dom, self.cod)
-
-    def _compose(self, other: "TransportElement"):
-        """Composition: self after other."""
-        if self.dom != other.cod:
-            raise TransportError("transport composition type mismatch")
-        return TransportElement(other.dom, self.cod)
 
     @staticmethod
     def _word_key(factors: tuple):
@@ -623,7 +593,7 @@ def _rewrite(coeff: Scalar, factors: tuple, pos: int, match):
     return coeff, factors[:pos] + replacement + factors[pos + consumed :]
 
 
-def _normalize_raw_terms(raw, dom, cod, budget: int = STEP_BUDGET, trace=None):
+def _normalize_raw_terms(raw, dom, cod, trace=None):
     steps = 0
     finished = []
     for index, (coeff, factors) in enumerate(raw):
@@ -635,7 +605,7 @@ def _normalize_raw_terms(raw, dom, cod, budget: int = STEP_BUDGET, trace=None):
             if trace is not None:
                 trace.append({"term": index, "rule": rule, "pos": pos})
             steps += 1
-            if steps > budget:
+            if steps > STEP_BUDGET:
                 raise TransportError("rewrite step budget exhausted")
         for factor in factors:
             if factor[0] in ("g", "l"):
@@ -647,14 +617,14 @@ def _normalize_raw_terms(raw, dom, cod, budget: int = STEP_BUDGET, trace=None):
     return TransportElement(dom, cod, finished)
 
 
-def normalize_traced(expr: MorphTerm, budget: int = STEP_BUDGET):
+def normalize_traced(expr: MorphTerm):
     """Normalize and return (element, replayable trace)."""
     trace: list[dict] = []
-    return _normalize_raw_terms(expr.terms, expr.dom, expr.cod, budget, trace), trace
+    return _normalize_raw_terms(expr.terms, expr.dom, expr.cod, trace), trace
 
 
-def normalize(expr: MorphTerm, budget: int = STEP_BUDGET) -> TransportElement:
-    return normalize_traced(expr, budget)[0]
+def normalize(expr: MorphTerm) -> TransportElement:
+    return normalize_traced(expr)[0]
 
 
 def replay_trace(expr: MorphTerm, trace) -> TransportElement:
@@ -701,7 +671,7 @@ def _group_single_x_terms(element: TransportElement) -> TransportElement:
     return TransportElement(element.dom, element.cod, terms)
 
 
-def reduce_modulo_classical(element: TransportElement, budget: int = STEP_BUDGET):
+def reduce_modulo_classical(element: TransportElement):
     """Alternate classical rewriting inside image blocks with structural
     normalization until stable.
 
@@ -710,14 +680,14 @@ def reduce_modulo_classical(element: TransportElement, budget: int = STEP_BUDGET
     steps: list[tuple[str, str, int]] = []
     used: set[str] = set()
     current = _group_single_x_terms(element)
-    for _ in range(budget):
+    for _ in range(STEP_BUDGET):
         new_terms = []
         changed = False
         for coeff, factors in current.terms:
             out = []
             for factor in factors:
                 if factor[0] == "X":
-                    reduced, st, u = classical_normalize(factor[1], budget)
+                    reduced, st, u = classical_normalize(factor[1])
                     if reduced != factor[1]:
                         changed = True
                     steps.extend(st)
@@ -726,7 +696,7 @@ def reduce_modulo_classical(element: TransportElement, budget: int = STEP_BUDGET
                 else:
                     out.append(factor)
             new_terms.append((coeff, tuple(out)))
-        candidate = _group_single_x_terms(_normalize_raw_terms(new_terms, current.dom, current.cod, budget))
+        candidate = _group_single_x_terms(_normalize_raw_terms(new_terms, current.dom, current.cod))
         if not changed and candidate == current:
             return current, steps, used
         current = candidate

@@ -543,6 +543,176 @@ def test_ncpoly_hash_agrees_with_equality_across_insertion_orders(raw, rng):
     assert len({forward, backward, summed}) == 1
 
 
+# -- the one type rule: every combination goes from dom to cod -----------------
+
+
+def _typed_cases():
+    """Per ring: an element ``x`` from a space to itself, an ``other``
+    of the same class between other spaces, and two pairs that each
+    compose but whose products go between different spaces."""
+    from qjacobi.transport import ClassicalPoly, TransportError
+
+    ab, cdz = poly("A + 1/2*ipi*A.B"), NCPoly(CDZ, [(("Z", "C"), Fraction(1, 3))])
+    sig, t = ClassicalPoly.atom("sig"), ClassicalPoly.atom("T")
+    sigma, t_h = normalize(gen("sigma_h")), normalize(gen("T_h"))
+    return {
+        "ncpoly-ab": (ab, cdz, [(ab, ab), (cdz, cdz)], WordError),
+        "ncpoly-cdz": (cdz, ab, [(cdz, cdz), (ab, ab)], WordError),
+        "classical": (sig, t, [(sig, sig), (t, sig)], TransportError),
+        "transport": (sigma, t_h, [(sigma, sigma), (t_h, sigma)], TransportError),
+    }
+
+
+def _raises_exactly(error, thunk):
+    with pytest.raises(Exception) as caught:
+        thunk()
+    assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("ring", sorted(_typed_cases()))
+def test_operands_between_different_spaces_raise_the_rings_error(ring):
+    x, other, pairs, error = _typed_cases()[ring]
+    assert (x.dom, x.cod) != (other.dom, other.cod)
+    _raises_exactly(error, lambda: x + other)
+    _raises_exactly(error, lambda: other - x)
+    _raises_exactly(error, lambda: x.lincomb([(1, x), (2, other)]))
+    _raises_exactly(error, lambda: x.lincomb([(1, other)]))
+    # x after other: the types do not meet.
+    assert x.dom != other.cod
+    _raises_exactly(error, lambda: x.dot([(x, other)]))
+    _raises_exactly(error, lambda: x * other)
+    # Each pair composes alone, and its product goes from b.dom to a.cod.
+    for a, b in pairs:
+        product = x.dot([(a, b)])
+        assert (product.dom, product.cod) == (b.dom, a.cod)
+    _raises_exactly(error, lambda: x.dot(pairs))
+
+
+@pytest.mark.parametrize("ring", sorted(_typed_cases()))
+def test_ring_zero_and_one_are_the_constructors_zero_and_one(ring):
+    from qjacobi.transport import ClassicalPoly
+
+    x, other, _, _ = _typed_cases()[ring]
+    if isinstance(x, NCPoly):
+        built = {"zero": NCPoly.zero(x.alphabet), "one": NCPoly.one(x.alphabet)}
+    elif isinstance(x, ClassicalPoly):
+        built = {"zero": ClassicalPoly(x.dom, x.dom), "one": ClassicalPoly.one(x.dom)}
+    else:
+        built = {"zero": TransportElement(x.dom, x.dom), "one": TransportElement(x.dom, x.dom, [(1, ())])}
+    for name, got in (("zero", x.ring_zero()), ("one", x.ring_one())):
+        expected = built[name]
+        assert type(got) is type(expected) and got == expected
+        assert hash(got) == hash(expected) and got.to_text() == expected.to_text()
+        assert (got.dom, got.cod) == (x.dom, x.cod)
+    zero = other.ring_zero()
+    assert zero.is_zero and (zero.dom, zero.cod) == (other.dom, other.cod)
+    assert x.dot([]) == x.ring_zero() and x.lincomb([]) == x.ring_zero()
+
+
+@pytest.mark.parametrize("ring", ["classical", "transport"])
+def test_a_non_endomorphism_has_no_ring_one(ring):
+    _, other, _, error = _typed_cases()[ring]
+    assert other.dom != other.cod
+    _raises_exactly(error, other.ring_one)
+
+
+def test_an_ncpoly_goes_from_its_alphabet_to_itself_and_keeps_it():
+    p = poly("A.B")
+    assert p.alphabet is p.dom is p.cod is AB
+    with pytest.raises(AttributeError):
+        p.alphabet = CDZ
+    assert p.alphabet is AB
+
+
+def test_the_type_rule_lives_in_linear_combination_alone():
+    import importlib
+    import pkgutil
+
+    import qjacobi
+    from qjacobi.ncalg import LinearCombination
+
+    for info in pkgutil.iter_modules(qjacobi.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"qjacobi.{info.name}")
+    subclasses, todo = [], [LinearCombination]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("qjacobi."):
+                subclasses.append(sub)
+    assert {"NCPoly", "ClassicalPoly", "TransportElement"} <= {cls.__name__ for cls in subclasses}
+    assert {"dom", "cod"} <= set(LinearCombination.__slots__)
+    for cls in subclasses:
+        assert not {"_space", "_compose", "ring_zero", "ring_one"} & set(vars(cls)), cls.__name__
+        assert not {"dom", "cod"} & set(vars(cls).get("__slots__", ())), cls.__name__
+
+
+# -- pickles and copies carry no cached hash ------------------------------------
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from fractions import Fraction
+from qjacobi.matrices import SparseMatrix
+from qjacobi.ncalg import Alphabet, Scalar, parse_poly
+from qjacobi.transport import ClassicalPoly, gen, normalize
+
+def values():
+    return [
+        parse_poly("1/6*A + 1/4*ipi*A.B", Alphabet(("A", "B"))),
+        ClassicalPoly.atom("sig", Fraction(2, 3)) + ClassicalPoly.word(("Om", "sig")),
+        normalize(gen("sigma_h")),
+        SparseMatrix.from_rows([[1, Scalar.constant("ipi")], [Fraction(1, 2), 0]]),
+    ]
+
+if sys.argv[1] == "dump":
+    kept = values()
+    for x in kept:
+        hash(x)
+    sys.stdout.buffer.write(pickle.dumps(kept))
+else:
+    pairs = zip(values(), pickle.loads(sys.stdin.buffer.read()))
+    print([type(x).__name__ for x, y in pairs if not (x == y and hash(x) == hash(y) and len({x, y}) == 1)])
+"""
+
+
+def test_a_pickle_hashes_as_a_fresh_copy_under_another_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qjacobi
+
+    src = str(Path(qjacobi.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(seed, mode, data=None):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        cmd = [sys.executable, "-c", _PICKLE_SCRIPT, mode]
+        return subprocess.run(cmd, input=data, capture_output=True, env=env, check=True).stdout
+
+    # The classes whose loaded copy differs from a fresh one.
+    assert run("2", "load", run("1", "dump")) == b"[]\n"
+
+
+def test_a_deep_copy_keeps_equality_and_hash():
+    from copy import deepcopy
+
+    from qjacobi.transport import ClassicalPoly
+
+    values = [
+        poly("1/6*A + 1/4*ipi*A.B"),
+        ClassicalPoly.atom("sig", Fraction(2, 3)),
+        normalize(gen("sigma_h")),
+        SparseMatrix.from_rows([[1, Scalar.constant("ipi")], [Fraction(1, 2), 0]]),
+    ]
+    for x in values:
+        hash(x)
+        copied = deepcopy(x)
+        assert copied == x and hash(copied) == hash(x) and copied.to_text() == x.to_text()
+        assert type(copied) is type(x)
+
+
 # -- Horner's rule in substitute against word-by-word products ---------------
 
 ABC = Alphabet(("A", "B", "C"))

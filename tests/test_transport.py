@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import TransportModel, reference_classical_normalize, reference_normalize
 
+from qjacobi import transport
 from qjacobi.deformation import builtin_table, parse_table
 from qjacobi.liealg import build_algebra, build_tensor_ops, eval_series
 from qjacobi.matrices import SparseMatrix
@@ -113,10 +114,11 @@ def test_bare_bracket_lift_rejected():
         normalize(lift("T_h", "left"))
 
 
-def test_budget_exhaustion_is_an_error():
+def test_budget_exhaustion_is_an_error(monkeypatch):
+    monkeypatch.setattr(transport, "STEP_BUDGET", 3)
     expr = compose(*[gen("psi") for _ in range(8)])
     with pytest.raises(TransportError, match="budget"):
-        normalize(expr, budget=3)
+        normalize(expr)
 
 
 def _mixed_table():
