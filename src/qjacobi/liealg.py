@@ -213,10 +213,12 @@ def _parse_algebra(doc: dict, name: str) -> LieAlgebraData:
         raise AlgebraError("basis label count does not match dim")
     structure: dict[tuple[int, int], dict[int, Fraction]] = {}
     for item in brackets:
+        if not isinstance(item, list) or len(item) != 3:
+            raise AlgebraError(f"malformed bracket entry {item!r}: write [i, j, [[k, c], ...]]")
         try:
-            i, j, targets = _index(item[0]), _index(item[1]), item[2]
-            row = [(_index(k), _frac(v)) for k, v in targets]
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            i, j = _index(item[0]), _index(item[1])
+            row = [(_index(k), _frac(v)) for k, v in item[2]]
+        except (TypeError, ValueError) as exc:
             raise AlgebraError(f"malformed bracket entry {item!r}: {exc}") from exc
         # A repeated pair or target would leave the later copy in force.
         if len({k for k, _ in row}) != len(row):
@@ -530,38 +532,24 @@ def _poly_divide_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction
     return out
 
 
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
+def _root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
+    # 0 and, by the rational root theorem, +-p/q for p dividing the lowest
+    # nonzero and q the leading coefficient, denominators cleared.
     common = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * common) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    roots = []
-    if coeffs[0] == 0:
-        roots.append(Fraction(0))
-    lead = abs(ints[-1])
-    const = next((abs(v) for v in ints if v), 0)
-    candidates = set()
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            candidates.add(Fraction(p, q))
-            candidates.add(Fraction(-p, q))
-    for cand in sorted(candidates):
-        if _poly_eval(coeffs, cand) == 0 and cand != 0:
-            roots.append(cand)
-    return sorted(roots)
+    ints = [int(c * common) for c in coeffs if c]
+    ratios = {Fraction(p, q) for p in _divisors(ints[0]) for q in _divisors(ints[-1])}
+    return sorted({Fraction(0)} | ratios | {-r for r in ratios})
 
 
 def _divisors(n: int) -> list[int]:
     n = abs(n)
-    if n == 0:
-        return [1]
     out = []
     d = 1
     while d * d <= n:
         if n % d == 0:
             out.extend((d, n // d))
         d += 1
-    return sorted(set(out))
+    return out
 
 
 def spectral_report(matrix: SparseMatrix) -> SpectralReport:
@@ -571,11 +559,13 @@ def spectral_report(matrix: SparseMatrix) -> SpectralReport:
     n = matrix.rows
     factors = []
     work = list(coeffs)
-    for root in _rational_roots(coeffs):
+    for root in _root_candidates(coeffs):
         mult = 0
         while len(work) > 1 and _poly_eval(work, root) == 0:
             work = _poly_divide_linear(work, root)
             mult += 1
+        if not mult:
+            continue
         shifted = matrix - SparseMatrix.identity(n).scale(root)
         kernel = n - shifted.rank()
         factors.append((root, mult, kernel))

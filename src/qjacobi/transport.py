@@ -25,7 +25,10 @@ fragment.
 An expression (:class:`MorphTerm`) is a typed, flat list of
 ``(coefficient, factors)`` terms: ``compose`` multiplies its parts' term
 lists left to right and ``morph_sum`` concatenates them, so terms keep
-their construction order.
+their construction order.  Every expression goes between objects, and
+``compose`` checks only that they meet.  A ``T_h`` lift has the type of
+``T_h (x) 1``, from ``Vh^3`` to ``Vh^2``; it has a normal form only when
+fused under ``T_h``, which normalization enforces.
 
 Every rewrite step, structural or classical, is found by one search
 (``_first_match``): the leftmost position where any rule applies, the
@@ -111,7 +114,7 @@ def _obj_text(obj) -> str:
     if obj == UNIT:
         return "1"
     kind, k = obj
-    return f"V{'h' if kind == 'q' else ''}^{k}" if kind == "q" else f"X(V^{k})"
+    return f"Vh^{k}" if kind == "q" else f"X(V^{k})"
 
 
 class TransportError(ValueError):
@@ -177,8 +180,7 @@ class ClassicalPoly(LinearCombination):
 
     @classmethod
     def atom(cls, name: str, coeff: ScalarLike = 1) -> "ClassicalPoly":
-        dom, cod = CLASSICAL_ATOMS[name]
-        return cls(dom, cod, {(name,): coeff})
+        return cls.word((name,), coeff)
 
     @classmethod
     def word(cls, atoms: Sequence[str], coeff: ScalarLike = 1) -> "ClassicalPoly":
@@ -337,12 +339,9 @@ def _factor_type(factor):
     if kind == "g":
         return QUANTUM_GENS[factor[1]]
     if kind == "l":
-        _, name, side = factor
-        if name == "T_h":
-            # The codomain mixes deformed and image factors; the fused
-            # bracket rules consume the pair before a normal form exists.
-            return (q_obj(3), ("mix", name, side))
-        return (q_obj(3), q_obj(3))
+        # A lift has the type of f (x) 1; the T_h lift has a normal form
+        # only fused under T_h, which normalization enforces.
+        return (q_obj(3), q_obj(2) if factor[1] == "T_h" else q_obj(3))
     raise TransportError(f"unknown factor kind {kind!r}")
 
 
@@ -457,21 +456,14 @@ def xblock(poly: ClassicalPoly) -> MorphTerm:
     return _factor_term(("X", poly))
 
 
-_T_H_TERMS = ((_ONE, (("g", "T_h"),)),)
-
-
 def compose(*parts: MorphTerm) -> MorphTerm:
     """``parts[0]`` after ``parts[1]`` after ...; the terms are the
     products of the parts' terms, taken left to right."""
     if not parts:
         raise TransportError("compose needs at least one factor")
     for left, right in zip(parts, parts[1:]):
-        if left.dom != right.cod and not (
-            isinstance(right.cod, tuple) and right.cod[0] == "mix" and left.terms == _T_H_TERMS
-        ):
-            raise TransportError(
-                f"cannot compose {_obj_text(left.dom)} after {_obj_text(right.cod)}"
-            )
+        if left.dom != right.cod:
+            raise TransportError(f"cannot compose {_obj_text(left.dom)} after {_obj_text(right.cod)}")
     terms = parts[0].terms
     for part in parts[1:]:
         terms = [

@@ -491,6 +491,7 @@ def test_algebra_coefficients_beyond_the_digit_limit(capsys, tmp_path, spell):
         (_sl2_doc([1, 0, [[0, "2e0"]]], *_SL2_BRACKETS[1:]), "coefficient '2e0'"),
         (_sl2_doc(*_SL2_BRACKETS[:2], [0, 2, [[1, "1_0"]]]), "coefficient '1_0'"),
         (_sl2_doc(*_SL2_BRACKETS, {"0": 1}), "bracket"),
+        (_sl2_doc([1, 0, [[0, "2"]], "extra"], *_SL2_BRACKETS[1:]), "bracket"),
         (_sl2_doc(*_SL2_BRACKETS, [0, 2, [[1, "5"]]]), "bracket (0, 2) is stated twice"),
         (_sl2_doc(*_SL2_BRACKETS[:2], [0, 2, [[1, "7"], [1, "-6"]]]), "target index twice"),
     ],
@@ -513,6 +514,7 @@ def test_algebra_coefficients_beyond_the_digit_limit(capsys, tmp_path, spell):
         "coefficient-exponent",
         "coefficient-underscore",
         "bracket-object",
+        "bracket-extra-item",
         "bracket-repeated-pair",
         "bracket-repeated-target",
     ],

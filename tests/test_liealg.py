@@ -547,6 +547,26 @@ def test_spectral_report_forms_each_power_once(name, sl2_ops, sl3_ops, monkeypat
     assert acc.is_zero
 
 
+@pytest.mark.parametrize(
+    "rows, factors, text",
+    [
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 1]], [(0, 1, 2), (1, 1, 1)], "x*(x - 1)"),
+        ([[1, 1], [0, 1]], [(1, 2, 1)], "(x - 1)^2"),
+        ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [(0, 2, 2)], "x^2"),
+        ([[0, 1], [2, 0]], [], "<irreducible part of degree 2>"),
+        ([[2, 0, 0], [0, 0, 1], [0, -1, 0]], [(2, 1, 1)], "(x - 2)*<irreducible part of degree 2>"),
+    ],
+    ids=["diag-001", "jordan-1", "nilpotent", "sqrt-2", "two-and-rotation"],
+)
+def test_spectral_report_of_small_matrices(rows, factors, text):
+    # Each rational root once, with its multiplicity in the minimal
+    # polynomial and its kernel dimension; the rest is the residual part.
+    report = spectral_report(SparseMatrix.from_rows(rows))
+    assert report.factors == [(Fraction(root), mult, dim) for root, mult, dim in factors]
+    assert report.factored_text() == text
+    assert report.annihilates
+
+
 def test_dividing_by_a_non_root_raises():
     # x^2 - 1 = (x - 1)(x + 1); 2 is not a root.
     coeffs = [Fraction(-1), Fraction(0), Fraction(1)]

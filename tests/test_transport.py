@@ -114,6 +114,31 @@ def test_bare_bracket_lift_rejected():
         normalize(lift("T_h", "left"))
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_bracket_lift_has_the_type_of_the_bracket_tensored_with_one(side):
+    # T_h (x) 1 and 1 (x) T_h go from Vh^3 to Vh^2 like any other
+    # morphism; a lift that no fused rule consumes is refused by
+    # normalization, not by compose.
+    assert repr(lift("T_h", side)) == "MorphTerm(1 terms, Vh^3 -> Vh^2)"
+    misplaced = compose(gen("sigma_h"), lift("T_h", side))
+    assert (misplaced.dom, misplaced.cod) == (("q", 3), ("q", 2))
+    with pytest.raises(TransportError, match="composed directly under the bracket"):
+        normalize(misplaced)
+
+
+def test_bracket_lifts_compose_as_typed_morphisms():
+    # A scaled bracket and a sum of lifts compose with the lift like the
+    # bare pair, and normalize linearly.
+    left = normalize(compose(gen("T_h"), lift("T_h", "left")))
+    right = normalize(compose(gen("T_h"), lift("T_h", "right")))
+    scaled = normalize(compose(scale(2, gen("T_h")), lift("T_h", "left")))
+    assert scaled.to_text() == "2*X(T.T1).N"
+    assert scaled == left.scale(2)
+    summed = normalize(compose(gen("T_h"), morph_sum((1, lift("T_h", "left")), (-1, lift("T_h", "right")))))
+    assert summed.to_text() == "X(T.T1).N - X(T.T2).M"
+    assert summed == left - right
+
+
 def test_budget_exhaustion_is_an_error(monkeypatch):
     monkeypatch.setattr(transport, "STEP_BUDGET", 3)
     expr = compose(*[gen("psi") for _ in range(8)])
@@ -141,6 +166,8 @@ def test_traces_replay_to_the_same_normal_form():
         compose(gen("psi"), gen("psi_inv")),
         compose(gen("T_h"), lift("T_h", "left")),
         compose(gen("psi"), s12, gen("psi_inv")),
+        compose(scale(2, gen("T_h")), lift("T_h", "left")),
+        compose(gen("T_h"), morph_sum((1, lift("T_h", "left")), (-1, lift("T_h", "right")))),
     ]
     for identity in ("4.3a", "4.3b", "4.4", "4.5"):
         exprs.extend(identity_expressions(identity))
@@ -490,6 +517,8 @@ def test_classical_word_type_is_checked():
         ClassicalPoly(3, 2, {(): 1})
     with pytest.raises(TransportError):
         ClassicalPoly.atom("sig") + ClassicalPoly.atom("sig12")
+    with pytest.raises(TransportError, match="unknown classical atom 'bogus'"):
+        ClassicalPoly.atom("bogus")
 
 
 # -- the shipped identities -------------------------------------------------------
