@@ -23,8 +23,11 @@ last, ``psi``'s free ones and ``eval``'s in each algebra's matrices, by
 table content and letters, as :mod:`qjacobi.psiengine` sets out; a
 longer request resumes a kept pair and checks psi * psi_inv = 1 on the
 extended pair, so every served coefficient has passed that check in
-this process.  Tables and algebra files are read and validated on every
-call.
+this process.  It keeps the normal forms and steps of the transport
+terms rewritten last, as :mod:`qjacobi.transport` sets out; a kept term
+is traced and counted against the step budget as a fresh one, so a
+call's trace and its budget error are those of a fresh process.  Tables
+and algebra files are read and validated on every call.
 """
 
 from __future__ import annotations

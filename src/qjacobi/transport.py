@@ -52,6 +52,23 @@ product, is concatenated and merged, then normalized once.  Rewriting
 acts term by term and only scales a term's coefficient, so the normal
 form of a sum is the sum of the normal forms.
 
+A term's rewriting depends on its factors alone: a coefficient
+multiplier, its normal factors and its (rule, position) steps.  So a
+process keeps that result per factors tuple for the :data:`KEPT_TERMS`
+terms used last, forgetting the one used longest ago, and every
+normalization reads it there: :func:`normalize_traced`,
+:meth:`TransportElement.dot` and the classical discharge.  A call
+labels a kept term's steps with the term's index in its own list and
+counts them against ``STEP_BUDGET`` as read when it runs, so its trace,
+and the step at which it runs out of budget, are those of a call that
+rewrites every term afresh.  A term that fails, out of budget or with a
+generator or lift no rule eliminates, raises before it is kept.  The
+5.1 claims repeat terms most: an entry's assembled claim is the weighted
+sum of its monomial claims' sides, the same terms in the same order as
+the claim built from the whole entry, so it rewrites by lookups.  A
+table with no nonzero entries has no degree to check, and its 5.1
+claims pass vacuously.
+
 The unit object and the single tensor site are identified with their
 images outright, which is how the deformed Casimir tensor ``t_h`` types
 at all; it normalizes through the two-site conjugator but no verified
@@ -585,27 +602,50 @@ def _rewrite(coeff: Scalar, factors: tuple, pos: int, match):
     return coeff, factors[:pos] + replacement + factors[pos + consumed :]
 
 
+# factors -> (coefficient multiplier, normal factors, (rule, pos) steps)
+# of the terms rewritten last, the one used last at the end.
+KEPT_TERMS = 4096
+_normal_terms: dict[tuple, tuple] = {}
+
+
+def _rewrite_term(factors: tuple, spent: int):
+    """Rewrite one term's factors to normal form: (coefficient
+    multiplier, normal factors, (rule, pos) steps).  ``spent`` is the
+    steps its call made before it, which count against the budget."""
+    multiplier, steps, start = _ONE, [], 0
+    while (found := _first_match(factors, _TABLE, start)) is not None:
+        rule, pos, match = found
+        multiplier, factors = _rewrite(multiplier, factors, pos, match)
+        start = max(pos - _RESUME_BACK, 0)
+        steps.append((rule, pos))
+        if spent + len(steps) > STEP_BUDGET:
+            raise TransportError("rewrite step budget exhausted")
+    for factor in factors:
+        if factor[0] in ("g", "l"):
+            raise TransportError(
+                f"no rule eliminates {_factor_text(factor)} in this context; "
+                "the bracket lift must be composed directly under the bracket"
+            )
+    return multiplier, factors, tuple(steps)
+
+
 def _normalize_raw_terms(raw, dom, cod, trace=None):
-    steps = 0
+    spent = 0
     finished = []
     for index, (coeff, factors) in enumerate(raw):
-        start = 0
-        while (found := _first_match(factors, _TABLE, start)) is not None:
-            rule, pos, match = found
-            coeff, factors = _rewrite(coeff, factors, pos, match)
-            start = max(pos - _RESUME_BACK, 0)
-            if trace is not None:
-                trace.append({"term": index, "rule": rule, "pos": pos})
-            steps += 1
-            if steps > STEP_BUDGET:
-                raise TransportError("rewrite step budget exhausted")
-        for factor in factors:
-            if factor[0] in ("g", "l"):
-                raise TransportError(
-                    f"no rule eliminates {_factor_text(factor)} in this context; "
-                    "the bracket lift must be composed directly under the bracket"
-                )
-        finished.append((coeff, factors))
+        # A term is kept only once it reached its normal form: a failed
+        # one raised first.
+        kept = _normal_terms.pop(factors, None) or _rewrite_term(factors, spent)
+        _normal_terms[factors] = kept
+        if len(_normal_terms) > KEPT_TERMS:
+            del _normal_terms[next(iter(_normal_terms))]
+        multiplier, normal, steps = kept
+        spent += len(steps)
+        if spent > STEP_BUDGET:
+            raise TransportError("rewrite step budget exhausted")
+        if trace is not None:
+            trace.extend({"term": index, "rule": rule, "pos": pos} for rule, pos in steps)
+        finished.append((coeff if multiplier is _ONE else coeff * multiplier, normal))
     return TransportElement(dom, cod, finished)
 
 
@@ -792,21 +832,32 @@ def series_degree_expressions(identity: str, table, degree: int):
     return _series_claim(identity, table.entry(degree).sorted_terms())
 
 
+def _degree_claims(identity: str, entry) -> list[tuple[str, tuple[MorphTerm, MorphTerm]]]:
+    """(label, sides) of each monomial's claim of a table entry's (word,
+    weight) pairs, then of the assembled entry's.  The assembled sides
+    are the weighted sums of the monomial claims' sides: their terms are
+    those of :func:`_series_claim` of the entry, in the same order, and
+    rewriting them reuses the monomial terms' kept normal forms."""
+    monomials = [(word, weight, _series_claim(identity, [(word, _ONE)])) for word, weight in entry]
+    claims = [(".".join(word) if word else "1", sides) for word, _, sides in monomials]
+    assembled = tuple(morph_sum(*[(weight, sides[i]) for _, weight, sides in monomials]) for i in (0, 1))
+    claims.append(("<assembled>", assembled))
+    return claims
+
+
 def _verify_series_coefficients(identity: str, table, degrees) -> IdentityReport:
     """Each monomial's claim, then the assembled entry's, degree by
     degree; the report carries the last assembled claim's normal forms
-    and traces."""
+    and traces.  With no degree to check, as for a table with no nonzero
+    entries, the claim holds vacuously."""
     table = table if table is not None else builtin_table()
     degrees = list(degrees) if degrees is not None else table.degrees()
     if not degrees:
-        raise TransportError("no degrees to check: the table has no nonzero entries")
+        note = "no degree to check: the table has no nonzero entries"
+        return IdentityReport(identity=identity, passed=True, lhs_text="0", rhs_text="0", notes=(note,))
     details = []
     for k in degrees:
-        entry = table.entry(k).sorted_terms()
-        claims = [(".".join(word) if word else "1", [(word, 1)]) for word, _ in entry]
-        claims.append(("<assembled>", entry))
-        for monomial, weighted_words in claims:
-            lhs_expr, rhs_expr = _series_claim(identity, weighted_words)
+        for monomial, (lhs_expr, rhs_expr) in _degree_claims(identity, table.entry(k).sorted_terms()):
             lhs_el, lhs_trace = normalize_traced(lhs_expr)
             rhs_el, rhs_trace = normalize_traced(rhs_expr)
             details.append(

@@ -6,7 +6,10 @@ parser, so it shares no code path with the production engine beyond the
 ring primitives.  The engine keeps each table's pair for later calls in
 the process, so a test that compares against one engine run, or counts
 the engine's work, starts from an empty cache (:func:`fresh_psi`,
-:func:`empty_psi_cache`).
+:func:`empty_psi_cache`).  Rewriting keeps each term's normal form and
+steps for later calls in the same way, so a test that counts the
+rewriter's work, or compares a cold run, starts from
+:func:`empty_term_cache`.
 
 The rewrite oracle finds every transport step by trying every rule at
 every position from 0 after each step, with its own run matchers over
@@ -24,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qjacobi import psiengine
+from qjacobi import psiengine, transport
 from qjacobi.deformation import AB_ALPHABET, EkTable
 from qjacobi.hseries import HSeries
 from qjacobi.matrices import SparseMatrix
@@ -66,6 +69,12 @@ def empty_psi_cache():
     """Forget every table's engine, so that the next ``compute_psi`` of
     any table starts from h^0."""
     psiengine._engines.clear()
+
+
+def empty_term_cache():
+    """Forget every kept term normal form, so that the next normalization
+    rewrites each of its terms."""
+    transport._normal_terms.clear()
 
 
 def fresh_psi(table: EkTable, order: int):

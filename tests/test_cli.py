@@ -8,9 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import empty_psi_cache, fresh_psi, negate_psi_below_the_top
+from helpers import empty_psi_cache, empty_term_cache, fresh_psi, negate_psi_below_the_top
 
-from qjacobi import cli
+from qjacobi import cli, transport
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,6 +135,73 @@ def test_verify_sigma_h_def_order_8_json_golden(capsys):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / "verify_sigma_h_def_o8.json").read_bytes()
+
+
+# The golden transport commands, each with its golden file.
+TRANSPORT_GOLDENS = [
+    (["verify", "transport", "--format", "json"], "verify_transport.json"),
+    (
+        ["verify", "transport", "--table", str(GOLDEN / "table_constants.json"), "--format", "json"],
+        "verify_transport_constants.json",
+    ),
+    (
+        ["verify", "transport", "--identity", "sigma_h_def", "--order", "8", "--format", "json"],
+        "verify_sigma_h_def_o8.json",
+    ),
+]
+
+
+def test_transport_goldens_twice_in_one_process(capsys):
+    # From an empty term cache the first calls rewrite and keep their
+    # terms, and the later ones, interleaved, are served from them; every
+    # output is its golden file's bytes.
+    empty_term_cache()
+    for i in (0, 1, 2, 1, 0, 2):
+        argv, golden = TRANSPORT_GOLDENS[i]
+        code, out = run_cli(capsys, *argv)
+        assert (code, out.encode("utf-8")) == (0, (GOLDEN / golden).read_bytes()), argv
+
+
+def test_a_lowered_step_budget_fails_a_warm_call_as_a_fresh_process(capsys, monkeypatch):
+    # A budget of 12 steps lets the sides of 4.3a, 4.3b and 4.4 through
+    # and stops the 13-step sides of 4.5, whose terms the first call kept.
+    argv = ["verify", "transport", "--format", "json"]
+    assert run_cli(capsys, *argv) == (0, (GOLDEN / "verify_transport.json").read_text())
+    monkeypatch.setattr(transport, "STEP_BUDGET", 12)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    script = f"import sys; from qjacobi import cli, transport; transport.STEP_BUDGET = 12; sys.exit(cli.main({argv!r}))"
+    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert (code, captured.err) == (2, "error: rewrite step budget exhausted\n")
+
+
+@pytest.mark.parametrize("entries", [{}, {"2": "0"}], ids=["no-entries", "zero-entry"])
+def test_a_table_with_no_nonzero_entries_passes_the_series_claims_vacuously(capsys, tmp_path, entries):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"entries": entries}))
+    table = str(path)
+    code, out = run_cli(capsys, "verify", "transport", "--table", table)
+    assert code == 0
+    assert "PASS transport:5.1a\nPASS transport:5.1b\n" in out and out.endswith("OK\n")
+    code, out = run_cli(capsys, "verify", "transport", "--identity", "5.1b", "--table", table, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["reports"]["transport:5.1b"] == {
+        "classical_rules_used": [],
+        "details": [],
+        "discharge_steps": [],
+        "identity": "5.1b",
+        "lhs_normal_form": "0",
+        "notes": ["no degree to check: the table has no nonzero entries"],
+        "passed": True,
+        "rhs_normal_form": "0",
+        "trace": {"lhs": [], "rhs": []},
+    }
+    code, out = run_cli(capsys, "verify", "all", "--table", table, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert {"classical", "structure", "rmatrix", "transport:5.1a", "transport:5.1b"} <= doc["reports"].keys()
 
 
 @pytest.mark.parametrize(

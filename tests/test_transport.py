@@ -3,11 +3,12 @@
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import TransportModel, reference_classical_normalize, reference_normalize
+from helpers import TransportModel, empty_term_cache, reference_classical_normalize, reference_normalize
 
 from qjacobi import transport
 from qjacobi.deformation import builtin_table, parse_table
@@ -122,8 +123,11 @@ def test_a_bracket_lift_has_the_type_of_the_bracket_tensored_with_one(side):
     assert repr(lift("T_h", side)) == "MorphTerm(1 terms, Vh^3 -> Vh^2)"
     misplaced = compose(gen("sigma_h"), lift("T_h", side))
     assert (misplaced.dom, misplaced.cod) == (("q", 3), ("q", 2))
-    with pytest.raises(TransportError, match="composed directly under the bracket"):
-        normalize(misplaced)
+    # A term that fails is not kept, so it fails again.
+    for _ in range(2):
+        with pytest.raises(TransportError, match="composed directly under the bracket"):
+            normalize(misplaced)
+        assert misplaced.terms[0][1] not in transport._normal_terms
 
 
 def test_bracket_lifts_compose_as_typed_morphisms():
@@ -140,10 +144,27 @@ def test_bracket_lifts_compose_as_typed_morphisms():
 
 
 def test_budget_exhaustion_is_an_error(monkeypatch):
-    monkeypatch.setattr(transport, "STEP_BUDGET", 3)
+    # The budget is read when a call runs and counts a kept term's steps
+    # as a fresh one's, so a warm call raises where a cold one does; a
+    # term that ran out is not kept.
     expr = compose(*[gen("psi") for _ in range(8)])
+    empty_term_cache()
+    normalize(expr)
+    monkeypatch.setattr(transport, "STEP_BUDGET", 3)
     with pytest.raises(TransportError, match="budget"):
         normalize(expr)
+    empty_term_cache()
+    with pytest.raises(TransportError, match="budget"):
+        normalize(expr)
+    assert transport._normal_terms == {}
+    # Each term of the sum fits the budget, the call's steps do not.
+    monkeypatch.undo()
+    term = compose(gen("psi"), gen("psi_inv"))
+    steps = len(normalize_traced(term)[1])
+    monkeypatch.setattr(transport, "STEP_BUDGET", steps + 1)
+    normalize(term)
+    with pytest.raises(TransportError, match="budget"):
+        normalize(morph_sum((1, term), (2, term)))
 
 
 def _mixed_table():
@@ -256,6 +277,7 @@ def test_each_rewrite_step_matches_its_rule_once(monkeypatch):
 
     monkeypatch.setattr(ClassicalPoly, "__mul__", counted)
     expr = compose(gen("sigma_h"), gen("Omega_h"), gen("sigma_h"))
+    empty_term_cache()
     element, trace = normalize_traced(expr)
     merges = [step for step in trace if step["rule"] == "merge:X"]
     assert len(merges) == 2
@@ -316,10 +338,14 @@ def test_termination_on_random_well_typed_terms():
 # -- the indexed, resuming search against the all-rules search -----------------------
 
 def _assert_same_as_reference(expr):
-    element, trace = normalize_traced(expr)
+    """From an empty term cache, then from the terms that run kept: both
+    times the reference search's element and trace."""
     ref_element, ref_trace = reference_normalize(expr)
-    assert trace == ref_trace
-    assert element == ref_element
+    empty_term_cache()
+    for _ in range(2):
+        element, trace = normalize_traced(expr)
+        assert trace == ref_trace
+        assert element == ref_element
 
 
 def test_random_terms_step_as_the_reference_search():
@@ -340,6 +366,64 @@ def test_series_claims_step_as_the_reference_search():
 def test_identity_sides_step_as_the_reference_search(identity):
     for expr in identity_expressions(identity):
         _assert_same_as_reference(expr)
+
+
+def test_kept_terms_serve_other_expressions_as_the_reference():
+    # Terms kept while normalizing one expression serve the next, each
+    # traced at its own term index: a sum repeats a term, the 5.1 claims
+    # share their monomials' terms, and random terms share their parts.
+    rng = random.Random(20261019)
+    repeated = compose(gen("psi"), gen("psi_inv"))
+    exprs = [morph_sum((1, repeated), (2, repeated), (-1, gen("psi")), (1, repeated))]
+    for identity in ("4.3a", "4.3b", "4.4", "4.5"):
+        exprs.extend(identity_expressions(identity))
+    for sides in _series_sides():
+        exprs.extend(sides)
+    exprs += [_random_well_typed(rng) for _ in range(40)] + [_random_conjugated(rng) for _ in range(40)]
+    refs = [reference_normalize(expr) for expr in exprs]
+    empty_term_cache()
+    for _ in range(2):
+        for expr, (ref_element, ref_trace) in zip(exprs, refs):
+            element, trace = normalize_traced(expr)
+            assert trace == ref_trace
+            assert element == ref_element
+
+
+def test_kept_terms_stay_within_their_bound(monkeypatch):
+    # Past the bound the term used longest ago is forgotten; what is left
+    # still normalizes as the reference.
+    monkeypatch.setattr(transport, "KEPT_TERMS", 8)
+    empty_term_cache()
+    rng = random.Random(20261020)
+    exprs = [_random_conjugated(rng) for _ in range(40)]
+    for expr in exprs + exprs:
+        ref_element, ref_trace = reference_normalize(expr)
+        assert normalize_traced(expr) == (ref_element, ref_trace)
+        assert len(transport._normal_terms) <= 8
+
+
+def test_assembled_claims_normalize_as_the_series_claims():
+    # The assembled claim is the weighted sum of its monomial claims'
+    # sides: the same terms in the same order as the degree's series
+    # claim, so the same normal form and trace, after the monomials were
+    # rewritten as the verifier does.
+    golden = Path(__file__).parent / "golden" / "table_constants.json"
+    for table in (builtin_table(), _mixed_table(), parse_table(golden.read_text())):
+        for identity in ("5.1a", "5.1b"):
+            for k in table.degrees():
+                expected = series_degree_expressions(identity, table, k)
+                empty_term_cache()
+                normal = [normalize_traced(expr) for expr in expected]
+                empty_term_cache()
+                claims = transport._degree_claims(identity, table.entry(k).sorted_terms())
+                assert claims[-1][0] == "<assembled>"
+                for _, sides in claims[:-1]:
+                    for expr in sides:
+                        normalize_traced(expr)
+                for got, want, want_normal in zip(claims[-1][1], expected, normal):
+                    assert (got.dom, got.cod) == (want.dom, want.cod)
+                    assert got.terms == want.terms
+                    assert normalize_traced(got) == want_normal
 
 
 def test_search_resumes_left_of_a_rewrite():
