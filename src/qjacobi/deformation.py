@@ -1,15 +1,16 @@
 """Associator coefficient tables and the run-substitution map.
 
 The degree-k coefficients of the associator series are homogeneous
-noncommutative polynomials in two letters A, B.  The map :func:`alpha`
-rewrites each monomial A^n1 B^m1 ... A^nj B^mj into the conjugated word
-C^n1 Zinv D^m1 Z ... C^nj Zinv D^mj Z over four letters; boundary runs
-may be empty, which is what makes the map total on all words.  A last
-A-run with no B-run after it (m_j = 0) becomes C^nj alone, as Zinv Z
-is 1, so every emitted word is already cancelled: no other Z, Zinv
-pair ever meets.  Substituting a series and its inverse for Z, Zinv
-yields the degree-k block G_k (:func:`make_Gk`).  The inductive engine
-evaluates E_k itself at A = C, B = Zinv D Z, which is the same block.
+noncommutative polynomials in two letters A, B.  :func:`alpha_word`
+rewrites each word A^n1 B^m1 ... A^nj B^mj into the conjugated word
+C^n1 Zinv D^m1 Z ... C^nj Zinv D^mj Z over four letters, and
+:func:`alpha` each word of a polynomial; boundary runs may be empty,
+which is what makes the map total on all words.  A last A-run with no
+B-run after it (m_j = 0) becomes C^nj alone, as Zinv Z is 1, so every
+emitted word is already cancelled: no other Z, Zinv pair ever meets.
+Substituting a series and its inverse for Z, Zinv yields the degree-k
+block G_k (:func:`make_Gk`).  The inductive engine evaluates E_k itself
+at A = C, B = Zinv D Z, which is the same block.
 
 Only the degree-2 coefficient, (1/24)(AB - BA), ships built in.  Higher
 degrees are supplied as data files because their closed forms depend on
@@ -32,6 +33,7 @@ __all__ = [
     "EkTable",
     "TableError",
     "alpha",
+    "alpha_word",
     "builtin_table",
     "dump_table",
     "load_table",
@@ -48,7 +50,8 @@ class TableError(ValueError):
     """Unreadable or invalid coefficient table."""
 
 
-def _alpha_word(word: tuple[str, ...]) -> tuple[str, ...]:
+def alpha_word(word: tuple[str, ...]) -> tuple[str, ...]:
+    """The run substitution of one word over A, B: a word over C, D, Z, Zinv."""
     groups: list[tuple[str, int]] = []
     for letter in word:
         if groups and groups[-1][0] == letter:
@@ -74,7 +77,7 @@ def alpha(p: NCPoly) -> NCPoly:
     """Apply the run substitution to a polynomial over {A, B}."""
     if p.alphabet != AB_ALPHABET:
         raise TableError("alpha expects a polynomial over the letters A, B")
-    terms = [(_alpha_word(word), coeff) for word, coeff in p.sorted_terms()]
+    terms = [(alpha_word(word), coeff) for word, coeff in p.sorted_terms()]
     return NCPoly(CDZ_ALPHABET, terms)
 
 

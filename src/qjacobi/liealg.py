@@ -197,10 +197,12 @@ def _index(value) -> int:
 def _parse_algebra(doc: dict, name: str) -> LieAlgebraData:
     """The algebra a document states, checked for types but not yet
     validated as a Lie algebra."""
-    try:
-        dim, basis, brackets = doc["dim"], doc["basis"], doc["brackets"]
-    except (KeyError, TypeError) as exc:
-        raise AlgebraError(f"malformed algebra document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise AlgebraError(f"an algebra document is a JSON object, got {type(doc).__name__}")
+    for key in ("dim", "basis", "brackets"):
+        if key not in doc:
+            raise AlgebraError(f"algebra document has no {key!r} field")
+    dim, basis, brackets = doc["dim"], doc["basis"], doc["brackets"]
     if type(dim) is not int:
         raise AlgebraError(f"dim must be an integer, got {type(dim).__name__}")
     if dim < 1:
@@ -215,10 +217,12 @@ def _parse_algebra(doc: dict, name: str) -> LieAlgebraData:
     for item in brackets:
         if not isinstance(item, list) or len(item) != 3:
             raise AlgebraError(f"malformed bracket entry {item!r}: write [i, j, [[k, c], ...]]")
+        if not isinstance(item[2], list) or not all(isinstance(t, list) and len(t) == 2 for t in item[2]):
+            raise AlgebraError(f"malformed bracket entry {item!r}: each target is a [k, c] pair")
         try:
             i, j = _index(item[0]), _index(item[1])
             row = [(_index(k), _frac(v)) for k, v in item[2]]
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise AlgebraError(f"malformed bracket entry {item!r}: {exc}") from exc
         # A repeated pair or target would leave the later copy in force.
         if len({k for k, _ in row}) != len(row):

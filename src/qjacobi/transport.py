@@ -63,11 +63,11 @@ counts them against ``STEP_BUDGET`` as read when it runs, so its trace,
 and the step at which it runs out of budget, are those of a call that
 rewrites every term afresh.  A term that fails, out of budget or with a
 generator or lift no rule eliminates, raises before it is kept.  The
-5.1 claims repeat terms most: an entry's assembled claim is the weighted
-sum of its monomial claims' sides, the same terms in the same order as
-the claim built from the whole entry, so it rewrites by lookups.  A
-table with no nonzero entries has no degree to check, and its 5.1
-claims pass vacuously.
+5.1 claims repeat terms most: each word of an entry has one claim, built
+from the word's :func:`~qjacobi.deformation.alpha_word` image, and the
+entry's assembled claim is the weighted sum of those claims' sides, so
+it rewrites by lookups.  A table with no nonzero entries has no degree
+to check, and its 5.1 claims pass vacuously.
 
 The unit object and the single tensor site are identified with their
 images outright, which is how the deformed Casimir tensor ``t_h`` types
@@ -81,9 +81,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .deformation import AB_ALPHABET, alpha, builtin_table
+from .deformation import alpha_word, builtin_table
 from .hseries import HSeries
-from .ncalg import LinearCombination, NCPoly, Scalar, ScalarLike
+from .ncalg import LinearCombination, Scalar, ScalarLike
 
 __all__ = [
     "ClassicalPoly",
@@ -806,18 +806,23 @@ _BLOCK_ATOMS = {"A": "Om12", "B": "Om23"}
 _CHAIN_GENS = {"C": "Omega_h_12", "D": "Omega_h_23", "Z": "psi", "Zinv": "psi_inv"}
 
 
-def _series_claim(identity: str, weighted_words) -> tuple[MorphTerm, MorphTerm]:
-    """Both sides of the 5.1a/5.1b claim for a weighted sum of words over
-    A, B: the image blocks, and the conjugated sum of the chains their
-    alpha images spell."""
-    blocks, chains = [], []
-    for word, weight in weighted_words:
-        blocks.append((weight, xblock(ClassicalPoly.word([_BLOCK_ATOMS[l] for l in word]))))
-        ((image, _),) = alpha(NCPoly.word(AB_ALPHABET, word)).sorted_terms()
-        chain = compose(*[gen(_CHAIN_GENS[l]) for l in image]) if image else identity_on(3)
-        chains.append((weight, chain))
+def _series_claim(identity: str, word: tuple[str, ...]) -> tuple[MorphTerm, MorphTerm]:
+    """Both sides of the 5.1a/5.1b claim for one word over A, B: its image
+    block, and the conjugated chain its alpha image spells."""
+    block = xblock(ClassicalPoly.word([_BLOCK_ATOMS[l] for l in word]))
+    chain = [gen(_CHAIN_GENS[l]) for l in alpha_word(word)]
     outer = (gen("N"),) if identity == "5.1b" else (gen("M"), gen("psi"))
-    return morph_sum(*blocks), compose(*outer, morph_sum(*chains), gen("N_inv"))
+    return block, compose(*outer, *chain, gen("N_inv"))
+
+
+def _degree_claims(identity: str, entry) -> list[tuple[str, tuple[MorphTerm, MorphTerm]]]:
+    """(label, sides) of each monomial's claim of a table entry's (word,
+    weight) pairs, then of the assembled entry's: the weighted sums of
+    the monomial claims' sides, whose terms then rewrite by lookups."""
+    monomials = [(word, weight, _series_claim(identity, word)) for word, weight in entry]
+    claims = [(".".join(word) if word else "1", sides) for word, _, sides in monomials]
+    assembled = tuple(morph_sum(*[(weight, sides[i]) for _, weight, sides in monomials]) for i in (0, 1))
+    return claims + [("<assembled>", assembled)]
 
 
 def series_degree_expressions(identity: str, table, degree: int):
@@ -829,29 +834,16 @@ def series_degree_expressions(identity: str, table, degree: int):
     """
     if identity not in ("5.1a", "5.1b"):
         raise TransportError(f"{identity!r} has no per-degree series form")
-    return _series_claim(identity, table.entry(degree).sorted_terms())
+    return _degree_claims(identity, table.entry(degree).sorted_terms())[-1][1]
 
 
-def _degree_claims(identity: str, entry) -> list[tuple[str, tuple[MorphTerm, MorphTerm]]]:
-    """(label, sides) of each monomial's claim of a table entry's (word,
-    weight) pairs, then of the assembled entry's.  The assembled sides
-    are the weighted sums of the monomial claims' sides: their terms are
-    those of :func:`_series_claim` of the entry, in the same order, and
-    rewriting them reuses the monomial terms' kept normal forms."""
-    monomials = [(word, weight, _series_claim(identity, [(word, _ONE)])) for word, weight in entry]
-    claims = [(".".join(word) if word else "1", sides) for word, _, sides in monomials]
-    assembled = tuple(morph_sum(*[(weight, sides[i]) for _, weight, sides in monomials]) for i in (0, 1))
-    claims.append(("<assembled>", assembled))
-    return claims
-
-
-def _verify_series_coefficients(identity: str, table, degrees) -> IdentityReport:
+def _verify_series_coefficients(identity: str, table) -> IdentityReport:
     """Each monomial's claim, then the assembled entry's, degree by
     degree; the report carries the last assembled claim's normal forms
     and traces.  With no degree to check, as for a table with no nonzero
     entries, the claim holds vacuously."""
     table = table if table is not None else builtin_table()
-    degrees = list(degrees) if degrees is not None else table.degrees()
+    degrees = table.degrees()
     if not degrees:
         note = "no degree to check: the table has no nonzero entries"
         return IdentityReport(identity=identity, passed=True, lhs_text="0", rhs_text="0", notes=(note,))
@@ -918,14 +910,14 @@ def _verify_braiding_series(order: int) -> IdentityReport:
     )
 
 
-def verify_identity(identity: str, table=None, degrees=None, order: int = 4) -> IdentityReport:
+def verify_identity(identity: str, table=None, order: int = 4) -> IdentityReport:
     """Verify one deformed identity by rewriting.
 
-    ``table``/``degrees`` select the series coefficients for the 5.1
-    checks; ``order`` sets the truncation for the braiding relation.
+    ``table`` holds the series coefficients for the 5.1 checks, the
+    built-in one by default; ``order`` sets the braiding truncation.
     """
     if identity in ("5.1a", "5.1b"):
-        return _verify_series_coefficients(identity, table, degrees)
+        return _verify_series_coefficients(identity, table)
     if identity == "sigma_h_def":
         return _verify_braiding_series(order)
 

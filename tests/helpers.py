@@ -16,6 +16,10 @@ every position from 0 after each step, with its own run matchers over
 the published rule tables, so it shares only the rule data and the
 structural matchers with the rewriter's indexed, resuming search.
 
+The 5.1 reference builds an entry's assembled claim from the whole
+entry at once, each word's chain read off ``alpha`` of the word as a
+polynomial, where transport sums the claims of the words.
+
 The transport model reads expressions and normal forms as series of
 exact matrices on tensor powers of an algebra, each factor by its
 definition and each classical word multiplied out on its own, so it
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qjacobi import psiengine, transport
-from qjacobi.deformation import AB_ALPHABET, EkTable
+from qjacobi.deformation import AB_ALPHABET, EkTable, alpha
 from qjacobi.hseries import HSeries
 from qjacobi.matrices import SparseMatrix
 from qjacobi.ncalg import NCPoly, Scalar
@@ -42,7 +46,12 @@ from qjacobi.transport import (
     MorphTerm,
     TransportElement,
     TransportError,
+    compose,
+    gen,
+    identity_on,
+    morph_sum,
     x_obj,
+    xblock,
 )
 
 
@@ -215,6 +224,26 @@ def reference_classical_normalize(poly, budget=10_000):
         current = current + ClassicalPoly(current.dom, current.cod, terms)
         if len(steps) > budget:
             raise AssertionError("reference classical rewriting did not terminate")
+
+
+# Letters of a table word -> classical atoms of its image block, and
+# letters of its alpha image -> generators of its conjugated chain.
+_REFERENCE_BLOCK_ATOMS = {"A": "Om12", "B": "Om23"}
+_REFERENCE_CHAIN_GENS = {"C": "Omega_h_12", "D": "Omega_h_23", "Z": "psi", "Zinv": "psi_inv"}
+
+
+def reference_series_claim(identity, table, degree):
+    """Both sides of the assembled 5.1a/5.1b claim of a table's degree-k
+    entry, built from the whole entry: the weighted image blocks, and the
+    conjugated weighted sum of the chains the words' alpha images spell."""
+    blocks, chains = [], []
+    for word, weight in table.entry(degree).sorted_terms():
+        blocks.append((weight, xblock(ClassicalPoly.word([_REFERENCE_BLOCK_ATOMS[l] for l in word]))))
+        ((image, _),) = alpha(NCPoly.word(AB_ALPHABET, word)).sorted_terms()
+        chain = compose(*[gen(_REFERENCE_CHAIN_GENS[l]) for l in image]) if image else identity_on(3)
+        chains.append((weight, chain))
+    outer = (gen("N"),) if identity == "5.1b" else (gen("M"), gen("psi"))
+    return morph_sum(*blocks), compose(*outer, morph_sum(*chains), gen("N_inv"))
 
 
 # -- evaluation into matrix series ---------------------------------------------

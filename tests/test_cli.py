@@ -372,23 +372,40 @@ def test_table_validate_rejects_bad_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc, message",
     [
-        {"entries": []},
-        {"entries": {"2": "1/24*A.B - 1/24*B.A"}, "provenance": []},
-        {"entries": {"2": "1/24*A.B - 1/24*B.A"}, "constants": [3]},
-        {"entries": {"2": "1/24*A.B - 1/24*B.A"}, "constants": ["A"]},
+        ({"entries": []}, "'entries' object"),
+        ({"entries": {"2": "1/24*A.B - 1/24*B.A"}, "provenance": []}, "'provenance' must be an object"),
+        ({"entries": {"2": "1/24*A.B - 1/24*B.A"}, "constants": [3]}, "list of constant names"),
+        ({"entries": {"2": "1/24*A.B - 1/24*B.A"}, "constants": ["A"]}, "shadow letters"),
+        ({"entries": {"0": "1"}}, "degree 0 below the minimum degree 2"),
+        ({"entries": {"1": "A"}}, "degree 1 below the minimum degree 2"),
+        ({"entries": {"2": ""}}, "empty expression"),
+        ({"entries": {"2": "2**A.B"}}, "malformed term"),
+        ({"entries": {"2": "A.B*ipi"}}, "word must be the last factor"),
     ],
-    ids=["entries-list", "provenance-list", "constant-number", "constant-shadows-letter"],
+    ids=[
+        "entries-list",
+        "provenance-list",
+        "constant-number",
+        "constant-shadows-letter",
+        "degree-0",
+        "degree-1",
+        "empty-entry",
+        "double-star",
+        "word-before-constant",
+    ],
 )
-def test_table_validate_rejects_malformed_document(tmp_path, doc):
+def test_table_validate_rejects_malformed_document(tmp_path, doc, message):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
     cmd = [sys.executable, "-m", "qjacobi", "table", "validate", str(path)]
     result = subprocess.run(cmd, capture_output=True, text=True)
     assert result.returncode == 3
-    assert "Traceback" not in result.stderr
-    assert result.stderr.startswith("error: ")
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
 
 
 @pytest.mark.parametrize(
@@ -561,6 +578,15 @@ def test_algebra_coefficients_beyond_the_digit_limit(capsys, tmp_path, spell):
         (_sl2_doc([1, 0, [[0, "2"]], "extra"], *_SL2_BRACKETS[1:]), "bracket"),
         (_sl2_doc(*_SL2_BRACKETS, [0, 2, [[1, "5"]]]), "bracket (0, 2) is stated twice"),
         (_sl2_doc(*_SL2_BRACKETS[:2], [0, 2, [[1, "7"], [1, "-6"]]]), "target index twice"),
+        ([], "an algebra document is a JSON object"),
+        ("sl2", "an algebra document is a JSON object"),
+        ({"dim": 3}, "no 'basis' field"),
+        ({"dim": 3, "basis": ["e", "h", "f"]}, "no 'brackets' field"),
+        ({"basis": ["e", "h", "f"], "brackets": _SL2_BRACKETS}, "no 'dim' field"),
+        (_sl2_doc([1, 0, [[0, "1", 3]]], *_SL2_BRACKETS[1:]), "each target is a [k, c] pair"),
+        (_sl2_doc([1, 0, [5]], *_SL2_BRACKETS[1:]), "each target is a [k, c] pair"),
+        (_sl2_doc([1, 0, 5], *_SL2_BRACKETS[1:]), "each target is a [k, c] pair"),
+        (_sl2_doc(*_SL2_BRACKETS[:2], [0, 2, [[3, "1"]]]), "targets unknown basis index 3"),
     ],
     ids=[
         "brackets-number",
@@ -584,6 +610,15 @@ def test_algebra_coefficients_beyond_the_digit_limit(capsys, tmp_path, spell):
         "bracket-extra-item",
         "bracket-repeated-pair",
         "bracket-repeated-target",
+        "document-list",
+        "document-string",
+        "no-basis",
+        "no-brackets",
+        "no-dim",
+        "bracket-target-triple",
+        "bracket-target-number",
+        "bracket-targets-number",
+        "bracket-target-unknown-index",
     ],
 )
 def test_malformed_algebra_file_exits_3(tmp_path, command, doc, field_name):

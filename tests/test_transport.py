@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import TransportModel, empty_term_cache, reference_classical_normalize, reference_normalize
+from helpers import (
+    TransportModel,
+    empty_term_cache,
+    reference_classical_normalize,
+    reference_normalize,
+    reference_series_claim,
+)
 
 from qjacobi import transport
 from qjacobi.deformation import builtin_table, parse_table
@@ -404,14 +410,16 @@ def test_kept_terms_stay_within_their_bound(monkeypatch):
 
 def test_assembled_claims_normalize_as_the_series_claims():
     # The assembled claim is the weighted sum of its monomial claims'
-    # sides: the same terms in the same order as the degree's series
-    # claim, so the same normal form and trace, after the monomials were
+    # sides: the same terms in the same order as the reference claim
+    # built from the whole entry, so the same normal form and trace as
+    # the reference's from an empty cache, after the monomials were
     # rewritten as the verifier does.
     golden = Path(__file__).parent / "golden" / "table_constants.json"
     for table in (builtin_table(), _mixed_table(), parse_table(golden.read_text())):
         for identity in ("5.1a", "5.1b"):
             for k in table.degrees():
-                expected = series_degree_expressions(identity, table, k)
+                expected = reference_series_claim(identity, table, k)
+                assert [e.terms for e in series_degree_expressions(identity, table, k)] == [e.terms for e in expected]
                 empty_term_cache()
                 normal = [normalize_traced(expr) for expr in expected]
                 empty_term_cache()
@@ -644,7 +652,7 @@ def test_no_identity_consumes_foreign_axioms():
 
 
 def test_identity_5_1b_degree2():
-    report = verify_identity("5.1b", table=builtin_table(), degrees=[2])
+    report = verify_identity("5.1b", table=builtin_table())
     assert report.passed
     assert all(item["passed"] for item in report.details)
     monomials = {item["monomial"] for item in report.details}
@@ -658,7 +666,7 @@ def test_identity_5_1b_degree2():
 
 
 def test_identity_5_1a_degree2():
-    report = verify_identity("5.1a", table=builtin_table(), degrees=[2])
+    report = verify_identity("5.1a", table=builtin_table())
     assert report.passed
     assert report.lhs_text == report.rhs_text
 
