@@ -12,20 +12,24 @@ Substituting a series and its inverse for Z, Zinv yields the degree-k
 block G_k (:func:`make_Gk`).  The inductive engine evaluates E_k itself
 at A = C, B = Zinv D Z, which is the same block.
 
-Only the degree-2 coefficient, (1/24)(AB - BA), ships built in.  Higher
-degrees are supplied as data files because their closed forms depend on
-normalization choices this package does not make; validation only
-enforces homogeneity.
+Only the degree-2 coefficient, (1/24)(AB - BA), ships built in, read
+once per process from ``data/builtin_table.json``.  Higher degrees are
+supplied as data files because their closed forms depend on
+normalization choices this package does not make; :class:`EkTable`
+checks every table, once, where it is built.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 
 from . import jsontext
 from .hseries import HSeries, SeriesError
-from .ncalg import _NAME_RE, Alphabet, NCPoly, Scalar, parse_poly, substitute
+from .ncalg import _NAME_RE, Alphabet, NCPoly, parse_poly, substitute
 
 __all__ = [
     "AB_ALPHABET",
@@ -39,7 +43,6 @@ __all__ = [
     "load_table",
     "make_Gk",
     "parse_table",
-    "validate_table",
 ]
 
 AB_ALPHABET = Alphabet(("A", "B"))
@@ -81,17 +84,46 @@ def alpha(p: NCPoly) -> NCPoly:
     return NCPoly(CDZ_ALPHABET, terms)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EkTable:
-    """Degree -> homogeneous polynomial over {A, B}, with provenance notes."""
+    """Degree -> homogeneous polynomial over {A, B}, with provenance notes.
 
-    entries: dict[int, NCPoly] = field(default_factory=dict)
-    provenance: dict[int, str] = field(default_factory=dict)
+    Built valid or not at all: a degree below 2, or an entry not over A, B
+    or not homogeneous of its degree, raises :class:`TableError` naming
+    each problem.  The entries and notes are read-only views of copies."""
+
+    entries: Mapping[int, NCPoly] = field(default_factory=dict)
+    provenance: Mapping[int, str] = field(default_factory=dict)
     constants: tuple[str, ...] = ("ipi",)
     source: str = "custom"
 
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
+        problems = []
+        for k, poly in sorted(self.entries.items()):
+            if k < 2:
+                problems.append(f"degree {k} below the minimum degree 2")
+            if poly.alphabet != AB_ALPHABET:
+                problems.append(f"degree {k} entry is not over the letters A, B")
+                continue
+            if not poly.is_homogeneous(k):
+                problems.append(
+                    f"degree {k} entry is not homogeneous of word length {k}: {poly.to_text()}"
+                )
+        if problems:
+            raise TableError("; ".join(problems))
+
     def degrees(self) -> list[int]:
         return sorted(k for k, p in self.entries.items() if not p.is_zero)
+
+    def missing_below_max(self) -> list[int]:
+        """The degrees from 2 up to the top nonzero one with no nonzero
+        entry.  That entry spells as many letters as its degree, so the
+        list is bounded by the size of the input."""
+        degrees = self.degrees()
+        present = set(degrees)
+        return [k for k in range(2, degrees[-1]) if k not in present] if degrees else []
 
     def entry(self, k: int) -> NCPoly:
         try:
@@ -100,53 +132,11 @@ class EkTable:
             raise TableError(f"table {self.source!r} has no degree-{k} entry") from None
 
 
+@functools.cache
 def builtin_table() -> EkTable:
-    """The built-in table: only degree 2, equal to (1/24)(AB - BA)."""
-    ab = NCPoly.word(AB_ALPHABET, ("A", "B"), Scalar.rational(1, 24))
-    ba = NCPoly.word(AB_ALPHABET, ("B", "A"), Scalar.rational(1, 24))
-    return EkTable(
-        entries={2: ab - ba},
-        provenance={2: "closed form of the degree-2 associator coefficient"},
-        source="builtin",
-    )
-
-
-@dataclass
-class TableDiagnostics:
-    source: str
-    degrees: list[int]
-    missing_below_max: list[int]
-    problems: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_table(table: EkTable) -> TableDiagnostics:
-    """Check homogeneity degree by degree and report coverage."""
-    problems = []
-    for k, poly in sorted(table.entries.items()):
-        if k < 2:
-            problems.append(f"degree {k} below the minimum degree 2")
-        if poly.alphabet != AB_ALPHABET:
-            problems.append(f"degree {k} entry is not over the letters A, B")
-            continue
-        if not poly.is_homogeneous(k):
-            problems.append(
-                f"degree {k} entry is not homogeneous of word length {k}: {poly.to_text()}"
-            )
-    degrees = table.degrees()
-    # Only for a valid table: a nonzero entry of degree k then spells k
-    # letters, so the gaps are bounded by the size of the input.
-    missing = []
-    if degrees and not problems:
-        present = set(degrees)
-        missing = [k for k in range(2, degrees[-1]) if k not in present]
-    return TableDiagnostics(table.source, degrees, missing, problems)
+    """The built-in table, (1/24)(AB - BA) at degree 2 alone: its shipped
+    file, parsed on first use and shared by every later call."""
+    return parse_table(builtin_table_text(), source="builtin")
 
 
 def parse_table(text: str | bytes, source: str = "custom") -> EkTable:
@@ -184,11 +174,7 @@ def parse_table(text: str | bytes, source: str = "custom") -> EkTable:
         except ValueError as exc:
             raise TableError(f"degree {degree}: {exc}") from exc
         provenance[degree] = str(notes.get(key, f"{source} entry"))
-    table = EkTable(entries, provenance, constants, source)
-    diagnostics = validate_table(table)
-    if not diagnostics.ok:
-        raise TableError("; ".join(diagnostics.problems))
-    return table
+    return EkTable(entries, provenance, constants, source)
 
 
 def load_table(path_or_name: str) -> EkTable:
@@ -214,8 +200,8 @@ def dump_table(table: EkTable) -> str:
 
 
 def builtin_table_text() -> str:
-    """The shipped copy of the built-in table, byte-identical to
-    ``dump_table(builtin_table())``."""
+    """The shipped file of the built-in table, in :func:`dump_table`'s
+    canonical form."""
     return resources.files("qjacobi.data").joinpath("builtin_table.json").read_text("utf-8")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -213,6 +214,9 @@ def _parse_algebra(doc: dict, name: str) -> LieAlgebraData:
         raise AlgebraError(f"brackets must be a list, got {type(brackets).__name__}")
     if len(basis) != dim:
         raise AlgebraError("basis label count does not match dim")
+    repeated = [x for x, n in Counter(basis).items() if n > 1]
+    if repeated:
+        raise AlgebraError(f"basis label {repeated[0]!r} is repeated")
     structure: dict[tuple[int, int], dict[int, Fraction]] = {}
     for item in brackets:
         if not isinstance(item, list) or len(item) != 3:

@@ -48,11 +48,13 @@ one engine per table content (the degree -> entry map) and letters,
 compared by value, with its pair, Y, its blocks' word evaluators and the
 order it reached, for the :data:`CACHED_TABLES` engines used last, free
 and matrix ones alike; using one more forgets the one used longest ago.
-:func:`compute_psi_in` validates the table on every call, resumes that
-engine's pass only past the order already reached, and runs the pair
-check on the extended pair each time it grows; an engine whose pass or
-check fails is dropped before the error propagates.  So every
-coefficient served has passed the check in this process.
+:func:`compute_psi_in` takes the table as built (an
+:class:`~qjacobi.deformation.EkTable` is checked once, by its
+constructor), resumes that engine's pass only past the order already
+reached, and runs the pair check on the extended pair each time it
+grows; an engine whose pass or check fails is dropped before the error
+propagates.  So every coefficient served has passed the check in this
+process.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .deformation import EkTable, TableError, validate_table
+from .deformation import EkTable
 from .hseries import HSeries
 from .ncalg import Alphabet, NCPoly, WordEvaluator
 
@@ -155,16 +157,13 @@ def compute_psi(table: EkTable, order: int) -> PsiPair:
 def compute_psi_in(table: EkTable, order: int, o12, o23) -> PsiPair:
     """The pair of :func:`compute_psi` in the ring of the images ``o12``
     and ``o23`` of the letters, computed there and not in the free
-    algebra."""
+    algebra.  Only the order is checked here: the table was checked
+    when it was built."""
     if order < 2:
         raise ValueError(f"order must be at least 2, got {order}")
-    diagnostics = validate_table(table)
-    if not diagnostics.ok:
-        raise TableError("; ".join(diagnostics.problems))
-
-    # The validator's gaps lie below the top degree; those above are one span.
-    degrees = diagnostics.degrees
-    missing = [str(k) for k in diagnostics.missing_below_max if k < order]
+    # The table's own gaps lie below its top degree; those above are one span.
+    degrees = table.degrees()
+    missing = [str(k) for k in table.missing_below_max() if k < order]
     top = max(degrees, default=1)
     if top + 1 < order:
         missing.append(f"{top + 1}..{order - 1}" if top + 2 < order else str(top + 1))

@@ -566,6 +566,7 @@ def test_algebra_coefficients_beyond_the_digit_limit(capsys, tmp_path, spell):
         ({"dim": True, "basis": ["e"], "brackets": _SL2_BRACKETS}, "dim"),
         ({"dim": 3, "basis": "ehf", "brackets": _SL2_BRACKETS}, "basis"),
         ({"dim": 3, "basis": ["e", "h", 3], "brackets": _SL2_BRACKETS}, "basis"),
+        ({"dim": 3, "basis": ["e", "e", "f"], "brackets": _SL2_BRACKETS}, "basis label 'e' is repeated"),
         (_sl2_doc(["1", 0, [[0, "2"]]], *_SL2_BRACKETS[1:]), "bracket"),
         (_sl2_doc([1.5, 0, [[0, "2"]]], *_SL2_BRACKETS[1:]), "bracket"),
         (_sl2_doc([1, 0, [[0.5, "2"]]], *_SL2_BRACKETS[1:]), "bracket"),
@@ -598,6 +599,7 @@ def test_algebra_coefficients_beyond_the_digit_limit(capsys, tmp_path, spell):
         "dim-bool",
         "basis-string",
         "basis-number-label",
+        "basis-repeated-label",
         "bracket-index-string",
         "bracket-index-float",
         "bracket-target-float",

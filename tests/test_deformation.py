@@ -1,5 +1,6 @@
 """Tests for the run-substitution map and coefficient tables."""
 
+import dataclasses
 import itertools
 import re
 
@@ -17,7 +18,6 @@ from qjacobi.deformation import (
     load_table,
     make_Gk,
     parse_table,
-    validate_table,
 )
 from qjacobi.hseries import HSeries, SeriesError
 from qjacobi.ncalg import NCPoly, Scalar, commutator, parse_poly, substitute
@@ -152,14 +152,60 @@ def test_homogeneous_degree_4_accepted():
     text = dump_table(EkTable(entries={4: nested}, source="test"))
     table = parse_table(text)
     assert table.degrees() == [4]
-    assert validate_table(table).ok
+    assert table.missing_below_max() == [2, 3]
 
 
 def test_validate_reports_coverage_gaps():
     table = EkTable(entries={2: commutator(A, B), 5: NCPoly.word(AB_ALPHABET, ("A",) * 5)})
-    diag = validate_table(table)
-    assert diag.ok
-    assert diag.missing_below_max == [3, 4]
+    assert table.missing_below_max() == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({1: A}, "degree 1 below the minimum degree 2"),
+        ({2: cdz("C", "D")}, "degree 2 entry is not over the letters A, B"),
+        ({3: A * B}, "degree 3 entry is not homogeneous of word length 3: A.B"),
+        (
+            {3: A * B - B * A, 1: A * B, 2: cdz("C")},
+            "degree 1 below the minimum degree 2; "
+            "degree 1 entry is not homogeneous of word length 1: A.B; "
+            "degree 2 entry is not over the letters A, B; "
+            "degree 3 entry is not homogeneous of word length 3: A.B - B.A",
+        ),
+    ],
+    ids=["below-two", "not-over-ab", "not-homogeneous", "all-three-by-degree"],
+)
+def test_a_table_is_checked_where_it_is_built(entries, message):
+    with pytest.raises(TableError) as info:
+        EkTable(entries=entries, source="bad")
+    assert str(info.value) == message
+
+
+def test_a_built_table_cannot_change():
+    entries = {2: commutator(A, B)}
+    provenance = {2: "note"}
+    table = EkTable(entries=entries, provenance=provenance, source="frozen")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.source = "other"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.entries = {3: A * B}
+    with pytest.raises(TypeError):
+        table.entries[3] = A * B
+    with pytest.raises(TypeError):
+        table.provenance[2] = "other"
+    # The table holds copies: the caller's dicts stay the caller's.
+    entries[3] = A * B
+    entries[2] = A * A
+    provenance[2] = "other"
+    assert dict(table.entries) == {2: commutator(A, B)}
+    assert dict(table.provenance) == {2: "note"}
+    assert table.missing_below_max() == []
+
+
+def test_the_builtin_table_is_built_once_per_process():
+    assert builtin_table() is builtin_table()
+    assert load_table("builtin") is builtin_table()
 
 
 def test_load_table_missing_file():

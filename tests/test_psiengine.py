@@ -266,9 +266,12 @@ def test_a_cached_table_is_still_validated_and_logged(cold_cache, caplog):
         compute_psi(table, 7)
         compute_psi(table, 7)
     assert caplog.messages == ["table custom has no entries for degrees 3, 5..6; treating them as zero"] * 2
-    table.entries[3] = NCPoly.word(AB_ALPHABET, ("A", "B"))
+    # The table was checked when it was built, and cannot change after.
+    bad = NCPoly.word(AB_ALPHABET, ("A", "B"))
+    with pytest.raises(TypeError):
+        table.entries[3] = bad
     with pytest.raises(TableError, match="not homogeneous"):
-        compute_psi(table, 6)
+        EkTable(entries={**table.entries, 3: bad})
 
 
 def test_a_failed_check_drops_the_engine(cold_cache, monkeypatch, capsys):
@@ -475,9 +478,8 @@ def test_order_below_two_rejected():
 def test_malformed_table_rejected():
     from qjacobi.deformation import TableError
 
-    bad = EkTable(entries={3: NCPoly.word(AB_ALPHABET, ("A", "B"))}, source="bad")
     with pytest.raises(TableError):
-        compute_psi(bad, 4)
+        EkTable(entries={3: NCPoly.word(AB_ALPHABET, ("A", "B"))}, source="bad")
 
 
 def test_pair_provenance():
