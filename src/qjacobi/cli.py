@@ -27,9 +27,12 @@ this process.  It keeps the normal forms and steps of the transport
 terms rewritten last, as :mod:`qjacobi.transport` sets out; a kept term
 is traced and counted against the step budget as a fresh one, so a
 call's trace and its budget error are those of a fresh process.  Table
-and algebra files are read and validated on every call, a table where
-it is built (:class:`qjacobi.deformation.EkTable`); the built-in table
-is read from its package file once per process.
+and algebra files are read on every call.  An algebra file is validated
+on every call; a table file is parsed and checked once per path and
+content, where its table is built (:class:`qjacobi.deformation.EkTable`),
+and :func:`qjacobi.deformation.load_table` keeps the tables of the files
+read last.  The built-in table is read from its package file once per
+process.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ Only the degree-2 coefficient, (1/24)(AB - BA), ships built in, read
 once per process from ``data/builtin_table.json``.  Higher degrees are
 supplied as data files because their closed forms depend on
 normalization choices this package does not make; :class:`EkTable`
-checks every table, once, where it is built.
+checks every table, once, where it is built.  :func:`load_table` reads
+a table file on every call and parses it once per path and content: it
+keeps the tables of the files it read last.
 """
 
 from __future__ import annotations
@@ -177,8 +179,19 @@ def parse_table(text: str | bytes, source: str = "custom") -> EkTable:
     return EkTable(entries, provenance, constants, source)
 
 
+# (path, file bytes) -> the table parsed from them, the one used last at the end.
+CACHED_FILES = 8
+_tables: dict[tuple[str, bytes], EkTable] = {}
+
+
 def load_table(path_or_name: str) -> EkTable:
-    """Load a table from a JSON file, or the built-in one by name."""
+    """Load a table from a JSON file, or the built-in one by name.
+
+    The file is read on every call, so a missing or rewritten file is
+    always seen.  The same bytes read again from the same path give the
+    table kept for them, frozen and shared, without a second parse; the
+    tables of the :data:`CACHED_FILES` (path, bytes) pairs used last are
+    kept.  A file that fails to parse is never kept."""
     if path_or_name == "builtin":
         return builtin_table()
     try:
@@ -186,7 +199,12 @@ def load_table(path_or_name: str) -> EkTable:
             text = handle.read()
     except OSError as exc:
         raise TableError(f"cannot read table file: {exc}") from exc
-    return parse_table(text, source=str(path_or_name))
+    key = (str(path_or_name), text)
+    table = _tables.pop(key, None) or parse_table(text, source=key[0])
+    _tables[key] = table
+    if len(_tables) > CACHED_FILES:
+        del _tables[next(iter(_tables))]
+    return table
 
 
 def dump_table(table: EkTable) -> str:

@@ -50,10 +50,11 @@ extends it over the coefficient lists of the pair it is building.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 __all__ = [
     "Alphabet",
@@ -855,6 +856,7 @@ def parse_poly(text: str, alphabet: Alphabet, constants: tuple[str, ...] = ("ipi
         return NCPoly.zero(alphabet)
     terms = []
     for sign, body in _split_signed_terms(text):
+        # _parse_term gives a normal monomial and a Fraction, as Scalar._of needs.
         frac, mono, word = _parse_term(body, alphabet, constants)
-        terms.append((word, Scalar({mono: sign * frac})))
+        terms.append((word, Scalar._of({mono: sign * frac})))
     return NCPoly(alphabet, terms)

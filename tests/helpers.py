@@ -9,7 +9,9 @@ the engine's work, starts from an empty cache (:func:`fresh_psi`,
 :func:`empty_psi_cache`).  Rewriting keeps each term's normal form and
 steps for later calls in the same way, so a test that counts the
 rewriter's work, or compares a cold run, starts from
-:func:`empty_term_cache`.
+:func:`empty_term_cache`.  ``load_table`` keeps the tables of the files
+it read last, so a test that counts table parses starts from
+:func:`empty_table_cache`.
 
 The rewrite oracle finds every transport step by trying every rule at
 every position from 0 after each step, with its own run matchers over
@@ -31,7 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qjacobi import psiengine, transport
+from qjacobi import deformation, psiengine, transport
 from qjacobi.deformation import AB_ALPHABET, EkTable, alpha
 from qjacobi.hseries import HSeries
 from qjacobi.matrices import SparseMatrix
@@ -78,6 +80,27 @@ def empty_psi_cache():
     """Forget every table's engine, so that the next ``compute_psi`` of
     any table starts from h^0."""
     psiengine._engines.clear()
+
+
+def empty_table_cache():
+    """Forget every kept table file, so that the next ``load_table`` of
+    any file parses it."""
+    deformation._tables.clear()
+
+
+def counted_table_parses(monkeypatch):
+    """From an empty table cache, record the source of every
+    ``parse_table`` call ``load_table`` makes, in the list returned."""
+    empty_table_cache()
+    calls = []
+    parse = deformation.parse_table
+
+    def counted(text, source="custom"):
+        calls.append(source)
+        return parse(text, source)
+
+    monkeypatch.setattr(deformation, "parse_table", counted)
+    return calls
 
 
 def empty_term_cache():

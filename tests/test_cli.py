@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import empty_psi_cache, empty_term_cache, fresh_psi, negate_psi_below_the_top
+from helpers import counted_table_parses, empty_psi_cache, empty_term_cache, fresh_psi, negate_psi_below_the_top
 
 from qjacobi import cli, transport
 
@@ -797,6 +797,36 @@ def test_table_file_is_read_on_every_call(capsys, tmp_path):
     assert captured.err.startswith("error: degree 2 entry is not homogeneous")
 
 
+def test_a_table_file_deleted_after_a_kept_load_exits_3(capsys, tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"entries": {"2": "A.B - B.A"}}))
+    argv = ["psi", "--order", "4", "--table", str(path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    path.unlink()
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: cannot read table file: ")
+
+
+@pytest.mark.parametrize(
+    "command", [["psi", "--order", "4", "--table"], ["table", "validate"]], ids=["psi", "table-validate"]
+)
+def test_a_bad_table_file_is_parsed_and_refused_on_every_call(capsys, monkeypatch, tmp_path, command):
+    calls = counted_table_parses(monkeypatch)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"entries": {"2": "A.B.A", "3": "A.B"}}))
+    errors = []
+    for _ in range(2):
+        code = cli.main([*command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: degree 2 entry is not homogeneous") and errors[0].count("\n") == 1
+    assert calls == [str(path)] * 2
+
+
 def test_an_algebra_file_rewritten_between_evals_gives_the_new_algebras_bytes(capsys, tmp_path):
     # The engine is kept by the letters' content, not by the file's path.
     from qjacobi.liealg import algebra_to_json, build_algebra
@@ -908,8 +938,8 @@ def test_kept_coefficients_print_from_their_cached_texts_as_fresh_ones(capsys):
 
 
 def test_each_path_of_one_table_content_names_itself(capsys, tmp_path):
-    # The two files and the built-in table share one engine; each call
-    # still reports the table it was given.
+    # The two files and the built-in table share one engine, and the two
+    # files' bytes are equal; each call still reports the table it was given.
     from qjacobi.deformation import builtin_table, dump_table
 
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -923,6 +953,9 @@ def test_each_path_of_one_table_content_names_itself(capsys, tmp_path):
         assert docs[source].pop("table") == source
     assert len(docs) == 3
     assert all(doc == docs["builtin"] for doc in docs.values())
+    for path in paths + paths:
+        code, out = run_cli(capsys, "table", "validate", str(path))
+        assert code == 0 and json.loads(out)["source"] == str(path)
 
 
 def test_omega_report(capsys):

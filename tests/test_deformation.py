@@ -2,12 +2,16 @@
 
 import dataclasses
 import itertools
+import json
 import re
+from pathlib import Path
 
 import pytest
+from helpers import counted_table_parses
 
 from qjacobi.deformation import (
     AB_ALPHABET,
+    CACHED_FILES,
     CDZ_ALPHABET,
     EkTable,
     TableError,
@@ -211,6 +215,42 @@ def test_the_builtin_table_is_built_once_per_process():
 def test_load_table_missing_file():
     with pytest.raises(TableError):
         load_table("/nonexistent/table.json")
+
+
+def test_a_table_file_is_parsed_once_per_path_and_content(monkeypatch, tmp_path):
+    calls = counted_table_parses(monkeypatch)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"entries": {"2": "A.B - B.A"}}))
+    first = load_table(str(path))
+    assert load_table(str(path)) is first
+    assert calls == [str(path)]
+    # New bytes at the same path are parsed, and the old bytes are still kept.
+    path.write_text(json.dumps({"entries": {"2": "A.B - 2*B.A"}}))
+    second = load_table(str(path))
+    assert second.entry(2) == A * B - (B * A).scale(2)
+    path.write_text(json.dumps({"entries": {"2": "A.B - B.A"}}))
+    assert load_table(str(path)) is first
+    assert calls == [str(path)] * 2
+
+
+def test_the_ninth_table_file_forgets_the_one_used_longest_ago(monkeypatch, tmp_path):
+    calls = counted_table_parses(monkeypatch)
+    paths = []
+    for i in range(CACHED_FILES + 1):
+        paths.append(str(tmp_path / f"table{i}.json"))
+        Path(paths[-1]).write_text(json.dumps({"entries": {"2": f"{i + 1}*A.B - {i + 1}*B.A"}}))
+    tables = [load_table(path) for path in paths[:-1]]
+    # Using the first again makes the second the one used longest ago.
+    assert load_table(paths[0]) is tables[0]
+    load_table(paths[-1])
+    del calls[:]
+    for i, (path, table) in enumerate(zip(paths, tables)):
+        if i != 1:
+            assert load_table(path) is table
+    assert calls == []
+    again = load_table(paths[1])
+    assert again is not tables[1] and again.entries == tables[1].entries
+    assert calls == [paths[1]]
 
 
 def test_table_with_declared_constant():
