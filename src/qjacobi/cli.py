@@ -26,7 +26,15 @@ extended pair, so every served coefficient has passed that check in
 this process.  It keeps the normal forms and steps of the transport
 terms rewritten last, as :mod:`qjacobi.transport` sets out; a kept term
 is traced and counted against the step budget as a fresh one, so a
-call's trace and its budget error are those of a fresh process.  Table
+call's trace and its budget error are those of a fresh process.  It
+keeps every report ``verify`` and ``omega`` build, by exactly what the
+report reads: ``verify_identity`` keeps the transport reports used last
+(:mod:`qjacobi.transport`), and a preset's operators keep the classical,
+structure, braiding and spectral reports built on them
+(:class:`qjacobi.liealg.TensorOps`), so a repeated request reads the
+report its inputs already produced; a file algebra is built on every
+call and keeps none past it.  A report is frozen, its ``to_json``
+builds a fresh document, and one whose check raised is not kept.  Table
 and algebra files are read on every call.  An algebra file is validated
 on every call; a table file is parsed and checked once per path and
 content, where its table is built (:class:`qjacobi.deformation.EkTable`),
@@ -48,7 +56,7 @@ from .hseries import SeriesError
 from .liealg import (
     AlgebraError,
     algebra_ops,
-    spectral_report,
+    omega_report,
     structure_report,
     verify_classical,
     verify_sigma_rmatrix,
@@ -172,7 +180,7 @@ def cmd_table(args) -> int:
 
 def cmd_omega(args) -> int:
     ops = algebra_ops(args.algebra)
-    report = spectral_report(ops.Omega)
+    report = omega_report(ops)
     if args.format == "json":
         doc = report.to_json()
         doc["matrix"] = ops.Omega.to_json()

@@ -6,7 +6,9 @@ bracket map on the double tensor space, the flip and the two-site
 Casimir operator) is assembled as an exact sparse matrix.  The classical
 antisymmetry, Jacobi and braid identities, and the braiding relation of
 the exponential with a formal ipi constant, are then literal matrix
-equalities.
+equalities.  A report on an algebra's operators reads them alone, so it
+is kept on its :class:`TensorOps` instance: a shared preset builds each
+report once per process.
 
 Tensor index convention: basis vector i (x) j of the double space sits
 at position i*d + j (row-major), and likewise for triple spaces.
@@ -17,7 +19,7 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
@@ -38,6 +40,7 @@ __all__ = [
     "build_algebra",
     "build_tensor_ops",
     "eval_series",
+    "omega_report",
     "spectral_report",
     "structure_report",
     "verify_classical",
@@ -303,7 +306,16 @@ def _preset_ops(name: str) -> TensorOps:
 class TensorOps:
     """The derived tensor operators of one algebra, all exact.  It is
     frozen and :class:`SparseMatrix` has no mutating method, so one
-    instance can be shared: :func:`algebra_ops` shares each preset's."""
+    instance can be shared: :func:`algebra_ops` shares each preset's.
+
+    A report on the operators reads them alone, so an instance keeps
+    every report built on it (:func:`verify_classical`,
+    :func:`structure_report`, :func:`verify_sigma_rmatrix` per order and
+    :func:`omega_report`): a preset builds each once per process, and a
+    file algebra, built again on every call, keeps none past its call.
+    The kept reports are not a field, so two instances compare by their
+    operators alone and :func:`dataclasses.replace` starts with none.
+    """
 
     alg: LieAlgebraData
     ad: tuple[SparseMatrix, ...]
@@ -318,6 +330,23 @@ class TensorOps:
     sigma23: SparseMatrix
     Omega12: SparseMatrix    # Omega (x) 1, the image of the letter O12
     Omega23: SparseMatrix    # 1 (x) Omega, the image of the letter O23
+
+    def __post_init__(self):
+        object.__setattr__(self, "_reports", {})
+
+
+def _kept_on_ops(build):
+    """``build(ops, ...)``, kept on ``ops`` per function and arguments;
+    a call that raises keeps nothing."""
+
+    @functools.wraps(build)
+    def kept(ops: TensorOps, *args, **kwargs):
+        reports, key = ops._reports, (build.__name__, args, tuple(kwargs.items()))
+        if key not in reports:
+            reports[key] = build(ops, *args, **kwargs)
+        return reports[key]
+
+    return kept
 
 
 def _bracket_maps(alg: LieAlgebraData) -> dict[str, SparseMatrix]:
@@ -374,17 +403,24 @@ def build_tensor_ops(alg: LieAlgebraData) -> TensorOps:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
+    """The checks of one suite.  It is frozen and holds its checks as a
+    tuple, whatever iterable it was given, so a kept report can be
+    shared."""
+
     algebra: str
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: tuple[CheckResult, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "checks", tuple(self.checks))
 
     @property
     def ok(self) -> bool:
@@ -411,40 +447,43 @@ def _matrix_check(name: str, lhs: SparseMatrix, rhs: SparseMatrix) -> CheckResul
     return CheckResult(name, False, f"first difference at ({i}, {j}): {a.to_text()} vs {b.to_text()}")
 
 
+@_kept_on_ops
 def verify_classical(ops: TensorOps) -> Report:
-    """Antisymmetry, Jacobi and braid identities as matrix equalities."""
-    report = Report(ops.alg.name)
+    """Antisymmetry, Jacobi and braid identities as matrix equalities;
+    kept on ``ops``."""
     sides = _classical_sides(ops.T, ops.sigma, ops.T1, ops.T2, ops.sigma12, ops.sigma23)
-    report.checks.extend(_matrix_check(name, lhs, rhs) for name, lhs, rhs in sides)
-    return report
+    return Report(ops.alg.name, (_matrix_check(name, lhs, rhs) for name, lhs, rhs in sides))
 
 
+@_kept_on_ops
 def structure_report(ops: TensorOps) -> Report:
-    """The structure-tensor invariants of the derived operators."""
+    """The structure-tensor invariants of the derived operators; kept on
+    ``ops``."""
     d = ops.alg.dim
     eye = SparseMatrix.identity(d)
-    report = Report(ops.alg.name)
-    report.checks.append(_matrix_check("t_symmetric", ops.sigma * ops.t_vec, ops.t_vec))
+    checks = [_matrix_check("t_symmetric", ops.sigma * ops.t_vec, ops.t_vec)]
     zero_vec = SparseMatrix.zeros(d * d, 1)
     for i in range(d):
         diagonal = kron(ops.ad[i], eye) + kron(eye, ops.ad[i])
-        report.checks.append(
+        checks.append(
             _matrix_check(f"t_invariant[{ops.alg.basis_names[i]}]", diagonal * ops.t_vec, zero_vec)
         )
-        report.checks.append(
+        checks.append(
             _matrix_check(
                 f"omega_diagonal_commutes[{ops.alg.basis_names[i]}]",
                 ops.Omega * diagonal,
                 diagonal * ops.Omega,
             )
         )
-    report.checks.append(_matrix_check("sigma_omega_sigma", ops.sigma * ops.Omega * ops.sigma, ops.Omega))
-    report.checks.append(_matrix_check("sigma_squared", ops.sigma * ops.sigma, SparseMatrix.identity(d * d)))
-    return report
+    checks.append(_matrix_check("sigma_omega_sigma", ops.sigma * ops.Omega * ops.sigma, ops.Omega))
+    checks.append(_matrix_check("sigma_squared", ops.sigma * ops.sigma, SparseMatrix.identity(d * d)))
+    return Report(ops.alg.name, checks)
 
 
+@_kept_on_ops
 def verify_sigma_rmatrix(ops: TensorOps, order: int) -> Report:
-    """Flip = braiding composed with the inverse exponential, mod h^order.
+    """Flip = braiding composed with the inverse exponential, mod h^order;
+    kept on ``ops`` per order.
 
     The braiding exponential is built from the Casimir tensor acting
     through the adjoint representation, while the correcting exponential
@@ -462,15 +501,15 @@ def verify_sigma_rmatrix(ops: TensorOps, order: int) -> Report:
     if order < 1:
         raise ValueError("order must be positive")
     zero = ops.sigma.ring_zero()
-    report = Report(ops.alg.name)
+    checks = []
     E = ops.sigma.ring_one()
     neg_omega = -ops.Omega
     for k in range(order):
         if k:
             step = Scalar.constant("ipi", coeff=Fraction(1, k))
             E = E.dot(((ops.t_action, E), (E, neg_omega))).scale(step)
-        report.checks.append(_matrix_check(f"h^{k}", zero if k else ops.sigma, ops.sigma * E))
-    return report
+        checks.append(_matrix_check(f"h^{k}", zero if k else ops.sigma, ops.sigma * E))
+    return Report(ops.alg.name, checks)
 
 
 def eval_series(series: HSeries, ops: TensorOps) -> HSeries:
@@ -486,11 +525,11 @@ def eval_series(series: HSeries, ops: TensorOps) -> HSeries:
     return HSeries(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralReport:
     trace: Fraction
-    min_poly: list[Fraction]
-    factors: list[tuple[Fraction, int, int]]  # (root, multiplicity, kernel dim)
+    min_poly: tuple[Fraction, ...]
+    factors: tuple[tuple[Fraction, int, int], ...]  # (root, multiplicity, kernel dim)
     residual_degree: int
     annihilates: bool
 
@@ -579,8 +618,14 @@ def spectral_report(matrix: SparseMatrix) -> SpectralReport:
         factors.append((root, mult, kernel))
     return SpectralReport(
         trace=matrix.trace().as_fraction(),
-        min_poly=coeffs,
-        factors=factors,
+        min_poly=tuple(coeffs),
+        factors=tuple(factors),
         residual_degree=len(work) - 1,
         annihilates=matrix.lincomb(zip(coeffs, powers)).is_zero,
     )
+
+
+@_kept_on_ops
+def omega_report(ops: TensorOps) -> SpectralReport:
+    """The :func:`spectral_report` of ``ops.Omega``, kept on ``ops``."""
+    return spectral_report(ops.Omega)

@@ -69,6 +69,18 @@ entry's assembled claim is the weighted sum of those claims' sides, so
 it rewrites by lookups.  A table with no nonzero entries has no degree
 to check, and its 5.1 claims pass vacuously.
 
+A report reads only its identity, the table's content (the nonzero
+``(degree, entry)`` pairs) for 5.1a and 5.1b, the order for
+``sigma_h_def`` and ``STEP_BUDGET``.  So :func:`verify_identity` keeps
+each report by exactly those, as read when it runs, for the
+:data:`KEPT_REPORTS` reports used last, forgetting the one used longest
+ago; a check that raises keeps nothing, and a lowered budget keys its
+own reports, so it fails where a fresh process does.  A kept report is
+shared: :class:`IdentityReport` is frozen, holds tuples and read-only
+mappings, and its ``to_json`` builds fresh lists and dicts.  A repeated
+request thus rewrites, discharges and renders no claim; a first one for
+a table still builds its claims' stores.
+
 The unit object and the single tensor site are identified with their
 images outright, which is how the deformed Casimir tensor ``t_h`` types
 at all; it normalizes through the two-site conjugator but no verified
@@ -77,11 +89,13 @@ identity consumes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import partial
+from types import MappingProxyType
 
-from .deformation import alpha_word, builtin_table
+from .deformation import CACHED_FILES, alpha_word, builtin_table
 from .hseries import HSeries
 from .ncalg import LinearCombination, Scalar, ScalarLike
 
@@ -664,7 +678,7 @@ def replay_trace(expr: MorphTerm, trace) -> TransportElement:
     check that no rule still applies."""
     raw = list(expr.terms)
     for step in trace:
-        if not isinstance(step, dict) or not {"term", "rule", "pos"} <= step.keys():
+        if not isinstance(step, Mapping) or not {"term", "rule", "pos"} <= step.keys():
             raise TransportError(f"trace step {step!r} is not a dict with term, rule and pos")
         index, rule, pos = step["term"], step["rule"], step["pos"]
         # A bool is an int, and a negative index would count from the end.
@@ -737,18 +751,31 @@ def reduce_modulo_classical(element: TransportElement):
 
 # -- identity verification ---------------------------------------------------------
 
-@dataclass
+def _read_only(items) -> tuple:
+    return tuple(MappingProxyType(dict(item)) for item in items)
+
+
+@dataclass(frozen=True)
 class IdentityReport:
+    """The outcome of one identity check.  It is frozen and holds tuples,
+    its trace steps and details as read-only mappings, so a kept report
+    can be shared; :meth:`to_json` builds fresh lists and dicts."""
+
     identity: str
     passed: bool
     lhs_text: str
     rhs_text: str
-    lhs_trace: list = field(default_factory=list)
-    rhs_trace: list = field(default_factory=list)
+    lhs_trace: tuple = ()
+    rhs_trace: tuple = ()
     classical_rules_used: tuple[str, ...] = ()
-    discharge_steps: list = field(default_factory=list)
+    discharge_steps: tuple = ()
     notes: tuple[str, ...] = ()
-    details: list = field(default_factory=list)
+    details: tuple = ()
+
+    def __post_init__(self):
+        for name in ("lhs_trace", "rhs_trace", "details"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        object.__setattr__(self, "discharge_steps", tuple(self.discharge_steps))
 
     def __bool__(self):
         return self.passed
@@ -759,13 +786,16 @@ class IdentityReport:
             "passed": self.passed,
             "lhs_normal_form": self.lhs_text,
             "rhs_normal_form": self.rhs_text,
-            "trace": {"lhs": self.lhs_trace, "rhs": self.rhs_trace},
+            "trace": {
+                "lhs": [dict(step) for step in self.lhs_trace],
+                "rhs": [dict(step) for step in self.rhs_trace],
+            },
             "classical_rules_used": sorted(self.classical_rules_used),
             "discharge_steps": [
                 {"rule": r, "word": w, "pos": p} for r, w, p in self.discharge_steps
             ],
             "notes": list(self.notes),
-            "details": self.details,
+            "details": [dict(item) for item in self.details],
         }
 
 
@@ -842,7 +872,6 @@ def _verify_series_coefficients(identity: str, table) -> IdentityReport:
     degree; the report carries the last assembled claim's normal forms
     and traces.  With no degree to check, as for a table with no nonzero
     entries, the claim holds vacuously."""
-    table = table if table is not None else builtin_table()
     degrees = table.degrees()
     if not degrees:
         note = "no degree to check: the table has no nonzero entries"
@@ -910,17 +939,44 @@ def _verify_braiding_series(order: int) -> IdentityReport:
     )
 
 
+# (identity, what it reads, STEP_BUDGET) -> its report, for the
+# KEPT_REPORTS reports used last, the one used last at the end: the seven
+# of one ``verify all`` and the 5.1a and 5.1b reports of each table
+# ``load_table`` keeps.
+KEPT_REPORTS = 7 + 2 * CACHED_FILES
+_reports: dict[tuple, IdentityReport] = {}
+
+
 def verify_identity(identity: str, table=None, order: int = 4) -> IdentityReport:
     """Verify one deformed identity by rewriting.
 
     ``table`` holds the series coefficients for the 5.1 checks, the
-    built-in one by default; ``order`` sets the braiding truncation.
+    built-in one by default; ``order`` sets the braiding truncation.  The
+    report is kept, as the module docstring sets out.
     """
     if identity in ("5.1a", "5.1b"):
-        return _verify_series_coefficients(identity, table)
-    if identity == "sigma_h_def":
-        return _verify_braiding_series(order)
+        table = table if table is not None else builtin_table()
+        reads = tuple((k, table.entries[k]) for k in table.degrees())
+        build = partial(_verify_series_coefficients, identity, table)
+    elif identity == "sigma_h_def":
+        reads, build = order, partial(_verify_braiding_series, order)
+    else:
+        reads, build = None, partial(_verify_h_free, identity)
+    key = (identity, reads, STEP_BUDGET)
+    # Taken out and put back as the one used last; a check that raises
+    # keeps nothing.
+    report = _reports.pop(key, None)
+    if report is None:
+        report = build()
+    _reports[key] = report
+    if len(_reports) > KEPT_REPORTS:
+        del _reports[next(iter(_reports))]
+    return report
 
+
+def _verify_h_free(identity: str) -> IdentityReport:
+    """Both sides normalized, then their difference discharged by the
+    classical rules."""
     lhs_expr, rhs_expr = identity_expressions(identity)
     lhs_el, lhs_trace = normalize_traced(lhs_expr)
     rhs_el, rhs_trace = normalize_traced(rhs_expr)

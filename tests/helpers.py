@@ -9,8 +9,10 @@ the engine's work, starts from an empty cache (:func:`fresh_psi`,
 :func:`empty_psi_cache`).  Rewriting keeps each term's normal form and
 steps for later calls in the same way, so a test that counts the
 rewriter's work, or compares a cold run, starts from
-:func:`empty_term_cache`.  ``load_table`` keeps the tables of the files
-it read last, so a test that counts table parses starts from
+:func:`empty_term_cache`, and ``verify_identity`` keeps its reports, so
+a test that needs a call to build one starts from
+:func:`empty_report_cache`.  ``load_table`` keeps the tables of the
+files it read last, so a test that counts table parses starts from
 :func:`empty_table_cache`.
 
 The rewrite oracle finds every transport step by trying every rule at
@@ -107,6 +109,12 @@ def empty_term_cache():
     """Forget every kept term normal form, so that the next normalization
     rewrites each of its terms."""
     transport._normal_terms.clear()
+
+
+def empty_report_cache():
+    """Forget every kept identity report, so that the next
+    ``verify_identity`` of any identity builds its report."""
+    transport._reports.clear()
 
 
 def fresh_psi(table: EkTable, order: int):

@@ -158,7 +158,7 @@ def test_criterion_7_transport_suite():
             lhs_expr, rhs_expr = identity_expressions(name)
             lhs_el, lhs_trace = normalize_traced(lhs_expr)
             rhs_el, rhs_trace = normalize_traced(rhs_expr)
-            assert report.lhs_trace == lhs_trace and report.rhs_trace == rhs_trace
+            assert report.lhs_trace == tuple(lhs_trace) and report.rhs_trace == tuple(rhs_trace)
             assert replay_trace(lhs_expr, report.lhs_trace) == lhs_el
             assert replay_trace(rhs_expr, report.rhs_trace) == rhs_el
             assert report.lhs_text == lhs_el.to_text()

@@ -8,7 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import counted_table_parses, empty_psi_cache, empty_term_cache, fresh_psi, negate_psi_below_the_top
+from helpers import (
+    counted_table_parses,
+    empty_psi_cache,
+    empty_report_cache,
+    empty_term_cache,
+    fresh_psi,
+    negate_psi_below_the_top,
+)
 
 from qjacobi import cli, transport
 
@@ -154,12 +161,61 @@ TRANSPORT_GOLDENS = [
 def test_transport_goldens_twice_in_one_process(capsys):
     # From an empty term cache the first calls rewrite and keep their
     # terms, and the later ones, interleaved, are served from them; every
-    # output is its golden file's bytes.
+    # output is its golden file's bytes.  Each call starts with no kept
+    # report, so that it builds its reports from the terms.
     empty_term_cache()
     for i in (0, 1, 2, 1, 0, 2):
         argv, golden = TRANSPORT_GOLDENS[i]
+        empty_report_cache()
         code, out = run_cli(capsys, *argv)
         assert (code, out.encode("utf-8")) == (0, (GOLDEN / golden).read_bytes()), argv
+
+
+# Commands whose every report the process keeps after one call.
+KEPT_REPORT_COMMANDS = [
+    ["verify", "all"],
+    ["verify", "rmatrix"],
+    ["omega", "--algebra", "sl3", "--format", "json"],
+    ["verify", "transport", "--table", str(GOLDEN / "table_constants.json")],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", KEPT_REPORT_COMMANDS, ids=["verify-all", "verify-rmatrix", "omega-sl3-json", "verify-transport-table"]
+)
+def test_a_repeated_report_command_reads_the_reports_it_kept(capsys, monkeypatch, argv):
+    # The second call prints the first one's bytes and exit code, and
+    # builds no report: it multiplies no matrix and normalizes no term.
+    from qjacobi.matrices import SparseMatrix
+
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0
+    work = []
+    for owner, name in ((SparseMatrix, "__mul__"), (transport, "_normalize_raw_terms")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            work.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert run_cli(capsys, *argv) == first
+    assert work == []
+
+
+def test_a_lowered_then_restored_step_budget_fails_then_passes(capsys, monkeypatch):
+    # The budget keys each kept report: a lowered one fails as a fresh
+    # process does (the next test compares it with one), and the restored
+    # one prints the golden bytes again.
+    argv = ["verify", "transport", "--format", "json"]
+    golden = (GOLDEN / "verify_transport.json").read_text()
+    assert run_cli(capsys, *argv) == (0, golden)
+    monkeypatch.setattr(transport, "STEP_BUDGET", 12)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: rewrite step budget exhausted\n")
+    monkeypatch.undo()
+    assert run_cli(capsys, *argv) == (0, golden)
 
 
 def test_a_lowered_step_budget_fails_a_warm_call_as_a_fresh_process(capsys, monkeypatch):
@@ -770,6 +826,27 @@ def test_algebra_file_is_read_on_every_call(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
+    assert captured.err == "error: Killing form is degenerate: the algebra is not semisimple\n"
+
+
+def test_a_rewritten_algebra_file_is_verified_anew(capsys, tmp_path):
+    # A file algebra is built on every call and keeps no report past it:
+    # each call verifies the file as it is then, as omega reads it in the
+    # test above.
+    from qjacobi.liealg import algebra_to_json, build_algebra
+
+    path = tmp_path / "algebra.json"
+    argv = ["verify", "classical", "--format", "json"]
+    for name in ("sl2", "sl3", "sl2"):
+        _, preset = run_cli(capsys, *argv, "--algebra", name)
+        path.write_text(json.dumps(algebra_to_json(build_algebra(name))))
+        code, out = run_cli(capsys, *argv, "--algebra", str(path))
+        assert code == 0
+        assert out == preset.replace(f'"algebra": "{name}"', f'"algebra": "{path}"')
+    path.write_text(json.dumps({"dim": 2, "basis": ["x", "y"], "brackets": []}))
+    code = cli.main([*argv, "--algebra", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
     assert captured.err == "error: Killing form is degenerate: the algebra is not semisimple\n"
 
 

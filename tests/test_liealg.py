@@ -19,6 +19,7 @@ from qjacobi.liealg import (
     build_algebra,
     build_tensor_ops,
     eval_series,
+    omega_report,
     spectral_report,
     structure_report,
     verify_classical,
@@ -429,6 +430,54 @@ def test_tensor_ops_and_algebra_data_are_frozen(sl2_ops):
         sl2_ops.alg.name = "other"
 
 
+def test_a_preset_keeps_each_report_per_order():
+    # A report reads the operators alone, so a preset's is built once per
+    # process and shared; a replaced instance starts with none.
+    import dataclasses
+
+    ops = algebra_ops("sl2")
+    for report in (verify_classical, structure_report, omega_report):
+        assert report(ops) is report(ops)
+    assert verify_sigma_rmatrix(ops, 3) is verify_sigma_rmatrix(ops, 3)
+    assert verify_sigma_rmatrix(ops, order=3) is verify_sigma_rmatrix(ops, order=3)
+    assert verify_sigma_rmatrix(ops, 3) is not verify_sigma_rmatrix(ops, 4)
+    assert [c.name for c in verify_sigma_rmatrix(ops, 4).checks] == ["h^0", "h^1", "h^2", "h^3"]
+    assert omega_report(ops) == spectral_report(ops.Omega)
+    # An order that raises keeps nothing and raises again.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="order must be positive"):
+            verify_sigma_rmatrix(ops, 0)
+    bad = dataclasses.replace(ops, T=ops.T + SparseMatrix(3, 9, [(0, 0, 1)]))
+    assert not verify_classical(bad).ok and verify_classical(ops).ok
+
+
+def test_a_kept_report_cannot_change():
+    import dataclasses
+
+    from qjacobi.liealg import CheckResult, Report
+
+    ops = algebra_ops("sl2")
+    report = verify_classical(ops)
+    assert isinstance(report.checks, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.checks = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.checks[0].passed = False
+    spectral = omega_report(ops)
+    assert isinstance(spectral.min_poly, tuple) and isinstance(spectral.factors, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spectral.annihilates = False
+    # Every to_json is built fresh, and a list of checks is stored as a tuple.
+    for kept, key in ((report, "checks"), (spectral, "eigenvalues")):
+        before = kept.to_json()
+        kept.to_json()[key].clear()
+        assert kept.to_json() == before
+    given = [CheckResult("3.1", False, "forced failure")]
+    built = Report("custom", given)
+    given.clear()
+    assert built.checks == (CheckResult("3.1", False, "forced failure"),) and not built
+
+
 def test_shared_algebra_structure_is_read_only():
     # Before the structure was read-only, a caller could pop a bracket
     # from the preset every later algebra_ops("sl2") call returns.
@@ -512,11 +561,11 @@ def test_sl2_omega_spectrum_via_rank_oracle(sl2_ops):
 def test_sl2_spectral_report(sl2_ops):
     report = spectral_report(sl2_ops.Omega)
     assert report.trace == 0
-    assert report.factors == [
+    assert report.factors == (
         (Fraction(-1), 1, 1),
         (Fraction(-1, 2), 1, 3),
         (Fraction(1, 2), 1, 5),
-    ]
+    )
     assert report.residual_degree == 0
     assert report.annihilates
     assert report.factored_text() == "(x + 1)*(x + 1/2)*(x - 1/2)"
@@ -562,7 +611,7 @@ def test_spectral_report_of_small_matrices(rows, factors, text):
     # Each rational root once, with its multiplicity in the minimal
     # polynomial and its kernel dimension; the rest is the residual part.
     report = spectral_report(SparseMatrix.from_rows(rows))
-    assert report.factors == [(Fraction(root), mult, dim) for root, mult, dim in factors]
+    assert report.factors == tuple((Fraction(root), mult, dim) for root, mult, dim in factors)
     assert report.factored_text() == text
     assert report.annihilates
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
     TransportModel,
+    empty_report_cache,
     empty_term_cache,
     reference_classical_normalize,
     reference_normalize,
@@ -17,7 +18,7 @@ from helpers import (
 )
 
 from qjacobi import transport
-from qjacobi.deformation import builtin_table, parse_table
+from qjacobi.deformation import CACHED_FILES, builtin_table, builtin_table_text, parse_table
 from qjacobi.liealg import build_algebra, build_tensor_ops, eval_series
 from qjacobi.matrices import SparseMatrix
 from qjacobi.ncalg import Scalar
@@ -678,6 +679,99 @@ def test_identity_reports_serialize():
         doc = verify_identity(name).to_json()
         text = json.dumps(doc, sort_keys=True)
         assert json.loads(text)["identity"] == name
+
+
+def test_a_report_json_is_built_fresh_on_every_call():
+    # A caller's change to one to_json document must not reach the next.
+    for name in ("4.5", "5.1a"):
+        report = verify_identity(name)
+        before = json.dumps(report.to_json(), sort_keys=True)
+        report.to_json()["trace"]["lhs"].append({"term": 99})
+        report.to_json()["trace"]["rhs"][0]["term"] = 99
+        report.to_json()["details"].append({"passed": False})
+        if report.details:
+            report.to_json()["details"][0]["passed"] = False
+        report.to_json()["notes"].clear()
+        assert json.dumps(report.to_json(), sort_keys=True) == before
+
+
+def test_a_kept_identity_report_cannot_change():
+    import dataclasses
+
+    for name in ("4.5", "5.1a"):
+        report = verify_identity(name)
+        assert verify_identity(name) is report
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.passed = False
+        with pytest.raises(TypeError):
+            report.rhs_trace[0]["term"] = 99
+    with pytest.raises(TypeError):
+        verify_identity("5.1a").details[0]["passed"] = False
+    # A kept trace still replays.
+    lhs_expr, _ = identity_expressions("4.5")
+    report = verify_identity("4.5")
+    assert replay_trace(lhs_expr, report.lhs_trace).to_text() == report.lhs_text
+
+
+_VERIFY_ALL = ("4.3a", "4.3b", "4.4", "4.5", "5.1a", "5.1b", "sigma_h_def")
+
+
+def test_a_report_is_kept_per_identity_and_what_it_reads():
+    empty_report_cache()
+    mixed = _mixed_table()
+    # 4.3a-4.5 read neither the table nor the order.
+    assert verify_identity("4.5") is verify_identity("4.5", table=mixed, order=7)
+    # sigma_h_def reads the order alone.
+    assert verify_identity("sigma_h_def", order=3) is verify_identity("sigma_h_def", table=mixed, order=3)
+    assert verify_identity("sigma_h_def", order=3) is not verify_identity("sigma_h_def", order=4)
+    # 5.1a and 5.1b read the table's content, not its source.
+    copy = parse_table(builtin_table_text(), source="copy")
+    assert verify_identity("5.1a", table=copy, order=7) is verify_identity("5.1a")
+    assert verify_identity("5.1a", table=mixed) is not verify_identity("5.1a")
+    assert verify_identity("5.1a", table=mixed).to_json() != verify_identity("5.1a").to_json()
+    # Every kept report is the one a fresh call builds.
+    calls = [(name, None, 4) for name in _VERIFY_ALL] + [
+        (name, mixed, order) for name in ("5.1a", "5.1b", "sigma_h_def") for order in (3, 5)
+    ]
+    kept = [verify_identity(*call).to_json() for call in calls]
+    for call, doc in zip(calls, kept):
+        empty_report_cache()
+        empty_term_cache()
+        assert verify_identity(*call).to_json() == doc, call
+
+
+def test_the_report_one_past_the_bound_forgets_the_one_used_longest_ago():
+    # The bound holds one ``verify all`` and the 5.1 pair of each table
+    # ``load_table`` keeps.
+    empty_report_cache()
+    docs = [{"entries": {"2": f"{i + 1}*A.B - {i + 1}*B.A"}} for i in range(CACHED_FILES + 1)]
+    tables = [parse_table(json.dumps(doc)) for doc in docs]
+    calls = [(name, None) for name in _VERIFY_ALL]
+    calls += [(name, table) for table in tables[:-1] for name in ("5.1a", "5.1b")]
+    assert len(calls) == transport.KEPT_REPORTS
+    reports = [verify_identity(name, table) for name, table in calls]
+    # Using the first again makes the second the one used longest ago.
+    assert verify_identity(*calls[0]) is reports[0]
+    verify_identity("5.1a", tables[-1])
+    for i, (call, report) in enumerate(zip(calls, reports)):
+        if i != 1:
+            assert verify_identity(*call) is report
+    again = verify_identity(*calls[1])
+    assert again is not reports[1] and again.to_json() == reports[1].to_json()
+
+
+def test_a_report_whose_check_raises_is_not_kept(monkeypatch):
+    # The budget is read at call time and keys the report, so a lowered
+    # budget rewrites, runs out and keeps nothing, and the restored one
+    # reads the report kept for it.
+    report = verify_identity("4.5")
+    monkeypatch.setattr(transport, "STEP_BUDGET", 12)
+    for _ in range(2):
+        with pytest.raises(TransportError, match="budget"):
+            verify_identity("4.5")
+    assert ("4.5", None, 12) not in transport._reports
+    monkeypatch.undo()
+    assert verify_identity("4.5") is report
 
 
 def test_braiding_relation_series():
