@@ -16,31 +16,22 @@ invalid table/algebra input, 4 an internal invariant failed (an
 program, not of the input).
 
 ``main`` can be called many times in one process.  The process builds
-the parser once (:func:`build_parser` is cached), and each algebra
-preset with its validated operators once
-(:func:`qjacobi.liealg.algebra_ops`).  It keeps the Psi pairs used
-last, ``psi``'s free ones and ``eval``'s in each algebra's matrices, by
-table content and letters, as :mod:`qjacobi.psiengine` sets out; a
-longer request resumes a kept pair and checks psi * psi_inv = 1 on the
-extended pair, so every served coefficient has passed that check in
-this process.  It keeps the normal forms and steps of the transport
-terms rewritten last, as :mod:`qjacobi.transport` sets out; a kept term
-is traced and counted against the step budget as a fresh one, so a
-call's trace and its budget error are those of a fresh process.  It
-keeps every report ``verify`` and ``omega`` build, by exactly what the
-report reads: ``verify_identity`` keeps the transport reports used last
-(:mod:`qjacobi.transport`), and a preset's operators keep the classical,
-structure, braiding and spectral reports built on them
-(:class:`qjacobi.liealg.TensorOps`), so a repeated request reads the
-report its inputs already produced; a file algebra is built on every
-call and keeps none past it.  A report is frozen, its ``to_json``
-builds a fresh document, and one whose check raised is not kept.  Table
-and algebra files are read on every call.  An algebra file is validated
-on every call; a table file is parsed and checked once per path and
-content, where its table is built (:class:`qjacobi.deformation.EkTable`),
-and :func:`qjacobi.deformation.load_table` keeps the tables of the files
-read last.  The built-in table is read from its package file once per
-process.
+the parser once (:func:`build_parser` is cached), each algebra preset
+with its validated operators once (:func:`qjacobi.liealg.algebra_ops`)
+and the built-in table once.  All else it keeps is in
+:class:`qjacobi.ncalg.Kept` stores, each keyed by exactly what its
+values read and bounded by one constant: Psi pairs, free and in an
+algebra's matrices, by table content and letters
+(``psiengine.CACHED_TABLES``); transport terms' normal forms and steps
+by factors (``transport.KEPT_TERMS``); transport reports by identity,
+what they read and step budget (``transport.KEPT_REPORTS``); the
+classical, structure, braiding and spectral reports of a preset, on its
+operators (``liealg.KEPT_OPS_REPORTS``); and tables parsed from files,
+by path and bytes (``deformation.CACHED_FILES``).  A value whose work
+raised is not kept, so a call's output, trace and errors are those of a
+fresh process, as each module sets out.  Table and algebra files are
+read on every call; an algebra file is built and validated on every
+call and keeps no report past it.
 """
 
 from __future__ import annotations

@@ -17,8 +17,9 @@ once per process from ``data/builtin_table.json``.  Higher degrees are
 supplied as data files because their closed forms depend on
 normalization choices this package does not make; :class:`EkTable`
 checks every table, once, where it is built.  :func:`load_table` reads
-a table file on every call and parses it once per path and content: it
-keeps the tables of the files it read last.
+a table file on every call and parses it once per path and content: the
+tables it parsed are kept in a :class:`~qjacobi.ncalg.Kept` store keyed
+by (path, bytes), for :data:`CACHED_FILES` tables.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from types import MappingProxyType
 
 from . import jsontext
 from .hseries import HSeries, SeriesError
-from .ncalg import _NAME_RE, Alphabet, NCPoly, parse_poly, substitute
+from .ncalg import _NAME_RE, Alphabet, Kept, NCPoly, parse_poly, substitute
 
 __all__ = [
     "AB_ALPHABET",
@@ -179,9 +180,8 @@ def parse_table(text: str | bytes, source: str = "custom") -> EkTable:
     return EkTable(entries, provenance, constants, source)
 
 
-# (path, file bytes) -> the table parsed from them, the one used last at the end.
 CACHED_FILES = 8
-_tables: dict[tuple[str, bytes], EkTable] = {}
+_tables = Kept(CACHED_FILES)
 
 
 def load_table(path_or_name: str) -> EkTable:
@@ -189,9 +189,8 @@ def load_table(path_or_name: str) -> EkTable:
 
     The file is read on every call, so a missing or rewritten file is
     always seen.  The same bytes read again from the same path give the
-    table kept for them, frozen and shared, without a second parse; the
-    tables of the :data:`CACHED_FILES` (path, bytes) pairs used last are
-    kept.  A file that fails to parse is never kept."""
+    table kept for them, frozen and shared, without a second parse.  A
+    file that fails to parse is never kept."""
     if path_or_name == "builtin":
         return builtin_table()
     try:
@@ -200,11 +199,8 @@ def load_table(path_or_name: str) -> EkTable:
     except OSError as exc:
         raise TableError(f"cannot read table file: {exc}") from exc
     key = (str(path_or_name), text)
-    table = _tables.pop(key, None) or parse_table(text, source=key[0])
-    _tables[key] = table
-    if len(_tables) > CACHED_FILES:
-        del _tables[next(iter(_tables))]
-    return table
+    table = _tables.take(key)
+    return _tables.put(key, parse_table(text, source=key[0]) if table is None else table)
 
 
 def dump_table(table: EkTable) -> str:

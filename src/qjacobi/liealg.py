@@ -28,7 +28,7 @@ from typing import Mapping
 from . import jsontext
 from .hseries import HSeries
 from .matrices import MatrixError, SparseMatrix, _krylov, kron
-from .ncalg import NCPoly, Scalar, substitute
+from .ncalg import Kept, NCPoly, Scalar, substitute
 from .psiengine import PSI_ALPHABET
 
 __all__ = [
@@ -309,12 +309,12 @@ class TensorOps:
     instance can be shared: :func:`algebra_ops` shares each preset's.
 
     A report on the operators reads them alone, so an instance keeps
-    every report built on it (:func:`verify_classical`,
-    :func:`structure_report`, :func:`verify_sigma_rmatrix` per order and
-    :func:`omega_report`): a preset builds each once per process, and a
-    file algebra, built again on every call, keeps none past its call.
-    The kept reports are not a field, so two instances compare by their
-    operators alone and :func:`dataclasses.replace` starts with none.
+    :data:`KEPT_OPS_REPORTS` reports built on it (:func:`verify_classical`,
+    :func:`structure_report`, :func:`verify_sigma_rmatrix` per order,
+    :func:`omega_report`) in a :class:`~qjacobi.ncalg.Kept` store, not a
+    field: a preset builds each once per process, a file algebra keeps
+    none past its call, two instances compare by their operators alone and
+    :func:`dataclasses.replace` starts with none.
     """
 
     alg: LieAlgebraData
@@ -332,7 +332,12 @@ class TensorOps:
     Omega23: SparseMatrix    # 1 (x) Omega, the image of the letter O23
 
     def __post_init__(self):
-        object.__setattr__(self, "_reports", {})
+        object.__setattr__(self, "_reports", Kept(KEPT_OPS_REPORTS))
+
+
+# Twice the most a benchmark workload asks of one preset: 8 reports, from
+# sl3-eval's sl2 (classical, structure, omega and rmatrix orders 6-10).
+KEPT_OPS_REPORTS = 16
 
 
 def _kept_on_ops(build):
@@ -341,10 +346,9 @@ def _kept_on_ops(build):
 
     @functools.wraps(build)
     def kept(ops: TensorOps, *args, **kwargs):
-        reports, key = ops._reports, (build.__name__, args, tuple(kwargs.items()))
-        if key not in reports:
-            reports[key] = build(ops, *args, **kwargs)
-        return reports[key]
+        key = (build.__name__, args, tuple(kwargs.items()))
+        report = ops._reports.take(key)
+        return ops._reports.put(key, build(ops, *args, **kwargs) if report is None else report)
 
     return kept
 

@@ -45,6 +45,9 @@ the words by Horner's rule over their last letters, one power of h at a
 time.  :func:`substitute` is its h^0 coefficient with constant images
 (polynomials, exact matrices or truncated series), and the Psi engine
 extends it over the coefficient lists of the pair it is building.
+
+:class:`Kept` is the one bounded store of what a process keeps between
+calls, and its docstring states the policy every such store follows.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from typing import Union
 
 __all__ = [
     "Alphabet",
+    "Kept",
     "NCPoly",
     "Ring",
     "Scalar",
@@ -860,3 +864,30 @@ def parse_poly(text: str, alphabet: Alphabet, constants: tuple[str, ...] = ("ipi
         frac, mono, word = _parse_term(body, alphabet, constants)
         terms.append((word, Scalar._of({mono: sign * frac})))
     return NCPoly(alphabet, terms)
+
+
+class Kept(dict):
+    """What a process keeps between calls: at most ``bound`` values by
+    key, the one used last at the end.  A caller takes a value out
+    (:meth:`take`) while it works on it and puts it back (:meth:`put`)
+    once that work has succeeded, so a value whose work raised is gone;
+    past the bound, ``put`` forgets the entry used longest ago.  ``take``
+    gives ``None`` for a key not kept, so callers test ``is None``: a kept
+    value may be falsy, as a failed report is.
+    """
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound = bound
+
+    def take(self, key):
+        """Remove and return the value kept for ``key``, or ``None``."""
+        return self.pop(key, None)
+
+    def put(self, key, value):
+        """Keep ``value`` for ``key`` as the newest entry and return it."""
+        self.pop(key, None)
+        self[key] = value
+        if len(self) > self.bound:
+            del self[next(iter(self))]
+        return value

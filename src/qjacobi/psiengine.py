@@ -44,17 +44,16 @@ are mutually inverse modulo h^(n+1).
 The pair depends on the table's nonzero entries and the two letters
 alone, and the pass is online: the pair modulo h^N is the first N
 coefficients of the pair modulo any higher order.  So a process keeps
-one engine per table content (the degree -> entry map) and letters,
-compared by value, with its pair, Y, its blocks' word evaluators and the
-order it reached, for the :data:`CACHED_TABLES` engines used last, free
-and matrix ones alike; using one more forgets the one used longest ago.
+one engine, with its pair, Y, its blocks' word evaluators and the order
+it reached, in a :class:`~qjacobi.ncalg.Kept` store keyed by table
+content (the degree -> entry map) and letters, compared by value, for
+:data:`CACHED_TABLES` engines, free and matrix ones alike.
 :func:`compute_psi_in` takes the table as built (an
 :class:`~qjacobi.deformation.EkTable` is checked once, by its
 constructor), resumes that engine's pass only past the order already
 reached, and runs the pair check on the extended pair each time it
-grows; an engine whose pass or check fails is dropped before the error
-propagates.  So every coefficient served has passed the check in this
-process.
+grows; an engine whose pass or check fails is not put back.  So every
+coefficient served has passed the check in this process.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from dataclasses import dataclass
 
 from .deformation import EkTable
 from .hseries import HSeries
-from .ncalg import Alphabet, NCPoly, WordEvaluator
+from .ncalg import Alphabet, Kept, NCPoly, WordEvaluator
 
 __all__ = ["EngineError", "PSI_ALPHABET", "PsiPair", "compute_psi", "compute_psi_in"]
 
@@ -137,9 +136,8 @@ class _Engine:
             psi.append(one.lincomb([(-1, psi_inv[j]), (-1, rest)]))
 
 
-# (table content, O12, O23) -> its engine, the one used last at the end.
 CACHED_TABLES = 8
-_engines: dict[tuple, _Engine] = {}
+_engines = Kept(CACHED_TABLES)
 _FREE_LETTERS = (NCPoly.letter(PSI_ALPHABET, "O12"), NCPoly.letter(PSI_ALPHABET, "O23"))
 
 
@@ -178,13 +176,13 @@ def compute_psi_in(table: EkTable, order: int, o12, o23) -> PsiPair:
     key = (entries, o12, o23)
     # Taken out while it runs, so an engine whose pass or check fails is
     # not put back: the whole pair of a cached engine has been checked.
-    engine = _engines.pop(key, None) or _Engine(entries, o12, o23)
+    engine = _engines.take(key)
+    if engine is None:
+        engine = _Engine(entries, o12, o23)
     grows = len(engine.psi) < order
     engine.extend(order)
     pair = PsiPair(HSeries(engine.psi[:order]), HSeries(engine.psi_inv[:order]), order, table.source)
     if grows:
         pair.validate()
-    _engines[key] = engine
-    if len(_engines) > CACHED_TABLES:
-        del _engines[next(iter(_engines))]
+    _engines.put(key, engine)
     return pair

@@ -54,8 +54,8 @@ form of a sum is the sum of the normal forms.
 
 A term's rewriting depends on its factors alone: a coefficient
 multiplier, its normal factors and its (rule, position) steps.  So a
-process keeps that result per factors tuple for the :data:`KEPT_TERMS`
-terms used last, forgetting the one used longest ago, and every
+process keeps that result in a :class:`~qjacobi.ncalg.Kept` store keyed
+by the factors tuple, for :data:`KEPT_TERMS` terms, and every
 normalization reads it there: :func:`normalize_traced`,
 :meth:`TransportElement.dot` and the classical discharge.  A call
 labels a kept term's steps with the term's index in its own list and
@@ -72,10 +72,10 @@ to check, and its 5.1 claims pass vacuously.
 A report reads only its identity, the table's content (the nonzero
 ``(degree, entry)`` pairs) for 5.1a and 5.1b, the order for
 ``sigma_h_def`` and ``STEP_BUDGET``.  So :func:`verify_identity` keeps
-each report by exactly those, as read when it runs, for the
-:data:`KEPT_REPORTS` reports used last, forgetting the one used longest
-ago; a check that raises keeps nothing, and a lowered budget keys its
-own reports, so it fails where a fresh process does.  A kept report is
+each report in a :class:`~qjacobi.ncalg.Kept` store keyed by exactly
+those, as read when it runs, for :data:`KEPT_REPORTS` reports; a check
+that raises keeps nothing, and a lowered budget keys its own reports,
+so it fails where a fresh process does.  A kept report is
 shared: :class:`IdentityReport` is frozen, holds tuples and read-only
 mappings, and its ``to_json`` builds fresh lists and dicts.  A repeated
 request thus rewrites, discharges and renders no claim; a first one for
@@ -97,7 +97,7 @@ from types import MappingProxyType
 
 from .deformation import CACHED_FILES, alpha_word, builtin_table
 from .hseries import HSeries
-from .ncalg import LinearCombination, Scalar, ScalarLike
+from .ncalg import Kept, LinearCombination, Scalar, ScalarLike
 
 __all__ = [
     "ClassicalPoly",
@@ -616,10 +616,9 @@ def _rewrite(coeff: Scalar, factors: tuple, pos: int, match):
     return coeff, factors[:pos] + replacement + factors[pos + consumed :]
 
 
-# factors -> (coefficient multiplier, normal factors, (rule, pos) steps)
-# of the terms rewritten last, the one used last at the end.
+# factors -> (coefficient multiplier, normal factors, (rule, pos) steps).
 KEPT_TERMS = 4096
-_normal_terms: dict[tuple, tuple] = {}
+_normal_terms = Kept(KEPT_TERMS)
 
 
 def _rewrite_term(factors: tuple, spent: int):
@@ -647,13 +646,10 @@ def _normalize_raw_terms(raw, dom, cod, trace=None):
     spent = 0
     finished = []
     for index, (coeff, factors) in enumerate(raw):
-        # A term is kept only once it reached its normal form: a failed
-        # one raised first.
-        kept = _normal_terms.pop(factors, None) or _rewrite_term(factors, spent)
-        _normal_terms[factors] = kept
-        if len(_normal_terms) > KEPT_TERMS:
-            del _normal_terms[next(iter(_normal_terms))]
-        multiplier, normal, steps = kept
+        kept = _normal_terms.take(factors)
+        if kept is None:
+            kept = _rewrite_term(factors, spent)
+        multiplier, normal, steps = _normal_terms.put(factors, kept)
         spent += len(steps)
         if spent > STEP_BUDGET:
             raise TransportError("rewrite step budget exhausted")
@@ -939,12 +935,10 @@ def _verify_braiding_series(order: int) -> IdentityReport:
     )
 
 
-# (identity, what it reads, STEP_BUDGET) -> its report, for the
-# KEPT_REPORTS reports used last, the one used last at the end: the seven
-# of one ``verify all`` and the 5.1a and 5.1b reports of each table
-# ``load_table`` keeps.
+# The seven reports of one ``verify all`` and the 5.1a and 5.1b reports
+# of each table ``load_table`` keeps.
 KEPT_REPORTS = 7 + 2 * CACHED_FILES
-_reports: dict[tuple, IdentityReport] = {}
+_reports = Kept(KEPT_REPORTS)
 
 
 def verify_identity(identity: str, table=None, order: int = 4) -> IdentityReport:
@@ -963,15 +957,9 @@ def verify_identity(identity: str, table=None, order: int = 4) -> IdentityReport
     else:
         reads, build = None, partial(_verify_h_free, identity)
     key = (identity, reads, STEP_BUDGET)
-    # Taken out and put back as the one used last; a check that raises
-    # keeps nothing.
-    report = _reports.pop(key, None)
-    if report is None:
-        report = build()
-    _reports[key] = report
-    if len(_reports) > KEPT_REPORTS:
-        del _reports[next(iter(_reports))]
-    return report
+    # ``is None``: a failed report is falsy and is kept all the same.
+    report = _reports.take(key)
+    return _reports.put(key, build() if report is None else report)
 
 
 def _verify_h_free(identity: str) -> IdentityReport:

@@ -118,3 +118,27 @@ def test_liealg_leaves_the_matrix_store_to_matrices():
     # rule instead cost about 1.6 ms more on a 7.6 ms sl3 report
     # (Python 3.11, 2 shared CPUs, best of 15).
     assert package_imports(source)["matrices"] == {"MatrixError", "SparseMatrix", "kron", "_krylov"}
+
+
+def _evictions(tree: ast.AST) -> list[ast.Delete]:
+    """The ``del store[next(iter(store))]`` statements under ``tree``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Delete)
+            and any(isinstance(t, ast.Subscript) and ast.unparse(t.slice).startswith("next(iter(")
+                    for t in node.targets)]
+
+
+def test_no_module_binds_an_empty_store():
+    # Whatever a process keeps is in a bounded ncalg.Kept store, so no
+    # module binds an empty container at module level.
+    empty = {"{}", "[]", "dict()", "set()", "list()"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text("utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                assert ast.unparse(node.value) not in empty, f"{path.stem}: {ast.unparse(node)}"
+
+
+def test_only_kept_forgets_the_entry_used_longest_ago():
+    evictions = sum(len(_evictions(ast.parse(path.read_text("utf-8")))) for path in PACKAGE.glob("*.py"))
+    ncalg = ast.parse((PACKAGE / "ncalg.py").read_text("utf-8"))
+    (kept,) = [node for node in ncalg.body if isinstance(node, ast.ClassDef) and node.name == "Kept"]
+    assert evictions == len(_evictions(kept)) == 1

@@ -451,6 +451,33 @@ def test_a_preset_keeps_each_report_per_order():
     assert not verify_classical(bad).ok and verify_classical(ops).ok
 
 
+def test_an_operators_reports_stay_within_their_bound():
+    # Past the bound the report used longest ago is forgotten and, asked
+    # again, built anew.
+    import dataclasses
+
+    from qjacobi.liealg import KEPT_OPS_REPORTS
+
+    ops = dataclasses.replace(algebra_ops("sl2"))
+    first = verify_sigma_rmatrix(ops, 1)
+    for order in range(2, KEPT_OPS_REPORTS + 2):
+        verify_sigma_rmatrix(ops, order)
+        assert len(ops._reports) <= KEPT_OPS_REPORTS
+    again = verify_sigma_rmatrix(ops, 1)
+    assert again is not first and again.to_json() == first.to_json()
+    assert len(ops._reports) == KEPT_OPS_REPORTS
+
+
+def test_a_failed_report_is_kept():
+    # A failed Report is falsy; it is kept all the same.
+    import dataclasses
+
+    ops = algebra_ops("sl2")
+    bad = dataclasses.replace(ops, sigma=SparseMatrix.identity(9))
+    report = verify_classical(bad)
+    assert not report and verify_classical(bad) is report
+
+
 def test_a_kept_report_cannot_change():
     import dataclasses
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qjacobi.matrices import SparseMatrix
 from qjacobi.ncalg import (
     Alphabet,
+    Kept,
     NCPoly,
     Scalar,
     ScalarError,
@@ -936,3 +937,43 @@ def test_negation_and_scalar_products_are_scale(name):
     for c in _PROTOCOL_SCALARS:
         assert x * c == x.scale(c)
         assert c * x == x.scale(c)
+
+
+# -- the kept-state store ---------------------------------------------------
+
+def test_kept_takes_nothing_for_a_key_not_kept():
+    kept = Kept(2)
+    assert kept.take("a") is None
+    assert kept == {}
+
+
+def test_kept_forgets_the_oldest_past_its_bound():
+    kept = Kept(2)
+    for key in "abc":
+        assert kept.put(key, key.upper()) == key.upper()
+    assert list(kept) == ["b", "c"]
+
+
+def test_a_key_taken_and_put_back_is_the_newest():
+    kept = Kept(2)
+    kept.put("a", 1)
+    kept.put("b", 2)
+    kept.put("a", kept.take("a"))
+    kept.put("c", 3)
+    assert kept == {"a": 1, "c": 3} and list(kept) == ["a", "c"]
+
+
+def test_a_key_taken_and_not_put_back_is_gone():
+    kept = Kept(2)
+    kept.put("a", 1)
+    assert kept.take("a") == 1
+    assert kept.take("a") is None and "a" not in kept
+
+
+@pytest.mark.parametrize("falsy", [0, (), "", False])
+def test_a_falsy_value_survives_a_round_trip(falsy):
+    kept = Kept(1)
+    kept.put("a", falsy)
+    value = kept.take("a")
+    assert value is not None and value == falsy
+    assert kept.put("a", value) is value and kept == {"a": falsy}

@@ -25,6 +25,7 @@ from qjacobi.ncalg import Scalar
 from qjacobi.psiengine import compute_psi
 from qjacobi.transport import (
     ClassicalPoly,
+    IdentityReport,
     TransportElement,
     TransportError,
     classical_normalize,
@@ -399,7 +400,7 @@ def test_kept_terms_serve_other_expressions_as_the_reference():
 def test_kept_terms_stay_within_their_bound(monkeypatch):
     # Past the bound the term used longest ago is forgotten; what is left
     # still normalizes as the reference.
-    monkeypatch.setattr(transport, "KEPT_TERMS", 8)
+    monkeypatch.setattr(transport._normal_terms, "bound", 8)
     empty_term_cache()
     rng = random.Random(20261020)
     exprs = [_random_conjugated(rng) for _ in range(40)]
@@ -772,6 +773,24 @@ def test_a_report_whose_check_raises_is_not_kept(monkeypatch):
     assert ("4.5", None, 12) not in transport._reports
     monkeypatch.undo()
     assert verify_identity("4.5") is report
+
+
+def test_a_failed_report_is_kept(monkeypatch):
+    # A failed IdentityReport is falsy; it is kept all the same.
+    built = []
+
+    def failing(identity):
+        built.append(identity)
+        return IdentityReport(identity=identity, passed=False, lhs_text="0", rhs_text="1")
+
+    empty_report_cache()
+    monkeypatch.setattr(transport, "_verify_h_free", failing)
+    try:
+        report = verify_identity("4.5")
+        assert not report and verify_identity("4.5") is report
+        assert built == ["4.5"]
+    finally:
+        empty_report_cache()
 
 
 def test_braiding_relation_series():
