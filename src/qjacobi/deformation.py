@@ -128,6 +128,10 @@ class EkTable:
         present = set(degrees)
         return [k for k in range(2, degrees[-1]) if k not in present] if degrees else []
 
+    def content(self) -> tuple[tuple[int, NCPoly], ...]:
+        """The nonzero ``(degree, entry)`` pairs in degree order."""
+        return tuple((k, self.entries[k]) for k in self.degrees())
+
     def entry(self, k: int) -> NCPoly:
         try:
             return self.entries[k]
@@ -198,9 +202,8 @@ def load_table(path_or_name: str) -> EkTable:
             text = handle.read()
     except OSError as exc:
         raise TableError(f"cannot read table file: {exc}") from exc
-    key = (str(path_or_name), text)
-    table = _tables.take(key)
-    return _tables.put(key, parse_table(text, source=key[0]) if table is None else table)
+    source = str(path_or_name)
+    return _tables.keep((source, text), parse_table, text, source)
 
 
 def dump_table(table: EkTable) -> str:

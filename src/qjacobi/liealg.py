@@ -17,6 +17,7 @@ at position i*d + j (row-major), and likewise for triple spaces.
 from __future__ import annotations
 
 import functools
+import inspect
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -342,13 +343,17 @@ KEPT_OPS_REPORTS = 16
 
 def _kept_on_ops(build):
     """``build(ops, ...)``, kept on ``ops`` per function and arguments;
-    a call that raises keeps nothing."""
+    a call that raises keeps nothing.  Arguments given by keyword are
+    bound to their positions first, so both spellings share one report;
+    every parameter of a kept report can be given by position and has no
+    default."""
+    signature = inspect.signature(build)
 
     @functools.wraps(build)
     def kept(ops: TensorOps, *args, **kwargs):
-        key = (build.__name__, args, tuple(kwargs.items()))
-        report = ops._reports.take(key)
-        return ops._reports.put(key, build(ops, *args, **kwargs) if report is None else report)
+        if kwargs:
+            args = signature.bind(ops, *args, **kwargs).args[1:]
+        return ops._reports.keep((build.__name__, args), build, ops, *args)
 
     return kept
 

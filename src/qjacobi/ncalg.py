@@ -866,19 +866,29 @@ def parse_poly(text: str, alphabet: Alphabet, constants: tuple[str, ...] = ("ipi
     return NCPoly(alphabet, terms)
 
 
+_ABSENT = object()
+
+
 class Kept(dict):
     """What a process keeps between calls: at most ``bound`` values by
-    key, the one used last at the end.  A caller takes a value out
-    (:meth:`take`) while it works on it and puts it back (:meth:`put`)
-    once that work has succeeded, so a value whose work raised is gone;
-    past the bound, ``put`` forgets the entry used longest ago.  ``take``
-    gives ``None`` for a key not kept, so callers test ``is None``: a kept
-    value may be falsy, as a failed report is.
+    key, the one used last at the end.  A caller reads a value through
+    :meth:`keep`, which builds and keeps it when it is not kept; a build
+    that raises keeps nothing.  A caller that works on a kept value takes
+    it out (:meth:`take`) and puts it back (:meth:`put`) once that work
+    has succeeded, so a value whose work raised is gone.  Past the bound,
+    ``put`` forgets the entry used longest ago.  A kept value may be
+    falsy, as a failed report is, and is kept all the same.
     """
 
     def __init__(self, bound: int):
         super().__init__()
         self.bound = bound
+
+    def keep(self, key, build, *args):
+        """The value kept for ``key``, made the newest, or ``build(*args)``
+        kept as the newest."""
+        value = self.pop(key, _ABSENT)
+        return self.put(key, build(*args) if value is _ABSENT else value)
 
     def take(self, key):
         """Remove and return the value kept for ``key``, or ``None``."""

@@ -46,8 +46,9 @@ alone, and the pass is online: the pair modulo h^N is the first N
 coefficients of the pair modulo any higher order.  So a process keeps
 one engine, with its pair, Y, its blocks' word evaluators and the order
 it reached, in a :class:`~qjacobi.ncalg.Kept` store keyed by table
-content (the degree -> entry map) and letters, compared by value, for
-:data:`CACHED_TABLES` engines, free and matrix ones alike.
+content (:meth:`~qjacobi.deformation.EkTable.content`) and letters,
+compared by value, for :data:`CACHED_TABLES` engines, free and matrix
+ones alike.
 :func:`compute_psi_in` takes the table as built (an
 :class:`~qjacobi.deformation.EkTable` is checked once, by its
 constructor), resumes that engine's pass only past the order already
@@ -172,7 +173,7 @@ def compute_psi_in(table: EkTable, order: int, o12, o23) -> PsiPair:
             ", ".join(missing),
         )
 
-    entries = tuple((k, table.entries[k]) for k in degrees)
+    entries = table.content()
     key = (entries, o12, o23)
     # Taken out while it runs, so an engine whose pass or check fails is
     # not put back: the whole pair of a cached engine has been checked.

@@ -34,18 +34,14 @@ Every rewrite step, structural or classical, is found by one search
 (``_first_match``): the leftmost position where any rule applies, the
 rules tried in table order there.  Normalization, the completeness check
 of trace replay and the classical discharge (at the first term, in
-canonical order, that a rule applies to) all step that way.  The rules
-are filed by the head of the factor a match starts at (a quantum
-factor's kind, a classical atom itself), in table order, so a position
-tries only the rules that can start there; a rule whose head differs
-cannot match, so the step found is still the leftmost position, then the
-first rule in table order.  After a rewrite at ``pos``, normalization
-resumes the term's search at ``pos - (w - 1)``, where ``w`` is the widest
-window any rule reads: no rule matched further left, and a match there
-would read only factors left of ``pos``, which the rewrite did not
-change.  Every normalization records a replayable trace of (term, rule,
-position) steps, where term is an index into that list, capped by a step
-budget so failure is observable instead of divergent.
+canonical order, that a rule applies to) all step that way, searching
+from position 0 after every rewrite.  The rules are filed by the first
+item of the factor a match starts at (a quantum factor's kind, a
+classical atom's first letter), in table order, so a position tries only
+the rules that can start there.  Every normalization records a
+replayable trace of (term, rule, position) steps, where term is an index
+into that list, capped by a step budget so failure is observable instead
+of divergent.
 
 A sum of products of normal forms, such as one coefficient of a series
 product, is concatenated and merged, then normalized once.  Rewriting
@@ -58,24 +54,26 @@ process keeps that result in a :class:`~qjacobi.ncalg.Kept` store keyed
 by the factors tuple, for :data:`KEPT_TERMS` terms, and every
 normalization reads it there: :func:`normalize_traced`,
 :meth:`TransportElement.dot` and the classical discharge.  A call
-labels a kept term's steps with the term's index in its own list and
-counts them against ``STEP_BUDGET`` as read when it runs, so its trace,
-and the step at which it runs out of budget, are those of a call that
-rewrites every term afresh.  A term that fails, out of budget or with a
-generator or lift no rule eliminates, raises before it is kept.  The
-5.1 claims repeat terms most: each word of an entry has one claim, built
-from the word's :func:`~qjacobi.deformation.alpha_word` image, and the
-entry's assembled claim is the weighted sum of those claims' sides, so
-it rewrites by lookups.  A table with no nonzero entries has no degree
-to check, and its 5.1 claims pass vacuously.
+labels a kept term's steps with the term's index in its own list, so its
+trace is that of a call that rewrites every term afresh.  Each term's
+own steps, and the call's steps together, are held to ``STEP_BUDGET`` as
+read when the call runs, so a warm call runs out where a cold one does.
+A term that fails, over the budget on its own or with a generator or
+lift no rule eliminates, raises before it is kept; a term that fits the
+budget is kept even when its call then runs out.  The 5.1 claims repeat
+terms most: each word of an entry has one claim, built from the word's
+:func:`~qjacobi.deformation.alpha_word` image, and the entry's assembled
+claim is the weighted sum of those claims' sides, so it rewrites by
+lookups.  A table with no nonzero entries has no degree to check, and
+its 5.1 claims pass vacuously.
 
-A report reads only its identity, the table's content (the nonzero
-``(degree, entry)`` pairs) for 5.1a and 5.1b, the order for
-``sigma_h_def`` and ``STEP_BUDGET``.  So :func:`verify_identity` keeps
-each report in a :class:`~qjacobi.ncalg.Kept` store keyed by exactly
-those, as read when it runs, for :data:`KEPT_REPORTS` reports; a check
-that raises keeps nothing, and a lowered budget keys its own reports,
-so it fails where a fresh process does.  A kept report is
+A report reads only its identity, the table's content
+(:meth:`~qjacobi.deformation.EkTable.content`) for 5.1a and 5.1b, the
+order for ``sigma_h_def`` and ``STEP_BUDGET``.  So :func:`verify_identity`
+keeps each report in a :class:`~qjacobi.ncalg.Kept` store keyed by
+exactly those, as read when it runs, for :data:`KEPT_REPORTS` reports; a
+check that raises keeps nothing, and a lowered budget keys its own
+reports, so it fails where a fresh process does.  A kept report is
 shared: :class:`IdentityReport` is frozen, holds tuples and read-only
 mappings, and its ``to_json`` builds fresh lists and dicts.  A repeated
 request thus rewrites, discharges and renders no claim; a first one for
@@ -257,50 +255,36 @@ def _run_matcher(run: tuple, replacement: tuple):
     return match
 
 
-def _rule_table(rules, head):
-    """The search table of ``(name, matcher, head)`` rules: ``(by_head,
-    head)``, where ``by_head`` maps a head to the (name, matcher) pairs of
-    the rules whose matches start at a factor with that head, in table
-    order, and ``head`` maps a factor to its head."""
+def _by_head(rules) -> dict:
+    """``(name, matcher, head)`` rules as (name, matcher) pairs filed by
+    head, in table order."""
     by_head: dict = {}
-    for name, matcher, key in rules:
-        by_head.setdefault(key, []).append((name, matcher))
-    return {key: tuple(pairs) for key, pairs in by_head.items()}, head
+    for name, matcher, head in rules:
+        by_head.setdefault(head, []).append((name, matcher))
+    return by_head
 
 
-def _first_match(factors: tuple, table, start: int = 0):
+def _first_match(factors: tuple, by_head: dict):
     """The one rule search: (rule name, pos, match) for the leftmost
-    position from ``start`` on where any rule of the table applies,
-    trying them in table order there, or None.
+    position where any rule applies, trying them in table order there,
+    or None.
 
-    At each position only the rules filed under the factor's head are
-    tried.  A rule matches only where its first factor has the rule's
-    head, and each head's rules keep their table order, so the step found
-    is the one a trial of every rule at every position would find: the
-    leftmost position, then the first rule in table order.  A caller
-    passes a ``start`` above 0 only where it knows that no rule applies
-    further left: normalization resumes a term's search ``w - 1``
-    positions left of its last rewrite, ``w`` the widest window a rule
-    reads, since a match starting further left would read only factors
-    the rewrite left unchanged, where none applied before."""
-    by_head, head = table
-    for pos in range(start, len(factors)):
-        for name, matcher in by_head.get(head(factors[pos]), ()):
+    A rule is filed under the first item of the factor its match starts
+    at: a quantum factor's kind, a classical atom's first letter.  At each
+    position only the rules filed under that item are tried; a rule filed
+    elsewhere cannot match there, and each head's rules keep their table
+    order, so the step found is the one a trial of every rule at every
+    position would find."""
+    for pos, factor in enumerate(factors):
+        for name, matcher in by_head.get(factor[0], ()):
             match = matcher(factors, pos)
             if match is not None:
                 return name, pos, match
     return None
 
 
-def _atom(atom: str) -> str:
-    return atom
-
-
-# A classical word's factors are its atoms, and an atom is its own head.
 # Names repeat (three 3.1 runs), so the table keeps (name, matcher) pairs.
-_CLASSICAL_TABLE = _rule_table(
-    [(name, _run_matcher(run, rhs), run[0]) for name, run, rhs in CLASSICAL_RULES], _atom
-)
+_CLASSICAL_TABLE = _by_head((name, _run_matcher(run, rhs), run[0][0]) for name, run, rhs in CLASSICAL_RULES)
 
 
 def classical_normalize(poly: ClassicalPoly):
@@ -580,32 +564,20 @@ def _drop_x_unit(factors: tuple, pos: int):
     return None
 
 
-# Structural rules, tried after the expansion rules: rule name, matcher,
-# the factor kind a match starts at, and the widest window the matcher
-# reads (factors pos, pos + 1, ...).
+# Structural rules, tried after the expansion rules: rule name, matcher
+# and the factor kind a match starts at.
 STRUCTURAL_RULES = (
-    ("group:cancel", _group_cancel, "c", 2),
-    ("merge:X", _merge_x, "X", 2),
-    ("drop:X_unit", _drop_x_unit, "X", 1),
+    ("group:cancel", _group_cancel, "c"),
+    ("merge:X", _merge_x, "X"),
+    ("drop:X_unit", _drop_x_unit, "X"),
 )
 
-
-def _kind(factor) -> str:
-    return factor[0]
-
-
-# (rule name, matcher, head) in the order the rewriter tries them at each
+# (rule name, matcher, kind) in the order the rewriter tries them at each
 # position; a matcher returns (consumed, replacement, coeff multiplier)
-# or None.  A quantum factor's head is its kind.
-_RULES = tuple((name, _run_matcher(run, rhs), run[0][0]) for name, run, rhs in EXPANSION_RULES) + tuple(
-    (name, matcher, kind) for name, matcher, kind, _ in STRUCTURAL_RULES
-)
-_TABLE = _rule_table(_RULES, _kind)
+# or None.
+_RULES = tuple((name, _run_matcher(run, rhs), run[0][0]) for name, run, rhs in EXPANSION_RULES) + STRUCTURAL_RULES
+_TABLE = _by_head(_RULES)
 _MATCHERS = {name: matcher for name, matcher, _ in _RULES}
-# How far left of a rewrite the search resumes: one less than the widest
-# window any rule reads, so that every position further left reads only
-# factors the rewrite left unchanged.
-_RESUME_BACK = max([len(run) for _, run, _ in EXPANSION_RULES] + [width for *_, width in STRUCTURAL_RULES]) - 1
 
 
 def _rewrite(coeff: Scalar, factors: tuple, pos: int, match):
@@ -621,17 +593,15 @@ KEPT_TERMS = 4096
 _normal_terms = Kept(KEPT_TERMS)
 
 
-def _rewrite_term(factors: tuple, spent: int):
+def _rewrite_term(factors: tuple):
     """Rewrite one term's factors to normal form: (coefficient
-    multiplier, normal factors, (rule, pos) steps).  ``spent`` is the
-    steps its call made before it, which count against the budget."""
-    multiplier, steps, start = _ONE, [], 0
-    while (found := _first_match(factors, _TABLE, start)) is not None:
+    multiplier, normal factors, (rule, pos) steps), within the budget."""
+    multiplier, steps = _ONE, []
+    while (found := _first_match(factors, _TABLE)) is not None:
         rule, pos, match = found
         multiplier, factors = _rewrite(multiplier, factors, pos, match)
-        start = max(pos - _RESUME_BACK, 0)
         steps.append((rule, pos))
-        if spent + len(steps) > STEP_BUDGET:
+        if len(steps) > STEP_BUDGET:
             raise TransportError("rewrite step budget exhausted")
     for factor in factors:
         if factor[0] in ("g", "l"):
@@ -646,10 +616,7 @@ def _normalize_raw_terms(raw, dom, cod, trace=None):
     spent = 0
     finished = []
     for index, (coeff, factors) in enumerate(raw):
-        kept = _normal_terms.take(factors)
-        if kept is None:
-            kept = _rewrite_term(factors, spent)
-        multiplier, normal, steps = _normal_terms.put(factors, kept)
+        multiplier, normal, steps = _normal_terms.keep(factors, _rewrite_term, factors)
         spent += len(steps)
         if spent > STEP_BUDGET:
             raise TransportError("rewrite step budget exhausted")
@@ -950,16 +917,13 @@ def verify_identity(identity: str, table=None, order: int = 4) -> IdentityReport
     """
     if identity in ("5.1a", "5.1b"):
         table = table if table is not None else builtin_table()
-        reads = tuple((k, table.entries[k]) for k in table.degrees())
+        reads = table.content()
         build = partial(_verify_series_coefficients, identity, table)
     elif identity == "sigma_h_def":
         reads, build = order, partial(_verify_braiding_series, order)
     else:
         reads, build = None, partial(_verify_h_free, identity)
-    key = (identity, reads, STEP_BUDGET)
-    # ``is None``: a failed report is falsy and is kept all the same.
-    report = _reports.take(key)
-    return _reports.put(key, build() if report is None else report)
+    return _reports.keep((identity, reads, STEP_BUDGET), build)
 
 
 def _verify_h_free(identity: str) -> IdentityReport:

@@ -442,6 +442,16 @@ def test_a_preset_keeps_each_report_per_order():
     assert verify_sigma_rmatrix(ops, order=3) is verify_sigma_rmatrix(ops, order=3)
     assert verify_sigma_rmatrix(ops, 3) is not verify_sigma_rmatrix(ops, 4)
     assert [c.name for c in verify_sigma_rmatrix(ops, 4).checks] == ["h^0", "h^1", "h^2", "h^3"]
+    # An order given by position or by keyword is one report, and a
+    # keyword the function does not take still raises.
+    fresh = dataclasses.replace(ops)
+    assert verify_sigma_rmatrix(fresh, 3) is verify_sigma_rmatrix(fresh, order=3)
+    assert len(fresh._reports) == 1
+    for kwargs in ({"degree": 3}, {"order": 3, "degree": 3}):
+        with pytest.raises(TypeError):
+            verify_sigma_rmatrix(fresh, **kwargs)
+    with pytest.raises(TypeError):
+        verify_sigma_rmatrix(fresh, 3, order=3)
     assert omega_report(ops) == spectral_report(ops.Omega)
     # An order that raises keeps nothing and raises again.
     for _ in range(2):

@@ -948,10 +948,11 @@ def test_kept_takes_nothing_for_a_key_not_kept():
 
 
 def test_kept_forgets_the_oldest_past_its_bound():
-    kept = Kept(2)
+    kept, built = Kept(2), Kept(2)
     for key in "abc":
         assert kept.put(key, key.upper()) == key.upper()
-    assert list(kept) == ["b", "c"]
+        assert built.keep(key, str.upper, key) == key.upper()
+    assert list(kept) == list(built) == ["b", "c"]
 
 
 def test_a_key_taken_and_put_back_is_the_newest():
@@ -970,6 +971,10 @@ def test_a_key_taken_and_not_put_back_is_gone():
     assert kept.take("a") is None and "a" not in kept
 
 
+def _unreachable():
+    raise AssertionError("a kept value was built again")
+
+
 @pytest.mark.parametrize("falsy", [0, (), "", False])
 def test_a_falsy_value_survives_a_round_trip(falsy):
     kept = Kept(1)
@@ -977,3 +982,23 @@ def test_a_falsy_value_survives_a_round_trip(falsy):
     value = kept.take("a")
     assert value is not None and value == falsy
     assert kept.put("a", value) is value and kept == {"a": falsy}
+    assert kept.keep("a", _unreachable) is value
+    built = Kept(1)
+    assert built.keep("a", lambda: falsy) is falsy and built.keep("a", _unreachable) is falsy
+
+
+def test_keep_reads_a_kept_value_without_building_it():
+    kept = Kept(2)
+    assert kept.keep("a", str.upper, "a") == "A"
+    kept.put("b", "B")
+    assert kept.keep("a", _unreachable) == "A"
+    assert list(kept) == ["b", "a"]
+
+
+def test_a_build_that_raises_keeps_nothing():
+    kept = Kept(3)
+    kept.put("a", 1)
+    kept.put("b", 2)
+    with pytest.raises(ValueError):
+        kept.keep("c", int, "not a number")
+    assert list(kept.items()) == [("a", 1), ("b", 2)]

@@ -173,6 +173,19 @@ def test_budget_exhaustion_is_an_error(monkeypatch):
     normalize(term)
     with pytest.raises(TransportError, match="budget"):
         normalize(morph_sum((1, term), (2, term)))
+    # A term that fits the budget on its own is kept even when its call
+    # runs out, and a later call reads it with a fresh rewrite's trace.
+    monkeypatch.undo()
+    first, second = compose(gen("psi"), gen("psi_inv")), compose(gen("psi_inv"), gen("psi"))
+    fresh_trace = normalize_traced(second)[1]
+    budget = max(len(normalize_traced(first)[1]), len(fresh_trace))
+    empty_term_cache()
+    monkeypatch.setattr(transport, "STEP_BUDGET", budget)
+    with pytest.raises(TransportError, match="budget"):
+        normalize(morph_sum((1, first), (1, second)))
+    assert second.terms[0][1] in transport._normal_terms
+    monkeypatch.setattr(transport, "_rewrite_term", None)
+    assert normalize_traced(second)[1] == fresh_trace
 
 
 def _mixed_table():
