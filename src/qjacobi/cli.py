@@ -9,11 +9,10 @@ invocations are byte-identical and golden files can be diffed.
 :func:`qjacobi.jsontext.dumps`, whose text is exactly that of
 ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 
-Exit codes: 0 success, 1 a verified identity failed, 2 bad arguments
-(an ``--out`` path that cannot be written is one), 3 unreadable or
-invalid table/algebra input, 4 an internal invariant failed (an
-``EngineError``, ``ScalarError`` or ``MatrixError``: a defect of the
-program, not of the input).
+Exit codes, by the error's class alone: 0 success, 1 a verified
+identity failed, 2 bad arguments (an ``--out`` path that cannot be
+written is one), 3 unreadable or invalid table/algebra input, 4 a
+defect of the program (``EngineError``, ``ScalarError``, ``MatrixError``).
 
 ``main`` can be called many times in one process.  The process builds
 the parser once (:func:`build_parser` is cached), each algebra preset
@@ -43,7 +42,6 @@ import sys
 
 from . import jsontext
 from .deformation import TableError, load_table
-from .hseries import SeriesError
 from .liealg import (
     AlgebraError,
     algebra_ops,
@@ -53,9 +51,9 @@ from .liealg import (
     verify_sigma_rmatrix,
 )
 from .matrices import MatrixError
-from .ncalg import ScalarError, WordError
+from .ncalg import ScalarError
 from .psiengine import EngineError, compute_psi, compute_psi_in
-from .transport import TransportError, verify_identity
+from .transport import verify_identity
 
 __all__ = ["main"]
 
@@ -82,7 +80,7 @@ def cmd_psi(args) -> int:
         raise ValueError("--golden conflicts with --format json")
     table = load_table(args.table)
     pair = compute_psi(table, args.order)
-    if args.format == "json" and not args.golden:
+    if args.format == "json":
         doc = {
             "order": pair.order,
             "table": pair.table_id,
@@ -262,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    Exact input and output can hold integers longer than the
+    Exact coefficients and output can hold integers longer than the
     interpreter's limit on int/str conversion, so the command runs with
-    that limit lifted, and the limit is restored when it returns; the
-    arguments themselves are parsed under the interpreter's limit."""
+    that limit lifted and restores it on return; arguments are parsed
+    under it and a table's numerals under :func:`jsontext.integer`."""
     parser = build_parser()
     args = parser.parse_args(argv)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
@@ -280,7 +278,7 @@ def main(argv=None) -> int:
         # Before ValueError: MatrixError is one.
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return 4
-    except (TransportError, SeriesError, WordError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

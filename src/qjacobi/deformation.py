@@ -38,6 +38,7 @@ __all__ = [
     "AB_ALPHABET",
     "CDZ_ALPHABET",
     "EkTable",
+    "PSI_ALPHABET",
     "TableError",
     "alpha",
     "alpha_word",
@@ -50,6 +51,7 @@ __all__ = [
 
 AB_ALPHABET = Alphabet(("A", "B"))
 CDZ_ALPHABET = Alphabet(("C", "D", "Z", "Zinv"))
+PSI_ALPHABET = Alphabet(("O12", "O23"))
 
 
 class TableError(ValueError):
@@ -169,7 +171,9 @@ def parse_table(text: str | bytes, source: str = "custom") -> EkTable:
     provenance: dict[int, str] = {}
     for key, value in doc["entries"].items():
         try:
-            degree = int(key)
+            degree = jsontext.integer(key)
+        except jsontext.DocumentError as exc:
+            raise TableError(f"bad degree key: {exc}") from None
         except ValueError:
             degree = None
         if degree is None or str(degree) != key:

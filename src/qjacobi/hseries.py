@@ -8,7 +8,7 @@ elements of any ring of the package, series included: see
 follows.  A product of series builds each output coefficient with one
 ``dot`` call, and a linear combination of series each coefficient with
 one ``lincomb`` call, so a growing sum is merged once rather than once
-per added term.
+per added term.  A coefficient ring's errors pass through unchanged.
 """
 
 from __future__ import annotations
@@ -67,34 +67,24 @@ class HSeries(Ring):
         pairs = list(pairs)
         if not pairs:
             return self.ring_zero()
-        for a, b in pairs:
-            if not isinstance(a, HSeries) or not isinstance(b, HSeries):
-                raise SeriesError("operand is not a series")
+        if not all(isinstance(x, HSeries) for pair in pairs for x in pair):
+            raise SeriesError("operand is not a series")
         n = min(min(a.order, b.order) for a, b in pairs)
         ring = pairs[0][0].coeffs[0]
-        try:
-            return HSeries([
-                ring.dot([(a.coeffs[i], b.coeffs[k - i]) for a, b in pairs for i in range(k + 1)])
-                for k in range(n)
-            ])
-        except (TypeError, ValueError) as exc:
-            raise SeriesError(f"incompatible series coefficients: {exc}") from exc
+        return HSeries([
+            ring.dot([(a.coeffs[i], b.coeffs[k - i]) for a, b in pairs for i in range(k + 1)])
+            for k in range(n)
+        ])
 
     def lincomb(self, pairs) -> "HSeries":
         """The sum of ``c * x`` over the (scalar, series) pairs, known to
         the weakest order among this series and the pairs; each
         coefficient is one ``lincomb`` of its ring."""
         pairs = list(pairs)
-        for _, x in pairs:
-            if not isinstance(x, HSeries):
-                raise SeriesError("operand is not a series")
+        if not all(isinstance(x, HSeries) for _, x in pairs):
+            raise SeriesError("operand is not a series")
         n = min([self.order] + [x.order for _, x in pairs])
-        try:
-            return HSeries([
-                self.coeffs[k].lincomb([(c, x.coeffs[k]) for c, x in pairs]) for k in range(n)
-            ])
-        except (TypeError, ValueError) as exc:
-            raise SeriesError(f"incompatible series coefficients: {exc}") from exc
+        return HSeries([self.coeffs[k].lincomb([(c, x.coeffs[k]) for c, x in pairs]) for k in range(n)])
 
     def truncate(self, n: int) -> "HSeries":
         if n < 1:
@@ -137,10 +127,7 @@ class HSeries(Ring):
         equal; to compare modulo h^n, truncate both sides to n."""
         if not isinstance(other, HSeries):
             return NotImplemented
-        try:
-            return self.coeffs == other.coeffs
-        except (TypeError, ValueError):
-            return False
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)

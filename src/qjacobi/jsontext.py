@@ -19,16 +19,17 @@ stable because ``doc`` holds every list alive for the whole call.
 
 :func:`loads` is the package's one JSON reader (coefficient tables,
 algebra files): it raises :class:`DocumentError` for bytes that are not
-UTF-8, malformed JSON, nesting too deep and, through :func:`unique_keys`,
-an object that names a key twice.
+UTF-8, malformed JSON, nesting too deep, a numeral :func:`integer`
+refuses and, through :func:`unique_keys`, an object naming a key twice.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-__all__ = ["DocumentError", "DuplicateKeyError", "dumps", "loads", "unique_keys"]
+__all__ = ["DocumentError", "DuplicateKeyError", "dumps", "integer", "loads", "unique_keys"]
 
 _INDENT = "  "
 
@@ -41,13 +42,26 @@ class DuplicateKeyError(DocumentError):
     """A JSON object that names one key twice."""
 
 
-def loads(data: str | bytes):
+def integer(text: str) -> int:
+    """``int(text)``, refusing a numeral past Python's default int/str
+    digit limit before converting it: ``cli.main`` lifts the limit, so
+    this reads a document there as a library call does."""
+    # Python before 3.10.7 has no limit and no default to read.
+    limit = getattr(sys.int_info, "default_max_str_digits", 4300)
+    digits = len(text) - text.startswith("-")
+    if digits > limit:
+        raise DocumentError(f"numeral of {digits} digits, past the {limit}-digit limit")
+    return int(text)
+
+
+def loads(data: str | bytes, parse_int=integer):
     """The document in ``data``; ``bytes`` are read as UTF-8 text with
-    its line ends as a text-mode file read gives them."""
+    its line ends as a text-mode file read gives them, and integer
+    literals by ``parse_int``."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(data, object_pairs_hook=unique_keys)
+        return json.loads(data, object_pairs_hook=unique_keys, parse_int=parse_int)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DocumentError(str(exc)) from None
     except RecursionError:

@@ -27,10 +27,10 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import jsontext
+from .deformation import PSI_ALPHABET
 from .hseries import HSeries
 from .matrices import MatrixError, SparseMatrix, _krylov, kron
 from .ncalg import Kept, NCPoly, Scalar, substitute
-from .psiengine import PSI_ALPHABET
 
 __all__ = [
     "AlgebraError",
@@ -115,11 +115,9 @@ def _validate_algebra(alg: LieAlgebraData) -> tuple[dict[str, SparseMatrix], Spa
             col, places = diff[1], reversed(range(message.count("{}")))
             raise AlgebraError(message.format(*(alg.basis_names[col // d ** p % d] for p in places)))
     killing = alg.killing()
-    try:
-        kinv = killing.inverse()
-    except MatrixError:
-        raise AlgebraError("Killing form is degenerate: the algebra is not semisimple") from None
-    return maps, kinv
+    if killing.rank() < d:
+        raise AlgebraError("Killing form is degenerate: the algebra is not semisimple")
+    return maps, killing.inverse()
 
 
 def _sl2() -> LieAlgebraData:
@@ -265,7 +263,8 @@ def _load_algebra(spec) -> LieAlgebraData:
     else:
         try:
             with open(spec, "rb") as handle:
-                doc = jsontext.loads(handle.read())
+                # An integer can be an exact structure constant.
+                doc = jsontext.loads(handle.read(), parse_int=int)
         except OSError as exc:
             raise AlgebraError(f"cannot read algebra file: {exc}") from exc
         except jsontext.DuplicateKeyError as exc:

@@ -391,13 +391,13 @@ class SparseMatrix(Ring):
             # Every cell holds one term; equal numerators share one text.
             ((mono, (den, rows)),) = self._parts.items()
             texts = {
-                v: _join_signed([(v < 0, _term_body(Fraction(v, den), mono, ""))])
+                v: _join_signed([(v < 0, _term_body(Fraction(v, den), mono))])
                 for v in {v for row in rows.values() for v in row.values()}
             }
             return {i: {j: texts[v] for j, v in row.items()} for i, row in rows.items()}
         out: dict[int, dict[int, str]] = {}
         for (i, j), terms in self._cells().items():
-            out.setdefault(i, {})[j] = _join_signed([(c < 0, _term_body(c, mono, "")) for mono, c in terms])
+            out.setdefault(i, {})[j] = _join_signed([(c < 0, _term_body(c, mono)) for mono, c in terms])
         return out
 
     def to_json(self) -> dict:

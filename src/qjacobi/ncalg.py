@@ -272,7 +272,7 @@ class Scalar:
     def to_text(self) -> str:
         if not self._terms:
             return "0"
-        parts = [(coeff < 0, _term_body(coeff, mono, "")) for mono, coeff in self.sorted_terms()]
+        parts = [(coeff < 0, _term_body(coeff, mono)) for mono, coeff in self.sorted_terms()]
         return _join_signed(parts)
 
 
@@ -363,7 +363,8 @@ class Ring:
     products ``a * b`` over (a, b) pairs.  Each is merged once, so its
     cost is the stored terms of the pairs, not one copy of the growing
     sum per pair, and each raises for an operand of another ring or
-    space, so the operators here pass their operands on unchecked.
+    space, so the operators here pass their operands on unchecked; no
+    ring re-labels another ring's error.
     ``+``, ``-``, negation and ``scale`` are ``lincomb``'s two- and
     one-term cases; ``*`` is ``scale`` when either operand is a scalar
     and ``dot``'s one-pair case otherwise.  A ring also has
@@ -595,7 +596,7 @@ class LinearCombination(Ring):
         for (word, mono), v in terms:
             head = heads.get((v, mono))
             if head is None:
-                head = heads[v, mono] = _term_body(Fraction(v, den), mono, "")
+                head = heads[v, mono] = _term_body(Fraction(v, den), mono)
             body = word_text(word)
             if not body:
                 body = head
@@ -760,14 +761,12 @@ def _frac_text(frac: Fraction) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _term_body(frac: Fraction, mono: Monomial, word_text: str) -> str:
+def _term_body(frac: Fraction, mono: Monomial) -> str:
     parts = []
-    if frac.denominator != 1 or abs(frac.numerator) != 1 or (not mono and not word_text):
+    if frac.denominator != 1 or abs(frac.numerator) != 1 or not mono:
         parts.append(_frac_text(frac))
     for name, exp in mono:
         parts.append(name if exp == 1 else f"{name}^{exp}")
-    if word_text:
-        parts.append(word_text)
     return "*".join(parts)
 
 

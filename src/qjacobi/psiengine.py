@@ -62,15 +62,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .deformation import EkTable
+from .deformation import PSI_ALPHABET, EkTable
 from .hseries import HSeries
-from .ncalg import Alphabet, Kept, NCPoly, WordEvaluator
+from .ncalg import Kept, NCPoly, WordEvaluator
 
 __all__ = ["EngineError", "PSI_ALPHABET", "PsiPair", "compute_psi", "compute_psi_in"]
 
 logger = logging.getLogger(__name__)
-
-PSI_ALPHABET = Alphabet(("O12", "O23"))
 
 
 class EngineError(RuntimeError):

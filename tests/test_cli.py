@@ -1097,3 +1097,138 @@ def test_out_to_an_unwritable_path_exits_2(tmp_path, command):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("where", ["extend", "validate"])
+def test_a_matrix_error_exits_4_wherever_the_engine_raises_it(capsys, monkeypatch, where):
+    # The same simulated defect of matrix arithmetic, raised in the
+    # engine's pass or in the pair check's series product: the error's
+    # class alone gives the exit code.
+    from qjacobi import psiengine
+    from qjacobi.matrices import MatrixError, SparseMatrix
+
+    owner = psiengine._Engine if where == "extend" else psiengine.PsiPair
+    method, dot, inside = getattr(owner, where), SparseMatrix.dot, []
+
+    def failing_dot(self, pairs):
+        if inside:
+            raise MatrixError("simulated defect")
+        return dot(self, pairs)
+
+    def watched(*args):
+        inside.append(where)
+        try:
+            return method(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(SparseMatrix, "dot", failing_dot)
+    monkeypatch.setattr(owner, where, watched)
+    empty_psi_cache()
+    code = cli.main(["eval", "--algebra", "sl2", "--order", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (4, "", "error: internal invariant failed: simulated defect\n")
+    assert psiengine._engines == {}
+
+
+def test_a_budget_error_inside_a_series_product_keeps_its_message(capsys, monkeypatch):
+    # sigma_h_def normalizes the coefficients of a product of transport
+    # series, so the budget runs out inside that product's dot.
+    empty_term_cache()
+    empty_report_cache()
+    monkeypatch.setattr(transport, "STEP_BUDGET", 5)
+    code = cli.main(["verify", "transport", "--identity", "sigma_h_def", "--order", "8"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: rewrite step budget exhausted\n")
+
+
+_LONG = "1" + "0" * 99_999
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"entries": {"2": "1/24*A.B - 1/24*B.A", _LONG: "0"}}),
+        '{"entries": {"2": "1/24*A.B - 1/24*B.A"}, "provenance": {"2": ' + _LONG + "}}",
+        '{"entries": {"2": "1/24*A.B - 1/24*B.A"}, "note": [-' + _LONG + "]}",
+    ],
+    ids=["degree-key", "provenance-integer", "other-integer"],
+)
+def test_a_table_numeral_past_the_default_digit_limit_exits_3_as_in_a_library_call(capsys, tmp_path, text):
+    # main lifts the interpreter's digit limit, so such a numeral was
+    # once converted in time quadratic in its length and accepted, while
+    # load_table raised a bare ValueError or accepted it too.
+    from qjacobi.deformation import TableError, load_table, parse_table
+
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    limit = getattr(sys.int_info, "default_max_str_digits", 4300)
+    message = f"numeral of 100000 digits, past the {limit}-digit limit"
+    code = cli.main(["table", "validate", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("error: ") and captured.err.endswith(f": {message}\n")
+    for read in (lambda: load_table(str(path)), lambda: parse_table(text)):
+        with pytest.raises(TableError) as err:
+            read()
+        assert f"error: {err.value}\n" == captured.err
+
+
+def _library_refusals():
+    """(id, call, exception class) for each library refusal no command
+    reaches; the class alone decides the exit code a caller through
+    ``main`` would get."""
+    from qjacobi.deformation import AB_ALPHABET, builtin_table
+    from qjacobi.hseries import HSeries, SeriesError, parse_series
+    from qjacobi.matrices import MatrixError, SparseMatrix
+    from qjacobi.ncalg import Alphabet, NCPoly, Scalar, ScalarError, WordError, substitute
+    from qjacobi.transport import (
+        ClassicalPoly,
+        TransportError,
+        classical_normalize,
+        compose,
+        gen,
+        lift,
+        morph_sum,
+        series_degree_expressions,
+    )
+
+    a = NCPoly.letter(AB_ALPHABET, "A")
+    wide = SparseMatrix.zeros(2, 3)
+    return [
+        ("compose-nothing", lambda: compose(), TransportError),
+        ("compose-mistyped", lambda: compose(gen("T_h"), gen("T_h")), TransportError),
+        ("sum-nothing", lambda: morph_sum(), TransportError),
+        ("sum-mistyped", lambda: morph_sum((1, gen("T_h")), (1, gen("sigma_h"))), TransportError),
+        ("lift-side", lambda: lift("sigma_h", "middle"), TransportError),
+        ("lift-generator", lambda: lift("psi", "left"), TransportError),
+        ("classical-word", lambda: ClassicalPoly.word(("T", "T")), TransportError),
+        ("classical-budget", lambda: classical_normalize(ClassicalPoly.word(("T", "sig"))), TransportError),
+        ("degree-expressions", lambda: series_degree_expressions("4.5", builtin_table(), 2), TransportError),
+        ("matrix-entry", lambda: SparseMatrix(2, 2, [(2, 0, 1)]), MatrixError),
+        ("matrix-identity", lambda: SparseMatrix.identity(0), MatrixError),
+        ("matrix-ragged", lambda: SparseMatrix.from_rows([[1, 2], [3]]), MatrixError),
+        ("matrix-trace", lambda: wide.trace(), MatrixError),
+        ("matrix-one", lambda: wide.ring_one(), MatrixError),
+        ("scalar-name", lambda: Scalar.constant("1x"), ScalarError),
+        ("scalar-exponent", lambda: Scalar.constant("ipi", 0), ScalarError),
+        ("alphabet-repeated", lambda: Alphabet(("A", "A")), WordError),
+        ("alphabet-letter", lambda: Alphabet(("1A",)), WordError),
+        ("substitute-image", lambda: substitute(a, {"A": 3}), WordError),
+        ("series-empty", lambda: HSeries([]), SeriesError),
+        ("series-order", lambda: HSeries.constant(a, 0), SeriesError),
+        ("series-shift", lambda: HSeries.constant(a, 2).shift(-1), SeriesError),
+        ("series-text", lambda: parse_series("", AB_ALPHABET), SeriesError),
+    ]
+
+
+_REFUSALS = _library_refusals()
+
+
+@pytest.mark.parametrize("call, error", [case[1:] for case in _REFUSALS], ids=[case[0] for case in _REFUSALS])
+def test_each_library_refusal_keeps_its_class(monkeypatch, call, error):
+    # A budget of 0 steps stops the classical rewrite at its first step.
+    monkeypatch.setattr(transport, "STEP_BUDGET", 0)
+    with pytest.raises(Exception) as caught:
+        call()
+    assert type(caught.value) is error

@@ -1,6 +1,7 @@
 """The JSON writer against ``json.dumps(indent=2, sort_keys=True)`` as oracle."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -88,3 +89,21 @@ def test_writer_repeats_an_aliased_list(row):
 def test_writer_rejects_other_types(doc):
     with pytest.raises(TypeError):
         dumps(doc)
+
+
+def test_a_numeral_past_the_default_digit_limit_is_refused_before_it_is_converted(monkeypatch):
+    from qjacobi import jsontext
+
+    limit = getattr(sys.int_info, "default_max_str_digits", 4300)
+    assert jsontext.loads(f'{{"n": {"9" * limit}, "m": -{"9" * limit}}}') == {"n": 10**limit - 1, "m": 1 - 10**limit}
+
+    def forbidden(text):
+        raise AssertionError("converted")
+
+    monkeypatch.setattr(jsontext, "int", forbidden, raising=False)
+    for text in ("1" * (limit + 1), "-" + "1" * (limit + 1), "1" * 100_000):
+        with pytest.raises(jsontext.DocumentError) as err:
+            jsontext.integer(text)
+        assert str(err.value) == f"numeral of {len(text.lstrip('-'))} digits, past the {limit}-digit limit"
+        with pytest.raises(jsontext.DocumentError):
+            jsontext.loads(f'{{"provenance": [{text}]}}')

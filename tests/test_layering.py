@@ -1,8 +1,10 @@
-"""The package's modules import only from the layers below them.
+"""The package's modules import only from the layers below them, and
+only its input boundaries catch errors.
 
 Every import statement, at any depth (inside functions too), of every
 module in ``src/qjacobi`` is read with ``ast`` and checked against one
-table of allowed edges.
+table of allowed edges.  Every ``except`` clause is read the same way,
+and the functions that hold one are one fixed set.
 """
 
 import ast
@@ -24,7 +26,7 @@ ALLOWED = {
     "deformation": _LOWER,
     "psiengine": _LOWER,
     "transport": _LOWER,
-    "liealg": _LOWER | {"matrices", "psiengine"},
+    "liealg": _LOWER | {"matrices"},
     "cli": None,
     "__init__": {"ncalg"},
     "__main__": {"cli"},
@@ -142,3 +144,58 @@ def test_only_kept_forgets_the_entry_used_longest_ago():
     ncalg = ast.parse((PACKAGE / "ncalg.py").read_text("utf-8"))
     (kept,) = [node for node in ncalg.body if isinstance(node, ast.ClassDef) and node.name == "Kept"]
     assert evictions == len(_evictions(kept)) == 1
+
+
+def handlers(path: Path) -> set[str]:
+    """The qualified names (``Class.method``, ``outer.inner``) of the
+    functions and classes whose own body, outside any nested one, holds
+    an ``except`` clause; a clause outside all of them counts as
+    ``<module>``."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text("utf-8")), "")
+    return found
+
+
+# An error passes through every layer to cli.main, where its class alone
+# gives the exit code.  Only these functions catch one: where input is
+# read (a file, a document, a numeral, an argument) and turned into the
+# input's own error, where output is written, and main itself.
+CATCHING = {
+    "cli": {"_emit", "_order_at_least.order", "main"},
+    "deformation": {"EkTable.entry", "parse_table", "load_table"},
+    "jsontext": {"loads", "_write"},
+    "liealg": {"_frac", "_parse_algebra", "_load_algebra"},
+    "ncalg": {"_parse_term"},
+}
+
+
+def test_only_input_boundaries_catch_errors():
+    found = {path.stem: handlers(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == CATCHING
+
+
+def test_the_handler_reader_names_the_innermost_function(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "try:\n    import json\nexcept ImportError:\n    pass\n"
+        "def plain():\n    return 1\n"
+        "def outer():\n"
+        "    def inner():\n        try:\n            pass\n        except ValueError:\n            pass\n"
+        "    return inner\n"
+        "class C:\n"
+        "    def m(self):\n        try:\n            pass\n        finally:\n            pass\n"
+        "    def n(self):\n        with open(self) as f:\n            try:\n                pass\n"
+        "            except OSError:\n                pass\n",
+        "utf-8",
+    )
+    assert handlers(source) == {"<module>", "outer.inner", "C.n"}

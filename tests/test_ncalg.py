@@ -882,8 +882,10 @@ def _mixed_error(op, left, right):
     if op == "*" and "int" in (left, right):
         return None
     if lf == "series":
-        # The series' own lincomb and dot reject every foreign operand.
-        return SeriesError
+        # The series' own lincomb and dot reject an operand that is not a
+        # series; two series over different rings meet in the coefficients'
+        # ring, whose error passes through.
+        return TypeError if rf == "series" else SeriesError
     if lf == rf and lf in family:
         # One class over two alphabets or two shapes.
         return family[lf]
