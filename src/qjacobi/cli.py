@@ -17,18 +17,18 @@ defect of the program (``EngineError``, ``ScalarError``, ``MatrixError``).
 ``main`` can be called many times in one process.  The process builds
 the parser once (:func:`build_parser` is cached), each algebra preset
 with its validated operators once (:func:`qjacobi.liealg.algebra_ops`)
-and the built-in table once.  All else it keeps is in
-:class:`qjacobi.ncalg.Kept` stores, each keyed by exactly what its
+and the built-in table once.  A preset's operators keep its classical,
+structure and spectral reports and its braiding checks, resumed past the
+order reached (:class:`qjacobi.liealg.TensorOps`).  All else it keeps is
+in :class:`qjacobi.ncalg.Kept` stores, each keyed by exactly what its
 values read and bounded by one constant: Psi pairs, free and in an
 algebra's matrices, by table content and letters
 (``psiengine.CACHED_TABLES``); transport terms' normal forms and steps
 by factors (``transport.KEPT_TERMS``); transport reports by identity,
-what they read and step budget (``transport.KEPT_REPORTS``); the
-classical, structure, braiding and spectral reports of a preset, on its
-operators (``liealg.KEPT_OPS_REPORTS``); and tables parsed from files,
-by path and bytes (``deformation.CACHED_FILES``).  A value whose work
-raised is not kept, so a call's output, trace and errors are those of a
-fresh process, as each module sets out.  Table and algebra files are
+what they read and step budget (``transport.KEPT_REPORTS``); and tables
+parsed from files, by path and bytes (``deformation.CACHED_FILES``).  A
+value whose work raised is not kept, so a call's output, trace and
+errors are those of a fresh process, as each module sets out.  Table and algebra files are
 read on every call; an algebra file is built and validated on every
 call and keeps no report past it.
 """

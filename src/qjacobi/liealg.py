@@ -8,7 +8,7 @@ antisymmetry, Jacobi and braid identities, and the braiding relation of
 the exponential with a formal ipi constant, are then literal matrix
 equalities.  A report on an algebra's operators reads them alone, so it
 is kept on its :class:`TensorOps` instance: a shared preset builds each
-report once per process.
+report once per process and its braiding checks once per order.
 
 Tensor index convention: basis vector i (x) j of the double space sits
 at position i*d + j (row-major), and likewise for triple spaces.
@@ -17,13 +17,12 @@ at position i*d + j (row-major), and likewise for triple spaces.
 from __future__ import annotations
 
 import functools
-import inspect
 import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Mapping
 
 from . import jsontext
@@ -102,10 +101,10 @@ def _validate_algebra(alg: LieAlgebraData) -> tuple[dict[str, SparseMatrix], Spa
     d = alg.dim
     for (i, j), row in alg.structure.items():
         if not (0 <= i < d and 0 <= j < d):
-            raise AlgebraError(f"bracket ({i}, {j}) outside the basis range")
+            raise AlgebraError(f"bracket ({_shown(i)}, {_shown(j)}) outside the basis range")
         for k in row:
             if not 0 <= k < d:
-                raise AlgebraError(f"bracket ({i}, {j}) targets unknown basis index {k}")
+                raise AlgebraError(f"bracket ({_shown(i)}, {_shown(j)}) targets unknown basis index {_shown(k)}")
     maps = _bracket_maps(alg)
     messages = ("antisymmetry fails at [{}, {}]", "Jacobi identity fails at ({}, {}, {})")
     # zip stops at the messages, so the 3.3 sides are never built here.
@@ -197,6 +196,11 @@ def _index(value) -> int:
     return value
 
 
+def _shown(index: int) -> str:
+    # An index past 64 bits, beyond any basis, is named by its size: its digits are not echoed.
+    return str(index) if index.bit_length() <= 64 else f"<index of {index.bit_length()} bits>"
+
+
 def _parse_algebra(doc: dict, name: str) -> LieAlgebraData:
     """The algebra a document states, checked for types but not yet
     validated as a Lie algebra."""
@@ -234,7 +238,7 @@ def _parse_algebra(doc: dict, name: str) -> LieAlgebraData:
         if len({k for k, _ in row}) != len(row):
             raise AlgebraError(f"bracket entry {item!r} states a target index twice")
         if (i, j) in structure:
-            raise AlgebraError(f"bracket ({i}, {j}) is stated twice")
+            raise AlgebraError(f"bracket ({_shown(i)}, {_shown(j)}) is stated twice")
         structure[(i, j)] = {k: v for k, v in row if v}
     # Fill unstated mirror brackets by antisymmetry; stated ones are
     # validated as given.
@@ -269,7 +273,8 @@ def _load_algebra(spec) -> LieAlgebraData:
             raise AlgebraError(f"cannot read algebra file: {exc}") from exc
         except jsontext.DuplicateKeyError as exc:
             raise AlgebraError(f"{exc} in algebra file") from None
-        except jsontext.DocumentError as exc:
+        except ValueError as exc:
+            # A DocumentError, or int refusing an integer past the digit limit.
             raise AlgebraError(f"cannot parse algebra file: {exc}") from None
         alg = _parse_algebra(doc, str(spec))
     return alg
@@ -308,13 +313,15 @@ class TensorOps:
     frozen and :class:`SparseMatrix` has no mutating method, so one
     instance can be shared: :func:`algebra_ops` shares each preset's.
 
-    A report on the operators reads them alone, so an instance keeps
-    :data:`KEPT_OPS_REPORTS` reports built on it (:func:`verify_classical`,
-    :func:`structure_report`, :func:`verify_sigma_rmatrix` per order,
-    :func:`omega_report`) in a :class:`~qjacobi.ncalg.Kept` store, not a
+    A report on the operators reads them alone, so an instance keeps the
+    three reports that take no argument (:func:`verify_classical`,
+    :func:`structure_report`, :func:`omega_report`) in a
+    :class:`~qjacobi.ncalg.Kept` store, and one braiding state: the checks
+    h^0 ... h^(n-1) :func:`verify_sigma_rmatrix` has found and E_(n-1),
+    the coefficient the last one read (E_0 = 1 before any).  Neither is a
     field: a preset builds each once per process, a file algebra keeps
-    none past its call, two instances compare by their operators alone and
-    :func:`dataclasses.replace` starts with none.
+    none past its call, two instances compare by their operators alone
+    and :func:`dataclasses.replace` starts with none.
     """
 
     alg: LieAlgebraData
@@ -332,27 +339,17 @@ class TensorOps:
     Omega23: SparseMatrix    # 1 (x) Omega, the image of the letter O23
 
     def __post_init__(self):
-        object.__setattr__(self, "_reports", Kept(KEPT_OPS_REPORTS))
-
-
-# Twice the most a benchmark workload asks of one preset: 8 reports, from
-# sl3-eval's sl2 (classical, structure, omega and rmatrix orders 6-10).
-KEPT_OPS_REPORTS = 16
+        object.__setattr__(self, "_reports", Kept(3))
+        object.__setattr__(self, "_braiding", SimpleNamespace(checks=[], last=self.sigma.ring_one()))
 
 
 def _kept_on_ops(build):
-    """``build(ops, ...)``, kept on ``ops`` per function and arguments;
-    a call that raises keeps nothing.  Arguments given by keyword are
-    bound to their positions first, so both spellings share one report;
-    every parameter of a kept report can be given by position and has no
-    default."""
-    signature = inspect.signature(build)
+    """``build(ops)``, kept on ``ops`` by its function name; a call that
+    raises keeps nothing."""
 
     @functools.wraps(build)
-    def kept(ops: TensorOps, *args, **kwargs):
-        if kwargs:
-            args = signature.bind(ops, *args, **kwargs).args[1:]
-        return ops._reports.keep((build.__name__, args), build, ops, *args)
+    def kept(ops: TensorOps):
+        return ops._reports.keep(build.__name__, build, ops)
 
     return kept
 
@@ -488,10 +485,8 @@ def structure_report(ops: TensorOps) -> Report:
     return Report(ops.alg.name, checks)
 
 
-@_kept_on_ops
 def verify_sigma_rmatrix(ops: TensorOps, order: int) -> Report:
-    """Flip = braiding composed with the inverse exponential, mod h^order;
-    kept on ``ops`` per order.
+    """Flip = braiding composed with the inverse exponential, mod h^order.
 
     The braiding exponential is built from the Casimir tensor acting
     through the adjoint representation, while the correcting exponential
@@ -505,19 +500,23 @@ def verify_sigma_rmatrix(ops: TensorOps, order: int) -> Report:
     k E_k = ipi (t_action E_(k-1) - E_(k-1) Omega).  This recurrence
     yields exactly the coefficients of the product of the two exponential
     series, with one ``dot`` of the two products per order.
+
+    The check at h^k reads E_k alone, so the report mod h^order is the
+    first ``order`` checks of any longer one: ``ops`` keeps its braiding
+    state and a call resumes the recurrence past the order reached.  A
+    step that raises keeps the checks before it.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    zero = ops.sigma.ring_zero()
-    checks = []
-    E = ops.sigma.ring_one()
-    neg_omega = -ops.Omega
-    for k in range(order):
+    state = ops._braiding
+    for k in range(len(state.checks), order):
+        E = state.last
         if k:
             step = Scalar.constant("ipi", coeff=Fraction(1, k))
-            E = E.dot(((ops.t_action, E), (E, neg_omega))).scale(step)
-        checks.append(_matrix_check(f"h^{k}", zero if k else ops.sigma, ops.sigma * E))
-    return Report(ops.alg.name, checks)
+            E = E.dot(((ops.t_action, E), (E, -ops.Omega))).scale(step)
+        state.checks.append(_matrix_check(f"h^{k}", ops.sigma.ring_zero() if k else ops.sigma, ops.sigma * E))
+        state.last = E
+    return Report(ops.alg.name, state.checks[:order])
 
 
 def eval_series(series: HSeries, ops: TensorOps) -> HSeries:

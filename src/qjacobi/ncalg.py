@@ -872,11 +872,11 @@ class Kept(dict):
     """What a process keeps between calls: at most ``bound`` values by
     key, the one used last at the end.  A caller reads a value through
     :meth:`keep`, which builds and keeps it when it is not kept; a build
-    that raises keeps nothing.  A caller that works on a kept value takes
-    it out (:meth:`take`) and puts it back (:meth:`put`) once that work
-    has succeeded, so a value whose work raised is gone.  Past the bound,
-    ``put`` forgets the entry used longest ago.  A kept value may be
-    falsy, as a failed report is, and is kept all the same.
+    that raises keeps nothing.  A caller that works on a kept value pops
+    it and hands it back through ``keep`` with that work as the build,
+    so a value whose work raised is gone.  Past the bound, ``keep``
+    forgets the entry used longest ago.  A kept value may be falsy, as a
+    failed report is, and is kept all the same.
     """
 
     def __init__(self, bound: int):
@@ -887,15 +887,8 @@ class Kept(dict):
         """The value kept for ``key``, made the newest, or ``build(*args)``
         kept as the newest."""
         value = self.pop(key, _ABSENT)
-        return self.put(key, build(*args) if value is _ABSENT else value)
-
-    def take(self, key):
-        """Remove and return the value kept for ``key``, or ``None``."""
-        return self.pop(key, None)
-
-    def put(self, key, value):
-        """Keep ``value`` for ``key`` as the newest entry and return it."""
-        self.pop(key, None)
+        if value is _ABSENT:
+            value = build(*args)
         self[key] = value
         if len(self) > self.bound:
             del self[next(iter(self))]

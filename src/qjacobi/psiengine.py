@@ -53,7 +53,7 @@ ones alike.
 :class:`~qjacobi.deformation.EkTable` is checked once, by its
 constructor), resumes that engine's pass only past the order already
 reached, and runs the pair check on the extended pair each time it
-grows; an engine whose pass or check fails is not put back.  So every
+grows; an engine whose pass or check fails is not kept.  So every
 coefficient served has passed the check in this process.
 """
 
@@ -134,6 +134,13 @@ class _Engine:
             rest = one.dot([(psi[i], psi_inv[j - i]) for i in range(1, j - 1)])
             psi.append(one.lincomb([(-1, psi_inv[j]), (-1, rest)]))
 
+    def checked(self, order: int) -> _Engine:
+        """This engine with its pair known modulo h^order, checked if it grew."""
+        if len(self.psi) < order:
+            self.extend(order)
+            PsiPair(HSeries(self.psi), HSeries(self.psi_inv), order, "").validate()
+        return self
+
 
 CACHED_TABLES = 8
 _engines = Kept(CACHED_TABLES)
@@ -173,15 +180,8 @@ def compute_psi_in(table: EkTable, order: int, o12, o23) -> PsiPair:
 
     entries = table.content()
     key = (entries, o12, o23)
-    # Taken out while it runs, so an engine whose pass or check fails is
-    # not put back: the whole pair of a cached engine has been checked.
-    engine = _engines.take(key)
-    if engine is None:
-        engine = _Engine(entries, o12, o23)
-    grows = len(engine.psi) < order
-    engine.extend(order)
-    pair = PsiPair(HSeries(engine.psi[:order]), HSeries(engine.psi_inv[:order]), order, table.source)
-    if grows:
-        pair.validate()
-    _engines.put(key, engine)
-    return pair
+    # Popped while it runs, so keep builds: an engine whose pass or check
+    # fails is not kept, and the whole pair of a kept engine has been checked.
+    engine = _engines.pop(key, None) or _Engine(entries, o12, o23)
+    engine = _engines.keep(key, engine.checked, order)
+    return PsiPair(HSeries(engine.psi[:order]), HSeries(engine.psi_inv[:order]), order, table.source)

@@ -609,6 +609,46 @@ def test_algebra_coefficients_beyond_the_digit_limit(capsys, tmp_path, spell):
     assert out.splitlines()[1:] == reference.splitlines()[1:]
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+def test_a_library_call_refuses_an_algebra_integer_past_the_digit_limit_as_an_algebra_error(tmp_path):
+    # main lifts the interpreter's limit and accepts such a file (the test
+    # above); a library call keeps the limit and once raised a bare
+    # ValueError from int.
+    from qjacobi.liealg import AlgebraError, algebra_ops, build_algebra
+
+    path = tmp_path / "algebra.json"
+    doc = json.dumps(_sl2_doc(*_SL2_BRACKETS[:2], [0, 2, [[1, "N"]]]))
+    path.write_text(doc.replace('"N"', "1" + "0" * 5000))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for call in (build_algebra, algebra_ops):
+            with pytest.raises(AlgebraError, match=re.escape("limit (4300 digits)")):
+                call(str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_an_algebra_index_too_long_to_echo_is_named_by_its_size(capsys, tmp_path):
+    # main reads a 100,000-digit index with the digit limit lifted, and
+    # once echoed it whole in a 100,045-byte error line.
+    huge = "1" * 100000
+    bits = _unlimited_digits(lambda: int(huge).bit_length())
+    path = tmp_path / "algebra.json"
+    cases = [
+        (_sl2_doc(["I", 0, [[0, "2"]]], *_SL2_BRACKETS[1:]), f"bracket (<index of {bits} bits>, 0) outside the basis range"),
+        (_sl2_doc(*_SL2_BRACKETS[:2], [0, 2, [["I", "1"]]]), f"bracket (0, 2) targets unknown basis index <index of {bits} bits>"),
+        (_sl2_doc(["I", 0, [[0, "2"]]], ["I", 0, [[0, "2"]]]), f"bracket (<index of {bits} bits>, 0) is stated twice"),
+        # An index of ordinary length keeps its digits.
+        (_sl2_doc([18446744073709551615, 0, [[0, "2"]]]), "bracket (18446744073709551615, 0) outside the basis range"),
+    ]
+    for doc, message in cases:
+        path.write_text(json.dumps(doc).replace('"I"', huge))
+        code = cli.main(["omega", "--algebra", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", [["omega"], ["eval", "--order", "3"]], ids=["omega", "eval"])
 @pytest.mark.parametrize(
     "doc, field_name",

@@ -432,21 +432,23 @@ def test_tensor_ops_and_algebra_data_are_frozen(sl2_ops):
 
 def test_a_preset_keeps_each_report_per_order():
     # A report reads the operators alone, so a preset's is built once per
-    # process and shared; a replaced instance starts with none.
+    # process and shared; a replaced instance starts with none.  A
+    # braiding report is the prefix of the checks the preset keeps, so
+    # one asked twice is equal, not the same object.
     import dataclasses
 
     ops = algebra_ops("sl2")
     for report in (verify_classical, structure_report, omega_report):
         assert report(ops) is report(ops)
-    assert verify_sigma_rmatrix(ops, 3) is verify_sigma_rmatrix(ops, 3)
-    assert verify_sigma_rmatrix(ops, order=3) is verify_sigma_rmatrix(ops, order=3)
-    assert verify_sigma_rmatrix(ops, 3) is not verify_sigma_rmatrix(ops, 4)
+    assert verify_sigma_rmatrix(ops, 3) == verify_sigma_rmatrix(ops, 3)
+    assert verify_sigma_rmatrix(ops, order=3) == verify_sigma_rmatrix(ops, order=3)
+    assert verify_sigma_rmatrix(ops, 3) != verify_sigma_rmatrix(ops, 4)
     assert [c.name for c in verify_sigma_rmatrix(ops, 4).checks] == ["h^0", "h^1", "h^2", "h^3"]
     # An order given by position or by keyword is one report, and a
     # keyword the function does not take still raises.
     fresh = dataclasses.replace(ops)
-    assert verify_sigma_rmatrix(fresh, 3) is verify_sigma_rmatrix(fresh, order=3)
-    assert len(fresh._reports) == 1
+    assert verify_sigma_rmatrix(fresh, 3) == verify_sigma_rmatrix(fresh, order=3)
+    assert len(fresh._reports) == 0 and len(fresh._braiding.checks) == 3
     for kwargs in ({"degree": 3}, {"order": 3, "degree": 3}):
         with pytest.raises(TypeError):
             verify_sigma_rmatrix(fresh, **kwargs)
@@ -462,20 +464,83 @@ def test_a_preset_keeps_each_report_per_order():
 
 
 def test_an_operators_reports_stay_within_their_bound():
-    # Past the bound the report used longest ago is forgotten and, asked
-    # again, built anew.
+    # Whatever orders are asked, an instance keeps the three reports that
+    # take no argument and one braiding state: the checks found so far and
+    # the last E_k alone.
     import dataclasses
 
-    from qjacobi.liealg import KEPT_OPS_REPORTS
+    ops = dataclasses.replace(algebra_ops("sl2"))
+    fields = {field.name for field in dataclasses.fields(ops)}
+    first = verify_sigma_rmatrix(ops, 1)
+    for report in (verify_classical, structure_report, omega_report):
+        report(ops)
+    for order in range(2, 21):
+        verify_sigma_rmatrix(ops, order)
+        assert len(ops._reports) == 3 and len(ops._braiding.checks) == order
+    assert set(vars(ops)) - fields == {"_reports", "_braiding"}
+    assert sorted(ops._reports) == ["omega_report", "structure_report", "verify_classical"]
+    assert sorted(vars(ops._braiding)) == ["checks", "last"]
+    assert isinstance(ops._braiding.last, SparseMatrix)
+    assert verify_sigma_rmatrix(ops, 1) == first
+
+
+def test_the_braiding_recurrence_resumes_past_the_order_reached(monkeypatch):
+    # The check at h^k reads E_k alone, so orders 6, 4 and 9 asked of one
+    # instance run the recurrence 9 times, not 6 + 4 + 9, and each report
+    # is the one a new instance builds for its order.
+    import dataclasses
+
+    from qjacobi import liealg
+
+    steps = []
+    check = liealg._matrix_check
+    monkeypatch.setattr(liealg, "_matrix_check", lambda name, *sides: steps.append(name) or check(name, *sides))
+    ops = dataclasses.replace(algebra_ops("sl2"))
+    reports = [(order, verify_sigma_rmatrix(ops, order)) for order in (6, 4, 9)]
+    assert steps == [f"h^{k}" for k in range(9)] and len(ops._braiding.checks) == 9
+    monkeypatch.undo()
+    for order, report in reports:
+        assert len(report.checks) == order
+        assert report.to_json() == verify_sigma_rmatrix(dataclasses.replace(ops), order).to_json()
+    assert verify_sigma_rmatrix(ops, order=3) == verify_sigma_rmatrix(ops, 3)
+
+
+def test_an_order_below_one_leaves_the_braiding_state_as_it_was():
+    import dataclasses
 
     ops = dataclasses.replace(algebra_ops("sl2"))
-    first = verify_sigma_rmatrix(ops, 1)
-    for order in range(2, KEPT_OPS_REPORTS + 2):
-        verify_sigma_rmatrix(ops, order)
-        assert len(ops._reports) <= KEPT_OPS_REPORTS
-    again = verify_sigma_rmatrix(ops, 1)
-    assert again is not first and again.to_json() == first.to_json()
-    assert len(ops._reports) == KEPT_OPS_REPORTS
+    for order in (None, 3):
+        if order:
+            verify_sigma_rmatrix(ops, order)
+        checks, last = list(ops._braiding.checks), ops._braiding.last
+        for _ in range(2):
+            with pytest.raises(ValueError, match="order must be positive"):
+                verify_sigma_rmatrix(ops, 0)
+            assert ops._braiding.checks == checks and ops._braiding.last is last
+    assert len(checks) == 3
+
+
+def test_a_braiding_step_that_raises_keeps_the_checks_before_it(monkeypatch):
+    import dataclasses
+
+    from qjacobi import liealg
+
+    check = liealg._matrix_check
+
+    def failing(name, *sides):
+        if name == "h^4":
+            raise MatrixError("simulated")
+        return check(name, *sides)
+
+    ops = dataclasses.replace(algebra_ops("sl2"))
+    verify_sigma_rmatrix(ops, 2)
+    monkeypatch.setattr(liealg, "_matrix_check", failing)
+    for _ in range(2):
+        with pytest.raises(MatrixError, match="simulated"):
+            verify_sigma_rmatrix(ops, 6)
+        assert [c.name for c in ops._braiding.checks] == ["h^0", "h^1", "h^2", "h^3"]
+    monkeypatch.undo()
+    assert verify_sigma_rmatrix(ops, 6).to_json() == verify_sigma_rmatrix(dataclasses.replace(ops), 6).to_json()
 
 
 def test_a_failed_report_is_kept():

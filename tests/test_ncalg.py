@@ -944,33 +944,47 @@ def test_negation_and_scalar_products_are_scale(name):
 # -- the kept-state store ---------------------------------------------------
 
 def test_kept_takes_nothing_for_a_key_not_kept():
+    # Popping a key not kept gives the default; keep builds it.
     kept = Kept(2)
-    assert kept.take("a") is None
+    assert kept.pop("a", None) is None
     assert kept == {}
+    assert kept.keep("a", str.upper, "a") == "A" and kept == {"a": "A"}
 
 
 def test_kept_forgets_the_oldest_past_its_bound():
-    kept, built = Kept(2), Kept(2)
+    # Built or handed back after a pop, as the Psi engine is, the oldest
+    # entry past the bound goes.
+    built, handed = Kept(2), Kept(2)
     for key in "abc":
-        assert kept.put(key, key.upper()) == key.upper()
         assert built.keep(key, str.upper, key) == key.upper()
-    assert list(kept) == list(built) == ["b", "c"]
+        value = handed.pop(key, None) or key.upper()
+        assert handed.keep(key, lambda: value) == key.upper()
+    assert list(built) == list(handed) == ["b", "c"]
 
 
 def test_a_key_taken_and_put_back_is_the_newest():
+    # A value popped and handed back through keep is the newest, and so
+    # is one keep reads.
     kept = Kept(2)
-    kept.put("a", 1)
-    kept.put("b", 2)
-    kept.put("a", kept.take("a"))
-    kept.put("c", 3)
+    kept.keep("a", int, "1")
+    kept.keep("b", int, "2")
+    value = kept.pop("a")
+    assert kept.keep("a", lambda: value) is value
+    kept.keep("c", int, "3")
     assert kept == {"a": 1, "c": 3} and list(kept) == ["a", "c"]
+    assert kept.keep("a", _unreachable) == 1
+    kept.keep("d", int, "4")
+    assert list(kept) == ["a", "d"]
 
 
 def test_a_key_taken_and_not_put_back_is_gone():
+    # A value popped whose work then raises is not kept.
     kept = Kept(2)
-    kept.put("a", 1)
-    assert kept.take("a") == 1
-    assert kept.take("a") is None and "a" not in kept
+    kept.keep("a", int, "1")
+    value = kept.pop("a")
+    with pytest.raises(ZeroDivisionError):
+        kept.keep("a", divmod, value, 0)
+    assert kept.pop("a", None) is None and "a" not in kept
 
 
 def _unreachable():
@@ -980,27 +994,25 @@ def _unreachable():
 @pytest.mark.parametrize("falsy", [0, (), "", False])
 def test_a_falsy_value_survives_a_round_trip(falsy):
     kept = Kept(1)
-    kept.put("a", falsy)
-    value = kept.take("a")
+    assert kept.keep("a", lambda: falsy) is falsy
+    value = kept.pop("a", None)
     assert value is not None and value == falsy
-    assert kept.put("a", value) is value and kept == {"a": falsy}
+    assert kept.keep("a", lambda: value) is value and kept == {"a": falsy}
     assert kept.keep("a", _unreachable) is value
-    built = Kept(1)
-    assert built.keep("a", lambda: falsy) is falsy and built.keep("a", _unreachable) is falsy
 
 
 def test_keep_reads_a_kept_value_without_building_it():
     kept = Kept(2)
     assert kept.keep("a", str.upper, "a") == "A"
-    kept.put("b", "B")
+    kept.keep("b", str.upper, "b")
     assert kept.keep("a", _unreachable) == "A"
     assert list(kept) == ["b", "a"]
 
 
 def test_a_build_that_raises_keeps_nothing():
     kept = Kept(3)
-    kept.put("a", 1)
-    kept.put("b", 2)
+    kept.keep("a", int, "1")
+    kept.keep("b", int, "2")
     with pytest.raises(ValueError):
         kept.keep("c", int, "not a number")
     assert list(kept.items()) == [("a", 1), ("b", 2)]
