@@ -28,8 +28,8 @@ from typing import Mapping
 from . import jsontext
 from .deformation import PSI_ALPHABET
 from .hseries import HSeries
-from .matrices import MatrixError, SparseMatrix, _krylov, kron
-from .ncalg import Kept, NCPoly, Scalar, substitute
+from .matrices import SparseMatrix, _krylov, kron
+from .ncalg import Kept, NCPoly, Scalar, _echo, substitute
 
 __all__ = [
     "AlgebraError",
@@ -101,10 +101,11 @@ def _validate_algebra(alg: LieAlgebraData) -> tuple[dict[str, SparseMatrix], Spa
     d = alg.dim
     for (i, j), row in alg.structure.items():
         if not (0 <= i < d and 0 <= j < d):
-            raise AlgebraError(f"bracket ({_shown(i)}, {_shown(j)}) outside the basis range")
+            raise AlgebraError(f"bracket ({_echo(i, 'index')}, {_echo(j, 'index')}) outside the basis range")
         for k in row:
             if not 0 <= k < d:
-                raise AlgebraError(f"bracket ({_shown(i)}, {_shown(j)}) targets unknown basis index {_shown(k)}")
+                raise AlgebraError(f"bracket ({_echo(i, 'index')}, {_echo(j, 'index')}) targets unknown basis"
+                                   f" index {_echo(k, 'index')}")
     maps = _bracket_maps(alg)
     messages = ("antisymmetry fails at [{}, {}]", "Jacobi identity fails at ({}, {}, {})")
     # zip stops at the messages, so the 3.3 sides are never built here.
@@ -183,22 +184,17 @@ def _frac(value) -> Fraction:
     if not isinstance(value, str):
         raise AlgebraError(f"structure coefficients must be exact, got {type(value).__name__}")
     if not _COEFF_RE.fullmatch(value):
-        raise AlgebraError(f"bad structure coefficient {value!r}: write an integer or p/q")
+        raise AlgebraError(f"bad structure coefficient {_echo(value, 'coefficient')}: write an integer or p/q")
     try:
         return Fraction(value)
     except ZeroDivisionError as exc:
-        raise AlgebraError(f"bad structure coefficient {value!r}: {exc}") from exc
+        raise AlgebraError(f"bad structure coefficient {_echo(value, 'coefficient')}: {exc}") from exc
 
 
 def _index(value) -> int:
     if type(value) is not int:
-        raise AlgebraError(f"basis index {value!r} is not an integer")
+        raise AlgebraError(f"basis index {_echo(value, 'index')} is not an integer")
     return value
-
-
-def _shown(index: int) -> str:
-    # An index past 64 bits, beyond any basis, is named by its size: its digits are not echoed.
-    return str(index) if index.bit_length() <= 64 else f"<index of {index.bit_length()} bits>"
 
 
 def _parse_algebra(doc: dict, name: str) -> LieAlgebraData:
@@ -222,23 +218,24 @@ def _parse_algebra(doc: dict, name: str) -> LieAlgebraData:
         raise AlgebraError("basis label count does not match dim")
     repeated = [x for x, n in Counter(basis).items() if n > 1]
     if repeated:
-        raise AlgebraError(f"basis label {repeated[0]!r} is repeated")
+        raise AlgebraError(f"basis label {_echo(repeated[0], 'label')} is repeated")
     structure: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for item in brackets:
+    # An entry is named by its place in the list: its text may be any length.
+    for n, item in enumerate(brackets):
         if not isinstance(item, list) or len(item) != 3:
-            raise AlgebraError(f"malformed bracket entry {item!r}: write [i, j, [[k, c], ...]]")
+            raise AlgebraError(f"malformed brackets[{n}]: write [i, j, [[k, c], ...]]")
         if not isinstance(item[2], list) or not all(isinstance(t, list) and len(t) == 2 for t in item[2]):
-            raise AlgebraError(f"malformed bracket entry {item!r}: each target is a [k, c] pair")
+            raise AlgebraError(f"malformed brackets[{n}]: each target is a [k, c] pair")
         try:
             i, j = _index(item[0]), _index(item[1])
             row = [(_index(k), _frac(v)) for k, v in item[2]]
         except ValueError as exc:
-            raise AlgebraError(f"malformed bracket entry {item!r}: {exc}") from exc
+            raise AlgebraError(f"malformed brackets[{n}]: {exc}") from exc
         # A repeated pair or target would leave the later copy in force.
         if len({k for k, _ in row}) != len(row):
-            raise AlgebraError(f"bracket entry {item!r} states a target index twice")
+            raise AlgebraError(f"brackets[{n}] states a target index twice")
         if (i, j) in structure:
-            raise AlgebraError(f"bracket ({_shown(i)}, {_shown(j)}) is stated twice")
+            raise AlgebraError(f"bracket ({_echo(i, 'index')}, {_echo(j, 'index')}) is stated twice")
         structure[(i, j)] = {k: v for k, v in row if v}
     # Fill unstated mirror brackets by antisymmetry; stated ones are
     # validated as given.
@@ -567,23 +564,16 @@ class SpectralReport:
         }
 
 
-def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_divide_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # Synthetic division by (x - root); the remainder must vanish.
+def _divide_linear(coeffs: list[Fraction], root: Fraction) -> tuple[list[Fraction], Fraction]:
+    """(quotient, remainder) of the polynomial with coefficients
+    ``coeffs``, lowest degree first, by (x - root), by Horner's rule;
+    the remainder is the polynomial's value at ``root``."""
     out = [Fraction(0)] * (len(coeffs) - 1)
     carry = Fraction(0)
     for k in range(len(coeffs) - 1, 0, -1):
         carry = coeffs[k] + carry * root
         out[k - 1] = carry
-    if coeffs[0] + carry * root != 0:
-        raise MatrixError(f"{root} is not a root of the polynomial")
-    return out
+    return out, coeffs[0] + carry * root
 
 
 def _root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
@@ -615,9 +605,11 @@ def spectral_report(matrix: SparseMatrix) -> SpectralReport:
     work = list(coeffs)
     for root in _root_candidates(coeffs):
         mult = 0
-        while len(work) > 1 and _poly_eval(work, root) == 0:
-            work = _poly_divide_linear(work, root)
-            mult += 1
+        while len(work) > 1:
+            quotient, remainder = _divide_linear(work, root)
+            if remainder:
+                break
+            work, mult = quotient, mult + 1
         if not mult:
             continue
         shifted = matrix - SparseMatrix.identity(n).scale(root)

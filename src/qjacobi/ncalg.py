@@ -34,10 +34,18 @@ docstring states the ring protocol.
 
 Words live in the free monoid over a declared :class:`Alphabet`: a word
 is a plain tuple of letter names, and a product concatenates.  The
-textual form of a polynomial is canonical: terms are ordered
-length-first, then by letter names, and serialize as
-``coeff*letter.letter`` chains, e.g. ``1/24*O12.O23 - 1/24*O23.O12``.
-That text form is the interchange format used by every other module.
+canonical text form, e.g. ``1/24*O12.O23 - 1/24*O23.O12``, is the
+interchange format of every other module, and each of its rules is
+written once.  A term is a rational ``p`` or ``p/q`` in ASCII digits,
+left out when it is 1 and a factor follows, then constant factors
+``name`` or ``name^e`` (``e`` at least 1), then at most one word of
+dot-joined letters.  ``_monomial`` alone puts a product of constants in
+normal form: a name given twice is one factor whose exponents add, and
+the names are sorted.  Terms are ordered length-first, then by letter
+names, and joined by `` + `` or `` - `` (``- `` before a negative first
+term), the one pattern ``_split_signed_terms`` splits on.  A scalar is
+a polynomial over no letters.  A reader's error names a refused input
+past 80 characters or 64 bits by its size (``_echo``).
 
 :class:`WordEvaluator` is the one word evaluator: it maps each word to
 the product of its letters' images in one ring of the package and sums
@@ -103,17 +111,22 @@ def _as_scalar(value) -> "Scalar | None":
     return None
 
 
+def _monomial(factors: Iterable[tuple[str, int]]) -> Monomial:
+    """The normal form of a product of (name, exponent) factors: a name
+    given twice is one factor whose exponents add, and the names are
+    sorted."""
+    exps: dict[str, int] = {}
+    for name, e in factors:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items()))
+
+
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
     if not b:
         return a
-    exps: dict[str, int] = {}
-    for name, e in a:
-        exps[name] = exps.get(name, 0) + e
-    for name, e in b:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
+    return _monomial(a + b)
 
 
 class Scalar:
@@ -134,16 +147,15 @@ class Scalar:
                 frac = Fraction(coeff)
                 if not frac:
                     continue
-                # A name given twice is one factor: its exponents add.
-                exps: dict[str, int] = {}
+                factors = []
                 for name, exp in mono:
                     name, exp = str(name), int(exp)
                     if not _NAME_RE.match(name):
                         raise ScalarError(f"bad constant name {name!r}")
                     if exp <= 0:
                         raise ScalarError("constant exponents must be positive")
-                    exps[name] = exps.get(name, 0) + exp
-                norm = tuple(sorted(exps.items()))
+                    factors.append((name, exp))
+                norm = _monomial(factors)
                 data[norm] = data.get(norm, _F0) + frac
         self._terms = {m: c for m, c in data.items() if c}
 
@@ -780,6 +792,9 @@ def _join_signed(parts: list[tuple[bool, str]]) -> str:
     return "".join(pieces)
 
 
+_SEPARATOR_RE = re.compile(r" ([+-]) ")
+
+
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:
     text = text.strip()
     if not text:
@@ -787,25 +802,16 @@ def _split_signed_terms(text: str) -> list[tuple[int, str]]:
     sign = 1
     if text.startswith("- "):
         sign, text = -1, text[2:]
-    terms = []
-    start = 0
-    i = 0
-    while i < len(text):
-        if text.startswith(" + ", i) or text.startswith(" - ", i):
-            terms.append((sign, text[start:i]))
-            sign = 1 if text[i + 1] == "+" else -1
-            i += 3
-            start = i
-        else:
-            i += 1
-    terms.append((sign, text[start:]))
-    return terms
+    # re.split keeps each separator's sign between the bodies it splits.
+    pieces = _SEPARATOR_RE.split(text)
+    signs = [sign] + [1 if op == "+" else -1 for op in pieces[1::2]]
+    return list(zip(signs, pieces[::2]))
 
 
-def _parse_term(body: str, alphabet: Alphabet | None, constants: tuple[str, ...]):
+def _parse_term(body: str, alphabet: Alphabet, constants: tuple[str, ...]):
     factors = body.split("*")
     if not all(factors):
-        raise WordError(f"malformed term {body!r}")
+        raise WordError(f"malformed term {_echo(body, 'term')}")
     frac = _F1
     mono: list[tuple[str, int]] = []
     word: tuple[str, ...] | None = None
@@ -816,53 +822,53 @@ def _parse_term(body: str, alphabet: Alphabet | None, constants: tuple[str, ...]
         try:
             frac = Fraction(int(num), int(den) if den else 1)
         except ZeroDivisionError:
-            raise WordError(f"zero denominator in {body!r}") from None
+            raise WordError(f"zero denominator in {_echo(body, 'term')}") from None
         rest = factors[1:]
     for factor in rest:
         if word is not None:
-            raise WordError(f"word must be the last factor in {body!r}")
+            raise WordError(f"word must be the last factor in {_echo(body, 'term')}")
         fm = _FACTOR_RE.match(factor)
         if fm and fm.group(1) in constants:
             exponent = int(fm.group(2) or 1)
             if not exponent:
-                raise WordError(f"exponent 0 in {body!r}; exponents are at least 1")
+                raise WordError(f"exponent 0 in {_echo(body, 'term')}; exponents are at least 1")
             mono.append((fm.group(1), exponent))
             continue
-        if alphabet is not None:
-            letters = tuple(factor.split("."))
-            if alphabet._letter_set.issuperset(letters):
-                word = letters
-                continue
-        raise WordError(f"unknown factor {factor!r}")
-    exps: dict[str, int] = {}
-    for name, e in mono:
-        exps[name] = exps.get(name, 0) + e
-    return frac, tuple(sorted(exps.items())), word or ()
+        letters = tuple(factor.split("."))
+        if alphabet._letter_set.issuperset(letters):
+            word = letters
+            continue
+        raise WordError(f"unknown factor {_echo(factor, 'factor')}")
+    return frac, _monomial(mono), word or ()
 
 
 def parse_scalar(text: str, constants: tuple[str, ...] = ("ipi",)) -> Scalar:
-    """Parse the canonical scalar text form."""
-    if text.strip() == "0":
-        return Scalar.zero()
-    data: dict[Monomial, Fraction] = {}
-    for sign, body in _split_signed_terms(text):
-        frac, mono, word = _parse_term(body, None, constants)
-        if word:
-            raise WordError(f"unexpected word in scalar {text!r}")
-        data[mono] = data.get(mono, _F0) + sign * frac
-    return Scalar(data)
+    """Parse the canonical scalar text form: a polynomial over no letters."""
+    return parse_poly(text, Alphabet(()), constants).coeff(())
 
 
 def parse_poly(text: str, alphabet: Alphabet, constants: tuple[str, ...] = ("ipi",)) -> NCPoly:
     """Parse the canonical polynomial text form over the given alphabet."""
-    if text.strip() == "0":
-        return NCPoly.zero(alphabet)
     terms = []
     for sign, body in _split_signed_terms(text):
         # _parse_term gives a normal monomial and a Fraction, as Scalar._of needs.
         frac, mono, word = _parse_term(body, alphabet, constants)
         terms.append((word, Scalar._of({mono: sign * frac})))
     return NCPoly(alphabet, terms)
+
+
+def _echo(value, noun: str) -> str:
+    """How an error message names the input ``value``, a ``noun``: as
+    written, or by its size if it is a string past 80 characters or an
+    int past 64 bits, whose digits the interpreter may refuse to
+    convert; a list or an object by its type."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"<{noun} of {value.bit_length()} bits>"
+    if isinstance(value, str) and len(value) > 80:
+        return f"<{noun} of {len(value)} characters>"
+    if isinstance(value, (list, dict)):
+        return f"<{noun} of type {type(value).__name__}>"
+    return repr(value)
 
 
 _ABSENT = object()

@@ -24,6 +24,10 @@ The 5.1 reference builds an entry's assembled claim from the whole
 entry at once, each word's chain read off ``alpha`` of the word as a
 polynomial, where transport sums the claims of the words.
 
+The term-splitter reference scans the canonical text form index by
+index for the separators " + " and " - ", where ``ncalg`` splits it with
+one regular expression.
+
 The transport model reads expressions and normal forms as series of
 exact matrices on tensor powers of an algebra, each factor by its
 definition and each classical word multiplied out on its own, so it
@@ -39,7 +43,7 @@ from qjacobi import deformation, psiengine, transport
 from qjacobi.deformation import AB_ALPHABET, EkTable, alpha
 from qjacobi.hseries import HSeries
 from qjacobi.matrices import SparseMatrix
-from qjacobi.ncalg import NCPoly, Scalar
+from qjacobi.ncalg import NCPoly, Scalar, WordError
 from qjacobi.psiengine import PSI_ALPHABET, compute_psi
 from qjacobi.transport import (
     CLASSICAL_RULES,
@@ -190,6 +194,31 @@ def random_homogeneous_table(rng, max_degree=5, max_terms=3, constants=()) -> Ek
         entries[2] = NCPoly.word(AB_ALPHABET, ("A", "B"))
     declared = tuple(name for name in constants if name != "ipi") + ("ipi",)
     return EkTable(entries=entries, constants=declared, source=f"random-{rng.random():.6f}")
+
+
+def reference_split_signed_terms(text: str) -> list[tuple[int, str]]:
+    """The (sign, body) terms of canonical text, found by scanning each
+    position for a separator and stepping past the three characters of
+    each one found."""
+    text = text.strip()
+    if not text:
+        raise WordError("empty expression")
+    sign = 1
+    if text.startswith("- "):
+        sign, text = -1, text[2:]
+    terms = []
+    start = 0
+    i = 0
+    while i < len(text):
+        if text.startswith(" + ", i) or text.startswith(" - ", i):
+            terms.append((sign, text[start:i]))
+            sign = 1 if text[i + 1] == "+" else -1
+            i += 3
+            start = i
+        else:
+            i += 1
+    terms.append((sign, text[start:]))
+    return terms
 
 
 def _reference_run(run, replacement):

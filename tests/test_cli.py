@@ -625,6 +625,10 @@ def test_a_library_call_refuses_an_algebra_integer_past_the_digit_limit_as_an_al
         for call in (build_algebra, algebra_ops):
             with pytest.raises(AlgebraError, match=re.escape("limit (4300 digits)")):
                 call(str(path))
+        # A malformed entry is named by its place in the list; echoing it
+        # once converted its 5,001-digit integer and raised a bare ValueError.
+        with pytest.raises(AlgebraError, match=re.escape("malformed brackets[0]: each target is a [k, c] pair")):
+            build_algebra(_sl2_doc([10 ** 5000, 0, 5], *_SL2_BRACKETS[1:]))
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -647,6 +651,33 @@ def test_an_algebra_index_too_long_to_echo_is_named_by_its_size(capsys, tmp_path
         code = cli.main(["omega", "--algebra", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+
+
+_SL2_HEAD = '{"dim": 3, "basis": ["e", "h", "f"], "brackets": '
+
+
+@pytest.mark.parametrize(
+    "command, document, message",
+    [
+        (["omega", "--algebra"], _SL2_HEAD + "[[N, 0, 5]]}", "malformed brackets[0]: each target is a [k, c] pair"),
+        (["omega", "--algebra"], _SL2_HEAD + '[["N", 0, [[0, "2"]]]]}',
+         "malformed brackets[0]: basis index <index of 100000 characters> is not an integer"),
+        (["omega", "--algebra"], _SL2_HEAD + '[[1, 0, [[0, "Nx"]]]]}',
+         "malformed brackets[0]: bad structure coefficient <coefficient of 100001 characters>: write an integer or p/q"),
+        (["omega", "--algebra"], '{"dim": 2, "basis": ["N", "N"], "brackets": []}',
+         "basis label <label of 100000 characters> is repeated"),
+        (["table", "validate"], '{"entries": {"2": "Nx*A.B"}}', "degree 2: unknown factor <factor of 100001 characters>"),
+    ],
+    ids=["algebra-entry", "algebra-index", "algebra-coefficient", "algebra-label", "table-term"],
+)
+def test_an_input_too_long_to_echo_is_named_by_its_size(tmp_path, command, document, message):
+    # N is a 100,000-digit numeral.  Each error line once echoed it whole:
+    # 100,070 bytes for the algebra entry and 100,036 for the table term.
+    path = tmp_path / "input.json"
+    path.write_text(document.replace("N", "1" * 100000))
+    result = subprocess.run([sys.executable, "-m", "qjacobi", *command, str(path)], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", f"error: {message}\n")
+    assert len(result.stderr.encode()) < 200
 
 
 @pytest.mark.parametrize("command", [["omega"], ["eval", "--order", "3"]], ids=["omega", "eval"])

@@ -119,7 +119,7 @@ def test_liealg_leaves_the_matrix_store_to_matrices():
     # annihilates check.  Evaluating the polynomial at Omega by Horner's
     # rule instead cost about 1.6 ms more on a 7.6 ms sl3 report
     # (Python 3.11, 2 shared CPUs, best of 15).
-    assert package_imports(source)["matrices"] == {"MatrixError", "SparseMatrix", "kron", "_krylov"}
+    assert package_imports(source)["matrices"] == {"SparseMatrix", "kron", "_krylov"}
 
 
 def _evictions(tree: ast.AST) -> list[ast.Delete]:

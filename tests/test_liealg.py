@@ -25,7 +25,7 @@ from qjacobi.liealg import (
     verify_classical,
     verify_sigma_rmatrix,
 )
-from qjacobi.liealg import _poly_divide_linear, _sl_n
+from qjacobi.liealg import _divide_linear, _sl_n
 from qjacobi.matrices import MatrixError, SparseMatrix, kron
 from qjacobi.ncalg import NCPoly, Scalar
 from qjacobi.psiengine import PSI_ALPHABET, compute_psi, compute_psi_in
@@ -718,12 +718,12 @@ def test_spectral_report_of_small_matrices(rows, factors, text):
     assert report.annihilates
 
 
-def test_dividing_by_a_non_root_raises():
-    # x^2 - 1 = (x - 1)(x + 1); 2 is not a root.
+def test_dividing_by_a_linear_factor_leaves_the_value_at_its_root():
+    # x^2 - 1 = (x - 1)(x + 1) + 0 = (x - 2)(x + 2) + 3: the remainder is
+    # the value at the root, 0 only at a root.
     coeffs = [Fraction(-1), Fraction(0), Fraction(1)]
-    assert _poly_divide_linear(coeffs, Fraction(1)) == [Fraction(1), Fraction(1)]
-    with pytest.raises(MatrixError, match="not a root"):
-        _poly_divide_linear(coeffs, Fraction(2))
+    assert _divide_linear(coeffs, Fraction(1)) == ([Fraction(1), Fraction(1)], 0)
+    assert _divide_linear(coeffs, Fraction(2)) == ([Fraction(2), Fraction(1)], 3)
 
 
 def test_sigma_is_involution(sl2_ops, sl3_ops):

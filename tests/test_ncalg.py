@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from helpers import reference_split_signed_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,8 @@ from qjacobi.ncalg import (
     ScalarError,
     WordError,
     WordEvaluator,
+    _echo,
+    _split_signed_terms,
     commutator,
     parse_poly,
     parse_scalar,
@@ -101,6 +104,62 @@ def test_a_constant_named_twice_is_one_factor():
     assert twice == squared and hash(twice) == hash(squared)
     assert twice.to_text() == "ipi^2"
     assert parse_scalar(twice.to_text()) == twice
+    # The rule has three entry points: the checked constructor, products
+    # of monomials and parsed text, where a constant may repeat too.
+    c, ipi = Scalar.constant("c"), Scalar.constant("ipi")
+    a, b = NCPoly.letter(AB, "A"), NCPoly.letter(AB, "B")
+    values = [
+        Scalar({(("c", 1), ("ipi", 1), ("c", 2)): 1}),
+        c * ipi * c * c,
+        Scalar.constant("c", 2) * ipi * c,
+        parse_scalar("c*ipi*c^2", ("c", "ipi")),
+        parse_poly("c*ipi*c^2*A.B", AB, ("c", "ipi")).coeff(("A", "B")),
+        (a.scale(c) * b.scale(ipi * c * c)).coeff(("A", "B")),
+    ]
+    for value in values:
+        assert (value, value.to_text(), hash(value)) == (values[0], "c^3*ipi", hash(values[0]))
+    assert parse_poly("c*ipi*c^2*A.B", AB, ("c", "ipi")).to_text() == "c^3*ipi*A.B"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2*A", "unknown factor 'A'"),
+        ("2**A", "malformed term '2**A'"),
+        ("1/0", "zero denominator in '1/0'"),
+        ("", "empty expression"),
+    ],
+)
+def test_parse_scalar_refuses_text_with_the_polynomial_readers_errors(text, message):
+    # A scalar is read as a polynomial over no letters, so a word factor
+    # is an unknown factor as any other word.
+    with pytest.raises(WordError) as info:
+        parse_scalar(text)
+    assert type(info.value) is WordError and str(info.value) == message
+
+
+def test_an_error_names_an_input_past_80_characters_or_64_bits_by_its_size():
+    assert _echo("x" * 80, "term") == repr("x" * 80)
+    assert _echo("x" * 81, "term") == "<term of 81 characters>"
+    assert _echo(2**64 - 1, "index") == "18446744073709551615"
+    assert _echo(2**64, "index") == "<index of 65 bits>"
+    named = [_echo(value, "index") for value in (1.5, True, None, [10**5000], {})]
+    assert named == ["1.5", "True", "None", "<index of type list>", "<index of type dict>"]
+
+
+_SEPARATED = st.lists(st.sampled_from([" + ", " - ", "- ", " ", "+", "-", "a", "b", "1", "*", "/", ".", "\t"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(" \t\n\r\x0b\x0c\xa0ab+-*/.1^") | _SEPARATED.map("".join))
+def test_term_splitter_agrees_with_an_index_scan(text):
+    def outcome(split):
+        try:
+            return split(text)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(_split_signed_terms) == outcome(reference_split_signed_terms)
 
 
 def test_floats_are_rejected_at_the_boundary():
