@@ -25,6 +25,7 @@ by (path, bytes), for :data:`CACHED_FILES` tables.
 from __future__ import annotations
 
 import functools
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
@@ -32,7 +33,7 @@ from types import MappingProxyType
 
 from . import jsontext
 from .hseries import HSeries, SeriesError
-from .ncalg import _NAME_RE, Alphabet, Kept, NCPoly, parse_poly, substitute
+from .ncalg import _NAME_RE, Alphabet, Kept, NCPoly, _echo, parse_poly, substitute
 
 __all__ = [
     "AB_ALPHABET",
@@ -52,6 +53,9 @@ __all__ = [
 AB_ALPHABET = Alphabet(("A", "B"))
 CDZ_ALPHABET = Alphabet(("C", "D", "Z", "Zinv"))
 PSI_ALPHABET = Alphabet(("O12", "O23"))
+
+# A degree key is a plain decimal integer, as str(int) writes it.
+_DEGREE_RE = re.compile(r"-?[1-9][0-9]*\Z|0\Z")
 
 
 class TableError(ValueError):
@@ -152,7 +156,7 @@ def parse_table(text: str | bytes, source: str = "custom") -> EkTable:
     try:
         doc = jsontext.loads(text)
     except jsontext.DuplicateKeyError as exc:
-        raise TableError(f"{exc} in table document") from None
+        raise TableError(f"duplicate key {_echo(exc.key, 'key')} in table document") from None
     except jsontext.DocumentError as exc:
         raise TableError(f"cannot parse table: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
@@ -170,14 +174,12 @@ def parse_table(text: str | bytes, source: str = "custom") -> EkTable:
     entries: dict[int, NCPoly] = {}
     provenance: dict[int, str] = {}
     for key, value in doc["entries"].items():
+        if not _DEGREE_RE.match(key):
+            raise TableError(f"bad degree key {_echo(key, 'key')}: degrees are written as plain decimal integers")
         try:
             degree = jsontext.integer(key)
         except jsontext.DocumentError as exc:
             raise TableError(f"bad degree key: {exc}") from None
-        except ValueError:
-            degree = None
-        if degree is None or str(degree) != key:
-            raise TableError(f"bad degree key {key!r}: degrees are written as plain decimal integers")
         if not isinstance(value, str):
             raise TableError(f"degree {degree}: entry must be canonical polynomial text")
         try:

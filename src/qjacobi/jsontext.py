@@ -39,7 +39,12 @@ class DocumentError(ValueError):
 
 
 class DuplicateKeyError(DocumentError):
-    """A JSON object that names one key twice."""
+    """A JSON object that names one key twice; ``key`` is that key, which
+    a reader names in its own error as it names any input."""
+
+    def __init__(self, key: str):
+        super().__init__(f"duplicate key {key!r}")
+        self.key = key
 
 
 def integer(text: str) -> int:
@@ -75,7 +80,7 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     doc: dict = {}
     for key, value in pairs:
         if key in doc:
-            raise DuplicateKeyError(f"duplicate key {key!r}")
+            raise DuplicateKeyError(key)
         doc[key] = value
     return doc
 

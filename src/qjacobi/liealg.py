@@ -269,7 +269,7 @@ def _load_algebra(spec) -> LieAlgebraData:
         except OSError as exc:
             raise AlgebraError(f"cannot read algebra file: {exc}") from exc
         except jsontext.DuplicateKeyError as exc:
-            raise AlgebraError(f"{exc} in algebra file") from None
+            raise AlgebraError(f"duplicate key {_echo(exc.key, 'key')} in algebra file") from None
         except ValueError as exc:
             # A DocumentError, or int refusing an integer past the digit limit.
             raise AlgebraError(f"cannot parse algebra file: {exc}") from None

@@ -41,11 +41,10 @@ from .ncalg import (
     Ring,
     Scalar,
     ScalarLike,
-    _integral,
-    _integral_scalar,
+    _coefficient,
     _join_signed,
     _mono_mul,
-    _scalar_terms,
+    _sum,
     _term_body,
 )
 
@@ -196,6 +195,11 @@ def _sum_parts(groups: dict[Monomial, list[tuple[int, list]]], kernel: Callable[
     return parts
 
 
+def _scalar(terms: Iterable[tuple[Monomial, int, int]]) -> Scalar:
+    """The scalar of (monomial, numerator, den) terms, one per monomial."""
+    return Scalar._of(*_sum([({((), mono): v}, den, 1) for mono, v, den in terms]))
+
+
 class SparseMatrix(Ring):
     """An immutable exact matrix; zero entries are never stored.
 
@@ -212,17 +216,18 @@ class SparseMatrix(Ring):
             raise MatrixError("matrix dimensions must be positive")
         self.rows = rows
         self.cols = cols
-        cells: dict[Monomial, dict[tuple[int, int], Fraction]] = {}
+        # Each entry's store, one (cell -> numerator, den, 1) term per
+        # monomial, summed per monomial.
+        groups: dict[Monomial, list] = {}
         for i, j, value in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise MatrixError(f"entry ({i}, {j}) outside {rows}x{cols}")
-            for mono, coeff in _scalar_terms(value).items():
-                cell = cells.setdefault(mono, {})
-                have = cell.get((i, j))
-                cell[(i, j)] = coeff if have is None else have + coeff
+            nums, den = _coefficient(value)
+            for (_, mono), v in nums.items():
+                groups.setdefault(mono, []).append(({(i, j): v}, den, 1))
         parts: Parts = {}
-        for mono, cell in cells.items():
-            nums, den = _integral(cell)
+        for mono, group in groups.items():
+            nums, den = _sum(group)
             if nums:
                 data: Rows = {}
                 for (i, j), v in nums.items():
@@ -265,25 +270,21 @@ class SparseMatrix(Ring):
         return cls(nrows, ncols, entries)
 
     def entry(self, i: int, j: int) -> Scalar:
-        terms = {}
-        for mono, (den, rows) in self._parts.items():
-            v = rows.get(i, {}).get(j)
-            if v:
-                terms[mono] = Fraction(v, den)
-        return Scalar._of(terms)
+        return _scalar((mono, v, den) for mono, (den, rows) in self._parts.items() if (v := rows.get(i, {}).get(j)))
 
-    def _cells(self) -> dict[tuple[int, int], list[tuple[Monomial, Fraction]]]:
-        """Nonzero cells with their terms, monomials in ascending order."""
+    def _cells(self) -> dict[tuple[int, int], list[tuple[Monomial, int, int]]]:
+        """Nonzero cells with their (monomial, numerator, den) terms,
+        monomials in ascending order."""
         cells: dict[tuple[int, int], list] = {}
         for mono, (den, rows) in sorted(self._parts.items()):
             for i, row in rows.items():
                 for j, v in row.items():
-                    cells.setdefault((i, j), []).append((mono, Fraction(v, den)))
+                    cells.setdefault((i, j), []).append((mono, v, den))
         return cells
 
     def items(self):
         for (i, j), terms in self._cells().items():
-            yield i, j, Scalar._of(dict(terms))
+            yield i, j, _scalar(terms)
 
     @property
     def is_zero(self) -> bool:
@@ -314,8 +315,8 @@ class SparseMatrix(Ring):
             self._same_shape(x)
             if not x._parts:
                 continue
-            fnums, fden = _integral_scalar(c)
-            for fmono, fv in fnums.items():
+            fnums, fden = _coefficient(c)
+            for (_, fmono), fv in fnums.items():
                 for mono, (den, rows) in x._parts.items():
                     groups.setdefault(_mono_mul(mono, fmono), []).append((den * fden, [fv, rows]))
         return SparseMatrix._of(self.rows, self.cols, _sum_parts(groups, _rows_add))
@@ -347,10 +348,9 @@ class SparseMatrix(Ring):
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise MatrixError("trace of a non-square matrix")
-        return Scalar._of({
-            mono: Fraction(sum(row.get(i, 0) for i, row in rows.items()), den)
-            for mono, (den, rows) in self._parts.items()
-        })
+        return _scalar(
+            (mono, sum(row.get(i, 0) for i, row in rows.items()), den) for mono, (den, rows) in self._parts.items()
+        )
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -397,7 +397,9 @@ class SparseMatrix(Ring):
             return {i: {j: texts[v] for j, v in row.items()} for i, row in rows.items()}
         out: dict[int, dict[int, str]] = {}
         for (i, j), terms in self._cells().items():
-            out.setdefault(i, {})[j] = _join_signed([(c < 0, _term_body(c, mono)) for mono, c in terms])
+            out.setdefault(i, {})[j] = _join_signed([
+                (v < 0, _term_body(Fraction(v, den), mono)) for mono, v, den in terms
+            ])
         return out
 
     def to_json(self) -> dict:

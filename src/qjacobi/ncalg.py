@@ -13,21 +13,23 @@ integer numerators over one shared positive denominator: a dict from
 pair is kept in lowest terms (the gcd of the denominator and all
 numerators is 1), the same representation as the parts of
 :class:`~qjacobi.matrices.SparseMatrix`.  One merge, one scale, one
-product loop and one renderer serve :class:`NCPoly` here and the
-classical polynomials and transport normal forms of ``transport``.  So
-does one type rule: a combination goes from its ``dom`` to its ``cod``,
-two combinations add when both agree, and ``a`` composes after ``b``
-when ``a.dom == b.cod``; an :class:`NCPoly` goes from its alphabet to
-itself.  The subclasses differ only in what a word holds.
-Those loops multiply and add integers only; a ``Fraction`` or
-:class:`Scalar` is built only where a caller reads a coefficient
-(``coeff``, ``sorted_terms``, ``to_text``), never inside ``+``, ``*``,
-``scale``, ``lincomb`` or ``dot``.  :class:`Scalar` itself keeps plain
-``Fraction`` arithmetic: it is the public coefficient type.  A store is
-never written after its combination is built, so each combination
-computes its hash and its text once and keeps them; text rendered inside
-``cli.main``, which lifts the limit on int/str conversion, is later
-served from that cache with no integer converted again.
+product loop and one renderer serve :class:`NCPoly` here, the classical
+polynomials and transport normal forms of ``transport``, and
+:class:`Scalar`, the public coefficient type: a scalar is the
+combination over no letters, from ``Alphabet(())`` to itself, whose
+every word is empty.  So one type rule serves them all: a combination
+goes from its ``dom`` to its ``cod``, two combinations add when both
+agree, and ``a`` composes after ``b`` when ``a.dom == b.cod``; an
+:class:`NCPoly` goes from its alphabet to itself.  The subclasses differ
+only in what a word holds.  Those loops multiply and add integers only.
+A coefficient is read as its integer store (``_coefficient``: a
+scalar's own, or a plain ``int`` or ``Fraction`` read as a rational
+scalar's), and a ``Fraction`` is built only where a caller reads a
+coefficient's value.  A store is never written after its combination is
+built, so each combination computes its hash and its text once and
+keeps them; text rendered inside ``cli.main``, which lifts the limit on
+int/str conversion, is later served from that cache with no integer
+converted again.
 
 :class:`Ring` is the base class of every ring of the package, and its
 docstring states the ring protocol.
@@ -98,17 +100,11 @@ _FACTOR_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^([0-9]+))?\Z")
 
 # A monomial in formal constants: (("ipi", 2),), sorted by name, exponents > 0.
 Monomial = tuple
+# The key of a unit coefficient in a store: the empty word, no constants.
+_UNIT = ((), ())
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _as_scalar(value) -> "Scalar | None":
-    if isinstance(value, Scalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Scalar._of({(): Fraction(value)})
-    return None
 
 
 def _monomial(factors: Iterable[tuple[str, int]]) -> Monomial:
@@ -129,178 +125,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return _monomial(a + b)
 
 
-class Scalar:
-    """Exact scalar: a rational linear combination of constant monomials.
-
-    The empty monomial carries the plain rational part.  Normal form
-    stores no zero coefficients, so equality and hashing are structural.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        data: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if isinstance(coeff, float):
-                    raise ScalarError("floating point coefficients are not allowed")
-                frac = Fraction(coeff)
-                if not frac:
-                    continue
-                factors = []
-                for name, exp in mono:
-                    name, exp = str(name), int(exp)
-                    if not _NAME_RE.match(name):
-                        raise ScalarError(f"bad constant name {name!r}")
-                    if exp <= 0:
-                        raise ScalarError("constant exponents must be positive")
-                    factors.append((name, exp))
-                norm = _monomial(factors)
-                data[norm] = data.get(norm, _F0) + frac
-        self._terms = {m: c for m, c in data.items() if c}
-
-    @classmethod
-    def _of(cls, terms: dict[Monomial, Fraction]) -> "Scalar":
-        """The scalar of ``terms`` whose monomials are already normal
-        and whose coefficients are ``Fraction``s, as arithmetic results
-        and the cells of the integer stores are; only zero coefficients
-        are dropped."""
-        out = cls.__new__(cls)
-        out._terms = {m: c for m, c in terms.items() if c}
-        return out
-
-    @classmethod
-    def rational(cls, p: int | Fraction, q: int = 1) -> "Scalar":
-        return cls({(): Fraction(p, q)})
-
-    @classmethod
-    def constant(cls, name: str, exponent: int = 1, coeff: int | Fraction = 1) -> "Scalar":
-        return cls({((name, exponent),): Fraction(coeff)})
-
-    @classmethod
-    def zero(cls) -> "Scalar":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Scalar":
-        return cls({(): _F1})
-
-    @staticmethod
-    def coerce(value: "ScalarLike") -> "Scalar":
-        coerced = _as_scalar(value)
-        if coerced is None:
-            raise ScalarError(f"cannot coerce {type(value).__name__} to Scalar")
-        return coerced
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def is_rational(self) -> bool:
-        return all(m == () for m in self._terms)
-
-    def as_fraction(self) -> Fraction:
-        """The plain rational value; raises if formal constants are present."""
-        if not self._terms:
-            return _F0
-        if not self.is_rational:
-            raise ScalarError("scalar carries formal constants")
-        return self._terms[()]
-
-    def constants(self) -> set[str]:
-        return {name for mono in self._terms for name, _ in mono}
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items())
-
-    def __add__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
-        data = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            data[mono] = data.get(mono, _F0) + coeff
-        return Scalar._of(data)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self):
-        return Scalar._of({m: -c for m, c in self._terms.items()})
-
-    def __mul__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
-        data: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mono = _mono_mul(ma, mb)
-                data[mono] = data.get(mono, _F0) + ca * cb
-        return Scalar._of(data)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Scalar.coerce(other)
-        if other.is_zero:
-            raise ScalarError("division by zero")
-        if not other.is_rational:
-            raise ScalarError("division by a scalar with formal constants is unsupported")
-        q = other._terms[()]
-        return Scalar._of({m: c / q for m, c in self._terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.coerce(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        # A rational scalar hashes as the number it equals.
-        if self.is_rational:
-            return hash(self.as_fraction())
-        return hash(tuple(self.sorted_terms()))
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __repr__(self):
-        return f"Scalar({self.to_text()})"
-
-    def to_text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = [(coeff < 0, _term_body(coeff, mono)) for mono, coeff in self.sorted_terms()]
-        return _join_signed(parts)
-
-
-ScalarLike = Union[Scalar, int, Fraction]
-
-
-def _scalar_terms(value: ScalarLike) -> Mapping[Monomial, Fraction]:
-    """The monomial -> Fraction terms of a scalar-like value; a plain
-    number builds no :class:`Scalar`."""
-    if isinstance(value, Scalar):
-        return value._terms
-    if isinstance(value, (int, Fraction)):
-        return {(): Fraction(value)} if value else {}
-    raise ScalarError(f"cannot coerce {type(value).__name__} to Scalar")
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """Letter names, in the order they are declared.  The declared order
@@ -316,23 +140,6 @@ class Alphabet:
             if not _NAME_RE.match(name):
                 raise WordError(f"bad letter name {name!r}")
         object.__setattr__(self, "_letter_set", frozenset(self.letters))
-
-
-def _integral(fracs: Mapping) -> tuple[dict, int]:
-    """Rational coefficients as (integer numerators, one positive
-    denominator) in lowest terms, zeros dropped.  The lcm of reduced
-    denominators leaves no common factor with the numerators."""
-    fracs = {key: frac for key, frac in fracs.items() if frac}
-    den = lcm(*(frac.denominator for frac in fracs.values()))
-    return {key: frac.numerator * (den // frac.denominator) for key, frac in fracs.items()}, den
-
-
-def _integral_scalar(value: ScalarLike) -> tuple[dict[Monomial, int], int]:
-    """A scalar-like value as (monomial -> integer numerator, one
-    positive denominator) in lowest terms; an ``int`` builds no Fraction."""
-    if type(value) is int:
-        return ({(): value} if value else {}), 1
-    return _integral(_scalar_terms(value))
 
 
 def _lowest(acc: dict, den: int) -> tuple[dict, int]:
@@ -419,14 +226,14 @@ class LinearCombination(Ring):
     gcd of ``_den`` and every numerator is 1; the zero combination has
     ``_den == 1``), so equality and hashing are structural.  Only
     ``_set`` writes the store, while the object is being built (``_store``
-    in ``__init__``, and the results ``lincomb`` and ``dot`` build), never
-    after it is returned; it clears ``_hash`` and ``_text``, which the
+    in ``__init__``, the results ``lincomb`` and ``dot`` build, and the
+    parser's), never after it is returned; it clears ``_hash`` and ``_text``, which the
     first ``hash()`` and ``to_text()`` fill; a pickle or copy carries
     neither, since a hash of words depends on the string hash seed.
     ``lincomb`` and ``dot`` run on the integers only and reduce each
     result once; the rest of the :class:`Ring` arithmetic comes from
-    them.  ``Fraction`` and :class:`Scalar` values are built only where
-    a caller reads coefficients.
+    them.  A coefficient is read as its integer store, and ``Fraction``
+    values are built only where a caller reads a coefficient's value.
 
     One type rule serves every subclass: two combinations add when their
     ``(dom, cod)`` agree, ``a`` composes after ``b`` when ``a.dom ==
@@ -469,21 +276,13 @@ class LinearCombination(Ring):
     def _store(self, terms, stored_word) -> None:
         """Set the store from (word, coefficient) pairs or a mapping;
         ``stored_word`` checks a word and returns the form it is kept in."""
-        if not terms:
-            self._set({}, 1)
-            return
-        fracs: dict = {}
-        for word, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            scalar = _scalar_terms(coeff)
-            if scalar:
+        stores = []
+        for word, coeff in terms.items() if isinstance(terms, Mapping) else terms or ():
+            nums, den = _coefficient(coeff)
+            if nums:
                 word = stored_word(word)
-                for mono, frac in scalar.items():
-                    key = (word, mono)
-                    # A first term is stored as it is: 0 + frac would
-                    # build and reduce a Fraction.
-                    held = fracs.get(key)
-                    fracs[key] = frac if held is None else held + frac
-        self._set(*_integral(fracs))
+                stores.append(({(word, mono): v for (_, mono), v in nums.items()}, den, 1))
+        self._set(*_sum(stores))
 
     def _check_same(self, other: "LinearCombination") -> None:
         # A tuple compares its items by identity first.
@@ -496,26 +295,25 @@ class LinearCombination(Ring):
     def ring_one(self):
         if self.dom != self.cod:
             raise self._error(f"a {type(self).__name__} has a unit only from a space to itself")
-        return self._empty(self.dom, self.cod)._set({((), ()): 1}, 1)
+        return self._empty(self.dom, self.cod)._set({_UNIT: 1}, 1)
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def coeff(self, word: Iterable) -> Scalar:
-        word, den = tuple(word), self._den
-        return Scalar._of({mono: Fraction(v, den) for (w, mono), v in self._terms.items() if w == word})
+        word = tuple(word)
+        return Scalar._of(*_lowest({((), mono): v for (w, mono), v in self._terms.items() if w == word}, self._den))
 
     def support(self) -> set:
         return {letter for word, _ in self._terms for letter in word}
 
     def sorted_terms(self) -> list[tuple[tuple, Scalar]]:
         """(word, coefficient) pairs in canonical word order."""
-        den = self._den
         by_word: dict = {}
         for (word, mono), v in self._terms.items():
-            by_word.setdefault(word, {})[mono] = Fraction(v, den)
-        return [(word, Scalar._of(by_word[word])) for word in sorted(by_word, key=self._word_key)]
+            by_word.setdefault(word, {})[((), mono)] = v
+        return [(word, Scalar._of(*_lowest(by_word[word], self._den))) for word in sorted(by_word, key=self._word_key)]
 
     def lincomb(self, pairs):
         """The sum of ``c * x`` over the (scalar, element) pairs, in this
@@ -539,8 +337,13 @@ class LinearCombination(Ring):
                 raise TypeError(f"{type(self).__name__}.lincomb needs {type(self).__name__} terms")
             if x is not self:
                 self._check_same(x)
-            fnums, fden = _integral_scalar(c)
-            for fmono, fv in fnums.items():
+            if type(c) is int:
+                # An int factor is its own numerator.
+                if c:
+                    stores.append((x._terms, x._den, c))
+                continue
+            fnums, fden = _coefficient(c)
+            for (_, fmono), fv in fnums.items():
                 nums = x._terms
                 if fmono:
                     nums = {(word, _mono_mul(mono, fmono)): v for (word, mono), v in nums.items()}
@@ -617,6 +420,155 @@ class LinearCombination(Ring):
             parts.append((v < 0, body))
         self._text = _join_signed(parts)
         return self._text
+
+
+# A scalar is the combination over no letters.
+_NO_LETTERS = Alphabet(())
+
+
+class Scalar(LinearCombination):
+    """Exact scalar: a rational linear combination of constant monomials,
+    the :class:`LinearCombination` from ``Alphabet(())`` to itself.
+
+    Every word of the store is empty, so a key is ``((), monomial)``,
+    and the empty monomial carries the plain rational part.  The store,
+    its lowest terms, the arithmetic, equality and the text with its
+    cache are the core's.  A scalar adds the checked constructor, the
+    reads of its monomials, ``+``, ``-`` and ``==`` with an ``int`` or
+    ``Fraction`` read as a rational scalar, division by a nonzero plain
+    rational, and the hash of a rational scalar, which is the hash of the
+    number it equals.
+    """
+
+    __slots__ = ()
+    _error = ScalarError
+
+    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+        self.dom = self.cod = _NO_LETTERS
+        stores = []
+        if terms:
+            for mono, coeff in terms.items():
+                if isinstance(coeff, float):
+                    raise ScalarError("floating point coefficients are not allowed")
+                frac = Fraction(coeff)
+                if not frac:
+                    continue
+                factors = []
+                for name, exp in mono:
+                    name, exp = str(name), int(exp)
+                    if not _NAME_RE.match(name):
+                        raise ScalarError(f"bad constant name {name!r}")
+                    if exp <= 0:
+                        raise ScalarError("constant exponents must be positive")
+                    factors.append((name, exp))
+                stores.append(({((), _monomial(factors)): frac.numerator}, frac.denominator, 1))
+        self._set(*_sum(stores))
+
+    @classmethod
+    def _of(cls, terms: dict, den: int) -> "Scalar":
+        """The scalar of a store in lowest terms, keyed by ``((),
+        monomial)`` with normal monomials, as every read of an integer
+        store gives; nothing is checked."""
+        out = object.__new__(cls)
+        out.dom = out.cod = _NO_LETTERS
+        return out._set(terms, den)
+
+    @classmethod
+    def rational(cls, p: int | Fraction, q: int = 1) -> "Scalar":
+        return cls({(): Fraction(p, q)})
+
+    @classmethod
+    def constant(cls, name: str, exponent: int = 1, coeff: int | Fraction = 1) -> "Scalar":
+        return cls({((name, exponent),): Fraction(coeff)})
+
+    @classmethod
+    def zero(cls) -> "Scalar":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "Scalar":
+        return cls({(): _F1})
+
+    @staticmethod
+    def coerce(value: "ScalarLike") -> "Scalar":
+        return value if isinstance(value, Scalar) else Scalar._of(*_coefficient(value))
+
+    @property
+    def is_rational(self) -> bool:
+        return all(mono == () for _, mono in self._terms)
+
+    def as_fraction(self) -> Fraction:
+        """The plain rational value; raises if formal constants are present."""
+        if not self._terms:
+            return _F0
+        if not self.is_rational:
+            raise ScalarError("scalar carries formal constants")
+        return Fraction(self._terms[_UNIT], self._den)
+
+    def constants(self) -> set[str]:
+        return {name for _, mono in self._terms for name, _ in mono}
+
+    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+        """(monomial, coefficient) pairs in monomial order."""
+        den = self._den
+        return sorted((mono, Fraction(v, den)) for (_, mono), v in self._terms.items())
+
+    def __add__(self, other):
+        return Ring.__add__(self, _rational(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Ring.__sub__(self, _rational(other))
+
+    def __rsub__(self, other):
+        return self.lincomb(((-1, self), (1, _rational(other))))
+
+    # Only a scalar, int or Fraction operand scales a scalar; any other
+    # ring's reflected product takes the rest.
+    __mul__ = Ring.__rmul__
+
+    def __truediv__(self, other):
+        nums, den = _coefficient(other)
+        if not nums:
+            raise ScalarError("division by zero")
+        if nums.keys() != {_UNIT}:
+            raise ScalarError("division by a scalar with formal constants is unsupported")
+        num = nums[_UNIT]
+        # self * den / num, the sign moved onto the factor.
+        return self.ring_zero()._set(*_sum([(self._terms, self._den * abs(num), den if num > 0 else -den)]))
+
+    def __eq__(self, other):
+        return super().__eq__(_rational(other))
+
+    def __hash__(self):
+        # A rational scalar hashes as the number it equals.
+        if self.is_rational:
+            return hash(self.as_fraction())
+        return super().__hash__()
+
+    def __bool__(self):
+        return bool(self._terms)
+
+
+ScalarLike = Union[Scalar, int, Fraction]
+
+
+def _coefficient(value: ScalarLike) -> tuple[dict, int]:
+    """The integer store of a coefficient: a scalar's own, or an ``int``
+    or ``Fraction`` read as a rational scalar's, with nothing built.  Do
+    not modify it."""
+    if isinstance(value, Scalar):
+        return value._terms, value._den
+    if isinstance(value, (int, Fraction)):
+        return ({_UNIT: value.numerator} if value else {}), value.denominator
+    raise ScalarError(f"cannot coerce {type(value).__name__} to Scalar")
+
+
+def _rational(value):
+    """An ``int`` or ``Fraction`` as the scalar of its store; any other
+    value as it is."""
+    return Scalar._of(*_coefficient(value)) if isinstance(value, (int, Fraction)) else value
 
 
 class NCPoly(LinearCombination):
@@ -747,9 +699,9 @@ def substitute(p: LinearCombination, images: Mapping[str, object]):
     """Apply the algebra homomorphism sending each letter to its image.
 
     Images are elements of one ring: polynomials over a common alphabet,
-    square exact matrices of one size, or truncated series.  The sum is
-    the h^0 coefficient of :class:`WordEvaluator` with every image a
-    constant, whose docstring says how the words are summed.
+    scalars, square exact matrices of one size, or truncated series.  The
+    sum is the h^0 coefficient of :class:`WordEvaluator` with every image
+    a constant, whose docstring says how the words are summed.
     """
     missing = sorted(p.support() - set(images))
     if missing:
@@ -844,17 +796,18 @@ def _parse_term(body: str, alphabet: Alphabet, constants: tuple[str, ...]):
 
 def parse_scalar(text: str, constants: tuple[str, ...] = ("ipi",)) -> Scalar:
     """Parse the canonical scalar text form: a polynomial over no letters."""
-    return parse_poly(text, Alphabet(()), constants).coeff(())
+    return parse_poly(text, _NO_LETTERS, constants).coeff(())
 
 
 def parse_poly(text: str, alphabet: Alphabet, constants: tuple[str, ...] = ("ipi",)) -> NCPoly:
     """Parse the canonical polynomial text form over the given alphabet."""
-    terms = []
+    stores = []
     for sign, body in _split_signed_terms(text):
-        # _parse_term gives a normal monomial and a Fraction, as Scalar._of needs.
+        # _parse_term checks the word's letters and puts the monomial in
+        # normal form, so each term is a store as it is.
         frac, mono, word = _parse_term(body, alphabet, constants)
-        terms.append((word, Scalar._of({mono: sign * frac})))
-    return NCPoly(alphabet, terms)
+        stores.append(({(word, mono): sign * frac.numerator}, frac.denominator, 1))
+    return NCPoly(alphabet)._set(*_sum(stores))
 
 
 def _echo(value, noun: str) -> str:

@@ -95,7 +95,7 @@ from types import MappingProxyType
 
 from .deformation import CACHED_FILES, alpha_word, builtin_table
 from .hseries import HSeries
-from .ncalg import Kept, LinearCombination, Scalar, ScalarLike
+from .ncalg import Kept, LinearCombination, Scalar, ScalarLike, _lowest
 
 __all__ = [
     "ClassicalPoly",
@@ -405,7 +405,7 @@ class TransportElement(LinearCombination):
         # The store's terms in store order: the result is a sum, so the
         # order is immaterial, and a plain rational needs no Scalar.
         terms = [
-            (Scalar._of({mono: Fraction(v, den)}) if mono else Fraction(v, den), factors)
+            (Scalar._of(*_lowest({((), mono): v}, den)) if mono else Fraction(v, den), factors)
             for (factors, mono), v in raw._terms.items()
         ]
         return _normalize_raw_terms(terms, raw.dom, raw.cod)

@@ -28,6 +28,11 @@ The term-splitter reference scans the canonical text form index by
 index for the separators " + " and " - ", where ``ncalg`` splits it with
 one regular expression.
 
+The scalar reference keeps a ``Fraction`` per constant monomial and
+writes its own sum, product, division, equality, hash and text, where
+``ncalg.Scalar`` is the integer-store linear combination over no letters
+and takes all of them from the one core.
+
 The transport model reads expressions and normal forms as series of
 exact matrices on tensor powers of an algebra, each factor by its
 definition and each classical word multiplied out on its own, so it
@@ -43,7 +48,7 @@ from qjacobi import deformation, psiengine, transport
 from qjacobi.deformation import AB_ALPHABET, EkTable, alpha
 from qjacobi.hseries import HSeries
 from qjacobi.matrices import SparseMatrix
-from qjacobi.ncalg import NCPoly, Scalar, WordError
+from qjacobi.ncalg import _NAME_RE, NCPoly, Scalar, ScalarError, WordError, _join_signed, _monomial, _term_body
 from qjacobi.psiengine import PSI_ALPHABET, compute_psi
 from qjacobi.transport import (
     CLASSICAL_RULES,
@@ -219,6 +224,143 @@ def reference_split_signed_terms(text: str) -> list[tuple[int, str]]:
             i += 1
     terms.append((sign, text[start:]))
     return terms
+
+
+def _reference_operand(value):
+    if isinstance(value, ReferenceScalar):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return ReferenceScalar._of({(): Fraction(value)})
+    return None
+
+
+class ReferenceScalar:
+    """An exact scalar as a ``Fraction`` per normal monomial, with its own
+    sum, product, division, equality, hash and text."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=None):
+        data = {}
+        if terms:
+            for mono, coeff in terms.items():
+                if isinstance(coeff, float):
+                    raise ScalarError("floating point coefficients are not allowed")
+                frac = Fraction(coeff)
+                if not frac:
+                    continue
+                factors = []
+                for name, exp in mono:
+                    name, exp = str(name), int(exp)
+                    if not _NAME_RE.match(name):
+                        raise ScalarError(f"bad constant name {name!r}")
+                    if exp <= 0:
+                        raise ScalarError("constant exponents must be positive")
+                    factors.append((name, exp))
+                norm = _monomial(factors)
+                data[norm] = data.get(norm, Fraction(0)) + frac
+        self._terms = {m: c for m, c in data.items() if c}
+
+    @classmethod
+    def _of(cls, terms):
+        out = cls.__new__(cls)
+        out._terms = {m: c for m, c in terms.items() if c}
+        return out
+
+    @staticmethod
+    def coerce(value):
+        coerced = _reference_operand(value)
+        if coerced is None:
+            raise ScalarError(f"cannot coerce {type(value).__name__} to Scalar")
+        return coerced
+
+    @property
+    def is_rational(self):
+        return all(m == () for m in self._terms)
+
+    def as_fraction(self):
+        if not self._terms:
+            return Fraction(0)
+        if not self.is_rational:
+            raise ScalarError("scalar carries formal constants")
+        return self._terms[()]
+
+    def constants(self):
+        return {name for mono in self._terms for name, _ in mono}
+
+    def sorted_terms(self):
+        return sorted(self._terms.items())
+
+    def __add__(self, other):
+        other = _reference_operand(other)
+        if other is None:
+            return NotImplemented
+        data = dict(self._terms)
+        for mono, coeff in other._terms.items():
+            data[mono] = data.get(mono, Fraction(0)) + coeff
+        return ReferenceScalar._of(data)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _reference_operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = _reference_operand(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __neg__(self):
+        return ReferenceScalar._of({m: -c for m, c in self._terms.items()})
+
+    def __mul__(self, other):
+        other = _reference_operand(other)
+        if other is None:
+            return NotImplemented
+        data = {}
+        for ma, ca in self._terms.items():
+            for mb, cb in other._terms.items():
+                mono = _monomial(ma + mb)
+                data[mono] = data.get(mono, Fraction(0)) + ca * cb
+        return ReferenceScalar._of(data)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = ReferenceScalar.coerce(other)
+        if not other._terms:
+            raise ScalarError("division by zero")
+        if not other.is_rational:
+            raise ScalarError("division by a scalar with formal constants is unsupported")
+        q = other._terms[()]
+        return ReferenceScalar._of({m: c / q for m, c in self._terms.items()})
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = ReferenceScalar.coerce(other)
+        if not isinstance(other, ReferenceScalar):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        if self.is_rational:
+            return hash(self.as_fraction())
+        return hash(tuple(self.sorted_terms()))
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __repr__(self):
+        return f"Scalar({self.to_text()})"
+
+    def to_text(self):
+        if not self._terms:
+            return "0"
+        return _join_signed([(coeff < 0, _term_body(coeff, mono)) for mono, coeff in self.sorted_terms()])
 
 
 def _reference_run(run, replacement):

@@ -667,12 +667,20 @@ _SL2_HEAD = '{"dim": 3, "basis": ["e", "h", "f"], "brackets": '
         (["omega", "--algebra"], '{"dim": 2, "basis": ["N", "N"], "brackets": []}',
          "basis label <label of 100000 characters> is repeated"),
         (["table", "validate"], '{"entries": {"2": "Nx*A.B"}}', "degree 2: unknown factor <factor of 100001 characters>"),
+        (["omega", "--algebra"], '{"dim": 3, "N": 1, "N": 2}', "duplicate key <key of 100000 characters> in algebra file"),
+        (["table", "validate"], '{"entries": {"N": "A.B", "N": "B.A"}}',
+         "duplicate key <key of 100000 characters> in table document"),
+        (["table", "validate"], '{"entries": {"Nx": "A.B"}}',
+         "bad degree key <key of 100001 characters>: degrees are written as plain decimal integers"),
     ],
-    ids=["algebra-entry", "algebra-index", "algebra-coefficient", "algebra-label", "table-term"],
+    ids=["algebra-entry", "algebra-index", "algebra-coefficient", "algebra-label", "table-term",
+         "algebra-duplicate-key", "table-duplicate-key", "table-degree-key"],
 )
 def test_an_input_too_long_to_echo_is_named_by_its_size(tmp_path, command, document, message):
     # N is a 100,000-digit numeral.  Each error line once echoed it whole:
-    # 100,070 bytes for the algebra entry and 100,036 for the table term.
+    # 100,070 bytes for the algebra entry, 100,036 for the table term and
+    # about 100,040 for a repeated key; the key "Nx", no numeral, was
+    # called a "numeral of 100001 digits".
     path = tmp_path / "input.json"
     path.write_text(document.replace("N", "1" * 100000))
     result = subprocess.run([sys.executable, "-m", "qjacobi", *command, str(path)], capture_output=True, text=True)
@@ -760,6 +768,18 @@ def test_malformed_algebra_file_exits_3(tmp_path, command, doc, field_name):
     assert result.stderr.startswith("error: ")
     assert len(result.stderr.splitlines()) == 1
     assert field_name in result.stderr
+
+
+def test_a_degree_key_past_80_characters_is_named_by_its_size(tmp_path):
+    # Below the 4,300-digit limit a bad degree key was echoed whole: this
+    # one gave a 4,072-byte error line.
+    path = tmp_path / "table.json"
+    path.write_text('{"entries": {"%s": "A.B"}}' % ("y" * 4000))
+    cmd = [sys.executable, "-m", "qjacobi", "table", "validate", str(path)]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    message = "bad degree key <key of 4000 characters>: degrees are written as plain decimal integers"
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", f"error: {message}\n")
+    assert len(result.stderr.encode()) < 200
 
 
 @pytest.mark.parametrize("command", [["omega"], ["eval", "--order", "3"]], ids=["omega", "eval"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from helpers import reference_split_signed_terms
+from helpers import ReferenceScalar, reference_split_signed_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -293,13 +293,137 @@ _any_scalars = st.dictionaries(_monomials, _fractions, max_size=4).map(Scalar)
 
 @given(_any_scalars, _any_scalars | st.integers(-3, 3) | _fractions, _fractions.filter(bool))
 def test_arithmetic_results_are_the_scalars_of_their_terms(a, b, q):
-    # Arithmetic builds its results without the checks of Scalar(...);
-    # each must be the scalar that the checked constructor builds.
+    # Arithmetic builds its results through the core's integer store,
+    # without the checks of Scalar(...); each must be the scalar that the
+    # checked constructor builds from its terms, its store in lowest terms.
     for result in (a + b, b + a, a - b, b - a, -a, a * b, b * a, a / q, Scalar.coerce(b)):
-        rebuilt = Scalar(dict(result._terms))
+        rebuilt = Scalar(dict(result.sorted_terms()))
         assert result == rebuilt and hash(result) == hash(rebuilt)
         assert result.to_text() == rebuilt.to_text()
-        assert all(type(c) is Fraction and c for c in result._terms.values())
+        _assert_lowest(result)
+
+
+def _outcome(call):
+    """What ``call()`` gives: ("value", its result), or the error's class
+    and message."""
+    try:
+        return "value", call()
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _agree(ours, ref):
+    """``ours``, a Scalar, reads as ``ref``, a ReferenceScalar, through
+    every public read."""
+    assert type(ours) is Scalar
+    assert ours.sorted_terms() == ref.sorted_terms()
+    assert (ours.to_text(), repr(ours)) == (ref.to_text(), repr(ref))
+    assert (ours.is_rational, ours.is_zero, bool(ours), ours.constants()) == (
+        ref.is_rational, not ref, bool(ref), ref.constants())
+    assert _outcome(ours.as_fraction) == _outcome(ref.as_fraction)
+    if ref.is_rational:
+        q = ref.as_fraction()
+        assert ours == q and q == ours and hash(ours) == hash(ref) == hash(q)
+        if q.denominator == 1:
+            assert ours == q.numerator and hash(ours) == hash(q.numerator)
+    # Equal scalars hash equal, whichever path built them.
+    again = Scalar(dict(ref.sorted_terms()))
+    assert ours == again and hash(ours) == hash(again)
+    _assert_lowest(ours)
+
+
+_numbers = st.integers(-3, 3) | _fractions
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(_monomials, _numbers, max_size=4),
+    st.dictionaries(_monomials, _numbers, max_size=4),
+    _numbers,
+)
+def test_scalar_agrees_with_the_fraction_reference(da, db, n):
+    # The reference keeps a Fraction per monomial and its own sum,
+    # product, division, hash and text; Scalar takes all of them from the
+    # integer-store core.  Every operation, with a plain int or Fraction
+    # on either side, gives the same scalar or the same error.
+    a, b, ra, rb = Scalar(da), Scalar(db), ReferenceScalar(da), ReferenceScalar(db)
+    _agree(a, ra)
+    _agree(Scalar.coerce(n), ReferenceScalar.coerce(n))
+    ops = [
+        lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, lambda x, y: x / y,
+        lambda x, y: y + x, lambda x, y: y - x, lambda x, y: y * x,
+    ]
+    for op in ops:
+        for y, ry in ((b, rb), (n, n)):
+            got, want = _outcome(lambda: op(a, y)), _outcome(lambda: op(ra, ry))
+            if got[0] == "value" and want[0] == "value":
+                _agree(got[1], want[1])
+            else:
+                assert got == want
+    _agree(-a, -ra)
+    assert (a == b) == (ra == rb) and (a == n) == (ra == n) and (n == a) == (n == ra)
+    assert (a != n) == (ra != n)
+
+
+def test_scalar_refuses_as_the_fraction_reference():
+    # Each refusal: the same class and message as the reference's.
+    ipi = {(("ipi", 1),): 1}
+    calls = [
+        lambda S: S({(): 0.5}),
+        lambda S: S({(("2pi", 1),): 1}),
+        lambda S: S({(("ipi", 0),): 1}),
+        lambda S: S({(("ipi", -1),): 1}),
+        lambda S: S.coerce("1/2"),
+        lambda S: S.coerce(0.5),
+        lambda S: S({(): 1}) / 0,
+        lambda S: S({(): 1}) / Fraction(0),
+        lambda S: S({(): 1}) / S(),
+        lambda S: S({(): 1}) / S(ipi),
+        lambda S: S({(): 1}) / S({(): 1, **ipi}),
+        lambda S: S({(): 1}) / "2",
+        lambda S: S(ipi).as_fraction(),
+    ]
+    for call in calls:
+        got, want = _outcome(lambda: call(Scalar)), _outcome(lambda: call(ReferenceScalar))
+        assert got[0] != "value" and got == want, (got, want)
+    # An operand of no ring is a TypeError on both sides.
+    for call in (lambda S: S({(): 1}) + "x", lambda S: "x" - S({(): 1}), lambda S: S({(): 1}) * "x",
+                 lambda S: 1 / S({(): 2})):
+        assert _outcome(lambda: call(Scalar))[0] is _outcome(lambda: call(ReferenceScalar))[0] is TypeError
+
+
+def test_a_pickled_or_copied_scalar_hashes_and_prints_as_the_original():
+    import copy
+    import pickle
+
+    values = [
+        Scalar.zero(), Scalar.rational(2, 9), Scalar.rational(-4), Scalar.constant("ipi", 2, Fraction(-3, 4)) + 1,
+        parse_scalar("1/6*c^2*ipi - 5/7", ("c", "ipi")),
+    ]
+    for x in values:
+        key, text = hash(x), x.to_text()
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is Scalar and y == x
+            assert (hash(y), y.to_text(), repr(y)) == (key, text, repr(x))
+            assert y + 1 == x + 1 and y * y == x * x
+
+
+def test_substitute_evaluates_scalar_images_in_the_scalar_ring():
+    # A scalar is a Ring, the combination over no letters, so scalar
+    # images are evaluated there: each word is the product of its
+    # letters' scalars.
+    ipi, half = Scalar.constant("ipi"), Scalar.rational(1, 2)
+    p = poly("1/24*A.B - 1/24*B.A + 2*ipi*A.A + 3")
+    out = substitute(p, {"A": ipi, "B": half})
+    assert type(out) is Scalar
+    assert out == 3 + 2 * Scalar.constant("ipi", 3)
+    assert out.to_text() == "3 + 2*ipi^3"
+    # A mix of scalars and another ring's elements is refused, as any mix.
+    with pytest.raises(WordError, match="different rings"):
+        substitute(p, {"A": ipi, "B": NCPoly.letter(AB, "A")})
+    # A plain number is not a ring element.
+    with pytest.raises(WordError, match="not a ring element"):
+        substitute(p, {"A": ipi, "B": Fraction(1, 2)})
 
 
 _ENDOS = (
@@ -319,12 +443,13 @@ _ENDOS = (
 def test_store_reads_are_the_scalars_of_their_terms(words, cells, endos, other):
     # Reads of an integer store build their Scalars without the checks of
     # Scalar(...); each must be the scalar that the checked constructor
-    # builds.  Every Scalar built unchecked during the calls is caught.
+    # builds from its terms, its store in lowest terms.  Every Scalar
+    # built unchecked during the calls is caught.
     built = []
     trusted = Scalar._of.__func__
 
-    def caught(cls, terms):
-        built.append(trusted(cls, terms))
+    def caught(cls, terms, den):
+        built.append(trusted(cls, terms, den))
         return built[-1]
 
     p = NCPoly(AB, words)
@@ -340,10 +465,10 @@ def test_store_reads_are_the_scalars_of_their_terms(words, cells, endos, other):
         product = e.dot([(e, f), (f, e)])
     assert all(any(s is b for b in built) for s in returned)
     for s in built:
-        rebuilt = Scalar(dict(s._terms))
+        rebuilt = Scalar(dict(s.sorted_terms()))
         assert s == rebuilt and hash(s) == hash(rebuilt)
         assert s.to_text() == rebuilt.to_text()
-        assert all(type(c) is Fraction and c for c in s._terms.values())
+        _assert_lowest(s)
     assert product == e * f + f * e
 
 
