@@ -111,15 +111,17 @@ class EkTable:
         object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
         problems = []
         for k, poly in sorted(self.entries.items()):
+            degree = _echo(k, "degree")
             if k < 2:
-                problems.append(f"degree {k} below the minimum degree 2")
+                problems.append(f"degree {degree} below the minimum degree 2")
             if poly.alphabet != AB_ALPHABET:
-                problems.append(f"degree {k} entry is not over the letters A, B")
+                problems.append(f"degree {degree} entry is not over the letters A, B")
                 continue
             if not poly.is_homogeneous(k):
-                problems.append(
-                    f"degree {k} entry is not homogeneous of word length {k}: {poly.to_text()}"
-                )
+                text = poly.to_text()
+                if len(text) > 80:
+                    text = _echo(text, "entry")
+                problems.append(f"degree {degree} entry is not homogeneous of word length {degree}: {text}")
         if problems:
             raise TableError("; ".join(problems))
 
@@ -181,11 +183,11 @@ def parse_table(text: str | bytes, source: str = "custom") -> EkTable:
         except jsontext.DocumentError as exc:
             raise TableError(f"bad degree key: {exc}") from None
         if not isinstance(value, str):
-            raise TableError(f"degree {degree}: entry must be canonical polynomial text")
+            raise TableError(f"degree {_echo(degree, 'degree')}: entry must be canonical polynomial text")
         try:
             entries[degree] = parse_poly(value, AB_ALPHABET, constants)
         except ValueError as exc:
-            raise TableError(f"degree {degree}: {exc}") from exc
+            raise TableError(f"degree {_echo(degree, 'degree')}: {exc}") from exc
         provenance[degree] = str(notes.get(key, f"{source} entry"))
     return EkTable(entries, provenance, constants, source)
 

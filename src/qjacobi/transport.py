@@ -89,7 +89,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
 
@@ -403,11 +402,8 @@ class TransportElement(LinearCombination):
         raw = super().dot(pairs)
         den = raw._den
         # The store's terms in store order: the result is a sum, so the
-        # order is immaterial, and a plain rational needs no Scalar.
-        terms = [
-            (Scalar._of(*_lowest({((), mono): v}, den)) if mono else Fraction(v, den), factors)
-            for (factors, mono), v in raw._terms.items()
-        ]
+        # order is immaterial.
+        terms = [(Scalar._of(*_lowest({((), mono): v}, den)), factors) for (factors, mono), v in raw._terms.items()]
         return _normalize_raw_terms(terms, raw.dom, raw.cod)
 
     @staticmethod

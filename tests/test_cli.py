@@ -782,6 +782,35 @@ def test_a_degree_key_past_80_characters_is_named_by_its_size(tmp_path):
     assert len(result.stderr.encode()) < 200
 
 
+# The longest degree key the 4,300-digit limit converts, and its size.
+_NINES = "9" * 4300
+_NINES_DEGREE = f"<degree of {(10 ** 4300 - 1).bit_length()} bits>"
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({_NINES: "A.B"}, f"degree {_NINES_DEGREE} entry is not homogeneous of word length {_NINES_DEGREE}: A.B"),
+        ({"-" + _NINES: "A.B"}, f"degree {_NINES_DEGREE} below the minimum degree 2; "
+                                f"degree {_NINES_DEGREE} entry is not homogeneous of word length {_NINES_DEGREE}: A.B"),
+        ({_NINES: 5}, f"degree {_NINES_DEGREE}: entry must be canonical polynomial text"),
+        ({_NINES: "A.Q"}, f"degree {_NINES_DEGREE}: unknown factor 'A.Q'"),
+        ({"2": "A.B + " + ".".join("A" * 60)},
+         "degree 2 entry is not homogeneous of word length 2: <entry of 125 characters>"),
+    ],
+    ids=["degree", "negative-degree", "degree-not-text", "degree-bad-entry", "long-entry"],
+)
+def test_a_long_degree_or_entry_in_a_table_error_is_named_by_its_size(tmp_path, entries, message):
+    # A degree under the digit limit was printed whole, once per mention:
+    # the first key gave an 8,661-byte error line and its negative 13,000.
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"entries": entries}))
+    cmd = [sys.executable, "-m", "qjacobi", "table", "validate", str(path)]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", f"error: {message}\n")
+    assert len(result.stderr.encode()) < 200
+
+
 @pytest.mark.parametrize("command", [["omega"], ["eval", "--order", "3"]], ids=["omega", "eval"])
 def test_algebra_file_with_a_repeated_key_exits_3(tmp_path, command):
     # json.load alone keeps the later "dim", and this file once loaded as sl2.

@@ -1,9 +1,10 @@
-"""The package's modules import only from the layers below them, and
-only its input boundaries catch errors.
+"""The package's modules import only from the layers below them, use
+every name they import, and only its input boundaries catch errors.
 
 Every import statement, at any depth (inside functions too), of every
 module in ``src/qjacobi`` is read with ``ast`` and checked against one
-table of allowed edges.  Every ``except`` clause is read the same way,
+table of allowed edges, and each name it binds against the names the
+module reads.  Every ``except`` clause is read the same way,
 and the functions that hold one are one fixed set.
 """
 
@@ -106,6 +107,45 @@ def test_the_reader_sees_imports_at_any_depth(tmp_path):
         "hseries": {"HSeries"},
         "psiengine": {"PSI_ALPHABET"},
     }
+
+
+def unused_imports(path: Path) -> set[str]:
+    """The names bound by an import statement in the file, at any depth,
+    that no name in the file reads and ``__all__`` does not list;
+    ``from __future__ import annotations`` binds nothing."""
+    tree = ast.parse(path.read_text("utf-8"))
+    bound: set[str] = set()
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return bound - used
+
+
+def test_every_module_uses_what_it_imports():
+    found = {path.stem: unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_the_unused_import_reader_counts_names_and_all(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from fractions import Fraction\n"
+        "from .ncalg import Kept, Scalar, _lowest\n"
+        "__all__ = ['Kept']\n"
+        "def f(x: Scalar):\n"
+        "    from math import gcd, lcm\n"
+        "    return os.path.join(gcd(x, 2))\n",
+        "utf-8",
+    )
+    assert unused_imports(source) == {"js", "Fraction", "_lowest", "lcm"}
 
 
 def test_liealg_leaves_the_matrix_store_to_matrices():

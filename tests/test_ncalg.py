@@ -392,6 +392,25 @@ def test_scalar_refuses_as_the_fraction_reference():
         assert _outcome(lambda: call(Scalar))[0] is _outcome(lambda: call(ReferenceScalar))[0] is TypeError
 
 
+def test_scalar_refuses_a_float_wherever_it_enters():
+    # constant converted its coefficient before the check and int(exp)
+    # truncated an exponent: the first three calls gave
+    # 3602879701896397/36028797018963968*ipi, ipi^2 and ipi^2, and
+    # rational(0.5) raised a bare TypeError.
+    coefficient, exponent = "floating point coefficients are not allowed", "floating point exponents are not allowed"
+    calls = [
+        (lambda: Scalar.constant("ipi", coeff=0.1), coefficient),
+        (lambda: Scalar.constant("ipi", 2.5), exponent),
+        (lambda: Scalar({(("ipi", 2.5),): 1}), exponent),
+        (lambda: Scalar({(("ipi", 2.0),): 1}), exponent),
+        (lambda: Scalar.rational(0.5), coefficient),
+        (lambda: Scalar.rational(1, 2.0), coefficient),
+    ]
+    for call, message in calls:
+        assert _outcome(call) == (ScalarError, message)
+    assert Scalar.constant("ipi", 2, Fraction(1, 10)).sorted_terms() == [((("ipi", 2),), Fraction(1, 10))]
+
+
 def test_a_pickled_or_copied_scalar_hashes_and_prints_as_the_original():
     import copy
     import pickle
