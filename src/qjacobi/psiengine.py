@@ -59,7 +59,7 @@ coefficient served has passed the check in this process.
 
 from __future__ import annotations
 
-import logging
+import sys
 from dataclasses import dataclass
 
 from .deformation import PSI_ALPHABET, EkTable
@@ -67,8 +67,6 @@ from .hseries import HSeries
 from .ncalg import Kept, NCPoly, WordEvaluator
 
 __all__ = ["EngineError", "PSI_ALPHABET", "PsiPair", "compute_psi", "compute_psi_in"]
-
-logger = logging.getLogger(__name__)
 
 
 class EngineError(RuntimeError):
@@ -152,8 +150,9 @@ def compute_psi(table: EkTable, order: int) -> PsiPair:
     the free letters O12, O23.
 
     Table degrees absent from 2..order-1 contribute nothing; they are
-    treated as zero coefficients and logged.  The table's engine is kept
-    for later calls; the module docstring says how.
+    treated as zero coefficients and logged at INFO through ``logging``
+    when that module is loaded.  The table's engine is kept for later
+    calls; the module docstring says how.
     """
     return compute_psi_in(table, order, *_FREE_LETTERS)
 
@@ -165,18 +164,21 @@ def compute_psi_in(table: EkTable, order: int, o12, o23) -> PsiPair:
     when it was built."""
     if order < 2:
         raise ValueError(f"order must be at least 2, got {order}")
-    # The table's own gaps lie below its top degree; those above are one span.
-    degrees = table.degrees()
-    missing = [str(k) for k in table.missing_below_max() if k < order]
-    top = max(degrees, default=1)
-    if top + 1 < order:
-        missing.append(f"{top + 1}..{order - 1}" if top + 2 < order else str(top + 1))
-    if missing:
-        logger.info(
-            "table %s has no entries for degrees %s; treating them as zero",
-            table.source,
-            ", ".join(missing),
-        )
+    # A record reaches a handler only through the logging module, so the
+    # gaps are worked out only when a caller has loaded it.
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        # The table's own gaps lie below its top degree; those above are one span.
+        missing = [str(k) for k in table.missing_below_max() if k < order]
+        top = max(table.degrees(), default=1)
+        if top + 1 < order:
+            missing.append(f"{top + 1}..{order - 1}" if top + 2 < order else str(top + 1))
+        if missing:
+            logging.getLogger(__name__).info(
+                "table %s has no entries for degrees %s; treating them as zero",
+                table.source,
+                ", ".join(missing),
+            )
 
     entries = table.content()
     key = (entries, o12, o23)
