@@ -448,9 +448,10 @@ class Scalar(LinearCombination):
                     continue
                 factors = []
                 for name, exp in mono:
-                    if isinstance(exp, float):
-                        raise ScalarError("floating point exponents are not allowed")
-                    name, exp = str(name), int(exp)
+                    if type(exp) is not int:
+                        kind = "floating point" if isinstance(exp, float) else "non-integer"
+                        raise ScalarError(f"{kind} exponents are not allowed")
+                    name = str(name)
                     if not _NAME_RE.match(name):
                         raise ScalarError(f"bad constant name {name!r}")
                     if exp <= 0:
@@ -472,6 +473,8 @@ class Scalar(LinearCombination):
     def rational(cls, p: int | Fraction, q: int = 1) -> "Scalar":
         if isinstance(p, float) or isinstance(q, float):
             raise ScalarError("floating point coefficients are not allowed")
+        if not q:
+            raise ScalarError("division by zero")
         return cls({(): Fraction(p, q)})
 
     @classmethod

@@ -1332,6 +1332,7 @@ def _library_refusals():
         ("matrix-one", lambda: wide.ring_one(), MatrixError),
         ("scalar-name", lambda: Scalar.constant("1x"), ScalarError),
         ("scalar-exponent", lambda: Scalar.constant("ipi", 0), ScalarError),
+        ("scalar-denominator", lambda: Scalar.rational(1, 0), ScalarError),
         ("alphabet-repeated", lambda: Alphabet(("A", "A")), WordError),
         ("alphabet-letter", lambda: Alphabet(("1A",)), WordError),
         ("substitute-image", lambda: substitute(a, {"A": 3}), WordError),
@@ -1352,3 +1353,20 @@ def test_each_library_refusal_keeps_its_class(monkeypatch, call, error):
     with pytest.raises(Exception) as caught:
         call()
     assert type(caught.value) is error
+
+
+def test_a_cli_process_loads_no_logging():
+    # No handler can receive the engine's gap record unless the caller
+    # loaded logging, so the CLI leaves it unloaded, even for a psi call
+    # whose table has gaps to report.
+    script = (
+        "import contextlib, io, sys\n"
+        "from qjacobi import cli\n"
+        "cli.build_parser()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['psi', '--order', '6']), cli.main(['eval', '--algebra', 'sl2', '--order', '4'])]\n"
+        "print(codes, 'logging' in sys.modules)\n"
+    )
+    env = {"PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    fresh = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, "[0, 0] False\n", "")

@@ -411,6 +411,17 @@ def test_scalar_refuses_a_float_wherever_it_enters():
     assert Scalar.constant("ipi", 2, Fraction(1, 10)).sorted_terms() == [((("ipi", 2),), Fraction(1, 10))]
 
 
+def test_scalar_refuses_an_exponent_that_is_not_a_plain_int_and_a_zero_denominator():
+    # int(exp) read these three exponents as 2, 3 and 1, and rational(1, 0)
+    # raised a bare ZeroDivisionError.
+    for exp in (Fraction(5, 2), "3", True):
+        assert _outcome(lambda: Scalar({(("ipi", exp),): 1})) == (ScalarError, "non-integer exponents are not allowed")
+    assert _outcome(lambda: Scalar.rational(1, 0)) == (ScalarError, "division by zero")
+    assert _outcome(lambda: Scalar.rational(Fraction(1, 2), 0)) == (ScalarError, "division by zero")
+    assert _outcome(lambda: Scalar.rational(1) / 0) == (ScalarError, "division by zero")
+    assert Scalar({(("ipi", 3),): 1}) == Scalar.constant("ipi", 3)
+
+
 def test_a_pickled_or_copied_scalar_hashes_and_prints_as_the_original():
     import copy
     import pickle

@@ -3,9 +3,12 @@
 import json
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from helpers import (
@@ -468,6 +471,29 @@ def test_a_one_degree_tail_is_logged_as_that_degree(caplog, order, gaps):
     with caplog.at_level("INFO", logger="qjacobi.psiengine"):
         compute_psi(table, order)
     assert caplog.messages == [f"table gappy has no entries for degrees {gaps}; treating them as zero"]
+
+
+def test_a_handler_attached_after_import_receives_the_gap_record():
+    # The engine looks for logging at each call, so a caller that loads
+    # it after importing qjacobi still gets the record.
+    script = (
+        "import json\n"
+        "from qjacobi.deformation import builtin_table\n"
+        "from qjacobi.psiengine import compute_psi\n"
+        "import logging\n"
+        "records = []\n"
+        "handler = logging.Handler()\n"
+        "handler.emit = records.append\n"
+        "logging.getLogger().addHandler(handler)\n"
+        "logging.getLogger().setLevel(logging.INFO)\n"
+        "compute_psi(builtin_table(), 6)\n"
+        "print(json.dumps([[r.levelname, r.name, r.getMessage()] for r in records]))\n"
+    )
+    env = {"PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    fresh = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env)
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    message = "table builtin has no entries for degrees 3..5; treating them as zero"
+    assert json.loads(fresh.stdout) == [["INFO", "qjacobi.psiengine", message]]
 
 
 def test_order_below_two_rejected():
